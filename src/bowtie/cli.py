@@ -181,11 +181,11 @@ def _write_manifest(path: Path, command: str, cfg: dict, artifacts: dict) -> Non
 
 
 def _load_slmrd_dir(data_dir: Path):
-    from .corpus import load_corpus_file, load_polarity, load_vocab_file
+    from .corpus import load_corpus_file, load_polarity, load_slmrd_vocab
 
     base = data_dir / "slmrd"
     hint = "run `bowtie prepare slmrd` first"
-    vocab = load_vocab_file(_need(base / "vocab.txt", hint))
+    vocab = load_slmrd_vocab(_need(base / "vocab.txt", hint))
     polarity = load_polarity(_need(base / "polarity.txt", hint), vocab)
     train_c = load_corpus_file(
         _need(base / "train.corpus", hint),
@@ -199,11 +199,11 @@ def _load_slmrd_dir(data_dir: Path):
 
 
 def _load_kid_dir(data_dir: Path):
-    from .corpus import load_corpus_file, load_vocab_file
+    from .corpus import load_corpus_file, load_slmrd_vocab
 
     base = data_dir / "kid"
     hint = "run `bowtie prepare kid` first"
-    vocab = load_vocab_file(_need(base / "vocab.txt", hint))
+    vocab = load_slmrd_vocab(_need(base / "vocab.txt", hint))
     corpus = load_corpus_file(
         _need(base / "full.corpus", hint),
         vocab_id=vocab.fingerprint(), split="full", width=vocab.size,
@@ -212,13 +212,11 @@ def _load_kid_dir(data_dir: Path):
 
 
 def _split_halves(corpus, seed: int):
-    from .corpus import Corpus, shuffle
+    from .corpus import shuffle
 
     mixed = shuffle(corpus, seed)
-    half = len(mixed.bags) // 2
-    train_c = Corpus(mixed.bags[:half], vocab_id=mixed.vocab_id, split="train")
-    val_c = Corpus(mixed.bags[half:], vocab_id=mixed.vocab_id, split="test")
-    return train_c, val_c
+    half = len(mixed) // 2
+    return mixed.take(slice(None, half), "train"), mixed.take(slice(half, None), "test")
 
 
 def _run_scenario(cfg: dict, out: Path) -> int:
@@ -313,12 +311,12 @@ def cmd_scenario(args) -> int:
 
 
 def _run_train(cfg: dict, out: Path) -> int:
-    from .corpus import load_corpus_file, load_polarity, load_vocab_file
+    from .corpus import load_corpus_file, load_polarity, load_slmrd_vocab
     from .encode import POLARITY_WEIGHTED, encode_corpus
     from .train import emit_metrics_csv, save_checkpoint
 
     out.mkdir(parents=True, exist_ok=True)
-    vocab = load_vocab_file(cfg["vocab"])
+    vocab = load_slmrd_vocab(cfg["vocab"])
     polarity = None
     if cfg["encoding"] == POLARITY_WEIGHTED:
         if not cfg["polarity"]:
@@ -389,14 +387,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .corpus import load_corpus_file, load_polarity, load_vocab_file
+    from .corpus import load_corpus_file, load_polarity, load_slmrd_vocab
     from .encode import POLARITY_WEIGHTED, encode_corpus
     from .train import check_fingerprint, evaluate, load_checkpoint
 
     if not args.checkpoint or not args.corpus or not args.vocab:
         raise ValueError("eval requires --checkpoint, --corpus, and --vocab")
     ckpt = load_checkpoint(args.checkpoint)
-    vocab = load_vocab_file(args.vocab)
+    vocab = load_slmrd_vocab(args.vocab)
     check_fingerprint(ckpt, vocab.size, vocab.fingerprint())
     polarity = None
     if ckpt.encoding == POLARITY_WEIGHTED:
@@ -415,7 +413,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    from .corpus import load_corpus_file, load_polarity, load_vocab_file
+    from .corpus import load_corpus_file, load_polarity, load_slmrd_vocab
     from .encode import POLARITY_WEIGHTED
     from .train import load_checkpoint
     from .transfer import transfer_evaluate, write_transfer_report
@@ -427,8 +425,8 @@ def cmd_transfer(args) -> int:
             "--source-vocab, and --target-vocab"
         )
     ckpt = load_checkpoint(args.checkpoint)
-    source_vocab = load_vocab_file(args.source_vocab)
-    target_vocab = load_vocab_file(args.target_vocab)
+    source_vocab = load_slmrd_vocab(args.source_vocab)
+    target_vocab = load_slmrd_vocab(args.target_vocab)
     polarity = None
     if ckpt.encoding == POLARITY_WEIGHTED:
         if not args.polarity:
@@ -456,12 +454,12 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from .corpus import load_corpus_file, load_polarity, load_vocab_file
+    from .corpus import load_corpus_file, load_polarity, load_slmrd_vocab
     from .encode import POLARITY_WEIGHTED, encode_corpus, polarity_stats
 
     if not args.corpus or not args.vocab:
         raise ValueError("stats requires --corpus and --vocab")
-    vocab = load_vocab_file(args.vocab)
+    vocab = load_slmrd_vocab(args.vocab)
     polarity = None
     if args.encoding == POLARITY_WEIGHTED:
         if not args.polarity:

@@ -2,9 +2,10 @@
 
 Loads the Stanford-style raw distribution (one-token-per-line vocabulary,
 per-line polarity ratings, ``rating idx:count ...`` bag-of-words lines) and
-the Keras-style integer-sequence distribution, normalizing both into labeled
-bags of token counts over a dense vocabulary.  A canonical line format
-(``label<TAB>idx:count ...``) makes everything downstream source-agnostic.
+the Keras-style integer-sequence distribution, normalizing both into one
+CSR matrix of token counts over a dense vocabulary (a row per review) plus
+a label array.  A canonical line format (``label<TAB>idx:count ...``) makes
+everything downstream source-agnostic.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError
 from .rngseed import derive_rng
@@ -64,53 +66,49 @@ class PolarityTable:
         return len(self.ratings)
 
 
-@dataclass(eq=False)
-class LabeledBag:
-    """One review as sorted (token index, count) pairs plus a binary label."""
-
-    indices: np.ndarray  # int64, strictly increasing
-    counts: np.ndarray   # int64, all >= 1
-    label: int
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.indices.shape != self.counts.shape or self.indices.ndim != 1:
-            raise ValueError("indices and counts must be 1-d and the same length")
-        if self.indices.size and (np.diff(self.indices) <= 0).any():
-            raise ValueError("token indices must be strictly increasing")
-        if (self.counts < 1).any():
-            raise ValueError("counts must be >= 1")
-        if self.label not in (0, 1):
-            raise ValueError(f"label {self.label!r} not in {{0, 1}}")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LabeledBag)
-            and self.label == other.label
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.counts, other.counts)
-        )
-
-    def total_tokens(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass
+@dataclass(eq=False)  # matrices have no single truth value; compare rows instead
 class Corpus:
-    """A list of labeled bags whose indices refer to one named vocabulary."""
+    """Reviews as the rows of one token-count matrix plus one label per row.
 
-    bags: list[LabeledBag]
+    ``counts`` is an int64 CSR matrix of shape (reviews, width) whose rows
+    have sorted column indices, no duplicates and no stored zeros; every
+    vocabulary index a review uses is a column.
+    """
+
+    counts: sparse.csr_matrix
+    labels: np.ndarray  # int64, 0 or 1 per row
     vocab_id: str = ""
     split: str = "train"
 
     def __len__(self) -> int:
-        return len(self.bags)
+        return self.counts.shape[0]
+
+    @property
+    def nnz(self) -> int:
+        return self.counts.nnz
 
     def label_counts(self) -> tuple[int, int]:
         """(negative, positive) totals."""
-        pos = sum(bag.label for bag in self.bags)
-        return len(self.bags) - pos, pos
+        pos = int(self.labels.sum())
+        return len(self) - pos, pos
+
+    def take(self, rows, split: str | None = None) -> "Corpus":
+        """The reviews at ``rows`` (an index array or a slice), in that order."""
+        return Corpus(
+            self.counts[rows], self.labels[rows], self.vocab_id, split or self.split
+        )
+
+
+def _stack_rows(rows, labels, width, vocab_id: str, split: str) -> Corpus:
+    """One Corpus from per-review (sorted indices, counts) array pairs."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(idx) for idx, _ in rows], out=indptr[1:])
+    indices = np.concatenate([np.empty(0, np.int64)] + [idx for idx, _ in rows])
+    counts = np.concatenate([np.empty(0, np.int64)] + [cnt for _, cnt in rows])
+    if width is None:
+        width = int(indices.max()) + 1 if indices.size else 0
+    matrix = sparse.csr_matrix((counts, indices, indptr), shape=(len(rows), width))
+    return Corpus(matrix, np.array(labels, dtype=np.int64), vocab_id, split)
 
 
 def _open_text(path: str | Path):
@@ -140,9 +138,6 @@ def load_slmrd_vocab(path: str | Path) -> Vocabulary:
     if not tokens:
         raise DataError(f"{path}: empty vocabulary file")
     return Vocabulary(tokens)
-
-
-load_vocab_file = load_slmrd_vocab
 
 
 def load_polarity(path: str | Path, vocab: Vocabulary) -> PolarityTable:
@@ -197,7 +192,8 @@ def load_slmrd_bow(path: str | Path, vocab: Vocabulary, split: str = "train") ->
     Ratings >= 7 become positive labels, <= 4 negative; 5 and 6 do not occur
     in the dataset by construction and are rejected loudly.
     """
-    bags: list[LabeledBag] = []
+    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    labels: list[int] = []
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             where = f"{path}: line {lineno}"
@@ -212,10 +208,9 @@ def load_slmrd_bow(path: str | Path, vocab: Vocabulary, split: str = "train") ->
                 raise DataError(f"{where}: rating {rating} outside [0, 10]")
             if rating in (5, 6):
                 raise DataError(f"{where}: rating {rating} has no defined label")
-            label = 1 if rating >= 7 else 0
-            indices, counts = _parse_pairs(parts[1:], vocab.size, where)
-            bags.append(LabeledBag(indices, counts, label))
-    return Corpus(bags, vocab_id=vocab.fingerprint(), split=split)
+            labels.append(1 if rating >= 7 else 0)
+            rows.append(_parse_pairs(parts[1:], vocab.size, where))
+    return _stack_rows(rows, labels, vocab.size, vocab.fingerprint(), split)
 
 
 def load_kid(
@@ -246,11 +241,15 @@ def load_kid(
             raise DataError(
                 f"{word_index_path}: tokens {ranks_seen[rank]!r} and {tok!r} share rank {rank}"
             )
+        if "\n" in tok or "\r" in tok:
+            # the canonical vocabulary is one token per line
+            raise DataError(f"{word_index_path}: token {tok!r} contains a line break")
         ranks_seen[rank] = tok
     tokens = [tok for tok, _ in sorted(word_index.items(), key=lambda kv: kv[1])]
     vocab = Vocabulary(tokens)
 
-    bags: list[LabeledBag] = []
+    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    labels: list[int] = []
     with _open_text(sequences_path) as fh:
         for lineno, line in enumerate(fh, 1):
             where = f"{sequences_path}: line {lineno}"
@@ -263,24 +262,21 @@ def load_kid(
                 raise DataError(f"{where}: missing label") from None
             if label not in (0, 1):
                 raise DataError(f"{where}: label {label} not in {{0, 1}}")
-            folded: dict[int, int] = {}
+            ranks: list[int] = []
             for value_s in rest.split():
                 try:
-                    value = int(value_s)
+                    rank = int(value_s) - index_offset
                 except ValueError:
                     raise DataError(f"{where}: malformed value {value_s!r}") from None
-                rank = value - index_offset
-                if rank < 0:
-                    continue  # reserved control code
                 if rank >= vocab.size:
                     raise DataError(
                         f"{where}: rank {rank} outside [0, {vocab.size}) after offset removal"
                     )
-                folded[rank] = folded.get(rank, 0) + 1
-            indices = np.fromiter(sorted(folded), dtype=np.int64, count=len(folded))
-            counts = np.array([folded[i] for i in sorted(folded)], dtype=np.int64)
-            bags.append(LabeledBag(indices, counts, label))
-    return vocab, Corpus(bags, vocab_id=vocab.fingerprint(), split="full")
+                if rank >= 0:  # lower values are reserved control codes
+                    ranks.append(rank)
+            labels.append(label)
+            rows.append(np.unique(np.array(ranks, dtype=np.int64), return_counts=True))
+    return vocab, _stack_rows(rows, labels, vocab.size, vocab.fingerprint(), "full")
 
 
 _BREAK_RE = re.compile(r"<br\s*/?>")
@@ -294,23 +290,19 @@ def tokenize_raw(text: str) -> list[str]:
 
 
 def shuffle(corpus: Corpus, seed: int) -> Corpus:
-    """Deterministically permute the bags; same seed, same order."""
-    perm = derive_rng(seed).permutation(len(corpus.bags))
-    return Corpus(
-        [corpus.bags[i] for i in perm],
-        vocab_id=corpus.vocab_id,
-        split=corpus.split,
-    )
+    """Deterministically permute the reviews; same seed, same order."""
+    return corpus.take(derive_rng(seed).permutation(len(corpus)))
 
 
 def save_corpus_file(corpus: Corpus, path: str | Path) -> None:
     """Write the canonical format: one ``label<TAB>idx:count ...`` record per line."""
+    m = corpus.counts
+    indptr = m.indptr.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for bag in corpus.bags:
-            pairs = " ".join(
-                f"{idx}:{cnt}" for idx, cnt in zip(bag.indices, bag.counts)
-            )
-            fh.write(f"{bag.label}\t{pairs}\n")
+        for row, label in enumerate(corpus.labels.tolist()):
+            lo, hi = indptr[row], indptr[row + 1]
+            pairs = zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())
+            fh.write(f"{label}\t{' '.join(f'{i}:{c}' for i, c in pairs)}\n")
 
 
 def load_corpus_file(
@@ -319,8 +311,16 @@ def load_corpus_file(
     split: str = "train",
     width: int | None = None,
 ) -> Corpus:
-    """Read the canonical format back; validates ordering and (if given) width."""
-    bags: list[LabeledBag] = []
+    """Read the canonical format back.
+
+    Pairs within a record may come in any order and are sorted by token
+    index; a repeated index, a count below 1, an index outside ``width``
+    (when given) or a label other than 0/1 raises a ``DataError`` naming
+    the line.  Without ``width`` the matrix is as wide as the largest index
+    seen requires.
+    """
+    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    labels: list[int] = []
     bound = width if width is not None else np.iinfo(np.int64).max
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -334,6 +334,6 @@ def load_corpus_file(
                 raise DataError(f"{where}: malformed label {label_s!r}") from None
             if label not in (0, 1):
                 raise DataError(f"{where}: label {label} not in {{0, 1}}")
-            indices, counts = _parse_pairs(rest.split(), bound, where)
-            bags.append(LabeledBag(indices, counts, label))
-    return Corpus(bags, vocab_id=vocab_id, split=split)
+            labels.append(label)
+            rows.append(_parse_pairs(rest.split(), bound, where))
+    return _stack_rows(rows, labels, width, vocab_id, split)

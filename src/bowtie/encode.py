@@ -1,9 +1,10 @@
 """Sparse input encodings: plain multi-hot rows and polarity-weighted rows.
 
-Rows are stored as sorted (index, value) pairs because the full dense design
-matrix would be on the order of 25 000 x 89 527 doubles (~18 GB) while almost
-every entry is zero.  The network's first-layer kernels consume this format
-directly.
+An encoded corpus is one float64 CSR matrix, a row per review, because the
+full dense design matrix would be on the order of 25 000 x 89 527 doubles
+(~18 GB) while almost every entry is zero.  Each row keeps the corpus row's
+sorted column order and stores no zeros.  The network's first-layer kernels
+consume row slices of this matrix directly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .corpus import Corpus, LabeledBag, PolarityTable
+from .corpus import Corpus, PolarityTable
 from .errors import DataError
 
 MULTI_HOT = "multi-hot"
@@ -21,57 +22,24 @@ POLARITY_WEIGHTED = "polarity-weighted"
 ENCODING_KINDS = (MULTI_HOT, POLARITY_WEIGHTED)
 
 
-@dataclass(eq=False)
-class SparseExample:
-    """One encoded review: strictly increasing indices, no stored zeros."""
-
-    indices: np.ndarray  # int64
-    values: np.ndarray   # float64
-    width: int
-    label: int
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseExample)
-            and self.width == other.width
-            and self.label == other.label
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
-
-    def to_dense(self) -> np.ndarray:
-        row = np.zeros(self.width, dtype=np.float64)
-        row[self.indices] = self.values
-        return row
-
-
-@dataclass
+@dataclass(eq=False)  # matrices have no single truth value; compare rows instead
 class EncodedDataset:
-    """A list of same-width sparse examples plus the encoding they carry."""
+    """Encoded reviews as the rows of one float64 CSR matrix, a label per row."""
 
-    examples: list[SparseExample]
-    width: int
+    matrix: sparse.csr_matrix
+    labels: np.ndarray  # int64, 0 or 1 per row
     encoding_kind: str
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return self.matrix.shape[0]
 
-    def labels(self) -> np.ndarray:
-        return np.array([ex.label for ex in self.examples], dtype=np.int64)
+    @property
+    def width(self) -> int:
+        return self.matrix.shape[1]
 
-    def to_csr(self) -> sparse.csr_matrix:
-        """Assemble all rows into one CSR matrix (row order preserved)."""
-        indptr = np.zeros(len(self.examples) + 1, dtype=np.int64)
-        np.cumsum([len(ex.indices) for ex in self.examples], out=indptr[1:])
-        if self.examples:
-            indices = np.concatenate([ex.indices for ex in self.examples])
-            data = np.concatenate([ex.values for ex in self.examples])
-        else:
-            indices = np.empty(0, dtype=np.int64)
-            data = np.empty(0, dtype=np.float64)
-        return sparse.csr_matrix(
-            (data, indices, indptr), shape=(len(self.examples), self.width)
-        )
+    @property
+    def nnz(self) -> int:
+        return self.matrix.nnz
 
 
 @dataclass
@@ -84,69 +52,54 @@ class PolarityStats:
     rowsum_max: float
 
 
-def _check_bag(bag: LabeledBag, width: int) -> None:
-    if bag.indices.size and int(bag.indices[-1]) >= width:
-        raise DataError(
-            f"bag index {int(bag.indices[-1])} outside encoding width {width}"
-        )
-
-
-def multi_hot(bag: LabeledBag, width: int) -> SparseExample:
-    """Presence indicator: value 1.0 at each distinct token index, counts ignored."""
-    _check_bag(bag, width)
-    return SparseExample(
-        indices=bag.indices.copy(),
-        values=np.ones(len(bag.indices), dtype=np.float64),
-        width=width,
-        label=bag.label,
-    )
-
-
-def polarity_weighted(bag: LabeledBag, polarity: PolarityTable, width: int) -> SparseExample:
-    """Cumulative polarity: value at index k is rating_k * count_k.
-
-    Entries whose rating is exactly zero are dropped; the encoding cannot
-    distinguish them from absent tokens.
-    """
-    _check_bag(bag, width)
-    if len(polarity) != width:
-        raise DataError(
-            f"polarity table of length {len(polarity)} for encoding width {width}"
-        )
-    values = polarity.ratings[bag.indices] * bag.counts
-    if not np.isfinite(values).all():
-        bad = int(bag.indices[~np.isfinite(values)][0])
-        raise DataError(f"non-finite cumulative polarity at token index {bad}")
-    keep = values != 0.0
-    return SparseExample(
-        indices=bag.indices[keep].copy(),
-        values=values[keep],
-        width=width,
-        label=bag.label,
-    )
-
-
 def encode_corpus(
     corpus: Corpus,
     kind: str,
     polarity: PolarityTable | None = None,
     width: int | None = None,
 ) -> EncodedDataset:
-    """Encode every bag in order.  ``width`` defaults to the polarity length
-    for weighted encodings and must be given for multi-hot."""
+    """Encode every review, keeping row order.
+
+    multi-hot stores 1.0 at each distinct token index (counts ignored);
+    polarity-weighted stores rating_k * count_k at index k and drops entries
+    whose rating is exactly zero, which the encoding cannot distinguish from
+    absent tokens.  ``width`` defaults to the polarity length for weighted
+    encodings and must be given for multi-hot.
+    """
     if kind == MULTI_HOT:
         if width is None:
             raise DataError("multi-hot encoding requires an explicit width")
-        examples = [multi_hot(bag, width) for bag in corpus.bags]
     elif kind == POLARITY_WEIGHTED:
         if polarity is None:
             raise DataError("polarity-weighted encoding requires a polarity table")
         if width is None:
             width = len(polarity)
-        examples = [polarity_weighted(bag, polarity, width) for bag in corpus.bags]
+        if len(polarity) != width:
+            raise DataError(
+                f"polarity table of length {len(polarity)} for encoding width {width}"
+            )
     else:
         raise DataError(f"unknown encoding kind {kind!r}")
-    return EncodedDataset(examples=examples, width=width, encoding_kind=kind)
+    counts = corpus.counts
+    indices = counts.indices
+    outside = indices >= width
+    if outside.any():
+        raise DataError(
+            f"bag index {int(indices[outside][0])} outside encoding width {width}"
+        )
+    if kind == MULTI_HOT:
+        values = np.ones(len(indices), dtype=np.float64)
+    else:
+        values = polarity.ratings[indices] * counts.data
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = int(indices[~finite][0])
+            raise DataError(f"non-finite cumulative polarity at token index {bad}")
+    matrix = sparse.csr_matrix(
+        (values, indices.copy(), counts.indptr.copy()), shape=(len(corpus), width)
+    )
+    matrix.eliminate_zeros()
+    return EncodedDataset(matrix, corpus.labels, kind)
 
 
 def polarity_stats(dataset: EncodedDataset) -> PolarityStats:
@@ -155,33 +108,16 @@ def polarity_stats(dataset: EncodedDataset) -> PolarityStats:
     Examples with no stored entries contribute 0.0 to the row sums; if the
     whole dataset stores nothing, the element extrema are 0.0 as well.
     """
-    if not dataset.examples:
+    if not len(dataset):
         raise DataError("polarity_stats on an empty dataset")
-    element_min = np.inf
-    element_max = -np.inf
-    rowsums = np.empty(len(dataset.examples), dtype=np.float64)
-    any_entries = False
-    for i, ex in enumerate(dataset.examples):
-        if len(ex.values):
-            any_entries = True
-            element_min = min(element_min, float(ex.values.min()))
-            element_max = max(element_max, float(ex.values.max()))
-        rowsums[i] = ex.values.sum()
-    if not any_entries:
-        element_min = element_max = 0.0
+    data, indptr = dataset.matrix.data, dataset.matrix.indptr
+    # one ndarray.sum per row: reduceat and csr.sum round differently
+    rowsums = np.array([data[a:b].sum() for a, b in zip(indptr[:-1], indptr[1:])])
+    element_min = float(data.min()) if data.size else 0.0
+    element_max = float(data.max()) if data.size else 0.0
     return PolarityStats(
-        element_min=float(element_min),
-        element_max=float(element_max),
+        element_min=element_min,
+        element_max=element_max,
         rowsum_min=float(rowsums.min()),
         rowsum_max=float(rowsums.max()),
     )
-
-
-def dump_dataset(dataset: EncodedDataset, path) -> None:
-    """Write ``label<TAB>idx:value ...`` lines, values at 9 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ex in dataset.examples:
-            pairs = " ".join(
-                f"{idx}:{val:.9g}" for idx, val in zip(ex.indices, ex.values)
-            )
-            fh.write(f"{ex.label}\t{pairs}\n")

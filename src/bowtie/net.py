@@ -15,7 +15,6 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from .encode import SparseExample
 from .errors import DivergenceError
 from .rngseed import derive_rng
 
@@ -99,31 +98,12 @@ def init_model(config: ModelConfig) -> BowTieModel:
 
 
 def batch_matrix(batch, width: int) -> sparse.csr_matrix:
-    """Assemble a batch into CSR; accepts a list of SparseExample or a ready matrix."""
-    if sparse.issparse(batch):
-        if batch.shape[1] != width:
-            raise ValueError(f"batch width {batch.shape[1]} != input width {width}")
-        return batch.tocsr()
-    if not batch:
+    """Check a sparse batch of rows against the input width; returns it as CSR."""
+    if batch.shape[0] == 0:
         raise ValueError("empty batch")
-    indptr = np.zeros(len(batch) + 1, dtype=np.int64)
-    for i, ex in enumerate(batch):
-        if not isinstance(ex, SparseExample):
-            raise TypeError(f"batch element {i} is not a SparseExample")
-        if ex.width != width:
-            raise ValueError(f"example width {ex.width} != input width {width}")
-        indptr[i + 1] = indptr[i] + len(ex.indices)
-    indices = (
-        np.concatenate([ex.indices for ex in batch])
-        if indptr[-1]
-        else np.empty(0, dtype=np.int64)
-    )
-    data = (
-        np.concatenate([ex.values for ex in batch])
-        if indptr[-1]
-        else np.empty(0, dtype=np.float64)
-    )
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(batch), width))
+    if batch.shape[1] != width:
+        raise ValueError(f"batch width {batch.shape[1]} != input width {width}")
+    return batch.tocsr()
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -233,45 +213,11 @@ def backward(model: BowTieModel, cache: ForwardCache, labels) -> Gradients:
     return Gradients(weights=d_weights, biases=d_biases)
 
 
-def predict(model: BowTieModel, example: SparseExample) -> tuple[float, int]:
-    """Inference-mode probability and category (1 when p >= discriminator)."""
-    cache = forward(model, [example], training=False)
+def predict(model: BowTieModel, row: sparse.csr_matrix) -> tuple[float, int]:
+    """Inference-mode probability and category (1 when p >= discriminator)
+    for a one-row sparse matrix."""
+    if row.shape[0] != 1:
+        raise ValueError(f"predict takes one row, got {row.shape[0]}")
+    cache = forward(model, row, training=False)
     p = float(cache.prob[0])
     return p, int(p >= model.config.discriminator)
-
-
-def central_difference(f, x: float, h: float) -> float:
-    """(f(x+h) - f(x-h)) / 2h."""
-    if h <= 0.0:
-        raise ValueError("step h must be > 0")
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def finite_difference_grad(
-    model: BowTieModel,
-    batch,
-    labels,
-    coord: tuple[int, str, tuple[int, ...]],
-    h: float,
-    training: bool = False,
-    dropout_seed: int = 0,
-) -> float:
-    """Central-difference d(total)/d(parameter) at one coordinate.
-
-    ``coord`` is (layer, "W" or "b", index).  Dropout must be disabled or the
-    mask frozen by passing the same training/dropout_seed pair the analytic
-    gradient used.
-    """
-    layer, kind, index = coord
-    if kind not in ("W", "b"):
-        raise ValueError("coordinate kind must be 'W' or 'b'")
-
-    def total_at(value: float) -> float:
-        probe = model.copy()
-        target = probe.weights[layer] if kind == "W" else probe.biases[layer]
-        target[index] = value
-        cache = forward(probe, batch, training=training, dropout_seed=dropout_seed)
-        return loss(cache, labels, probe)[1]
-
-    base = model.weights[layer] if kind == "W" else model.biases[layer]
-    return central_difference(total_at, float(base[index]), h)

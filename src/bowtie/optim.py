@@ -1,8 +1,7 @@
 """First-order optimizers: sgd, rmsprop, adam, and nadam.
 
-One update rule applied uniformly to every weight matrix and bias vector.
-Moment accumulators live in MomentState so a model plus its state can be
-checkpointed and resumed mid-run.
+One update rule applied uniformly to every weight matrix and bias vector;
+the moment accumulators live in MomentState.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, NonConvergenceError
+from .errors import DivergenceError
 from .net import BowTieModel, Gradients
 
 OPTIMIZERS = ("sgd", "rmsprop", "adam", "nadam")
@@ -125,35 +124,3 @@ def apply_update(
             raise DivergenceError(
                 f"non-finite parameter after {spec.kind} step {t} at layer {l}"
             )
-
-
-def minimize_quadratic_selftest(
-    spec: OptimizerSpec,
-    start: float = 5.0,
-    tolerance: float = 1e-3,
-    max_iterations: int = 100_000,
-) -> tuple[float, int]:
-    """Drive f(w) = w**2 toward 0; returns (final w, iterations used).
-
-    A cheap smoke test that an optimizer configuration actually descends:
-    raises NonConvergenceError when |w| never drops below the tolerance,
-    which a zero learning rate will always trigger.
-    """
-    w = np.array([float(start)])
-    m = np.zeros(1)
-    v = np.zeros(1)
-    # explosions surface as the explicit non-finite check, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, max_iterations + 1):
-            grad = 2.0 * w
-            _step_tensor(spec, w, grad, m, v, t)
-            if not np.isfinite(w[0]):
-                raise NonConvergenceError(
-                    f"{spec.kind} diverged on the quadratic after {t} iterations"
-                )
-            if abs(w[0]) < tolerance:
-                return float(w[0]), t
-    raise NonConvergenceError(
-        f"{spec.kind} failed to reach |w| < {tolerance} "
-        f"within {max_iterations} iterations"
-    )

@@ -80,10 +80,9 @@ def evaluate(
     batch_size: int = 512,
 ) -> EvalResult:
     """Inference-mode mean bce, accuracy, and confusion counts."""
-    if not dataset.examples:
+    if not len(dataset):
         raise ValueError("cannot evaluate on an empty dataset")
-    x = dataset.to_csr()
-    y = dataset.labels()
+    x, y = dataset.matrix, dataset.labels
     n = len(y)
     delta = model.config.discriminator
     bce_sum = 0.0
@@ -125,20 +124,19 @@ def train(
     """
     if log is None:
         log = sys.stderr
-    if not train_data.examples:
+    if not len(train_data):
         raise ValueError("cannot train on an empty dataset")
-    if config.batch_size > len(train_data.examples):
+    if config.batch_size > len(train_data):
         raise ValueError(
             f"batch_size {config.batch_size} exceeds the "
-            f"{len(train_data.examples)}-example training set"
+            f"{len(train_data)}-example training set"
         )
     if train_data.width != model.config.input_width:
         raise ValueError(
             f"dataset width {train_data.width} != "
             f"model input width {model.config.input_width}"
         )
-    x = train_data.to_csr()
-    y = train_data.labels()
+    x, y = train_data.matrix, train_data.labels
     n = len(y)
     state = init_state(model)
     metrics: list[EpochMetrics] = []
@@ -279,6 +277,17 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"{path}: malformed manifest: {exc}") from exc
     if encoding not in ENCODING_KINDS:
         raise CheckpointError(f"{path}: unknown encoding {encoding!r}")
+    widths = (config.input_width, *config.hidden_widths)
+    want_w, want_b = list(zip(widths, widths[1:])), [(w,) for w in widths[1:]]
+    if w_shapes != want_w or b_shapes != want_b:
+        raise CheckpointError(
+            f"{path}: parameter shapes {w_shapes} and {b_shapes} do not chain "
+            f"the configured layer widths {list(widths)}"
+        )
+    if vocab_size != config.input_width:
+        raise CheckpointError(
+            f"{path}: vocabulary size {vocab_size} != input width {config.input_width}"
+        )
     want = sum(int(np.prod(s)) for s in w_shapes) + sum(
         int(np.prod(s)) for s in b_shapes
     )

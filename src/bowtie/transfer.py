@@ -1,11 +1,12 @@
 """Cross-dataset vocabulary transfer.
 
 Maps one vocabulary onto another by exact token string (no case folding, no
-apostrophe canonicalization), rewrites bags into the target index space, and
-evaluates a checkpoint trained on the target vocabulary against the
-re-encoded corpus.  Tokens without a counterpart are dropped per token, so a
-review can come out empty but is still scored; colliding targets merge their
-counts (impossible under exact matching, stated for safety).
+apostrophe canonicalization), rewrites a corpus's count matrix into the
+target index space, and evaluates a checkpoint trained on the target
+vocabulary against the re-encoded corpus.  Tokens without a counterpart are
+dropped per token, so a review can come out empty but is still scored;
+colliding targets merge their counts (impossible under exact matching,
+stated for safety).
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
-from .corpus import Corpus, LabeledBag, PolarityTable, Vocabulary
+from .corpus import Corpus, PolarityTable, Vocabulary
 from .encode import (
     POLARITY_WEIGHTED,
     EncodedDataset,
@@ -58,25 +60,22 @@ def build_vocab_map(source: Vocabulary, target: Vocabulary) -> VocabMap:
     )
 
 
-def remap_bag(bag: LabeledBag, vmap: VocabMap) -> LabeledBag:
-    """Rewrite one bag into the target index space.
+def remap_corpus(corpus: Corpus, vmap: VocabMap, vocab_id: str = "") -> Corpus:
+    """Rewrite every review into the target index space.
 
     Unmapped tokens vanish; if several source indices land on the same target
-    index their counts add.  A bag can come out empty.
+    index their counts add.  A review can come out empty.
     """
-    targets = vmap.mapping[bag.indices]
+    counts = corpus.counts
+    targets = vmap.mapping[counts.indices]
     keep = targets >= 0
-    kept_targets = targets[keep]
-    kept_counts = bag.counts[keep]
-    uniq, inverse = np.unique(kept_targets, return_inverse=True)
-    merged = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(merged, inverse, kept_counts)
-    return LabeledBag(indices=uniq, counts=merged, label=bag.label)
-
-
-def remap_corpus(corpus: Corpus, vmap: VocabMap, vocab_id: str = "") -> Corpus:
-    bags = [remap_bag(bag, vmap) for bag in corpus.bags]
-    return Corpus(bags=bags, vocab_id=vocab_id, split=corpus.split)
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    remapped = sparse.csr_matrix(
+        (counts.data[keep], targets[keep], kept_before[counts.indptr]),
+        shape=(len(corpus), vmap.target_size),
+    )
+    remapped.sum_duplicates()
+    return Corpus(remapped, corpus.labels, vocab_id=vocab_id, split=corpus.split)
 
 
 def reencode_kid(

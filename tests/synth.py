@@ -9,8 +9,29 @@ import json
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
-from bowtie.corpus import Corpus, LabeledBag
+from bowtie.corpus import Corpus
+
+
+def corpus_from_rows(rows, labels, width, vocab_id="synthetic", split="train"):
+    """A Corpus from per-review lists of (token index, count) pairs, each
+    list already sorted by index with no repeats and counts >= 1."""
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    pairs = [pair for row in rows for pair in row]
+    indices = np.array([i for i, _ in pairs], dtype=np.int64)
+    counts = np.array([c for _, c in pairs], dtype=np.int64)
+    matrix = sparse.csr_matrix((counts, indices, indptr), shape=(len(rows), width))
+    return Corpus(matrix, np.array(labels, dtype=np.int64), vocab_id, split)
+
+
+def rows_of(matrix):
+    """Per-row lists of (column, value) pairs of a CSR matrix, as Python numbers."""
+    ptr = matrix.indptr
+    return [
+        list(zip(matrix.indices[a:b].tolist(), matrix.data[a:b].tolist()))
+        for a, b in zip(ptr[:-1], ptr[1:])
+    ]
 
 
 def token_list(n, prefix="tok"):
@@ -31,13 +52,13 @@ def planted_bag(rng, ratings, max_distinct=8, max_count=3, margin=0.5):
         counts = rng.integers(1, max_count + 1, size=k).astype(np.int64)
         score = float(np.dot(ratings[indices], counts))
         if abs(score) >= margin:
-            return LabeledBag(indices, counts, int(score > 0.0))
+            return list(zip(indices.tolist(), counts.tolist())), int(score > 0.0)
 
 
 def planted_corpus(seed, size, ratings, split="train", vocab_id="synthetic", **kw):
     rng = np.random.default_rng(seed)
-    bags = [planted_bag(rng, ratings, **kw) for _ in range(size)]
-    return Corpus(bags, vocab_id=vocab_id, split=split)
+    rows, labels = zip(*[planted_bag(rng, ratings, **kw) for _ in range(size)])
+    return corpus_from_rows(rows, labels, len(ratings), vocab_id=vocab_id, split=split)
 
 
 def write_slmrd_tree(root, tokens, ratings, train_corpus, test_corpus, seed=0):
@@ -52,9 +73,9 @@ def write_slmrd_tree(root, tokens, ratings, train_corpus, test_corpus, seed=0):
             fh.write(f"{float(rating)!r}\n")
     for split, corpus in (("train", train_corpus), ("test", test_corpus)):
         with open(root / split / "labeledBow.feat", "w", encoding="utf-8", newline="\n") as fh:
-            for bag in corpus.bags:
-                stars = int(rng.integers(7, 11)) if bag.label else int(rng.integers(1, 5))
-                pairs = " ".join(f"{int(i)}:{int(c)}" for i, c in zip(bag.indices, bag.counts))
+            for row, label in zip(rows_of(corpus.counts), corpus.labels):
+                stars = int(rng.integers(7, 11)) if label else int(rng.integers(1, 5))
+                pairs = " ".join(f"{i}:{c}" for i, c in row)
                 fh.write(f"{stars} {pairs}\n")
     return root
 
@@ -66,9 +87,9 @@ def write_kid_tree(root, tokens, corpus, offset=3):
     word_index = {tok: i + 1 for i, tok in enumerate(tokens)}
     (root / "word_index.json").write_text(json.dumps(word_index), encoding="utf-8")
     with open(root / "sequences.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for bag in corpus.bags:
+        for row, label in zip(rows_of(corpus.counts), corpus.labels):
             values = [1]  # leading start-of-review control code
-            for idx, count in zip(bag.indices, bag.counts):
-                values.extend([int(idx) + offset] * int(count))
-            fh.write(f"{bag.label}\t{' '.join(str(v) for v in values)}\n")
+            for idx, count in row:
+                values.extend([idx + offset] * count)
+            fh.write(f"{label}\t{' '.join(str(v) for v in values)}\n")
     return root

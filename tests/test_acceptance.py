@@ -24,22 +24,15 @@ from bowtie.corpus import (
     Vocabulary,
     load_corpus_file,
     load_polarity,
-    load_vocab_file,
+    load_slmrd_vocab,
 )
-from bowtie.encode import (
-    MULTI_HOT,
-    POLARITY_WEIGHTED,
-    encode_corpus,
-    multi_hot,
-    polarity_stats,
-    polarity_weighted,
-)
+from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus, polarity_stats
 from bowtie.net import Gradients, backward, forward, predict
 from bowtie.optim import OptimizerSpec, apply_update, init_state
 from bowtie.train import TrainConfig, load_checkpoint, save_checkpoint, train
 from bowtie.transfer import build_vocab_map, reencode_kid
 from oracles import dense_forward, dense_multi_hot, dense_polarity_weighted
-from synth import planted_bag, planted_corpus, rating_table
+from synth import corpus_from_rows, planted_bag, planted_corpus, rating_table
 from test_net import fd_all_coords, make_model, random_batch, sample_net_case, vector_rel_error
 from test_optim import single_step
 
@@ -179,8 +172,8 @@ def test_criterion_5_loss_stays_stable(tmp_path):
 
 def test_criterion_6_vocabulary_reconciliation():
     require_data("kid/vocab.txt", "slmrd/vocab.txt")
-    source = load_vocab_file(DATA_DIR / "kid" / "vocab.txt")
-    target = load_vocab_file(DATA_DIR / "slmrd" / "vocab.txt")
+    source = load_slmrd_vocab(DATA_DIR / "kid" / "vocab.txt")
+    target = load_slmrd_vocab(DATA_DIR / "slmrd" / "vocab.txt")
     vmap = build_vocab_map(source, target)
     total = vmap.mapped_count + len(vmap.dropped)
     ok = (
@@ -204,12 +197,12 @@ def within_one_percent(x, target):
 
 def test_criterion_7_polarity_statistics():
     require_data("slmrd/vocab.txt", "slmrd/polarity.txt", "slmrd/train.corpus", *KID_FILES)
-    slmrd_vocab = load_vocab_file(DATA_DIR / "slmrd" / "vocab.txt")
+    slmrd_vocab = load_slmrd_vocab(DATA_DIR / "slmrd" / "vocab.txt")
     ratings = load_polarity(DATA_DIR / "slmrd" / "polarity.txt", slmrd_vocab)
     train_corpus = load_corpus_file(DATA_DIR / "slmrd" / "train.corpus", width=slmrd_vocab.size)
     slmrd_stats = polarity_stats(encode_corpus(train_corpus, POLARITY_WEIGHTED, polarity=ratings))
 
-    kid_vocab = load_vocab_file(DATA_DIR / "kid" / "vocab.txt")
+    kid_vocab = load_slmrd_vocab(DATA_DIR / "kid" / "vocab.txt")
     kid_corpus = load_corpus_file(DATA_DIR / "kid" / "full.corpus", width=kid_vocab.size)
     vmap = build_vocab_map(kid_vocab, slmrd_vocab)
     kid_stats = polarity_stats(reencode_kid(kid_corpus, vmap, ratings))
@@ -248,8 +241,7 @@ def test_criterion_8_property_suite(tmp_path):
         if case % 5 == 0:
             width = int(rng.integers(2, 9))
             model = make_model(width, hidden=(4, 1), dropout=0.2, l2=0.019, seed=3000 + case)
-            batch = random_batch(rng, width, 3)
-            labels = [ex.label for ex in batch]
+            batch, labels = random_batch(rng, width, 3)
             seed = 7000 + case
             cache = forward(model, batch, training=True, dropout_seed=seed)
             grads = backward(model, cache, labels)
@@ -269,12 +261,9 @@ def test_criterion_8_property_suite(tmp_path):
         hidden = (int(rng.integers(1, 9)), 1)
         activation = "relu" if case % 2 else "none"
         model = make_model(width, hidden=hidden, activation=activation, seed=case)
-        batch = random_batch(rng, width, int(rng.integers(1, 7)))
+        batch, _ = random_batch(rng, width, int(rng.integers(1, 7)))
         probs = forward(model, batch).prob
-        rows = np.zeros((len(batch), width))
-        for i, ex in enumerate(batch):
-            rows[i, ex.indices] = ex.values
-        gap = max(gap, float(np.abs(probs - dense_forward(model, rows)).max()))
+        gap = max(gap, float(np.abs(probs - dense_forward(model, batch.toarray())).max()))
     checks.append(("sparse_vs_dense", gap < 1e-12, f"max_abs_gap={gap:.3g}"))
 
     # both encoders equal their dense loop oracles exactly
@@ -284,16 +273,16 @@ def test_criterion_8_property_suite(tmp_path):
         ratings = rating_table(9000 + case, width)
         if case % 4 == 0:
             ratings[rng.integers(0, width)] = 0.0
-        bag = planted_bag(rng, ratings, max_distinct=min(8, width))
-        hot = np.zeros(width)
-        hot[multi_hot(bag, width).indices] = multi_hot(bag, width).values
-        weighted = np.zeros(width)
-        ex = polarity_weighted(bag, PolarityTable(ratings), width)
-        weighted[ex.indices] = ex.values
+        pairs, label = planted_bag(rng, ratings, max_distinct=min(8, width))
+        corpus = corpus_from_rows([pairs], [label], width)
+        hot = encode_corpus(corpus, MULTI_HOT, width=width).matrix.toarray()[0]
+        weighted = encode_corpus(
+            corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings)
+        ).matrix.toarray()[0]
         encoder_ok = (
             encoder_ok
-            and np.array_equal(hot, dense_multi_hot(bag, width))
-            and np.array_equal(weighted, dense_polarity_weighted(bag, ratings, width))
+            and np.array_equal(hot, dense_multi_hot(pairs, width))
+            and np.array_equal(weighted, dense_polarity_weighted(pairs, ratings, width))
         )
     checks.append(("encoders_vs_oracle", encoder_ok, "exact equality"))
 
@@ -329,8 +318,11 @@ def test_criterion_8_property_suite(tmp_path):
         a.tobytes() == b.tobytes()
         for a, b in zip(model.weights + model.biases, restored.weights + restored.biases)
     )
-    probe = random_batch(np.random.default_rng(77), 12, 5)
-    ck_ok = ck_ok and all(predict(model, ex) == predict(restored, ex) for ex in probe)
+    probe, _ = random_batch(np.random.default_rng(77), 12, 5)
+    ck_ok = ck_ok and all(
+        predict(model, probe[i : i + 1]) == predict(restored, probe[i : i + 1])
+        for i in range(probe.shape[0])
+    )
     checks.append(("checkpoint_roundtrip", ck_ok, "bit-exact, predictions preserved"))
 
     # a repeated single-threaded run reproduces metrics and weights exactly

@@ -123,6 +123,26 @@ def test_prepare_kid_reports_counts(tmp_path, raw_trees, capsys):
     assert (out / "full.corpus").exists()
 
 
+@pytest.mark.parametrize("token", ["bad\ntoken", "bad\rtoken"])
+def test_prepare_kid_rejects_token_with_line_break(tmp_path, capsys, token):
+    root = write_kid_tree(
+        tmp_path / "raw", ["alpha", token, "omega"],
+        planted_corpus(5, 4, np.array([1.0, -1.0, 2.0])),
+    )
+    code = main(
+        [
+            "prepare", "kid",
+            "--word-index", str(root / "word_index.json"),
+            "--sequences", str(root / "sequences.tsv"),
+            "--out", str(tmp_path / "data"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error=data" in err and repr(token) in err
+    assert not (tmp_path / "data" / "vocab.txt").exists()
+
+
 def test_prepare_missing_distribution_exits_two(tmp_path, capsys):
     code = main(
         ["prepare", "slmrd", "--input", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")]

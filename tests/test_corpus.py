@@ -3,8 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from bowtie.corpus import (
-    Corpus,
-    LabeledBag,
     Vocabulary,
     load_corpus_file,
     load_kid,
@@ -16,7 +14,14 @@ from bowtie.corpus import (
     tokenize_raw,
 )
 from bowtie.errors import DataError
-from synth import planted_corpus, rating_table, token_list, write_kid_tree
+from synth import (
+    corpus_from_rows,
+    planted_corpus,
+    rating_table,
+    rows_of,
+    token_list,
+    write_kid_tree,
+)
 
 
 def write(path, text):
@@ -98,17 +103,16 @@ def test_polarity_rejects_non_finite(tmp_path):
 def test_bow_rating_seven_is_positive(tmp_path):
     vocab = Vocabulary(token_list(6))
     corpus = load_slmrd_bow(write(tmp_path / "f.feat", "10 0:2 5:1\n"), vocab)
-    bag = corpus.bags[0]
-    assert bag.label == 1
-    npt.assert_array_equal(bag.indices, [0, 5])
-    npt.assert_array_equal(bag.counts, [2, 1])
+    assert corpus.labels.tolist() == [1]
+    assert rows_of(corpus.counts) == [[(0, 2), (5, 1)]]
+    assert corpus.counts.shape == (1, 6)
 
 
 def test_bow_rating_four_or_less_is_negative(tmp_path):
     vocab = Vocabulary(token_list(6))
     corpus = load_slmrd_bow(write(tmp_path / "f.feat", "1 3:4\n"), vocab)
-    assert corpus.bags[0].label == 0
-    assert corpus.bags[0].total_tokens() == 4
+    assert corpus.labels.tolist() == [0]
+    assert corpus.counts.sum() == 4
 
 
 @pytest.mark.parametrize("rating", [5, 6])
@@ -128,8 +132,7 @@ def test_bow_rating_out_of_range(tmp_path):
 def test_bow_pairs_come_back_sorted(tmp_path):
     vocab = Vocabulary(token_list(8))
     corpus = load_slmrd_bow(write(tmp_path / "f.feat", "8 5:1 0:2 3:7\n"), vocab)
-    npt.assert_array_equal(corpus.bags[0].indices, [0, 3, 5])
-    npt.assert_array_equal(corpus.bags[0].counts, [2, 7, 1])
+    assert rows_of(corpus.counts) == [[(0, 2), (3, 7), (5, 1)]]
 
 
 @pytest.mark.parametrize(
@@ -172,26 +175,22 @@ def test_kid_vocab_is_rank_ordered(tmp_path):
     wi, seq = kid_files(tmp_path, {"b": 2, "a": 1, "c": 3}, ["1\t3 4 5\n"])
     vocab, corpus = load_kid(wi, seq, index_offset=3)
     assert vocab.tokens == ["a", "b", "c"]
-    npt.assert_array_equal(corpus.bags[0].indices, [0, 1, 2])
+    assert rows_of(corpus.counts) == [[(0, 1), (1, 1), (2, 1)]]
 
 
 def test_kid_sequence_folds_to_counts(tmp_path):
     word_index = {tok: i + 1 for i, tok in enumerate(token_list(13))}
     wi, seq = kid_files(tmp_path, word_index, ["1\t7 7 12\n"])
     _, corpus = load_kid(wi, seq, index_offset=0)
-    bag = corpus.bags[0]
-    npt.assert_array_equal(bag.indices, [7, 12])
-    npt.assert_array_equal(bag.counts, [2, 1])
-    assert bag.label == 1
+    assert rows_of(corpus.counts) == [[(7, 2), (12, 1)]]
+    assert corpus.labels.tolist() == [1]
 
 
 def test_kid_values_below_offset_dropped(tmp_path):
     word_index = {tok: i + 1 for i, tok in enumerate(token_list(5))}
     wi, seq = kid_files(tmp_path, word_index, ["0\t0 1 2 3 3 4\n"])
     _, corpus = load_kid(wi, seq, index_offset=3)
-    bag = corpus.bags[0]
-    npt.assert_array_equal(bag.indices, [0, 1])
-    npt.assert_array_equal(bag.counts, [2, 1])
+    assert rows_of(corpus.counts) == [[(0, 2), (1, 1)]]
 
 
 def test_kid_rank_beyond_vocab_rejected(tmp_path):
@@ -229,8 +228,8 @@ def test_kid_roundtrip_through_tree_writer(tmp_path):
     vocab, loaded = load_kid(root / "word_index.json", root / "sequences.tsv", 3)
     assert vocab.tokens == token_list(30)
     assert len(loaded) == 40
-    for got, want in zip(loaded.bags, corpus.bags):
-        assert got == want
+    assert rows_of(loaded.counts) == rows_of(corpus.counts)
+    npt.assert_array_equal(loaded.labels, corpus.labels)
 
 
 # ------------------------------------------------------------------ tokenize
@@ -266,9 +265,8 @@ def test_shuffle_same_seed_same_order():
     corpus = planted_corpus(2, 50, ratings)
     a = shuffle(corpus, seed=99)
     b = shuffle(corpus, seed=99)
-    assert [id_bag.label for id_bag in a.bags] == [b_.label for b_ in b.bags]
-    for x, y in zip(a.bags, b.bags):
-        assert x == y
+    npt.assert_array_equal(a.labels, b.labels)
+    assert rows_of(a.counts) == rows_of(b.counts)
 
 
 def test_shuffle_is_a_permutation():
@@ -277,8 +275,8 @@ def test_shuffle_is_a_permutation():
     shuffled = shuffle(corpus, seed=5)
     assert len(shuffled) == len(corpus)
     assert shuffled.label_counts() == corpus.label_counts()
-    key = lambda bag: (bag.label, bag.indices.tobytes(), bag.counts.tobytes())
-    assert sorted(map(key, shuffled.bags)) == sorted(map(key, corpus.bags))
+    key = lambda c: sorted(zip(c.labels.tolist(), rows_of(c.counts)))
+    assert key(shuffled) == key(corpus)
 
 
 def test_shuffle_different_seeds_differ():
@@ -286,11 +284,11 @@ def test_shuffle_different_seeds_differ():
     corpus = planted_corpus(7, 80, ratings)
     a = shuffle(corpus, seed=1)
     b = shuffle(corpus, seed=2)
-    assert any(x != y for x, y in zip(a.bags, b.bags))
+    assert rows_of(a.counts) != rows_of(b.counts)
 
 
 def test_shuffle_empty_corpus():
-    empty = Corpus([], vocab_id="", split="train")
+    empty = corpus_from_rows([], [], width=4)
     assert len(shuffle(empty, seed=0)) == 0
 
 
@@ -306,23 +304,22 @@ def test_corpus_file_roundtrip(tmp_path):
         save_corpus_file(corpus, path)
         loaded = load_corpus_file(path, width=15)
         assert len(loaded) == len(corpus)
-        for got, want in zip(loaded.bags, corpus.bags):
-            assert got == want
+        assert rows_of(loaded.counts) == rows_of(corpus.counts)
+        npt.assert_array_equal(loaded.labels, corpus.labels)
 
 
 def test_corpus_file_is_tab_separated(tmp_path):
-    bag = LabeledBag(np.array([2, 9]), np.array([1, 3]), 1)
     path = tmp_path / "one.corpus"
-    save_corpus_file(Corpus([bag], vocab_id="", split="t"), path)
+    save_corpus_file(corpus_from_rows([[(2, 1), (9, 3)]], [1], width=10), path)
     assert path.read_text(encoding="utf-8") == "1\t2:1 9:3\n"
 
 
 def test_corpus_file_empty_bag_roundtrip(tmp_path):
-    bag = LabeledBag(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 0)
     path = tmp_path / "empty.corpus"
-    save_corpus_file(Corpus([bag], vocab_id="", split="t"), path)
+    save_corpus_file(corpus_from_rows([[]], [0], width=3), path)
     loaded = load_corpus_file(path)
-    assert loaded.bags[0].total_tokens() == 0
+    assert loaded.counts.shape == (1, 0)
+    assert loaded.labels.tolist() == [0]
 
 
 def test_corpus_file_width_bound_enforced(tmp_path):
@@ -339,18 +336,7 @@ def test_corpus_file_bad_label_rejected(tmp_path):
         load_corpus_file(path, width=5)
 
 
-# ----------------------------------------------------------------- bag model
-
-
-def test_bag_validates_shape_and_order():
-    with pytest.raises(ValueError):
-        LabeledBag(np.array([3, 1]), np.array([1, 1]), 0)
-    with pytest.raises(ValueError):
-        LabeledBag(np.array([1]), np.array([0]), 0)
-    with pytest.raises(ValueError):
-        LabeledBag(np.array([1]), np.array([1, 2]), 0)
-    with pytest.raises(ValueError):
-        LabeledBag(np.array([1]), np.array([1]), 3)
+# ---------------------------------------------------------------- the matrix
 
 
 def test_label_counts():
@@ -358,4 +344,4 @@ def test_label_counts():
     corpus = planted_corpus(10, 40, ratings)
     neg, pos = corpus.label_counts()
     assert neg + pos == 40
-    assert neg == sum(1 for b in corpus.bags if b.label == 0)
+    assert neg == int((corpus.labels == 0).sum())

@@ -2,65 +2,66 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from bowtie.corpus import Corpus, LabeledBag, PolarityTable
+from bowtie.corpus import PolarityTable
 from bowtie.encode import (
     MULTI_HOT,
     POLARITY_WEIGHTED,
     encode_corpus,
-    dump_dataset,
-    multi_hot,
     polarity_stats,
-    polarity_weighted,
 )
 from bowtie.errors import DataError
 from oracles import dense_multi_hot, dense_polarity_weighted
-from synth import planted_corpus, rating_table
+from synth import corpus_from_rows, planted_corpus, rating_table, rows_of
 
 
-def bag(pairs, label=1):
-    indices = np.array([i for i, _ in pairs], dtype=np.int64)
-    counts = np.array([c for _, c in pairs], dtype=np.int64)
-    return LabeledBag(indices, counts, label)
+def bags(*rows, width, labels=None):
+    """A corpus of the given (index, count) pair lists, label 1 unless given."""
+    return corpus_from_rows(rows, labels or [1] * len(rows), width)
 
 
 def random_bag(rng, width, max_count=5):
     k = int(rng.integers(0, min(width, 10) + 1))
-    indices = np.sort(rng.choice(width, size=k, replace=False)).astype(np.int64)
-    counts = rng.integers(1, max_count + 1, size=k).astype(np.int64)
-    return LabeledBag(indices, counts, int(rng.integers(0, 2)))
+    indices = np.sort(rng.choice(width, size=k, replace=False))
+    counts = rng.integers(1, max_count + 1, size=k)
+    return list(zip(indices.tolist(), counts.tolist()))
+
+
+def random_corpus(rng, width, size, max_count=5):
+    rows = [random_bag(rng, width, max_count) for _ in range(size)]
+    return corpus_from_rows(rows, rng.integers(0, 2, size=size), width)
 
 
 # ----------------------------------------------------------------- multi-hot
 
 
 def test_multi_hot_marks_presence_not_counts():
-    ex = multi_hot(bag([(0, 2), (5, 1)]), width=10)
-    npt.assert_array_equal(ex.indices, [0, 5])
-    npt.assert_array_equal(ex.values, [1.0, 1.0])
-    assert ex.width == 10 and ex.label == 1
-    dense = ex.to_dense()
-    assert dense.shape == (10,)
+    ds = encode_corpus(bags([(0, 2), (5, 1)], width=10), MULTI_HOT, width=10)
+    assert rows_of(ds.matrix) == [[(0, 1.0), (5, 1.0)]]
+    assert ds.width == 10 and ds.labels.tolist() == [1]
+    dense = ds.matrix.toarray()
+    assert dense.shape == (1, 10)
     assert dense.sum() == 2.0
 
 
 def test_multi_hot_empty_bag():
-    ex = multi_hot(bag([]), width=4)
-    assert len(ex.indices) == 0
-    npt.assert_array_equal(ex.to_dense(), np.zeros(4))
+    ds = encode_corpus(bags([], width=4), MULTI_HOT, width=4)
+    assert ds.nnz == 0
+    npt.assert_array_equal(ds.matrix.toarray(), np.zeros((1, 4)))
 
 
 def test_multi_hot_rejects_out_of_width_bag():
     with pytest.raises(DataError, match="outside"):
-        multi_hot(bag([(7, 1)]), width=6)
+        encode_corpus(bags([(7, 1)], width=8), MULTI_HOT, width=6)
 
 
 def test_multi_hot_matches_dense_oracle():
     rng = np.random.default_rng(42)
-    for _ in range(1000):
+    for _ in range(100):
         width = int(rng.integers(1, 51))
-        b = random_bag(rng, width)
-        got = multi_hot(b, width).to_dense()
-        npt.assert_array_equal(got, dense_multi_hot(b, width))
+        corpus = random_corpus(rng, width, 10)
+        got = encode_corpus(corpus, MULTI_HOT, width=width).matrix.toarray()
+        want = [dense_multi_hot(row, width) for row in rows_of(corpus.counts)]
+        npt.assert_array_equal(got, np.reshape(want, (10, width)))
 
 
 # ---------------------------------------------------------- polarity weights
@@ -68,49 +69,53 @@ def test_multi_hot_matches_dense_oracle():
 
 def test_weighted_value_is_rating_times_count():
     table = PolarityTable(np.array([0.0, 0.0, 0.0, -1.25]))
-    ex = polarity_weighted(bag([(3, 4)]), table, width=4)
-    npt.assert_array_equal(ex.indices, [3])
-    npt.assert_array_equal(ex.values, [-5.0])
+    ds = encode_corpus(bags([(3, 4)], width=4), POLARITY_WEIGHTED, polarity=table)
+    assert rows_of(ds.matrix) == [[(3, -5.0)]]
 
 
 def test_weighted_drops_exact_zero_ratings():
     table = PolarityTable(np.array([0.0, 2.0]))
-    ex = polarity_weighted(bag([(0, 3), (1, 1)]), table, width=2)
-    npt.assert_array_equal(ex.indices, [1])
-    npt.assert_array_equal(ex.values, [2.0])
+    corpus = bags([(0, 3), (1, 1)], [(0, 1)], width=2)
+    ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=table)
+    assert rows_of(ds.matrix) == [[(1, 2.0)], []]
+    npt.assert_array_equal(ds.matrix.indptr, [0, 1, 1])
 
 
 def test_weighted_equals_multi_hot_for_unit_ratings_and_counts():
     rng = np.random.default_rng(7)
     width = 30
     table = PolarityTable(np.ones(width))
-    for _ in range(50):
-        b = random_bag(rng, width, max_count=1)
-        assert polarity_weighted(b, table, width) == multi_hot(b, width)
+    corpus = random_corpus(rng, width, 50, max_count=1)
+    weighted = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=table).matrix
+    hot = encode_corpus(corpus, MULTI_HOT, width=width).matrix
+    assert rows_of(weighted) == rows_of(hot)
 
 
 def test_weighted_table_length_must_match_width():
     table = PolarityTable(np.array([1.0, 2.0]))
     with pytest.raises(DataError, match="length 2"):
-        polarity_weighted(bag([(0, 1)]), table, width=3)
+        encode_corpus(bags([(0, 1)], width=3), POLARITY_WEIGHTED, polarity=table, width=3)
 
 
 def test_weighted_rejects_non_finite_products():
     table = PolarityTable.__new__(PolarityTable)
     table.ratings = np.array([1.0, np.inf])
     with pytest.raises(DataError, match="non-finite"):
-        polarity_weighted(bag([(1, 2)]), table, width=2)
+        encode_corpus(bags([(1, 2)], width=2), POLARITY_WEIGHTED, polarity=table)
 
 
 def test_weighted_matches_dense_oracle():
     rng = np.random.default_rng(77)
-    for _ in range(1000):
+    for _ in range(100):
         width = int(rng.integers(1, 51))
         ratings = rng.normal(0, 2, width)
         ratings[rng.random(width) < 0.1] = 0.0  # force some dropped entries
-        b = random_bag(rng, width)
-        got = polarity_weighted(b, PolarityTable(ratings), width).to_dense()
-        npt.assert_array_equal(got, dense_polarity_weighted(b, ratings, width))
+        corpus = random_corpus(rng, width, 10)
+        ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings))
+        want = [dense_polarity_weighted(row, ratings, width) for row in rows_of(corpus.counts)]
+        npt.assert_array_equal(ds.matrix.toarray(), np.reshape(want, (10, width)))
+        assert ds.matrix.has_canonical_format
+        assert not (ds.matrix.data == 0.0).any()
 
 
 # ------------------------------------------------------------- whole corpora
@@ -125,34 +130,34 @@ def test_encode_corpus_preserves_order_and_labels():
         assert len(ds) == 30
         assert ds.width == 25
         assert ds.encoding_kind == kind
-        npt.assert_array_equal(ds.labels(), [b.label for b in corpus.bags])
+        npt.assert_array_equal(ds.labels, corpus.labels)
 
 
 def test_encode_corpus_weighted_width_defaults_to_table():
     table = PolarityTable(np.arange(12, dtype=np.float64))
-    ds = encode_corpus(Corpus([bag([(11, 1)])]), POLARITY_WEIGHTED, polarity=table)
+    ds = encode_corpus(bags([(11, 1)], width=12), POLARITY_WEIGHTED, polarity=table)
     assert ds.width == 12
 
 
 def test_encode_corpus_multi_hot_needs_width():
     with pytest.raises(DataError, match="width"):
-        encode_corpus(Corpus([bag([(0, 1)])]), MULTI_HOT)
+        encode_corpus(bags([(0, 1)], width=5), MULTI_HOT)
 
 
 def test_encode_corpus_weighted_needs_table():
     with pytest.raises(DataError, match="polarity"):
-        encode_corpus(Corpus([bag([(0, 1)])]), POLARITY_WEIGHTED, width=5)
+        encode_corpus(bags([(0, 1)], width=5), POLARITY_WEIGHTED, width=5)
 
 
 def test_encode_corpus_unknown_kind():
     with pytest.raises(DataError, match="unknown"):
-        encode_corpus(Corpus([]), "one-hot", width=5)
+        encode_corpus(bags(width=5), "one-hot", width=5)
 
 
 def test_encode_corpus_empty():
-    ds = encode_corpus(Corpus([]), MULTI_HOT, width=5)
+    ds = encode_corpus(bags(width=5), MULTI_HOT, width=5)
     assert len(ds) == 0
-    assert ds.to_csr().shape == (0, 5)
+    assert ds.matrix.shape == (0, 5)
 
 
 def test_sparsity_never_exceeds_distinct_tokens():
@@ -161,21 +166,23 @@ def test_sparsity_never_exceeds_distinct_tokens():
     ratings = rng.normal(0, 1, width)
     ratings[::4] = 0.0
     table = PolarityTable(ratings)
-    for _ in range(100):
-        b = random_bag(rng, width)
-        assert len(multi_hot(b, width).indices) == len(b.indices)
-        assert len(polarity_weighted(b, table, width).indices) <= len(b.indices)
+    corpus = random_corpus(rng, width, 100)
+    distinct = np.diff(corpus.counts.indptr)
+    hot = encode_corpus(corpus, MULTI_HOT, width=width).matrix
+    weighted = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=table).matrix
+    npt.assert_array_equal(np.diff(hot.indptr), distinct)
+    assert (np.diff(weighted.indptr) <= distinct).all()
 
 
-def test_to_csr_matches_dense_rows():
+def test_encoded_matrix_matches_dense_rows():
     rng = np.random.default_rng(21)
     ratings = rng.normal(0, 1, 20)
     corpus = planted_corpus(22, 15, ratings)
     ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings))
-    dense = ds.to_csr().toarray()
+    dense = ds.matrix.toarray()
     assert dense.shape == (15, 20)
-    for row, ex in zip(dense, ds.examples):
-        npt.assert_array_equal(row, ex.to_dense())
+    for row, pairs in zip(dense, rows_of(corpus.counts)):
+        npt.assert_array_equal(row, dense_polarity_weighted(pairs, ratings, 20))
 
 
 # --------------------------------------------------------------------- stats
@@ -183,7 +190,7 @@ def test_to_csr_matches_dense_rows():
 
 def test_stats_hand_example():
     table = PolarityTable(np.array([2.0, -3.0]))
-    ds = encode_corpus(Corpus([bag([(0, 1), (1, 1)])]), POLARITY_WEIGHTED, polarity=table)
+    ds = encode_corpus(bags([(0, 1), (1, 1)], width=2), POLARITY_WEIGHTED, polarity=table)
     stats = polarity_stats(ds)
     assert stats.element_min == -3.0
     assert stats.element_max == 2.0
@@ -194,7 +201,7 @@ def test_stats_hand_example():
 def test_stats_empty_example_contributes_zero_rowsum():
     table = PolarityTable(np.array([5.0]))
     ds = encode_corpus(
-        Corpus([bag([(0, 1)]), bag([], label=0)]), POLARITY_WEIGHTED, polarity=table
+        bags([(0, 1)], [], width=1, labels=[1, 0]), POLARITY_WEIGHTED, polarity=table
     )
     stats = polarity_stats(ds)
     assert stats.rowsum_min == 0.0
@@ -203,7 +210,7 @@ def test_stats_empty_example_contributes_zero_rowsum():
 
 
 def test_stats_all_empty_dataset_is_all_zero():
-    ds = encode_corpus(Corpus([bag([]), bag([], 0)]), MULTI_HOT, width=3)
+    ds = encode_corpus(bags([], [], width=3, labels=[1, 0]), MULTI_HOT, width=3)
     stats = polarity_stats(ds)
     assert (
         stats.element_min
@@ -215,7 +222,7 @@ def test_stats_all_empty_dataset_is_all_zero():
 
 
 def test_stats_rejects_empty_dataset():
-    ds = encode_corpus(Corpus([]), MULTI_HOT, width=3)
+    ds = encode_corpus(bags(width=3), MULTI_HOT, width=3)
     with pytest.raises(DataError):
         polarity_stats(ds)
 
@@ -225,24 +232,13 @@ def test_stats_match_brute_force():
     for _ in range(50):
         width = int(rng.integers(1, 30))
         ratings = rng.normal(0, 3, width)
-        corpus = Corpus([random_bag(rng, width) for _ in range(int(rng.integers(1, 20)))])
+        corpus = random_corpus(rng, width, int(rng.integers(1, 20)))
         ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings))
         stats = polarity_stats(ds)
-        rows = [ex.to_dense() for ex in ds.examples]
-        stored = np.concatenate([ex.values for ex in ds.examples] or [np.zeros(1)])
-        if any(len(ex.values) for ex in ds.examples):
-            assert stats.element_min == stored.min()
-            assert stats.element_max == stored.max()
-        sums = np.array([row.sum() for row in rows])
-        npt.assert_allclose([stats.rowsum_min, stats.rowsum_max], [sums.min(), sums.max()], rtol=1e-12, atol=1e-12)
-
-
-# ---------------------------------------------------------------------- dump
-
-
-def test_dump_format(tmp_path):
-    table = PolarityTable(np.array([0.123456789123, -2.0]))
-    ds = encode_corpus(Corpus([bag([(0, 1), (1, 2)])]), POLARITY_WEIGHTED, polarity=table)
-    path = tmp_path / "out.enc"
-    dump_dataset(ds, path)
-    assert path.read_text(encoding="utf-8") == "1\t0:0.123456789 1:-4\n"
+        rows = [np.array([v for _, v in row]) for row in rows_of(ds.matrix)]
+        if ds.nnz:
+            assert stats.element_min == min(row.min() for row in rows if row.size)
+            assert stats.element_max == max(row.max() for row in rows if row.size)
+        # each row summed on its own, as a separate array, bit for bit
+        sums = [row.sum() for row in rows]
+        assert [stats.rowsum_min, stats.rowsum_max] == [min(sums), max(sums)]

@@ -1,0 +1,64 @@
+"""Smoke test at the paper's vocabulary widths with a few hundred reviews.
+
+The acceptance criteria that use the real datasets skip without prepared
+data, so this is where the 89 527-wide first layer and the 88 584 -> 89 527
+vocabulary transfer run in the tier-1 suite.
+"""
+
+import math
+
+import numpy as np
+
+from bowtie.corpus import PolarityTable, Vocabulary
+from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
+from bowtie.net import ModelConfig, init_model
+from bowtie.optim import OptimizerSpec
+from bowtie.train import Checkpoint, TrainConfig, train
+from bowtie.transfer import transfer_evaluate
+from synth import planted_corpus, rating_table, token_list
+
+SLMRD_WIDTH = 89_527
+KID_WIDTH = 88_584
+SHARED = 80_000
+
+
+def test_full_width_encode_train_and_transfer():
+    slmrd_tokens = token_list(SLMRD_WIDTH)
+    kid_tokens = slmrd_tokens[:SHARED] + token_list(KID_WIDTH - SHARED, prefix="kid")
+    slmrd_vocab, kid_vocab = Vocabulary(slmrd_tokens), Vocabulary(kid_tokens)
+    ratings = rating_table(1, SLMRD_WIDTH)
+    ratings[::13] = 0.0  # some tokens carry no polarity and drop out
+    polarity = PolarityTable(ratings)
+    shape = {"max_distinct": 130, "max_count": 4}
+    train_c = planted_corpus(2, 256, ratings, **shape)
+    val_c = planted_corpus(3, 128, ratings, split="test", **shape)
+
+    hot = encode_corpus(train_c, MULTI_HOT, width=SLMRD_WIDTH)
+    assert hot.matrix.shape == (256, SLMRD_WIDTH) and hot.nnz == train_c.nnz
+    train_set = encode_corpus(train_c, POLARITY_WEIGHTED, polarity=polarity)
+    val_set = encode_corpus(val_c, POLARITY_WEIGHTED, polarity=polarity)
+    assert train_set.width == SLMRD_WIDTH and 0 < train_set.nnz < train_c.nnz
+
+    model = init_model(ModelConfig(input_width=SLMRD_WIDTH))
+    config = TrainConfig(optimizer=OptimizerSpec(kind="nadam"), batch_size=64, max_epochs=1)
+    model, metrics = train(model, train_set, val_set, config, log=False)
+    assert len(metrics) == 1
+    assert math.isfinite(metrics[0].train_bce) and math.isfinite(metrics[0].val_bce)
+    assert model.weights[0].shape == (SLMRD_WIDTH, 16)
+
+    kid_ratings = np.concatenate([ratings[:SHARED], np.zeros(KID_WIDTH - SHARED)])
+    kid_c = planted_corpus(4, 200, kid_ratings, split="full", **shape)
+    checkpoint = Checkpoint(
+        model=model,
+        vocab_size=slmrd_vocab.size,
+        vocab_sha256=slmrd_vocab.fingerprint(),
+        encoding=POLARITY_WEIGHTED,
+        provenance={},
+    )
+    report = transfer_evaluate(checkpoint, kid_c, kid_vocab, slmrd_vocab, polarity)
+    assert (report.source_vocab_size, report.target_vocab_size) == (KID_WIDTH, SLMRD_WIDTH)
+    assert report.mapped_count == SHARED
+    assert len(report.dropped) == KID_WIDTH - SHARED
+    assert report.result.count == 200
+    assert math.isfinite(report.result.bce)
+    assert report.stats.element_min <= report.stats.element_max

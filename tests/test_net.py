@@ -5,21 +5,24 @@ import numpy.testing as npt
 import pytest
 from scipy import sparse
 
-from bowtie.encode import SparseExample
 from bowtie.errors import DivergenceError
 from bowtie.net import (
     BowTieModel,
     ModelConfig,
     backward,
     batch_matrix,
-    central_difference,
-    finite_difference_grad,
     forward,
     init_model,
     loss,
     predict,
 )
-from oracles import bce_mean, dense_forward, l2_penalty
+from oracles import (
+    bce_mean,
+    central_difference,
+    dense_forward,
+    finite_difference_grad,
+    l2_penalty,
+)
 
 
 def make_model(input_width, hidden=(4, 1), activation="none", dropout=0.0, l2=0.0, seed=0):
@@ -41,17 +44,27 @@ def zero_model(input_width, hidden=(1,), **kw):
     return model
 
 
-def dense_example(rng, width, label=None, density=0.7):
+def rows(*values, width=None):
+    """A CSR batch of the given dense rows."""
+    dense = np.array(values, dtype=np.float64).reshape(len(values), -1)
+    if width is not None:
+        dense = np.pad(dense, ((0, 0), (0, width - dense.shape[1])))
+    return sparse.csr_matrix(dense)
+
+
+def dense_row(rng, width, density=0.7):
     values = rng.normal(0.0, 1.0, width)
     values[rng.random(width) >= density] = 0.0
-    indices = np.flatnonzero(values).astype(np.int64)
-    if label is None:
-        label = int(rng.integers(0, 2))
-    return SparseExample(indices=indices, values=values[indices], width=width, label=label)
+    return values
 
 
 def random_batch(rng, width, size):
-    return [dense_example(rng, width) for _ in range(size)]
+    """(CSR batch, labels) with random sparse rows and labels."""
+    dense, labels = [], []
+    for _ in range(size):
+        dense.append(dense_row(rng, width))
+        labels.append(int(rng.integers(0, 2)))
+    return sparse.csr_matrix(np.stack(dense)), labels
 
 
 # ------------------------------------------------------------- configuration
@@ -129,11 +142,11 @@ def test_init_dtype_is_float64():
 
 def test_batch_matrix_stacks_examples():
     rng = np.random.default_rng(0)
-    batch = random_batch(rng, 12, 5)
-    mat = batch_matrix(batch, 12)
+    dense = np.stack([dense_row(rng, 12) for _ in range(5)])
+    mat = batch_matrix(sparse.coo_matrix(dense), 12)
+    assert sparse.isspmatrix_csr(mat)
     assert mat.shape == (5, 12)
-    for i, ex in enumerate(batch):
-        npt.assert_array_equal(mat[i].toarray()[0], ex.to_dense())
+    npt.assert_array_equal(mat.toarray(), dense)
 
 
 def test_batch_matrix_passthrough_checks_width():
@@ -145,11 +158,9 @@ def test_batch_matrix_passthrough_checks_width():
 
 def test_batch_matrix_rejects_empty_and_mixed_width():
     with pytest.raises(ValueError, match="empty"):
-        batch_matrix([], 3)
-    rng = np.random.default_rng(1)
-    batch = [dense_example(rng, 3), dense_example(rng, 4)]
+        batch_matrix(sparse.csr_matrix((0, 3)), 3)
     with pytest.raises(ValueError, match="width"):
-        batch_matrix(batch, 3)
+        batch_matrix(rows([1.0, 0.0, 2.0, 0.5]), 3)
 
 
 # ------------------------------------------------------------------- forward
@@ -158,7 +169,7 @@ def test_batch_matrix_rejects_empty_and_mixed_width():
 def test_zero_weights_give_exactly_half():
     rng = np.random.default_rng(2)
     model = zero_model(6)
-    cache = forward(model, random_batch(rng, 6, 4))
+    cache = forward(model, random_batch(rng, 6, 4)[0])
     npt.assert_array_equal(cache.prob, 0.5)
 
 
@@ -170,18 +181,16 @@ def test_forward_matches_dense_oracle():
         hidden = tuple(int(rng.integers(1, 9)) for _ in range(depth)) + (1,)
         activation = "relu" if case % 2 else "none"
         model = make_model(width, hidden=hidden, activation=activation, seed=case)
-        batch = random_batch(rng, width, int(rng.integers(1, 6)))
+        batch, _ = random_batch(rng, width, int(rng.integers(1, 6)))
         got = forward(model, batch).prob
-        want = dense_forward(model, np.stack([ex.to_dense() for ex in batch]))
+        want = dense_forward(model, batch.toarray())
         npt.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_forward_probabilities_clamped_strictly_inside_unit_interval():
     model = zero_model(1)
     model.weights[0][:] = 60.0  # drives the sigmoid to within 1e-26 of 1
-    pos = SparseExample(np.array([0]), np.array([1.0]), 1, 1)
-    neg = SparseExample(np.array([0]), np.array([-1.0]), 1, 0)
-    cache = forward(model, [pos, neg])
+    cache = forward(model, rows([1.0], [-1.0]))
     assert 0.0 < cache.prob[1] and cache.prob[0] < 1.0
     assert cache.prob[0] == 1.0 - 1e-12
     assert cache.prob[1] == 1e-12
@@ -190,24 +199,23 @@ def test_forward_probabilities_clamped_strictly_inside_unit_interval():
 def test_forward_non_finite_raises():
     model = zero_model(2)
     model.weights[0][0] = np.inf
-    ex = SparseExample(np.array([0]), np.array([1.0]), 2, 1)
     with pytest.raises(DivergenceError):
-        forward(model, [ex])
+        forward(model, rows([1.0], width=2))
 
 
 def test_forward_accepts_prebuilt_csr():
     rng = np.random.default_rng(4)
     model = make_model(9, seed=1)
-    batch = random_batch(rng, 9, 3)
-    as_list = forward(model, batch).prob
-    as_csr = forward(model, batch_matrix(batch, 9)).prob
-    npt.assert_array_equal(as_list, as_csr)
+    batch, _ = random_batch(rng, 9, 3)
+    as_csr = forward(model, batch).prob
+    as_coo = forward(model, batch.tocoo()).prob
+    npt.assert_array_equal(as_csr, as_coo)
 
 
 def test_forward_training_flag_recorded():
     rng = np.random.default_rng(5)
     model = make_model(4, dropout=0.2)
-    batch = random_batch(rng, 4, 2)
+    batch, _ = random_batch(rng, 4, 2)
     assert forward(model, batch).training is False
     assert forward(model, batch, training=True).training is True
 
@@ -218,7 +226,7 @@ def test_forward_training_flag_recorded():
 def test_dropout_zero_training_equals_inference():
     rng = np.random.default_rng(6)
     model = make_model(8, hidden=(5, 1), dropout=0.0, seed=2)
-    batch = random_batch(rng, 8, 4)
+    batch, _ = random_batch(rng, 8, 4)
     train_cache = forward(model, batch, training=True, dropout_seed=9)
     infer_cache = forward(model, batch, training=False)
     npt.assert_array_equal(train_cache.prob, infer_cache.prob)
@@ -228,7 +236,7 @@ def test_dropout_zero_training_equals_inference():
 def test_dropout_only_masks_last_hidden_layer():
     rng = np.random.default_rng(7)
     model = make_model(6, hidden=(5, 3, 1), dropout=0.5, seed=3)
-    batch = random_batch(rng, 6, 4)
+    batch, _ = random_batch(rng, 6, 4)
     cache = forward(model, batch, training=True, dropout_seed=1)
     assert cache.dropout_mask is not None
     assert cache.dropout_mask.shape == (4, 3)  # width of the last hidden layer
@@ -240,7 +248,7 @@ def test_dropout_only_masks_last_hidden_layer():
 def test_dropout_mask_values_are_zero_or_inverse_keep():
     rng = np.random.default_rng(8)
     model = make_model(5, hidden=(40, 1), dropout=0.2, seed=4)
-    batch = random_batch(rng, 5, 10)
+    batch, _ = random_batch(rng, 5, 10)
     cache = forward(model, batch, training=True, dropout_seed=123)
     values = np.unique(cache.dropout_mask)
     assert set(values).issubset({0.0, 1.0 / 0.8})
@@ -249,7 +257,7 @@ def test_dropout_mask_values_are_zero_or_inverse_keep():
 def test_dropout_inference_applies_no_mask():
     rng = np.random.default_rng(9)
     model = make_model(5, hidden=(4, 1), dropout=0.9, seed=5)
-    batch = random_batch(rng, 5, 3)
+    batch, _ = random_batch(rng, 5, 3)
     cache = forward(model, batch, training=False)
     assert cache.dropout_mask is None
 
@@ -257,7 +265,7 @@ def test_dropout_inference_applies_no_mask():
 def test_dropout_same_seed_same_mask():
     rng = np.random.default_rng(10)
     model = make_model(5, hidden=(6, 1), dropout=0.3, seed=6)
-    batch = random_batch(rng, 5, 4)
+    batch, _ = random_batch(rng, 5, 4)
     a = forward(model, batch, training=True, dropout_seed=77)
     b = forward(model, batch, training=True, dropout_seed=77)
     npt.assert_array_equal(a.dropout_mask, b.dropout_mask)
@@ -270,11 +278,11 @@ def test_dropout_scaling_is_unbiased():
     # keep-and-rescale should preserve the expected activation within 2%
     model = make_model(3, hidden=(3, 1), dropout=0.2)
     model.weights[0][:] = np.eye(3)
-    ex = SparseExample(np.array([0, 1, 2]), np.array([1.0, 2.0, 3.0]), 3, 1)
-    reference = forward(model, [ex], training=False).post[0][0]
+    x = rows([1.0, 2.0, 3.0])
+    reference = forward(model, x, training=False).post[0][0]
     total = np.zeros(3)
     for seed in range(10_000):
-        total += forward(model, [ex], training=True, dropout_seed=seed).post[0][0]
+        total += forward(model, x, training=True, dropout_seed=seed).post[0][0]
     npt.assert_allclose(total / 10_000, reference, rtol=0.02)
 
 
@@ -283,8 +291,7 @@ def test_dropout_scaling_is_unbiased():
 
 def test_loss_at_half_is_log_two():
     model = zero_model(3)
-    ex = SparseExample(np.array([1]), np.array([1.0]), 3, 1)
-    cache = forward(model, [ex, ex])
+    cache = forward(model, rows([0.0, 1.0, 0.0], [0.0, 1.0, 0.0]))
     bce, total = loss(cache, [0, 1], model)
     npt.assert_allclose(bce, math.log(2.0), rtol=0.0, atol=1e-15)
     assert total == bce  # zero weights leave no penalty
@@ -295,8 +302,7 @@ def test_loss_total_minus_bce_is_l2_penalty():
     for case in range(30):
         width = int(rng.integers(1, 20))
         model = make_model(width, hidden=(3, 1), l2=float(rng.uniform(0, 0.1)), seed=case)
-        batch = random_batch(rng, width, int(rng.integers(1, 5)))
-        labels = [ex.label for ex in batch]
+        batch, labels = random_batch(rng, width, int(rng.integers(1, 5)))
         cache = forward(model, batch)
         bce, total = loss(cache, labels, model)
         npt.assert_allclose(total - bce, l2_penalty(model), rtol=1e-12, atol=1e-15)
@@ -307,8 +313,7 @@ def test_loss_matches_bce_oracle():
     for case in range(30):
         width = int(rng.integers(1, 20))
         model = make_model(width, hidden=(4, 1), activation="relu", seed=case)
-        batch = random_batch(rng, width, int(rng.integers(1, 6)))
-        labels = [ex.label for ex in batch]
+        batch, labels = random_batch(rng, width, int(rng.integers(1, 6)))
         cache = forward(model, batch)
         bce, _ = loss(cache, labels, model)
         npt.assert_allclose(bce, bce_mean(cache.prob, labels), rtol=1e-12, atol=1e-15)
@@ -316,8 +321,7 @@ def test_loss_matches_bce_oracle():
 
 def test_loss_rejects_bad_labels():
     model = zero_model(2)
-    ex = SparseExample(np.array([0]), np.array([1.0]), 2, 1)
-    cache = forward(model, [ex])
+    cache = forward(model, rows([1.0], width=2))
     with pytest.raises(ValueError):
         loss(cache, [2], model)
     with pytest.raises(ValueError):
@@ -327,8 +331,7 @@ def test_loss_rejects_bad_labels():
 def test_near_certain_wrong_prediction_has_large_finite_loss():
     model = zero_model(1)
     model.weights[0][:] = 1000.0
-    ex = SparseExample(np.array([0]), np.array([1.0]), 1, 0)
-    cache = forward(model, [ex])
+    cache = forward(model, rows([1.0]))
     bce, _ = loss(cache, [0], model)
     assert np.isfinite(bce)
     npt.assert_allclose(bce, -math.log(1e-12), rtol=1e-6)
@@ -339,8 +342,7 @@ def test_near_certain_wrong_prediction_has_large_finite_loss():
 
 def test_backward_single_weight_hand_case():
     model = zero_model(1)
-    ex = SparseExample(np.array([0]), np.array([1.0]), 1, 1)
-    cache = forward(model, [ex])
+    cache = forward(model, rows([1.0]))
     grads = backward(model, cache, [1])
     npt.assert_allclose(grads.weights[0], [[-0.5]], rtol=0.0, atol=1e-15)
     npt.assert_allclose(grads.biases[0], [-0.5], rtol=0.0, atol=1e-15)
@@ -349,7 +351,7 @@ def test_backward_single_weight_hand_case():
 def test_backward_balanced_batch_output_bias_gradient_cancels():
     rng = np.random.default_rng(13)
     model = zero_model(5, hidden=(3, 1))
-    batch = [dense_example(rng, 5, label=0), dense_example(rng, 5, label=1)]
+    batch = sparse.csr_matrix(np.stack([dense_row(rng, 5), dense_row(rng, 5)]))
     cache = forward(model, batch)
     grads = backward(model, cache, [0, 1])
     # zero weights keep every activation at zero and the deltas cancel
@@ -359,9 +361,7 @@ def test_backward_balanced_batch_output_bias_gradient_cancels():
 
 def test_backward_l2_term_alone_when_probabilities_match_labels():
     model = make_model(2, hidden=(1,), l2=0.01, seed=7)
-    grads_with = backward(
-        model, forward(model, [SparseExample(np.array([]), np.array([]), 2, 1)]), [1]
-    )
+    grads_with = backward(model, forward(model, rows([0.0, 0.0])), [1])
     # an all-zero input row leaves only the bias path and the l2 pull on weights
     npt.assert_allclose(grads_with.weights[0], 2 * 0.01 * model.weights[0], atol=1e-15)
 
@@ -370,7 +370,7 @@ def test_backward_stale_cache_rejected():
     rng = np.random.default_rng(14)
     small = make_model(4, hidden=(2, 1), seed=8)
     big = make_model(4, hidden=(3, 1), seed=9)
-    cache = forward(small, random_batch(rng, 4, 2))
+    cache = forward(small, random_batch(rng, 4, 2)[0])
     with pytest.raises(ValueError, match="cache"):
         backward(big, cache, [0, 1])
 
@@ -378,7 +378,7 @@ def test_backward_stale_cache_rejected():
 def test_backward_label_count_must_match_batch():
     rng = np.random.default_rng(15)
     model = make_model(4, seed=10)
-    cache = forward(model, random_batch(rng, 4, 3))
+    cache = forward(model, random_batch(rng, 4, 3)[0])
     with pytest.raises(ValueError):
         backward(model, cache, [0, 1])
 
@@ -422,7 +422,7 @@ def sample_net_case(rng, case, max_width=8):
     for b in model.biases:
         b[:] = rng.normal(0.0, 0.3, b.shape)
     while True:
-        batch = random_batch(rng, width, int(rng.integers(1, 5)))
+        batch, labels = random_batch(rng, width, int(rng.integers(1, 5)))
         cache = forward(model, batch)
         # keep relu pre-activations clear of the kink so h never crosses it
         closest = min(
@@ -432,7 +432,6 @@ def sample_net_case(rng, case, max_width=8):
             break
         for b in model.biases:
             b += rng.normal(0.0, 0.1, b.shape)
-    labels = [ex.label for ex in batch]
     return model, batch, labels
 
 
@@ -455,8 +454,7 @@ def test_gradients_match_finite_differences_with_frozen_dropout():
     for case in range(10):
         width = int(rng.integers(2, 8))
         model = make_model(width, hidden=(4, 1), dropout=0.2, l2=0.019, seed=case)
-        batch = random_batch(rng, width, 3)
-        labels = [ex.label for ex in batch]
+        batch, labels = random_batch(rng, width, 3)
         seed = 500 + case
         cache = forward(model, batch, training=True, dropout_seed=seed)
         grads = backward(model, cache, labels)
@@ -468,9 +466,8 @@ def test_gradients_match_finite_differences_with_frozen_dropout():
 
 def test_finite_difference_grad_validates_coordinate():
     model = make_model(2, seed=0)
-    ex = SparseExample(np.array([0]), np.array([1.0]), 2, 1)
     with pytest.raises(ValueError):
-        finite_difference_grad(model, [ex], [1], (0, "x", (0, 0)), 1e-6)
+        finite_difference_grad(model, rows([1.0, 0.0]), [1], (0, "x", (0, 0)), 1e-6)
 
 
 # ------------------------------------------------------------------- predict
@@ -478,14 +475,13 @@ def test_finite_difference_grad_validates_coordinate():
 
 def test_predict_tie_goes_positive():
     model = zero_model(3)
-    ex = SparseExample(np.array([0]), np.array([1.0]), 3, 1)
-    p, category = predict(model, ex)
+    p, category = predict(model, rows([1.0], width=3))
     assert p == 0.5
     assert category == 1
 
 
 def test_predict_threshold_extremes():
-    ex = SparseExample(np.array([0]), np.array([1.0]), 3, 1)
+    ex = rows([1.0], width=3)
     always = zero_model(3)
     always.config.discriminator = 0.0
     assert predict(always, ex)[1] == 1
@@ -497,10 +493,10 @@ def test_predict_threshold_extremes():
 def test_predict_follows_logit_sign():
     model = zero_model(1)
     model.weights[0][:] = 2.0
-    pos = SparseExample(np.array([0]), np.array([1.0]), 1, 1)
-    neg = SparseExample(np.array([0]), np.array([-1.0]), 1, 0)
-    assert predict(model, pos)[1] == 1
-    assert predict(model, neg)[1] == 0
+    assert predict(model, rows([1.0]))[1] == 1
+    assert predict(model, rows([-1.0]))[1] == 0
+    with pytest.raises(ValueError, match="one row"):
+        predict(model, rows([1.0], [-1.0]))
 
 
 # ------------------------------------------------------- finite differences

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import sparse
 
 from bowtie.errors import DivergenceError, NonConvergenceError
 from bowtie.net import Gradients, ModelConfig, forward, init_model
@@ -9,8 +10,8 @@ from bowtie.optim import (
     MomentState,
     OptimizerSpec,
     apply_update,
+    _step_tensor,
     init_state,
-    minimize_quadratic_selftest,
 )
 
 
@@ -177,18 +178,14 @@ def test_non_finite_parameters_raise_divergence():
 
 def test_apply_update_moves_toward_lower_loss():
     rng = np.random.default_rng(8)
-    from bowtie.encode import SparseExample
     from bowtie.net import backward, loss
 
     model = tiny_model(seed=8, width=6)
-    batch = []
+    rows, labels = [], []
     for _ in range(8):
-        values = rng.normal(0, 1, 6)
-        idx = np.flatnonzero(values)
-        batch.append(
-            SparseExample(idx.astype(np.int64), values[idx], 6, int(rng.integers(0, 2)))
-        )
-    labels = [ex.label for ex in batch]
+        rows.append(rng.normal(0, 1, 6))
+        labels.append(int(rng.integers(0, 2)))
+    batch = sparse.csr_matrix(np.stack(rows))
     spec = OptimizerSpec(kind="sgd", learning_rate=0.5)
     state = init_state(model)
     start = loss(forward(model, batch), labels, model)[1]
@@ -228,6 +225,38 @@ def test_spec_defaults():
 
 
 # ------------------------------------------------------------------ selftest
+
+
+def minimize_quadratic_selftest(
+    spec: OptimizerSpec,
+    start: float = 5.0,
+    tolerance: float = 1e-3,
+    max_iterations: int = 100_000,
+) -> tuple[float, int]:
+    """Drive f(w) = w**2 toward 0; returns (final w, iterations used).
+
+    A cheap smoke test that an optimizer configuration actually descends:
+    raises NonConvergenceError when |w| never drops below the tolerance,
+    which a zero learning rate will always trigger.
+    """
+    w = np.array([float(start)])
+    m = np.zeros(1)
+    v = np.zeros(1)
+    # explosions surface as the explicit non-finite check, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, max_iterations + 1):
+            grad = 2.0 * w
+            _step_tensor(spec, w, grad, m, v, t)
+            if not np.isfinite(w[0]):
+                raise NonConvergenceError(
+                    f"{spec.kind} diverged on the quadratic after {t} iterations"
+                )
+            if abs(w[0]) < tolerance:
+                return float(w[0]), t
+    raise NonConvergenceError(
+        f"{spec.kind} failed to reach |w| < {tolerance} "
+        f"within {max_iterations} iterations"
+    )
 
 
 def test_selftest_sgd_converges_in_39_iterations():

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import struct
 
@@ -7,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from bowtie.corpus import PolarityTable, Vocabulary
-from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
+from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, EncodedDataset, encode_corpus
 from bowtie.errors import CheckpointError, DivergenceError, FingerprintError
 from bowtie.net import ModelConfig, init_model, predict
 from bowtie.optim import OptimizerSpec
@@ -26,6 +27,11 @@ from synth import planted_corpus, rating_table
 
 
 WIDTH = 30
+
+
+def subset(dataset, rows):
+    """The dataset rows at ``rows``, in that order."""
+    return EncodedDataset(dataset.matrix[rows], dataset.labels[rows], dataset.encoding_kind)
 
 
 def encoded_split(seed, n_train=120, n_val=60, width=WIDTH):
@@ -177,7 +183,7 @@ def test_ragged_final_batch_is_trained():
     _, metrics = train(model, train_set, val_set, quick_config(max_epochs=1), log=False)
     assert len(metrics) == 1
     full_batches = fresh_model(seed=8)
-    sliced = type(train_set)(train_set.examples[:64], train_set.width, train_set.encoding_kind)
+    sliced = subset(train_set, slice(0, 64))
     train(full_batches, sliced, val_set, quick_config(max_epochs=1), log=False)
     assert not np.array_equal(model.weights[0], full_batches.weights[0])
 
@@ -190,7 +196,7 @@ def test_batch_size_larger_than_train_set_rejected():
 
 def test_empty_training_set_rejected():
     train_set, val_set = encoded_split(10)
-    empty = type(train_set)([], train_set.width, train_set.encoding_kind)
+    empty = subset(train_set, slice(0, 0))
     with pytest.raises(ValueError):
         train(fresh_model(seed=10), empty, val_set, quick_config(), log=False)
 
@@ -236,10 +242,10 @@ def test_zero_model_scores_half_on_balanced_data():
     for w in model.weights:
         w[:] = 0.0
     # force an exactly balanced dataset
-    pos = [ex for ex in train_set.examples if ex.label == 1]
-    neg = [ex for ex in train_set.examples if ex.label == 0]
+    pos = np.flatnonzero(train_set.labels == 1)
+    neg = np.flatnonzero(train_set.labels == 0)
     k = min(len(pos), len(neg))
-    balanced = type(train_set)(pos[:k] + neg[:k], train_set.width, train_set.encoding_kind)
+    balanced = subset(train_set, np.concatenate([pos[:k], neg[:k]]))
     result = evaluate(model, balanced)
     assert result.accuracy == 0.5
     npt.assert_allclose(result.bce, math.log(2.0), rtol=0.0, atol=1e-12)
@@ -254,10 +260,12 @@ def test_evaluate_matches_per_example_predictions():
     train(model, train_set, val_set, quick_config(max_epochs=2), log=False)
     result = evaluate(model, val_set)
     hits = sum(
-        1 for ex in val_set.examples if predict(model, ex)[1] == ex.label
+        1
+        for i, label in enumerate(val_set.labels)
+        if predict(model, val_set.matrix[i : i + 1])[1] == label
     )
-    npt.assert_allclose(result.accuracy, hits / len(val_set.examples), atol=1e-12)
-    assert result.count == len(val_set.examples)
+    npt.assert_allclose(result.accuracy, hits / len(val_set), atol=1e-12)
+    assert result.count == len(val_set)
     assert (
         result.true_pos + result.true_neg + result.false_pos + result.false_neg
         == result.count
@@ -286,7 +294,7 @@ def test_evaluate_batch_size_does_not_change_result():
 
 def test_evaluate_rejects_empty_dataset():
     train_set, _ = encoded_split(19)
-    empty = type(train_set)([], train_set.width, train_set.encoding_kind)
+    empty = subset(train_set, slice(0, 0))
     with pytest.raises(ValueError):
         evaluate(fresh_model(seed=19), empty)
 
@@ -434,6 +442,32 @@ def test_checkpoint_rejects_garbage_manifest(tmp_path):
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
     path, _, _ = trained_checkpoint(tmp_path, seed=36)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m["config"].update(input_width=WIDTH + 2),
+        lambda m: m["config"].update(hidden_widths=[5, 1]),
+        lambda m: m["biases_shapes"].reverse(),
+        lambda m: m["vocab"].update(size=WIDTH + 1),
+    ],
+    ids=["input_width", "hidden_widths", "bias_order", "vocab_size"],
+)
+def test_checkpoint_rejects_shapes_that_contradict_the_config(tmp_path, edit):
+    path, _, _ = trained_checkpoint(tmp_path, seed=40)
+    raw = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 4 + 8
+    (length,) = struct.unpack_from("<Q", raw, len(CHECKPOINT_MAGIC) + 4)
+    manifest = json.loads(raw[start : start + length])
+    edit(manifest)
+    text = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    path.write_bytes(
+        raw[: len(CHECKPOINT_MAGIC) + 4] + struct.pack("<Q", len(text)) + text
+        + raw[start + length :]
+    )
     with pytest.raises(CheckpointError):
         load_checkpoint(str(path))
 

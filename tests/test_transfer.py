@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from bowtie.corpus import Corpus, LabeledBag, PolarityTable, Vocabulary
+from bowtie.corpus import PolarityTable, Vocabulary
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.errors import DataError, FingerprintError
 from bowtie.net import ModelConfig, init_model
@@ -14,18 +14,16 @@ from bowtie.transfer import (
     VocabMap,
     build_vocab_map,
     reencode_kid,
-    remap_bag,
     remap_corpus,
     transfer_evaluate,
     write_transfer_report,
 )
-from synth import planted_corpus, rating_table, token_list
+from synth import corpus_from_rows, planted_corpus, rating_table, rows_of, token_list
 
 
-def bag(pairs, label=1):
-    idx = np.array([i for i, _ in pairs], dtype=np.int64)
-    cnt = np.array([c for _, c in pairs], dtype=np.int64)
-    return LabeledBag(idx, cnt, label)
+def bag(pairs, label=1, width=3):
+    """A one-review corpus over ``width`` source tokens."""
+    return corpus_from_rows([pairs], [label], width, split="full")
 
 
 def checkpoint_for(model, vocab, encoding):
@@ -97,10 +95,10 @@ def test_remap_rewrites_indices():
     source = Vocabulary(["a", "b", "c"])
     target = Vocabulary(["c", "a"])
     vmap = build_vocab_map(source, target)
-    out = remap_bag(bag([(0, 2), (1, 5), (2, 1)]), vmap)
-    npt.assert_array_equal(out.indices, [0, 1])  # c -> 0, a -> 1
-    npt.assert_array_equal(out.counts, [1, 2])
-    assert out.label == 1
+    out = remap_corpus(bag([(0, 2), (1, 5), (2, 1)]), vmap)
+    assert rows_of(out.counts) == [[(0, 1), (1, 2)]]  # c -> 0, a -> 1
+    assert out.counts.shape == (1, 2)
+    assert out.labels.tolist() == [1]
 
 
 def test_remap_merges_colliding_counts():
@@ -111,16 +109,16 @@ def test_remap_merges_colliding_counts():
         source_size=3,
         target_size=2,
     )
-    out = remap_bag(bag([(0, 2), (1, 3), (2, 4)]), vmap)
-    npt.assert_array_equal(out.indices, [0, 1])
-    npt.assert_array_equal(out.counts, [5, 4])
+    out = remap_corpus(bag([(0, 2), (1, 3), (2, 4)]), vmap)
+    assert rows_of(out.counts) == [[(0, 5), (1, 4)]]
+    assert out.counts.has_canonical_format
 
 
 def test_remap_can_empty_a_bag():
     vmap = build_vocab_map(Vocabulary(["a"]), Vocabulary(["b"]))
-    out = remap_bag(bag([(0, 7)]), vmap)
-    assert len(out.indices) == 0
-    assert out.label == 1
+    out = remap_corpus(bag([(0, 7)], width=1), vmap)
+    assert rows_of(out.counts) == [[]]
+    assert out.labels.tolist() == [1]
 
 
 def test_remap_preserves_total_mass_minus_dropped():
@@ -133,8 +131,8 @@ def test_remap_preserves_total_mass_minus_dropped():
         k = int(rng.integers(1, 15))
         indices = np.sort(rng.choice(40, size=k, replace=False)).astype(np.int64)
         counts = rng.integers(1, 6, size=k).astype(np.int64)
-        original = LabeledBag(indices, counts, 0)
-        out = remap_bag(original, vmap)
+        original = bag(list(zip(indices, counts)), label=0, width=40)
+        out = remap_corpus(original, vmap)
         dropped_mass = sum(
             int(c) for i, c in zip(indices, counts) if vmap.mapping[i] < 0
         )
@@ -149,7 +147,8 @@ def test_remap_corpus_keeps_order_and_split():
     out = remap_corpus(corpus, vmap, vocab_id="target")
     assert out.split == "full"
     assert out.vocab_id == "target"
-    assert [b.label for b in out.bags] == [b.label for b in corpus.bags]
+    npt.assert_array_equal(out.labels, corpus.labels)
+    assert rows_of(out.counts) == rows_of(corpus.counts)
 
 
 # ----------------------------------------------------------------- reencoding
@@ -160,27 +159,22 @@ def test_reencode_applies_target_polarity_to_merged_counts():
     target = Vocabulary(["pad", "a"])
     vmap = build_vocab_map(source, target)
     polarity = PolarityTable(np.array([9.0, 0.5]))
-    corpus = Corpus([bag([(0, 2)])], split="full")
-    ds = reencode_kid(corpus, vmap, polarity)
+    ds = reencode_kid(bag([(0, 2)], width=1), vmap, polarity)
     assert ds.width == 2
-    ex = ds.examples[0]
-    npt.assert_array_equal(ex.indices, [1])
-    npt.assert_array_equal(ex.values, [1.0])  # 0.5 rating x count 2
+    assert rows_of(ds.matrix) == [[(1, 1.0)]]  # 0.5 rating x count 2
 
 
 def test_reencode_rejects_misaligned_polarity():
     vmap = build_vocab_map(Vocabulary(["a"]), Vocabulary(["a", "b"]))
     with pytest.raises(DataError, match="length"):
-        reencode_kid(Corpus([bag([(0, 1)])]), vmap, PolarityTable(np.array([1.0])))
+        reencode_kid(bag([(0, 1)], width=1), vmap, PolarityTable(np.array([1.0])))
 
 
 def test_reencode_keeps_empty_rows():
     vmap = build_vocab_map(Vocabulary(["gone"]), Vocabulary(["kept"]))
-    ds = reencode_kid(
-        Corpus([bag([(0, 3)], label=0)]), vmap, PolarityTable(np.array([2.0]))
-    )
+    ds = reencode_kid(bag([(0, 3)], label=0, width=1), vmap, PolarityTable(np.array([2.0])))
     assert len(ds) == 1
-    assert len(ds.examples[0].indices) == 0
+    assert ds.nnz == 0
 
 
 # ----------------------------------------------------------------- evaluation
@@ -277,12 +271,12 @@ def test_transfer_evaluate_multi_hot_checkpoint_path():
         w[:] = 0.0
     ck = checkpoint_for(model, target_vocab, MULTI_HOT)
     ratings = rating_table(9, source_vocab.size)
-    bags = planted_corpus(10, 40, ratings).bags
+    planted = planted_corpus(10, 40, ratings, split="full")
     # balance the labels exactly so the all-positive zero model scores 0.5
-    keep_pos = [b for b in bags if b.label == 1]
-    keep_neg = [b for b in bags if b.label == 0]
+    keep_pos = np.flatnonzero(planted.labels == 1)
+    keep_neg = np.flatnonzero(planted.labels == 0)
     k = min(len(keep_pos), len(keep_neg))
-    corpus = Corpus(keep_pos[:k] + keep_neg[:k], split="full")
+    corpus = planted.take(np.concatenate([keep_pos[:k], keep_neg[:k]]))
     report = transfer_evaluate(ck, corpus, source_vocab, target_vocab)
     assert report.result.accuracy == 0.5
 
