@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import DataError, DivergenceError, NonConvergenceError
+from .errors import DataError, DivergenceError
 
 ENV_PREFIX = "BOWTIE_"
 
@@ -27,8 +27,11 @@ EXIT_DATA = 2
 EXIT_DIVERGED = 3
 EXIT_VERDICT = 4
 
+# literal copies of optim.OPTIMIZERS, encode.ENCODING_KINDS and net.ACTIVATIONS:
+# importing those modules would load numpy before --threads can pin BLAS
 OPTIMIZER_CHOICES = ("sgd", "rmsprop", "adam", "nadam")
 ENCODING_CHOICES = ("multi-hot", "polarity-weighted")
+ACTIVATION_CHOICES = ("none", "relu")
 
 # early-stop training targets per scenario
 SCENARIO_TARGET = {1: 0.88, 2: 0.8795, 3: 0.89, 4: 0.89}
@@ -48,6 +51,19 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f'error=usage detail="{message}"', file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+    def parse_known_args(self, args=None, namespace=None):
+        """argparse checks ``choices`` on explicit values only; a value that
+        came from the environment is checked here, before any file is read.
+        Each subcommand's parser checks its own flags only."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        for action in self._actions:
+            value = getattr(namespace, action.dest, None)
+            if action.choices and value is not None and value not in action.choices:
+                name = ENV_PREFIX + action.dest.upper()
+                choices = ", ".join(map(str, action.choices))
+                self.error(f"{name}={value!r} is not one of {choices}")
+        return namespace, extras
 
 
 def _env(flag: str, fallback=None):
@@ -80,7 +96,7 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", default=_env("hidden", "16,8,1"),
                    help="comma-separated layer widths ending in 1 (default 16,8,1)")
-    p.add_argument("--activation", choices=("none", "relu"),
+    p.add_argument("--activation", choices=ACTIVATION_CHOICES,
                    default=_env("activation", "none"))
     p.add_argument("--l2", type=float, default=_env("l2", "0.019"),
                    help="L2 regularization weight")
@@ -135,20 +151,107 @@ def _resolve_run_config(args) -> dict:
     }
 
 
-def _build_model_and_train(cfg: dict, width: int, train_set, val_set):
+def _need(path: Path, hint: str) -> Path:
+    if not path.exists():
+        raise DataError(f"{path}: not found; {hint}")
+    return path
+
+
+def _polarity(encoding: str, path, vocab):
+    """The polarity table ``encoding`` needs over ``vocab``; None for multi-hot."""
+    from .corpus import load_polarity
+    from .encode import POLARITY_WEIGHTED
+
+    if encoding != POLARITY_WEIGHTED:
+        return None
+    if not path:
+        raise DataError(f"the {encoding} encoding needs --polarity")
+    return load_polarity(path, vocab)
+
+
+def _corpus(path, vocab, split: str):
+    """A canonical corpus file over ``vocab``; a file without reviews is a data error."""
+    from .corpus import load_corpus_file
+
+    corpus = load_corpus_file(
+        path, vocab_id=vocab.fingerprint(), split=split, width=vocab.size
+    )
+    if not len(corpus):
+        raise DataError(f"{path}: no reviews")
+    return corpus
+
+
+def _scenario_inputs(cfg: dict):
+    """Scenario N's inputs from the prepared slmrd/ and kid/ directories.
+
+    Scenario 1 trains and validates on the two halves of the shuffled kid
+    corpus; scenario 4 also returns (kid vocabulary, kid corpus) for its
+    transfer check.
+    """
+    from .corpus import load_slmrd_vocab, shuffle
+    from .encode import MULTI_HOT, POLARITY_WEIGHTED
+
+    n = cfg["scenario"]
+    data_dir = Path(cfg["data_dir"])
+    encoding = POLARITY_WEIGHTED if n in (3, 4) else MULTI_HOT
+
+    def need(name: str, file: str) -> Path:
+        return _need(data_dir / name / file, f"run `bowtie prepare {name}` first")
+
+    if n != 1:
+        vocab = load_slmrd_vocab(need("slmrd", "vocab.txt"))
+        polarity = _polarity(encoding, need("slmrd", "polarity.txt"), vocab)
+        train_c = _corpus(need("slmrd", "train.corpus"), vocab, "train")
+        val_c = _corpus(need("slmrd", "test.corpus"), vocab, "test")
+    if n in (1, 4):
+        kid_vocab = load_slmrd_vocab(need("kid", "vocab.txt"))
+        kid_corpus = _corpus(need("kid", "full.corpus"), kid_vocab, "full")
+    if n == 1:
+        vocab, polarity = kid_vocab, None
+        mixed = shuffle(kid_corpus, cfg["data_seed"])
+        half = len(mixed) // 2
+        train_c = mixed.take(slice(None, half), "train")
+        val_c = mixed.take(slice(half, None), "test")
+    kid = (kid_vocab, kid_corpus) if n == 4 else None
+    return vocab, encoding, polarity, train_c, val_c, kid
+
+
+def _train_inputs(cfg: dict):
+    """``bowtie train``'s inputs from the explicit files it names."""
+    from .corpus import load_slmrd_vocab
+
+    vocab = load_slmrd_vocab(cfg["vocab"])
+    polarity = _polarity(cfg["encoding"], cfg["polarity"], vocab)
+    train_c = _corpus(cfg["train_corpus"], vocab, "train")
+    val_c = _corpus(cfg["val_corpus"], vocab, "test") if cfg["val_corpus"] else None
+    return vocab, cfg["encoding"], polarity, train_c, val_c, None
+
+
+def _run(command: str, cfg: dict, out: Path) -> int:
+    """Encode and train on the command's inputs; write metrics.csv,
+    model.ckpt, manifest.json and, for scenario 4, the transfer report.txt
+    into ``out``; print their paths and the command's result line."""
+    from .encode import encode_corpus
     from .net import ModelConfig, init_model
     from .optim import OptimizerSpec
-    from .train import TrainConfig, train
+    from .train import TrainConfig, emit_metrics_csv, load_checkpoint, save_checkpoint, train
+    from .transfer import transfer_evaluate, write_transfer_report
 
-    model_cfg = ModelConfig(
-        input_width=width,
+    resolve = _scenario_inputs if command == "scenario" else _train_inputs
+    vocab, encoding, polarity, train_c, val_c, kid = resolve(cfg)
+    train_set, val_set = (
+        c if c is None else encode_corpus(c, encoding, polarity=polarity, width=vocab.size)
+        for c in (train_c, val_c)
+    )
+    model = init_model(ModelConfig(
+        input_width=vocab.size,
         hidden_widths=tuple(cfg["hidden"]),
         activation=cfg["activation"],
         dropout_rate=cfg["dropout"],
         l2_weight=cfg["l2"],
         discriminator=cfg["delta"],
         init_seed=cfg["init_seed"],
-    )
+    ))
     spec = OptimizerSpec(
         kind=cfg["optimizer"],
         learning_rate=cfg["lr"],
@@ -157,141 +260,67 @@ def _build_model_and_train(cfg: dict, width: int, train_set, val_set):
         rms_decay=cfg["rms_decay"],
         epsilon=cfg["epsilon"],
     )
-    train_cfg = TrainConfig(
+    model, metrics = train(model, train_set, val_set, TrainConfig(
         optimizer=spec,
         batch_size=cfg["batch_size"],
         max_epochs=cfg["epochs"],
         target_accuracy=cfg["target_acc"],
         data_seed=cfg["data_seed"],
         dropout_seed=cfg["dropout_seed"],
+    ))
+
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {
+        "metrics_csv": out / "metrics.csv",
+        "checkpoint": out / "model.ckpt",
+        "report": out / "report.txt" if kid else None,
+        "manifest": out / "manifest.json",
+    }
+    emit_metrics_csv(metrics, str(paths["metrics_csv"]))
+    provenance = {
+        key: cfg[key]
+        for key in ("optimizer", "seed", "init_seed", "data_seed", "dropout_seed")
+    }
+    provenance.update(command=command, epochs_run=len(metrics))
+    if command == "scenario":
+        provenance["scenario"] = cfg["scenario"]
+    param_sha = save_checkpoint(
+        str(paths["checkpoint"]), model, vocab.size, vocab.fingerprint(), encoding,
+        provenance=provenance,
     )
-    model = init_model(model_cfg)
-    return train(model, train_set, val_set, train_cfg)
-
-
-def _need(path: Path, hint: str) -> Path:
-    if not path.exists():
-        raise DataError(f"{path}: not found; {hint}")
-    return path
-
-
-def _write_manifest(path: Path, command: str, cfg: dict, artifacts: dict) -> None:
+    artifacts = {key: path and str(path) for key, path in paths.items()}
+    artifacts["checkpoint_param_sha256"] = param_sha
     body = {"command": command, "config": cfg, "artifacts": artifacts}
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _load_slmrd_dir(data_dir: Path):
-    from .corpus import load_corpus_file, load_polarity, load_slmrd_vocab
-
-    base = data_dir / "slmrd"
-    hint = "run `bowtie prepare slmrd` first"
-    vocab = load_slmrd_vocab(_need(base / "vocab.txt", hint))
-    polarity = load_polarity(_need(base / "polarity.txt", hint), vocab)
-    train_c = load_corpus_file(
-        _need(base / "train.corpus", hint),
-        vocab_id=vocab.fingerprint(), split="train", width=vocab.size,
+    paths["manifest"].write_text(
+        json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    test_c = load_corpus_file(
-        _need(base / "test.corpus", hint),
-        vocab_id=vocab.fingerprint(), split="test", width=vocab.size,
-    )
-    return vocab, polarity, train_c, test_c
 
-
-def _load_kid_dir(data_dir: Path):
-    from .corpus import load_corpus_file, load_slmrd_vocab
-
-    base = data_dir / "kid"
-    hint = "run `bowtie prepare kid` first"
-    vocab = load_slmrd_vocab(_need(base / "vocab.txt", hint))
-    corpus = load_corpus_file(
-        _need(base / "full.corpus", hint),
-        vocab_id=vocab.fingerprint(), split="full", width=vocab.size,
-    )
-    return vocab, corpus
-
-
-def _split_halves(corpus, seed: int):
-    from .corpus import shuffle
-
-    mixed = shuffle(corpus, seed)
-    half = len(mixed) // 2
-    return mixed.take(slice(None, half), "train"), mixed.take(slice(half, None), "test")
-
-
-def _run_scenario(cfg: dict, out: Path) -> int:
-    from .encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
-    from .train import emit_metrics_csv, load_checkpoint, save_checkpoint
-    from .transfer import transfer_evaluate, write_transfer_report
+    if kid:
+        kid_vocab, kid_corpus = kid
+        report = transfer_evaluate(
+            load_checkpoint(str(paths["checkpoint"])), kid_corpus, kid_vocab, vocab,
+            polarity=polarity, batch_size=cfg["batch_size"],
+        )
+        write_transfer_report(report, str(paths["report"]))
+    for key, path in paths.items():
+        if path:
+            print(f"{key}={path}")
+    last = metrics[-1] if metrics else None
+    val_accuracy = last.val_accuracy if last else float("nan")
+    if command == "train":
+        print(
+            f"epochs_run={len(metrics)} val_accuracy={val_accuracy:.6f}"
+            f" val_bce={last.val_bce if last else float('nan'):.6f}"
+        )
+        return EXIT_OK
 
     n = cfg["scenario"]
-    data_dir = Path(cfg["data_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-
-    kid_vocab = kid_corpus = None
-    if n == 1:
-        kid_vocab, kid_corpus = _load_kid_dir(data_dir)
-        vocab, polarity = kid_vocab, None
-        train_c, val_c = _split_halves(kid_corpus, cfg["data_seed"])
-        encoding = MULTI_HOT
-    else:
-        vocab, polarity, train_c, val_c = _load_slmrd_dir(data_dir)
-        encoding = MULTI_HOT if n == 2 else POLARITY_WEIGHTED
-        if n == 4:
-            kid_vocab, kid_corpus = _load_kid_dir(data_dir)
-
-    train_set = encode_corpus(train_c, encoding, polarity=polarity, width=vocab.size)
-    val_set = encode_corpus(val_c, encoding, polarity=polarity, width=vocab.size)
-    model, metrics = _build_model_and_train(cfg, vocab.size, train_set, val_set)
-
-    csv_path = out / "metrics.csv"
-    ckpt_path = out / "model.ckpt"
-    manifest_path = out / "manifest.json"
-    report_path = out / "report.txt" if n == 4 else None
-    emit_metrics_csv(metrics, str(csv_path))
-    save_checkpoint(
-        str(ckpt_path), model, vocab.size, vocab.fingerprint(), encoding,
-        provenance={
-            "command": "scenario",
-            "scenario": n,
-            "optimizer": cfg["optimizer"],
-            "seed": cfg["seed"],
-            "init_seed": cfg["init_seed"],
-            "data_seed": cfg["data_seed"],
-            "dropout_seed": cfg["dropout_seed"],
-            "epochs_run": len(metrics),
-        },
+    metric, value = (
+        ("transfer_accuracy", report.result.accuracy) if kid
+        else ("val_accuracy", val_accuracy)
     )
-    _write_manifest(
-        manifest_path, "scenario", cfg,
-        {
-            "checkpoint": str(ckpt_path),
-            "metrics_csv": str(csv_path),
-            "report": str(report_path) if report_path else None,
-            "manifest": str(manifest_path),
-        },
-    )
-
-    if n == 4:
-        report = transfer_evaluate(
-            load_checkpoint(str(ckpt_path)),
-            kid_corpus, kid_vocab, vocab, polarity=polarity,
-            batch_size=cfg["batch_size"],
-        )
-        write_transfer_report(report, str(report_path))
-        value = report.result.accuracy
-        metric = "transfer_accuracy"
-    else:
-        value = metrics[-1].val_accuracy if metrics else float("nan")
-        metric = "val_accuracy"
-
     threshold, weakest = SCENARIO_VERDICT[n]
     passed = value >= threshold
-    print(f"metrics_csv={csv_path}")
-    print(f"checkpoint={ckpt_path}")
-    if report_path:
-        print(f"report={report_path}")
-    print(f"manifest={manifest_path}")
     print(
         f"scenario={n} verdict={'PASS' if passed else 'FAIL'} metric={metric}"
         f" value={value:.6f} threshold={threshold:.4f}"
@@ -306,71 +335,7 @@ def cmd_scenario(args) -> int:
     cfg["data_dir"] = str(Path(args.data_dir).resolve())
     if cfg["target_acc"] is None:
         cfg["target_acc"] = SCENARIO_TARGET[args.number]
-    out = Path(args.out) if args.out else Path(f"runs/scenario-{args.number}")
-    return _run_scenario(cfg, out)
-
-
-def _run_train(cfg: dict, out: Path) -> int:
-    from .corpus import load_corpus_file, load_polarity, load_slmrd_vocab
-    from .encode import POLARITY_WEIGHTED, encode_corpus
-    from .train import emit_metrics_csv, save_checkpoint
-
-    out.mkdir(parents=True, exist_ok=True)
-    vocab = load_slmrd_vocab(cfg["vocab"])
-    polarity = None
-    if cfg["encoding"] == POLARITY_WEIGHTED:
-        if not cfg["polarity"]:
-            raise DataError("--polarity is required for the polarity-weighted encoding")
-        polarity = load_polarity(cfg["polarity"], vocab)
-    train_c = load_corpus_file(
-        cfg["train_corpus"], vocab_id=vocab.fingerprint(),
-        split="train", width=vocab.size,
-    )
-    val_set = None
-    if cfg["val_corpus"]:
-        val_c = load_corpus_file(
-            cfg["val_corpus"], vocab_id=vocab.fingerprint(),
-            split="test", width=vocab.size,
-        )
-        val_set = encode_corpus(val_c, cfg["encoding"], polarity=polarity, width=vocab.size)
-    train_set = encode_corpus(train_c, cfg["encoding"], polarity=polarity, width=vocab.size)
-    model, metrics = _build_model_and_train(cfg, vocab.size, train_set, val_set)
-
-    csv_path = out / "metrics.csv"
-    ckpt_path = out / "model.ckpt"
-    manifest_path = out / "manifest.json"
-    emit_metrics_csv(metrics, str(csv_path))
-    save_checkpoint(
-        str(ckpt_path), model, vocab.size, vocab.fingerprint(), cfg["encoding"],
-        provenance={
-            "command": "train",
-            "optimizer": cfg["optimizer"],
-            "seed": cfg["seed"],
-            "init_seed": cfg["init_seed"],
-            "data_seed": cfg["data_seed"],
-            "dropout_seed": cfg["dropout_seed"],
-            "epochs_run": len(metrics),
-        },
-    )
-    _write_manifest(
-        manifest_path, "train", cfg,
-        {
-            "checkpoint": str(ckpt_path),
-            "metrics_csv": str(csv_path),
-            "report": None,
-            "manifest": str(manifest_path),
-        },
-    )
-    last = metrics[-1] if metrics else None
-    print(f"metrics_csv={csv_path}")
-    print(f"checkpoint={ckpt_path}")
-    print(f"manifest={manifest_path}")
-    print(
-        f"epochs_run={len(metrics)}"
-        f" val_accuracy={last.val_accuracy if last else float('nan'):.6f}"
-        f" val_bce={last.val_bce if last else float('nan'):.6f}"
-    )
-    return EXIT_OK
+    return _run("scenario", cfg, Path(args.out or f"runs/scenario-{args.number}"))
 
 
 def cmd_train(args) -> int:
@@ -382,13 +347,12 @@ def cmd_train(args) -> int:
     cfg["vocab"] = str(Path(args.vocab).resolve())
     cfg["polarity"] = str(Path(args.polarity).resolve()) if args.polarity else None
     cfg["encoding"] = args.encoding
-    out = Path(args.out) if args.out else Path("runs/train")
-    return _run_train(cfg, out)
+    return _run("train", cfg, Path(args.out or "runs/train"))
 
 
 def cmd_eval(args) -> int:
-    from .corpus import load_corpus_file, load_polarity, load_slmrd_vocab
-    from .encode import POLARITY_WEIGHTED, encode_corpus
+    from .corpus import load_slmrd_vocab
+    from .encode import encode_corpus
     from .train import check_fingerprint, evaluate, load_checkpoint
 
     if not args.checkpoint or not args.corpus or not args.vocab:
@@ -396,14 +360,8 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     vocab = load_slmrd_vocab(args.vocab)
     check_fingerprint(ckpt, vocab.size, vocab.fingerprint())
-    polarity = None
-    if ckpt.encoding == POLARITY_WEIGHTED:
-        if not args.polarity:
-            raise DataError(
-                "checkpoint uses the polarity-weighted encoding; --polarity is required"
-            )
-        polarity = load_polarity(args.polarity, vocab)
-    corpus = load_corpus_file(args.corpus, vocab_id=vocab.fingerprint(), width=vocab.size)
+    polarity = _polarity(ckpt.encoding, args.polarity, vocab)
+    corpus = _corpus(args.corpus, vocab, "test")
     dataset = encode_corpus(corpus, ckpt.encoding, polarity=polarity, width=vocab.size)
     result = evaluate(ckpt.model, dataset, batch_size=args.batch_size)
     print(
@@ -413,8 +371,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    from .corpus import load_corpus_file, load_polarity, load_slmrd_vocab
-    from .encode import POLARITY_WEIGHTED
+    from .corpus import load_slmrd_vocab
     from .train import load_checkpoint
     from .transfer import transfer_evaluate, write_transfer_report
 
@@ -427,17 +384,8 @@ def cmd_transfer(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     source_vocab = load_slmrd_vocab(args.source_vocab)
     target_vocab = load_slmrd_vocab(args.target_vocab)
-    polarity = None
-    if ckpt.encoding == POLARITY_WEIGHTED:
-        if not args.polarity:
-            raise DataError(
-                "checkpoint uses the polarity-weighted encoding; --polarity is required"
-            )
-        polarity = load_polarity(args.polarity, target_vocab)
-    corpus = load_corpus_file(
-        args.source_corpus, vocab_id=source_vocab.fingerprint(),
-        split="full", width=source_vocab.size,
-    )
+    polarity = _polarity(ckpt.encoding, args.polarity, target_vocab)
+    corpus = _corpus(args.source_corpus, source_vocab, "full")
     report = transfer_evaluate(
         ckpt, corpus, source_vocab, target_vocab,
         polarity=polarity, batch_size=args.batch_size,
@@ -454,18 +402,14 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from .corpus import load_corpus_file, load_polarity, load_slmrd_vocab
-    from .encode import POLARITY_WEIGHTED, encode_corpus, polarity_stats
+    from .corpus import load_slmrd_vocab
+    from .encode import encode_corpus, polarity_stats
 
     if not args.corpus or not args.vocab:
         raise ValueError("stats requires --corpus and --vocab")
     vocab = load_slmrd_vocab(args.vocab)
-    polarity = None
-    if args.encoding == POLARITY_WEIGHTED:
-        if not args.polarity:
-            raise DataError("stats on the polarity-weighted encoding needs --polarity")
-        polarity = load_polarity(args.polarity, vocab)
-    corpus = load_corpus_file(args.corpus, vocab_id=vocab.fingerprint(), width=vocab.size)
+    polarity = _polarity(args.encoding, args.polarity, vocab)
+    corpus = _corpus(args.corpus, vocab, "full")
     dataset = encode_corpus(corpus, args.encoding, polarity=polarity, width=vocab.size)
     s = polarity_stats(dataset)
     print(
@@ -546,6 +490,18 @@ def _metrics_rows(path: Path) -> list[list[str]]:
     return rows
 
 
+class _ReplayConfig(dict):
+    """A manifest's ``config``; a key a run reads but the manifest lacks is a
+    data error that names the manifest."""
+
+    def __init__(self, values: dict, manifest: Path):
+        super().__init__(values)
+        self.manifest = manifest
+
+    def __missing__(self, key):
+        raise DataError(f"{self.manifest}: malformed manifest: config has no {key!r}")
+
+
 def cmd_replay(args) -> int:
     if not args.manifest:
         raise ValueError("replay requires --manifest")
@@ -555,29 +511,32 @@ def cmd_replay(args) -> int:
         command = body["command"]
         cfg = body["config"]
         artifacts = body["artifacts"]
+        if not isinstance(cfg, dict) or not isinstance(artifacts, dict):
+            raise TypeError("config and artifacts must be JSON objects")
+        original = Path(artifacts["metrics_csv"])
     except OSError as exc:
         raise DataError(f"cannot read {manifest_path}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{manifest_path}: malformed manifest: {exc}") from exc
+    if command not in ("scenario", "train"):
+        raise DataError(f"{manifest_path}: cannot replay command {command!r}")
 
     _apply_threads(int(cfg.get("threads", 1)))
     out = Path(args.out) if args.out else manifest_path.parent / "replay"
-    if command == "scenario":
-        code = _run_scenario(cfg, out)
-    elif command == "train":
-        code = _run_train(cfg, out)
-    else:
-        raise DataError(f"{manifest_path}: cannot replay command {command!r}")
+    code = _run(command, _ReplayConfig(cfg, manifest_path), out)
 
-    original = Path(artifacts["metrics_csv"])
     if not original.exists():
         print("replay_match=unknown (original metrics file is gone)")
         return code
     match = _metrics_rows(original) == _metrics_rows(out / "metrics.csv")
+    if "checkpoint_param_sha256" in artifacts:
+        replayed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        match = match and (
+            replayed["artifacts"]["checkpoint_param_sha256"]
+            == artifacts["checkpoint_param_sha256"]
+        )
     print(f"replay_match={1 if match else 0}")
-    if not match:
-        return EXIT_VERDICT
-    return code
+    return code if match else EXIT_VERDICT
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -671,7 +630,7 @@ def main(argv=None) -> int:
     _apply_threads(getattr(args, "threads", 0))
     try:
         return args.func(args)
-    except (DivergenceError, NonConvergenceError) as exc:
+    except DivergenceError as exc:
         print(f'error=divergence detail="{exc}"', file=sys.stderr)
         return EXIT_DIVERGED
     except DataError as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -277,16 +276,6 @@ def load_kid(
             labels.append(label)
             rows.append(np.unique(np.array(ranks, dtype=np.int64), return_counts=True))
     return vocab, _stack_rows(rows, labels, vocab.size, vocab.fingerprint(), "full")
-
-
-_BREAK_RE = re.compile(r"<br\s*/?>")
-_SPLIT_RE = re.compile(r"(?:[^\w']|_)+")
-
-
-def tokenize_raw(text: str) -> list[str]:
-    """Lowercase, strip HTML line breaks, split on non-alphanumeric (apostrophes stay)."""
-    text = _BREAK_RE.sub(" ", text.lower())
-    return [tok for tok in _SPLIT_RE.split(text) if tok]
 
 
 def shuffle(corpus: Corpus, seed: int) -> Corpus:

@@ -15,7 +15,3 @@ class FingerprintError(DataError):
 
 class DivergenceError(RuntimeError):
     """Training produced non-finite values (exploding parameters or loss)."""
-
-
-class NonConvergenceError(RuntimeError):
-    """An optimizer failed to reach its target within the iteration budget."""

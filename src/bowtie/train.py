@@ -7,6 +7,7 @@ ragged final batch is trained like any other.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import sys
@@ -213,10 +214,11 @@ def save_checkpoint(
     vocab_sha256: str,
     encoding: str,
     provenance: dict | None = None,
-) -> None:
+) -> str:
     """Binary layout: magic, uint32 version, uint64 manifest length, JSON
     manifest, then every weight and bias as little-endian float64, C order,
-    weights first, layer by layer.  Round-trips bit for bit.
+    weights first, layer by layer.  Round-trips bit for bit.  Returns the
+    sha256 of that parameter blob.
     """
     if encoding not in ENCODING_KINDS:
         raise ValueError(f"encoding must be one of {ENCODING_KINDS}")
@@ -236,10 +238,12 @@ def save_checkpoint(
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for w in model.weights:
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        for b in model.biases:
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        params = hashlib.sha256()
+        for tensor in (*model.weights, *model.biases):
+            data = np.ascontiguousarray(tensor, dtype="<f8").tobytes()
+            params.update(data)
+            fh.write(data)
+    return params.hexdigest()
 
 
 def load_checkpoint(path: str) -> Checkpoint:

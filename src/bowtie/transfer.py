@@ -17,14 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import Corpus, PolarityTable, Vocabulary
-from .encode import (
-    POLARITY_WEIGHTED,
-    EncodedDataset,
-    PolarityStats,
-    encode_corpus,
-    polarity_stats,
-)
-from .errors import DataError
+from .encode import PolarityStats, encode_corpus, polarity_stats
 from .train import Checkpoint, EvalResult, check_fingerprint, evaluate
 
 
@@ -78,23 +71,6 @@ def remap_corpus(corpus: Corpus, vmap: VocabMap, vocab_id: str = "") -> Corpus:
     return Corpus(remapped, corpus.labels, vocab_id=vocab_id, split=corpus.split)
 
 
-def reencode_kid(
-    corpus: Corpus,
-    vmap: VocabMap,
-    polarity: PolarityTable,
-) -> EncodedDataset:
-    """Remap a foreign corpus and encode it polarity-weighted at target width."""
-    if len(polarity) != vmap.target_size:
-        raise DataError(
-            f"polarity table of length {len(polarity)} for a "
-            f"target vocabulary of size {vmap.target_size}"
-        )
-    remapped = remap_corpus(corpus, vmap)
-    return encode_corpus(
-        remapped, POLARITY_WEIGHTED, polarity=polarity, width=vmap.target_size
-    )
-
-
 @dataclass
 class TransferReport:
     source_vocab_size: int
@@ -115,24 +91,17 @@ def transfer_evaluate(
 ) -> TransferReport:
     """Score a target-vocabulary checkpoint on a foreign corpus.
 
-    The checkpoint must fingerprint-match the target vocabulary, and a
-    polarity table over the target vocabulary is required when the checkpoint
-    was trained on the polarity-weighted encoding.
+    The checkpoint must fingerprint-match the target vocabulary.  The corpus
+    is remapped into the target index space and encoded as the checkpoint
+    was trained, so the polarity-weighted encoding needs a polarity table
+    over the target vocabulary.
     """
     check_fingerprint(checkpoint, target_vocab.size, target_vocab.fingerprint())
     vmap = build_vocab_map(source_vocab, target_vocab)
-    if checkpoint.encoding == POLARITY_WEIGHTED:
-        if polarity is None:
-            raise DataError(
-                "checkpoint uses the polarity-weighted encoding; "
-                "a target-vocabulary polarity table is required"
-            )
-        dataset = reencode_kid(source_corpus, vmap, polarity)
-    else:
-        remapped = remap_corpus(
-            source_corpus, vmap, vocab_id=target_vocab.fingerprint()
-        )
-        dataset = encode_corpus(remapped, checkpoint.encoding, width=target_vocab.size)
+    remapped = remap_corpus(source_corpus, vmap, vocab_id=target_vocab.fingerprint())
+    dataset = encode_corpus(
+        remapped, checkpoint.encoding, polarity=polarity, width=target_vocab.size
+    )
     result = evaluate(checkpoint.model, dataset, batch_size=batch_size)
     return TransferReport(
         source_vocab_size=vmap.source_size,

@@ -30,7 +30,7 @@ from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus, polarity_
 from bowtie.net import Gradients, backward, forward, predict
 from bowtie.optim import OptimizerSpec, apply_update, init_state
 from bowtie.train import TrainConfig, load_checkpoint, save_checkpoint, train
-from bowtie.transfer import build_vocab_map, reencode_kid
+from bowtie.transfer import build_vocab_map, remap_corpus
 from oracles import dense_forward, dense_multi_hot, dense_polarity_weighted
 from synth import corpus_from_rows, planted_bag, planted_corpus, rating_table
 from test_net import fd_all_coords, make_model, random_batch, sample_net_case, vector_rel_error
@@ -205,7 +205,9 @@ def test_criterion_7_polarity_statistics():
     kid_vocab = load_slmrd_vocab(DATA_DIR / "kid" / "vocab.txt")
     kid_corpus = load_corpus_file(DATA_DIR / "kid" / "full.corpus", width=kid_vocab.size)
     vmap = build_vocab_map(kid_vocab, slmrd_vocab)
-    kid_stats = polarity_stats(reencode_kid(kid_corpus, vmap, ratings))
+    kid_stats = polarity_stats(encode_corpus(
+        remap_corpus(kid_corpus, vmap), POLARITY_WEIGHTED, polarity=ratings, width=vmap.target_size
+    ))
 
     candidates = {
         "element": (slmrd_stats.element_min, slmrd_stats.element_max, kid_stats.element_max),

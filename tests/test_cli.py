@@ -1,10 +1,19 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bowtie
+from bowtie import cli, encode, net, optim
 from bowtie.cli import main
+from bowtie.corpus import load_slmrd_vocab
+from bowtie.net import ModelConfig, init_model
+from bowtie.train import load_checkpoint, save_checkpoint
 from synth import planted_corpus, rating_table, token_list, write_kid_tree, write_slmrd_tree
 
 
@@ -88,6 +97,67 @@ def test_missing_required_flag_reports_usage(tmp_path, capsys):
     code = main(["prepare", "slmrd", "--input", str(tmp_path)])
     assert code == 1
     assert "error=usage" in capsys.readouterr().err
+
+
+def test_cli_choice_tuples_match_their_modules():
+    assert cli.OPTIMIZER_CHOICES == optim.OPTIMIZERS
+    assert cli.ENCODING_CHOICES == encode.ENCODING_KINDS
+    assert cli.ACTIVATION_CHOICES == net.ACTIVATIONS
+
+
+def test_parsing_every_command_leaves_numpy_unloaded():
+    """--threads pins BLAS through the environment, which only works while
+    numpy is still unloaded when the command's handler starts."""
+    script = (
+        "import sys\n"
+        "from bowtie.cli import build_parser\n"
+        "for argv in (['prepare', 'slmrd'], ['scenario', '3'], ['train'], ['eval'],\n"
+        "             ['transfer'], ['stats'], ['replay']):\n"
+        "    build_parser().parse_args(argv)\n"
+        "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BOWTIE_")}
+    env["PYTHONPATH"] = str(Path(bowtie.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "command, variable",
+    [
+        ("stats", "BOWTIE_ENCODING"),
+        ("train", "BOWTIE_ENCODING"),
+        ("train", "BOWTIE_OPTIMIZER"),
+        ("train", "BOWTIE_ACTIVATION"),
+    ],
+)
+def test_environment_value_outside_choices_exits_one_before_reading(
+    tmp_path, monkeypatch, capsys, command, variable
+):
+    monkeypatch.setenv(variable, "bogus")
+    missing = str(tmp_path / "missing")  # reading any file would exit 2
+    argv = {
+        "stats": ["stats", "--corpus", missing, "--vocab", missing, "--polarity", missing],
+        "train": ["train", "--train-corpus", missing, "--vocab", missing,
+                  "--polarity", missing, "--out", str(tmp_path / "out")],
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    assert f'error=usage detail="{variable}=\'bogus\' is not one of' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_environment_choices_are_checked_for_the_chosen_command_only(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("BOWTIE_ENCODING", "bogus")
+    monkeypatch.setenv("BOWTIE_OPTIMIZER", "bogus")
+    missing = str(tmp_path / "missing")
+    assert main(["eval", "--checkpoint", missing, "--corpus", missing, "--vocab", missing]) == 2
+    assert "error=data" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- prepare
@@ -380,6 +450,33 @@ def test_transfer_requires_all_paths(capsys):
     assert main(["transfer"]) == 1
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "transfer", "stats"])
+def test_empty_corpus_file_exits_two(tmp_path, prepared, capsys, command):
+    slmrd = prepared / "slmrd"
+    vocab_path, polarity = str(slmrd / "vocab.txt"), str(slmrd / "polarity.txt")
+    vocab = load_slmrd_vocab(vocab_path)
+    ckpt = str(tmp_path / "model.ckpt")
+    model = init_model(ModelConfig(input_width=vocab.size, hidden_widths=(4, 1)))
+    save_checkpoint(ckpt, model, vocab.size, vocab.fingerprint(), "polarity-weighted")
+    empty = tmp_path / "empty.corpus"
+    empty.write_text("", encoding="utf-8")
+    argv = {
+        "train": ["train", "--train-corpus", str(empty), "--vocab", vocab_path,
+                  "--polarity", polarity, "--encoding", "polarity-weighted",
+                  "--out", str(tmp_path / "out")],
+        "eval": ["eval", "--checkpoint", ckpt, "--corpus", str(empty),
+                 "--vocab", vocab_path, "--polarity", polarity],
+        "transfer": ["transfer", "--checkpoint", ckpt, "--source-corpus", str(empty),
+                     "--source-vocab", vocab_path, "--target-vocab", vocab_path,
+                     "--polarity", polarity],
+        "stats": ["stats", "--corpus", str(empty), "--vocab", vocab_path,
+                  "--polarity", polarity],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error=data" in err and f"{empty}: no reviews" in err
+
+
 # -------------------------------------------------------------------- replay
 
 
@@ -403,6 +500,78 @@ def test_replay_detects_tampered_metrics(tmp_path, prepared, s3_run, capsys):
     )
     assert code == 4
     assert "replay_match=0" in capsys.readouterr().out
+
+
+def edit_manifest(path, edit):
+    body = json.loads(path.read_text(encoding="utf-8"))
+    edit(body)
+    path.write_text(json.dumps(body), encoding="utf-8")
+
+
+def test_replay_reproduces_train_metrics_and_parameters(tmp_path, prepared, capsys):
+    out = tmp_path / "runs" / "train"
+    slmrd = prepared / "slmrd"
+    code = main(
+        [
+            "train",
+            "--train-corpus", str(slmrd / "train.corpus"),
+            "--val-corpus", str(slmrd / "test.corpus"),
+            "--vocab", str(slmrd / "vocab.txt"),
+            "--encoding", "multi-hot",
+            "--out", str(out),
+            *FAST_FLAGS,
+            "--epochs", "2",
+        ]
+    )
+    assert code == 0
+    artifacts = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["artifacts"]
+    model = load_checkpoint(str(out / "model.ckpt")).model
+    blob = b"".join(t.astype("<f8").tobytes() for t in (*model.weights, *model.biases))
+    assert artifacts["checkpoint_param_sha256"] == hashlib.sha256(blob).hexdigest()
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(out / "manifest.json")]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    assert stdout[-2].startswith("epochs_run=2 ")
+    assert stdout[-1] == "replay_match=1"
+
+
+def test_replay_detects_a_different_parameter_sha(tmp_path, prepared, s3_run, capsys):
+    def edit(body):
+        body["artifacts"]["checkpoint_param_sha256"] = "0" * 64
+
+    edit_manifest(s3_run / "manifest.json", edit)
+    code = main(
+        ["replay", "--manifest", str(s3_run / "manifest.json"), "--out", str(tmp_path / "r3")]
+    )
+    assert code == 4
+    assert capsys.readouterr().out.splitlines()[-1] == "replay_match=0"
+
+
+def test_replay_without_parameter_sha_compares_metrics(tmp_path, prepared, s3_run, capsys):
+    edit_manifest(s3_run / "manifest.json",
+                  lambda body: body["artifacts"].pop("checkpoint_param_sha256"))
+    code = main(
+        ["replay", "--manifest", str(s3_run / "manifest.json"), "--out", str(tmp_path / "r4")]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "replay_match=1"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda body: body["config"].pop("optimizer"),
+        lambda body: body.update(config=[1, 2]),
+        lambda body: body.update(artifacts=[]),
+    ],
+    ids=["missing-key", "list-config", "list-artifacts"],
+)
+def test_replay_rejects_malformed_config(tmp_path, prepared, s3_run, capsys, edit):
+    manifest = s3_run / "manifest.json"
+    edit_manifest(manifest, edit)
+    assert main(["replay", "--manifest", str(manifest), "--out", str(tmp_path / "r5")]) == 2
+    err = capsys.readouterr().err
+    assert "error=data" in err and f"{manifest}: malformed manifest" in err
 
 
 def test_replay_requires_manifest(capsys):

@@ -11,7 +11,6 @@ from bowtie.corpus import (
     load_slmrd_vocab,
     save_corpus_file,
     shuffle,
-    tokenize_raw,
 )
 from bowtie.errors import DataError
 from synth import (
@@ -230,31 +229,6 @@ def test_kid_roundtrip_through_tree_writer(tmp_path):
     assert len(loaded) == 40
     assert rows_of(loaded.counts) == rows_of(corpus.counts)
     npt.assert_array_equal(loaded.labels, corpus.labels)
-
-
-# ------------------------------------------------------------------ tokenize
-
-
-def test_tokenize_strips_html_breaks():
-    assert tokenize_raw("Great movie!<br />Loved it.") == [
-        "great",
-        "movie",
-        "loved",
-        "it",
-    ]
-
-
-def test_tokenize_keeps_interior_apostrophe():
-    assert tokenize_raw("don't stop") == ["don't", "stop"]
-
-
-def test_tokenize_empty_and_punctuation_only():
-    assert tokenize_raw("") == []
-    assert tokenize_raw("?!... ---") == []
-
-
-def test_tokenize_digits_and_underscores():
-    assert tokenize_raw("se7en was #1_hit") == ["se7en", "was", "1", "hit"]
 
 
 # ------------------------------------------------------------------- shuffle

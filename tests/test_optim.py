@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 from scipy import sparse
 
-from bowtie.errors import DivergenceError, NonConvergenceError
+from bowtie.errors import DivergenceError
 from bowtie.net import Gradients, ModelConfig, forward, init_model
 from bowtie.optim import (
     OPTIMIZERS,
@@ -225,6 +225,10 @@ def test_spec_defaults():
 
 
 # ------------------------------------------------------------------ selftest
+
+
+class NonConvergenceError(RuntimeError):
+    """An optimizer failed to reach its target within the iteration budget."""
 
 
 def minimize_quadratic_selftest(

@@ -13,7 +13,6 @@ from bowtie.train import Checkpoint, TrainConfig, train
 from bowtie.transfer import (
     VocabMap,
     build_vocab_map,
-    reencode_kid,
     remap_corpus,
     transfer_evaluate,
     write_transfer_report,
@@ -154,12 +153,19 @@ def test_remap_corpus_keeps_order_and_split():
 # ----------------------------------------------------------------- reencoding
 
 
+def reencode(corpus, vmap, polarity):
+    """transfer_evaluate's data path: remap, then encode polarity-weighted at target width."""
+    return encode_corpus(
+        remap_corpus(corpus, vmap), POLARITY_WEIGHTED, polarity=polarity, width=vmap.target_size
+    )
+
+
 def test_reencode_applies_target_polarity_to_merged_counts():
     source = Vocabulary(["a"])
     target = Vocabulary(["pad", "a"])
     vmap = build_vocab_map(source, target)
     polarity = PolarityTable(np.array([9.0, 0.5]))
-    ds = reencode_kid(bag([(0, 2)], width=1), vmap, polarity)
+    ds = reencode(bag([(0, 2)], width=1), vmap, polarity)
     assert ds.width == 2
     assert rows_of(ds.matrix) == [[(1, 1.0)]]  # 0.5 rating x count 2
 
@@ -167,12 +173,12 @@ def test_reencode_applies_target_polarity_to_merged_counts():
 def test_reencode_rejects_misaligned_polarity():
     vmap = build_vocab_map(Vocabulary(["a"]), Vocabulary(["a", "b"]))
     with pytest.raises(DataError, match="length"):
-        reencode_kid(bag([(0, 1)], width=1), vmap, PolarityTable(np.array([1.0])))
+        reencode(bag([(0, 1)], width=1), vmap, PolarityTable(np.array([1.0])))
 
 
 def test_reencode_keeps_empty_rows():
     vmap = build_vocab_map(Vocabulary(["gone"]), Vocabulary(["kept"]))
-    ds = reencode_kid(bag([(0, 3)], label=0, width=1), vmap, PolarityTable(np.array([2.0])))
+    ds = reencode(bag([(0, 3)], label=0, width=1), vmap, PolarityTable(np.array([2.0])))
     assert len(ds) == 1
     assert ds.nnz == 0
 
