@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from .errors import DataError, DivergenceError
+from .fileio import replacing
 
 ENV_PREFIX = "BOWTIE_"
 
@@ -32,6 +33,7 @@ EXIT_VERDICT = 4
 OPTIMIZER_CHOICES = ("sgd", "rmsprop", "adam", "nadam")
 ENCODING_CHOICES = ("multi-hot", "polarity-weighted")
 ACTIVATION_CHOICES = ("none", "relu")
+SCENARIO_CHOICES = (1, 2, 3, 4)
 
 # early-stop training targets per scenario
 SCENARIO_TARGET = {1: 0.88, 2: 0.8795, 3: 0.89, 4: 0.89}
@@ -291,9 +293,8 @@ def _run(command: str, cfg: dict, out: Path) -> int:
     artifacts = {key: path and str(path) for key, path in paths.items()}
     artifacts["checkpoint_param_sha256"] = param_sha
     body = {"command": command, "config": cfg, "artifacts": artifacts}
-    paths["manifest"].write_text(
-        json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with replacing(paths["manifest"], "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
 
     if kid:
         kid_vocab, kid_corpus = kid
@@ -420,6 +421,12 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def _write_vocab(vocab, path: Path) -> None:
+    """The canonical vocabulary file: one token per line."""
+    with replacing(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(vocab.tokens) + "\n")
+
+
 def cmd_prepare(args) -> int:
     from .corpus import (
         load_kid,
@@ -444,10 +451,8 @@ def cmd_prepare(args) -> int:
         )
         vocab = load_slmrd_vocab(_need(base / "imdb.vocab", hint))
         polarity = load_polarity(_need(base / "imdbEr.txt", hint), vocab)
-        (out / "vocab.txt").write_text(
-            "\n".join(vocab.tokens) + "\n", encoding="utf-8"
-        )
-        with open(out / "polarity.txt", "w", encoding="utf-8", newline="\n") as fh:
+        _write_vocab(vocab, out / "vocab.txt")
+        with replacing(out / "polarity.txt", "w", encoding="utf-8", newline="\n") as fh:
             for rating in polarity.ratings:
                 fh.write(f"{float(rating)!r}\n")
         print(f"dataset=slmrd vocab={vocab.size}")
@@ -463,7 +468,7 @@ def cmd_prepare(args) -> int:
     if not args.word_index or not args.sequences:
         raise ValueError("prepare kid requires --word-index and --sequences")
     vocab, corpus = load_kid(args.word_index, args.sequences, args.index_offset)
-    (out / "vocab.txt").write_text("\n".join(vocab.tokens) + "\n", encoding="utf-8")
+    _write_vocab(vocab, out / "vocab.txt")
     save_corpus_file(corpus, out / "full.corpus")
     neg, pos = corpus.label_counts()
     print(
@@ -502,6 +507,52 @@ class _ReplayConfig(dict):
         raise DataError(f"{self.manifest}: malformed manifest: config has no {key!r}")
 
 
+def _check_replay_config(command: str, cfg: _ReplayConfig) -> None:
+    """Reject a config value that parsing the command's flags could not have
+    produced, before any file is read: each number has its flag's type, each
+    choice is one of its flag's choices and ``hidden`` is the non-empty list
+    of widths ``_parse_hidden`` returns."""
+
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    def is_number(value):
+        return is_int(value) or isinstance(value, float)
+
+    def is_path(value):
+        return isinstance(value, str)
+
+    def optional(check):
+        return lambda value: value is None or check(value)
+
+    checks = {
+        "hidden": lambda v: isinstance(v, list) and bool(v) and all(map(is_int, v)),
+        "activation": ACTIVATION_CHOICES.__contains__,
+        "optimizer": OPTIMIZER_CHOICES.__contains__,
+        "target_acc": optional(is_number),
+        "threads": optional(is_int),
+    }
+    checks.update(dict.fromkeys(
+        ("l2", "dropout", "delta", "lr", "beta1", "beta2", "rms_decay", "epsilon"), is_number
+    ))
+    checks.update(dict.fromkeys(
+        ("batch_size", "epochs", "seed", "init_seed", "data_seed", "dropout_seed"), is_int
+    ))
+    if command == "scenario":
+        checks["scenario"] = lambda v: is_int(v) and v in SCENARIO_CHOICES
+        checks["data_dir"] = is_path
+    else:
+        checks["encoding"] = ENCODING_CHOICES.__contains__
+        checks.update(train_corpus=is_path, vocab=is_path,
+                      val_corpus=optional(is_path), polarity=optional(is_path))
+    for key, check in checks.items():
+        value = cfg.get(key) if key == "threads" else cfg[key]
+        if not check(value):
+            raise DataError(
+                f"{cfg.manifest}: malformed manifest: config {key!r} is {value!r}"
+            )
+
+
 def cmd_replay(args) -> int:
     if not args.manifest:
         raise ValueError("replay requires --manifest")
@@ -521,9 +572,11 @@ def cmd_replay(args) -> int:
     if command not in ("scenario", "train"):
         raise DataError(f"{manifest_path}: cannot replay command {command!r}")
 
-    _apply_threads(int(cfg.get("threads", 1)))
+    cfg = _ReplayConfig(cfg, manifest_path)
+    _check_replay_config(command, cfg)
+    _apply_threads(cfg.get("threads", 1))
     out = Path(args.out) if args.out else manifest_path.parent / "replay"
-    code = _run(command, _ReplayConfig(cfg, manifest_path), out)
+    code = _run(command, cfg, out)
 
     if not original.exists():
         print("replay_match=unknown (original metrics file is gone)")
@@ -564,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("scenario", help="run one of the four benchmark scenarios")
-    p.add_argument("number", type=int, choices=(1, 2, 3, 4))
+    p.add_argument("number", type=int, choices=SCENARIO_CHOICES)
     p.add_argument("--data-dir", default=_env("data-dir", "data"),
                    help="directory holding prepared slmrd/ and kid/ subdirectories")
     p.add_argument("--out", default=_env("out"),

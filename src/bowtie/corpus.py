@@ -5,13 +5,16 @@ per-line polarity ratings, ``rating idx:count ...`` bag-of-words lines) and
 the Keras-style integer-sequence distribution, normalizing both into one
 CSR matrix of token counts over a dense vocabulary (a row per review) plus
 a label array.  A canonical line format (``label<TAB>idx:count ...``) makes
-everything downstream source-agnostic.
+everything downstream source-agnostic.  The three record formats are read
+in blocks of whole lines by one array-op scanner; the README gives the
+line grammar each accepts.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError
+from .fileio import replacing
 from .rngseed import derive_rng
 
 
@@ -98,16 +102,264 @@ class Corpus:
         )
 
 
-def _stack_rows(rows, labels, width, vocab_id: str, split: str) -> Corpus:
-    """One Corpus from per-review (sorted indices, counts) array pairs."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(idx) for idx, _ in rows], out=indptr[1:])
-    indices = np.concatenate([np.empty(0, np.int64)] + [idx for idx, _ in rows])
-    counts = np.concatenate([np.empty(0, np.int64)] + [cnt for _, cnt in rows])
-    if width is None:
-        width = int(indices.max()) + 1 if indices.size else 0
-    matrix = sparse.csr_matrix((counts, indices, indptr), shape=(len(rows), width))
-    return Corpus(matrix, np.array(labels, dtype=np.int64), vocab_id, split)
+# Loaders read a record file in blocks of whole lines of about this many
+# bytes, so their per-byte work arrays stay small however long the file is.
+_BLOCK_BYTES = 1 << 18
+
+# Byte classes of record files, as a bytes.translate table.
+_DIGIT, _SPACE, _COLON, _NEWLINE, _CR, _OTHER = range(6)
+_CLASS_OF = bytes(
+    _DIGIT if 48 <= b <= 57
+    else {32: _SPACE, 9: _SPACE, 11: _SPACE, 12: _SPACE,
+          58: _COLON, 10: _NEWLINE, 13: _CR}.get(b, _OTHER)
+    for b in range(256)
+)
+_SPACES = re.compile("[ \t\v\f]+")
+_NUMBER = re.compile("[0-9]{1,18}")
+_PAIR = re.compile("([0-9]{1,18}):([0-9]{1,18})")
+
+
+def _blocks(path: str | Path):
+    """Yield (block, lines before it): ``path`` in blocks of whole lines,
+    each ending in a newline, even when the file does not."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        lines, pending = 0, []  # the chunks of a line longer than a block
+        while chunk := fh.read(_BLOCK_BYTES):
+            cut = chunk.rfind(b"\n") + 1
+            if cut:
+                block = b"".join([*pending, chunk[:cut]])
+                pending = []
+                yield block, lines
+                lines += block.count(b"\n")
+            pending.append(chunk[cut:])
+        tail = b"".join(pending)
+        if tail:
+            yield tail + b"\n", lines
+
+
+def _scan(block: bytes, tab_after_head: bool, pairs: bool):
+    """The numbers of a block of whole lines, checked against the grammar.
+
+    A record is a head number (label or rating), then whitespace-separated
+    fields: ``index:count`` pairs with ``pairs``, otherwise single numbers.
+    With ``tab_after_head`` the head starts the line and a tab follows it;
+    otherwise the line may be indented and any whitespace follows the head.
+    A number is a run of 1 to 18 ASCII digits; whitespace is space, tab,
+    \\v, \\f and the \\r of a \\r\\n line end.
+
+    Returns (values, head, line, n_lines, bad): each number's value,
+    whether it is a head and its line (0-based); the block's line count;
+    and the first line that breaks the grammar (``n_lines`` if none), whose
+    numbers and those of later lines are left out.
+    """
+    raw = np.frombuffer(block, np.uint8)
+    cls = np.frombuffer(block.translate(_CLASS_OF), np.uint8)
+    digit = cls == _DIGIT
+    run_first, run_last = digit.copy(), digit.copy()
+    run_first[1:] &= ~digit[:-1]
+    run_last[:-1] &= ~digit[1:]
+    start = np.flatnonzero(run_first)
+    end = np.flatnonzero(run_last) + 1
+    newline = np.flatnonzero(cls == _NEWLINE)
+    n_lines = newline.size
+    line_start = np.concatenate(([0], newline[:-1] + 1))
+    first = np.searchsorted(start, line_start)  # each line's first number
+    per_line = np.diff(first, append=start.size)
+    line = np.repeat(np.arange(n_lines), per_line)
+    head = np.zeros(start.size, dtype=bool)
+    head[first[per_line > 0]] = True
+
+    # A number's role follows from the bytes between it and the number
+    # before it: a newline makes it a head, a lone colon a count, anything
+    # else (whitespace, checked below) an index or a single value.
+    gap = np.concatenate(([0], end))[:-1]
+    lead = raw[gap]
+    colon = (lead == ord(":")) & (start - gap == 1) & ~head
+    after_head = np.concatenate(([False], head))[:-1]
+    after_colon = np.concatenate(([False], colon))[:-1]
+    fits = head | np.where(
+        after_head,
+        lead == ord("\t") if tab_after_head else ~colon,
+        colon != after_colon if pairs else ~colon,
+    )
+    # Every line has a head; a tab_after_head head starts its line and a
+    # tab follows it even when nothing else does; a pairs line ends on a count.
+    line_ok = per_line > 0
+    lines = np.flatnonzero(line_ok)
+    head_at = first[lines]
+    last = head_at + per_line[lines] - 1
+    if tab_after_head:
+        line_ok[lines] = (start[head_at] == line_start[lines]) & (
+            (last > head_at) | (raw[end[head_at]] == ord("\t"))
+        )
+    if pairs:
+        line_ok[lines] &= (last == head_at) | colon[last]
+    length = end - start
+    bad = [line[~fits | (length > 18)], np.flatnonzero(~line_ok)]
+    # Every byte between numbers is whitespace, except the lone colons.
+    if np.count_nonzero(cls == _COLON) != np.count_nonzero(colon) or np.any(cls >= _CR):
+        cr = np.flatnonzero(cls == _CR)
+        stray = np.concatenate((
+            np.flatnonzero(cls == _OTHER),
+            cr[cls[cr + 1] != _NEWLINE],
+            np.setdiff1d(np.flatnonzero(cls == _COLON), gap[colon]),
+        ))
+        bad.append(np.searchsorted(newline, stray))
+    bad = _first_bad(n_lines, *bad)
+
+    # a number's value, 8 digits at a time: words[i] holds bytes i-8..i-1
+    words = np.ndarray((len(block) + 1,), "<u8", bytes(8) + block, 0, (1,))
+    length = np.minimum(length, 18)
+    values = _eight_digits(words[end], np.minimum(length, 8))
+    for shift in (8, 16):
+        more = np.flatnonzero(length > shift)
+        values[more] += 10**shift * _eight_digits(
+            words[end[more] - shift], np.minimum(length[more] - shift, 8)
+        )
+    if bad < n_lines:
+        keep = line < bad
+        values, head, line = values[keep], head[keep], line[keep]
+    return values, head, line, n_lines, bad
+
+
+def _eight_digits(word: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The value of the last ``count`` (1 to 8) bytes of each little-endian
+    ``word``, which are ASCII digits; the other bytes are ignored."""
+    u = np.uint64
+    word = word & u(0x0F0F0F0F0F0F0F0F)
+    unused = ((8 - count) * 8).astype(u)
+    word = (word >> unused) << unused
+    # add neighbouring digits, then pairs, then quads, within the word
+    word = (word * u(10) + (word >> u(8))) & u(0x00FF00FF00FF00FF)
+    word = (word * u(100) + (word >> u(16))) & u(0x0000FFFF0000FFFF)
+    word = (word * u(10000) + (word >> u(32))) & u(0xFFFFFFFF)
+    return word.astype(np.int64)
+
+
+def _first_bad(default: int, *lines: np.ndarray) -> int:
+    """The smallest line number in ``lines``, or ``default`` when all are empty."""
+    return min([default] + [int(a.min()) for a in lines if a.size])
+
+
+def _record_error(path, block: bytes, lines_before: int, line: int, explain) -> DataError:
+    """The DataError for bad line ``line`` of ``block``; ``explain`` names the
+    first thing wrong with the line's text."""
+    text = block.split(b"\n")[line].decode("utf-8", "backslashreplace").removesuffix("\r")
+    reason = explain(text) or "malformed record"
+    return DataError(f"{path}: line {lines_before + line + 1}: {reason}")
+
+
+def _fields(text: str) -> list[str]:
+    return [field for field in _SPACES.split(text) if field]
+
+
+def _pairs_error(fields: list[str], bound: int) -> str | None:
+    indices = []
+    for field in fields:
+        match = _PAIR.fullmatch(field)
+        if not match:
+            return f"malformed pair {field!r}"
+        idx, cnt = int(match[1]), int(match[2])
+        if idx >= bound:
+            return f"token index {idx} outside [0, {bound})"
+        if cnt < 1:
+            return f"count {cnt} for index {idx} must be >= 1"
+        indices.append(idx)
+    indices.sort()
+    for a, b in zip(indices, indices[1:]):
+        if a == b:
+            return f"duplicate token index {a}"
+    return None
+
+
+def _canonical_error(text: str, bound: int) -> str | None:
+    label_s, sep, rest = text.partition("\t")
+    if not sep:
+        return "missing label field"
+    if not _NUMBER.fullmatch(label_s):
+        return f"malformed label {label_s!r}"
+    if int(label_s) > 1:
+        return f"label {int(label_s)} not in {{0, 1}}"
+    return _pairs_error(_fields(rest), bound)
+
+
+def _slmrd_error(text: str, bound: int) -> str | None:
+    fields = _fields(text)
+    if not fields:
+        return "blank record"
+    if not _NUMBER.fullmatch(fields[0]):
+        return f"malformed rating {fields[0]!r}"
+    rating = int(fields[0])
+    if rating > 10:
+        return f"rating {rating} outside [0, 10]"
+    if rating in (5, 6):
+        return f"rating {rating} has no defined label"
+    return _pairs_error(fields[1:], bound)
+
+
+def _kid_error(text: str, size: int, offset: int) -> str | None:
+    label_s, sep, rest = text.partition("\t")
+    if not sep or not _NUMBER.fullmatch(label_s):
+        return "missing label"
+    if int(label_s) > 1:
+        return f"label {int(label_s)} not in {{0, 1}}"
+    for field in _fields(rest):
+        if not _NUMBER.fullmatch(field):
+            return f"malformed value {field!r}"
+        rank = int(field) - offset
+        if rank >= size:
+            return f"rank {rank} outside [0, {size}) after offset removal"
+    return None
+
+
+def _load_pairs(path, bound: int, tab_after_head: bool, bad_head, explain):
+    """Read a file of ``head index:count ...`` records.
+
+    Returns (heads, indices, counts, sizes): one head per record, the pairs
+    of all records sorted by index within each record, and the number of
+    pairs per record.  ``bad_head`` flags invalid heads; the first bad
+    record raises a DataError whose reason ``explain`` gives.
+    """
+    heads, indices, counts, sizes = [], [], [], []
+    for block, lines_before in _blocks(path):
+        values, is_head, line, n_lines, bad = _scan(block, tab_after_head, pairs=True)
+        head, pairs, row = values[is_head], values[~is_head], line[~is_head][::2]
+        idx, cnt = pairs[::2], pairs[1::2]  # a good record alternates them
+        distinct = (idx[1:] > idx[:-1]) | (row[1:] != row[:-1])
+        if not distinct.all():
+            # rows are already in order, so sorting by (row, index) keeps them
+            order = np.lexsort((idx, row))
+            idx, cnt = idx[order], cnt[order]
+            distinct = (idx[1:] != idx[:-1]) | (row[1:] != row[:-1])
+        bad = _first_bad(
+            bad,
+            np.flatnonzero(bad_head(head)),
+            row[idx >= bound],
+            row[cnt < 1],
+            row[1:][~distinct],
+        )
+        if bad < n_lines:
+            raise _record_error(path, block, lines_before, bad, explain)
+        heads.append(head)
+        indices.append(idx)
+        counts.append(cnt)
+        sizes.append(np.bincount(row, minlength=n_lines))
+    return _joined(heads, indices, counts, sizes)
+
+
+def _joined(*block_arrays: list) -> tuple:
+    """Each list of per-block int64 arrays as one array."""
+    return tuple(np.concatenate([np.empty(0, np.int64), *parts]) for parts in block_arrays)
+
+
+def _csr(counts, indices, sizes, width: int) -> sparse.csr_matrix:
+    indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return sparse.csr_matrix((counts, indices, indptr), shape=(sizes.size, width))
 
 
 def _open_text(path: str | Path):
@@ -161,55 +413,19 @@ def load_polarity(path: str | Path, vocab: Vocabulary) -> PolarityTable:
     return PolarityTable(np.array(ratings, dtype=np.float64))
 
 
-def _parse_pairs(parts: list[str], width: int, where: str) -> tuple[np.ndarray, np.ndarray]:
-    indices = np.empty(len(parts), dtype=np.int64)
-    counts = np.empty(len(parts), dtype=np.int64)
-    for i, part in enumerate(parts):
-        idx_s, sep, cnt_s = part.partition(":")
-        if not sep:
-            raise DataError(f"{where}: malformed pair {part!r}")
-        try:
-            idx, cnt = int(idx_s), int(cnt_s)
-        except ValueError:
-            raise DataError(f"{where}: malformed pair {part!r}") from None
-        if not 0 <= idx < width:
-            raise DataError(f"{where}: token index {idx} outside [0, {width})")
-        if cnt < 1:
-            raise DataError(f"{where}: count {cnt} for index {idx} must be >= 1")
-        indices[i], counts[i] = idx, cnt
-    order = np.argsort(indices, kind="stable")
-    indices, counts = indices[order], counts[order]
-    if indices.size > 1 and (np.diff(indices) == 0).any():
-        dup = int(indices[np.flatnonzero(np.diff(indices) == 0)[0]])
-        raise DataError(f"{where}: duplicate token index {dup}")
-    return indices, counts
-
-
 def load_slmrd_bow(path: str | Path, vocab: Vocabulary, split: str = "train") -> Corpus:
     """Load a ``labeledBow.feat`` file: each line ``rating idx:count ...``.
 
     Ratings >= 7 become positive labels, <= 4 negative; 5 and 6 do not occur
     in the dataset by construction and are rejected loudly.
     """
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    labels: list[int] = []
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            where = f"{path}: line {lineno}"
-            parts = line.split()
-            if not parts:
-                raise DataError(f"{where}: blank record")
-            try:
-                rating = int(parts[0])
-            except ValueError:
-                raise DataError(f"{where}: malformed rating {parts[0]!r}") from None
-            if not 0 <= rating <= 10:
-                raise DataError(f"{where}: rating {rating} outside [0, 10]")
-            if rating in (5, 6):
-                raise DataError(f"{where}: rating {rating} has no defined label")
-            labels.append(1 if rating >= 7 else 0)
-            rows.append(_parse_pairs(parts[1:], vocab.size, where))
-    return _stack_rows(rows, labels, vocab.size, vocab.fingerprint(), split)
+    ratings, indices, counts, sizes = _load_pairs(
+        path, vocab.size, False,
+        lambda r: (r > 10) | (r == 5) | (r == 6),
+        lambda text: _slmrd_error(text, vocab.size),
+    )
+    matrix = _csr(counts, indices, sizes, vocab.size)
+    return Corpus(matrix, (ratings >= 7).astype(np.int64), vocab.fingerprint(), split)
 
 
 def load_kid(
@@ -247,35 +463,28 @@ def load_kid(
     tokens = [tok for tok, _ in sorted(word_index.items(), key=lambda kv: kv[1])]
     vocab = Vocabulary(tokens)
 
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    labels: list[int] = []
-    with _open_text(sequences_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            where = f"{sequences_path}: line {lineno}"
-            label_s, sep, rest = line.rstrip("\n").partition("\t")
-            if not sep:
-                raise DataError(f"{where}: missing label")
-            try:
-                label = int(label_s)
-            except ValueError:
-                raise DataError(f"{where}: missing label") from None
-            if label not in (0, 1):
-                raise DataError(f"{where}: label {label} not in {{0, 1}}")
-            ranks: list[int] = []
-            for value_s in rest.split():
-                try:
-                    rank = int(value_s) - index_offset
-                except ValueError:
-                    raise DataError(f"{where}: malformed value {value_s!r}") from None
-                if rank >= vocab.size:
-                    raise DataError(
-                        f"{where}: rank {rank} outside [0, {vocab.size}) after offset removal"
-                    )
-                if rank >= 0:  # lower values are reserved control codes
-                    ranks.append(rank)
-            labels.append(label)
-            rows.append(np.unique(np.array(ranks, dtype=np.int64), return_counts=True))
-    return vocab, _stack_rows(rows, labels, vocab.size, vocab.fingerprint(), "full")
+    labels, indices, counts, sizes = [], [], [], []
+    for block, lines_before in _blocks(sequences_path):
+        values, is_head, line, n_lines, bad = _scan(block, True, pairs=False)
+        label = values[is_head]
+        rank, row = values[~is_head] - index_offset, line[~is_head]
+        bad = _first_bad(bad, np.flatnonzero(label > 1), row[rank >= vocab.size])
+        if bad < n_lines:
+            raise _record_error(
+                sequences_path, block, lines_before, bad,
+                lambda text: _kid_error(text, vocab.size, index_offset),
+            )
+        keep = rank >= 0  # lower values are reserved control codes
+        key, count = np.unique(row[keep] * vocab.size + rank[keep], return_counts=True)
+        row, rank = np.divmod(key, vocab.size)
+        labels.append(label)
+        indices.append(rank)
+        counts.append(count)
+        sizes.append(np.bincount(row, minlength=n_lines))
+    labels, indices, counts, sizes = _joined(labels, indices, counts, sizes)
+    return vocab, Corpus(
+        _csr(counts, indices, sizes, vocab.size), labels, vocab.fingerprint(), "full"
+    )
 
 
 def shuffle(corpus: Corpus, seed: int) -> Corpus:
@@ -287,7 +496,7 @@ def save_corpus_file(corpus: Corpus, path: str | Path) -> None:
     """Write the canonical format: one ``label<TAB>idx:count ...`` record per line."""
     m = corpus.counts
     indptr = m.indptr.tolist()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path, "w", encoding="utf-8", newline="\n") as fh:
         for row, label in enumerate(corpus.labels.tolist()):
             lo, hi = indptr[row], indptr[row + 1]
             pairs = zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())
@@ -304,25 +513,15 @@ def load_corpus_file(
 
     Pairs within a record may come in any order and are sorted by token
     index; a repeated index, a count below 1, an index outside ``width``
-    (when given) or a label other than 0/1 raises a ``DataError`` naming
-    the line.  Without ``width`` the matrix is as wide as the largest index
+    (when given), a label other than 0/1 or a line outside the grammar
+    raises a ``DataError`` naming the line.  Without ``width`` the matrix is as wide as the largest index
     seen requires.
     """
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    labels: list[int] = []
     bound = width if width is not None else np.iinfo(np.int64).max
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            where = f"{path}: line {lineno}"
-            label_s, sep, rest = line.rstrip("\n").partition("\t")
-            if not sep:
-                raise DataError(f"{where}: missing label field")
-            try:
-                label = int(label_s)
-            except ValueError:
-                raise DataError(f"{where}: malformed label {label_s!r}") from None
-            if label not in (0, 1):
-                raise DataError(f"{where}: label {label} not in {{0, 1}}")
-            labels.append(label)
-            rows.append(_parse_pairs(rest.split(), bound, where))
-    return _stack_rows(rows, labels, width, vocab_id, split)
+    labels, indices, counts, sizes = _load_pairs(
+        path, bound, True, lambda label: label > 1,
+        lambda text: _canonical_error(text, bound),
+    )
+    if width is None:
+        width = int(indices.max()) + 1 if indices.size else 0
+    return Corpus(_csr(counts, indices, sizes, width), labels, vocab_id, split)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .encode import ENCODING_KINDS, EncodedDataset
 from .errors import CheckpointError, DivergenceError, FingerprintError
+from .fileio import replacing
 from .net import BowTieModel, ModelConfig, backward, forward
 from .optim import OptimizerSpec, apply_update, init_state
 from .rngseed import derive_rng, mix_seed
@@ -182,20 +183,16 @@ def train(
 
 def emit_metrics_csv(metrics: list[EpochMetrics], out) -> None:
     """Write metrics as CSV (6 significant digits) to a file object or path."""
-    close = False
     if isinstance(out, (str, bytes)):
-        out = open(out, "w", encoding="utf-8")
-        close = True
-    try:
-        out.write("epoch,train_bce,train_acc,val_bce,val_acc,seconds\n")
-        for m in metrics:
-            out.write(
-                f"{m.epoch},{m.train_bce:.6g},{m.train_accuracy:.6g},"
-                f"{m.val_bce:.6g},{m.val_accuracy:.6g},{m.epoch_seconds:.6g}\n"
-            )
-    finally:
-        if close:
-            out.close()
+        with replacing(out, "w", encoding="utf-8") as fh:
+            emit_metrics_csv(metrics, fh)
+        return
+    out.write("epoch,train_bce,train_acc,val_bce,val_acc,seconds\n")
+    for m in metrics:
+        out.write(
+            f"{m.epoch},{m.train_bce:.6g},{m.train_accuracy:.6g},"
+            f"{m.val_bce:.6g},{m.val_accuracy:.6g},{m.epoch_seconds:.6g}\n"
+        )
 
 
 @dataclass
@@ -233,7 +230,7 @@ def save_checkpoint(
         "provenance": provenance or {},
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))

@@ -18,6 +18,7 @@ from scipy import sparse
 
 from .corpus import Corpus, PolarityTable, Vocabulary
 from .encode import PolarityStats, encode_corpus, polarity_stats
+from .fileio import replacing
 from .train import Checkpoint, EvalResult, check_fingerprint, evaluate
 
 
@@ -116,40 +117,37 @@ def transfer_evaluate(
 def write_transfer_report(report: TransferReport, out) -> None:
     """Dropped tokens one per line, then the mapping summary, polarity stats,
     and accuracy/bce, closed by a machine-parseable key=value footer."""
-    close = False
     if isinstance(out, (str, bytes)):
-        out = open(out, "w", encoding="utf-8")
-        close = True
-    try:
-        out.write("# tokens with no counterpart in the target vocabulary\n")
-        for token in report.dropped:
-            out.write(f"{token}\n")
-        out.write(
-            f"# {report.mapped_count} of {report.source_vocab_size} source tokens "
-            f"map onto the {report.target_vocab_size}-token target vocabulary, "
-            f"{len(report.dropped)} dropped\n"
-        )
-        s = report.stats
-        out.write(
-            f"# re-encoded entry range [{s.element_min:.6f}, {s.element_max:.6f}], "
-            f"per-review sum range [{s.rowsum_min:.6f}, {s.rowsum_max:.6f}]\n"
-        )
-        r = report.result
-        out.write(
-            f"# {r.count} examples: accuracy {r.accuracy:.4f}, bce {r.bce:.4f}\n"
-        )
-        out.write("---\n")
-        out.write(f"source_vocab={report.source_vocab_size}\n")
-        out.write(f"target_vocab={report.target_vocab_size}\n")
-        out.write(f"mapped={report.mapped_count}\n")
-        out.write(f"dropped={len(report.dropped)}\n")
-        out.write(f"element_min={s.element_min:.9g}\n")
-        out.write(f"element_max={s.element_max:.9g}\n")
-        out.write(f"rowsum_min={s.rowsum_min:.9g}\n")
-        out.write(f"rowsum_max={s.rowsum_max:.9g}\n")
-        out.write(f"examples={r.count}\n")
-        out.write(f"accuracy={r.accuracy:.6f}\n")
-        out.write(f"bce={r.bce:.6f}\n")
-    finally:
-        if close:
-            out.close()
+        with replacing(out, "w", encoding="utf-8") as fh:
+            write_transfer_report(report, fh)
+        return
+    out.write("# tokens with no counterpart in the target vocabulary\n")
+    for token in report.dropped:
+        out.write(f"{token}\n")
+    out.write(
+        f"# {report.mapped_count} of {report.source_vocab_size} source tokens "
+        f"map onto the {report.target_vocab_size}-token target vocabulary, "
+        f"{len(report.dropped)} dropped\n"
+    )
+    s = report.stats
+    out.write(
+        f"# re-encoded entry range [{s.element_min:.6f}, {s.element_max:.6f}], "
+        f"per-review sum range [{s.rowsum_min:.6f}, {s.rowsum_max:.6f}]\n"
+    )
+    r = report.result
+    out.write(
+        f"# {r.count} examples: accuracy {r.accuracy:.4f}, bce {r.bce:.4f}\n"
+    )
+    out.write("---\n")
+    out.write(f"source_vocab={report.source_vocab_size}\n")
+    out.write(f"target_vocab={report.target_vocab_size}\n")
+    out.write(f"mapped={report.mapped_count}\n")
+    out.write(f"dropped={len(report.dropped)}\n")
+    out.write(f"element_min={s.element_min:.9g}\n")
+    out.write(f"element_max={s.element_max:.9g}\n")
+    out.write(f"rowsum_min={s.rowsum_min:.9g}\n")
+    out.write(f"rowsum_max={s.rowsum_max:.9g}\n")
+    out.write(f"examples={r.count}\n")
+    out.write(f"accuracy={r.accuracy:.6f}\n")
+    out.write(f"bce={r.bce:.6f}\n")
+

@@ -3,11 +3,19 @@
 Everything here is deliberately written with plain Python loops and dense
 arrays so it shares no code path with the package under test, except the
 finite-difference gradient, which probes the package's own forward pass and
-loss to check its backward pass.
+loss to check its backward pass.  The three record-file loaders parse one
+line and one pair at a time with ``int()`` and ``str.split()``; they
+differ from the package's loaders only on the inputs that the README's
+"Accepted line grammar" lists as now rejected or reported differently.
 """
 
-import numpy as np
+import json
 
+import numpy as np
+from scipy import sparse
+
+from bowtie.corpus import Corpus, Vocabulary
+from bowtie.errors import DataError
 from bowtie.net import forward, loss
 
 PROB_FLOOR = 1e-12
@@ -97,3 +105,145 @@ def finite_difference_grad(
 
     base = model.weights[layer] if kind == "W" else model.biases[layer]
     return central_difference(total_at, float(base[index]), h)
+
+
+# ------------------------------------------------------------ record loaders
+
+
+def _open_text(path):
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _stack_rows(rows, labels, width, vocab_id, split):
+    """One Corpus from per-review (sorted indices, counts) array pairs."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(idx) for idx, _ in rows], out=indptr[1:])
+    indices = np.concatenate([np.empty(0, np.int64)] + [idx for idx, _ in rows])
+    counts = np.concatenate([np.empty(0, np.int64)] + [cnt for _, cnt in rows])
+    if width is None:
+        width = int(indices.max()) + 1 if indices.size else 0
+    matrix = sparse.csr_matrix((counts, indices, indptr), shape=(len(rows), width))
+    return Corpus(matrix, np.array(labels, dtype=np.int64), vocab_id, split)
+
+
+def _parse_pairs(parts, width, where):
+    indices = np.empty(len(parts), dtype=np.int64)
+    counts = np.empty(len(parts), dtype=np.int64)
+    for i, part in enumerate(parts):
+        idx_s, sep, cnt_s = part.partition(":")
+        if not sep:
+            raise DataError(f"{where}: malformed pair {part!r}")
+        try:
+            idx, cnt = int(idx_s), int(cnt_s)
+        except ValueError:
+            raise DataError(f"{where}: malformed pair {part!r}") from None
+        if not 0 <= idx < width:
+            raise DataError(f"{where}: token index {idx} outside [0, {width})")
+        if cnt < 1:
+            raise DataError(f"{where}: count {cnt} for index {idx} must be >= 1")
+        indices[i], counts[i] = idx, cnt
+    order = np.argsort(indices, kind="stable")
+    indices, counts = indices[order], counts[order]
+    if indices.size > 1 and (np.diff(indices) == 0).any():
+        dup = int(indices[np.flatnonzero(np.diff(indices) == 0)[0]])
+        raise DataError(f"{where}: duplicate token index {dup}")
+    return indices, counts
+
+
+def load_slmrd_bow(path, vocab, split="train"):
+    """Reference ``labeledBow.feat`` loader: ``rating idx:count ...`` lines."""
+    rows, labels = [], []
+    with _open_text(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            where = f"{path}: line {lineno}"
+            parts = line.split()
+            if not parts:
+                raise DataError(f"{where}: blank record")
+            try:
+                rating = int(parts[0])
+            except ValueError:
+                raise DataError(f"{where}: malformed rating {parts[0]!r}") from None
+            if not 0 <= rating <= 10:
+                raise DataError(f"{where}: rating {rating} outside [0, 10]")
+            if rating in (5, 6):
+                raise DataError(f"{where}: rating {rating} has no defined label")
+            labels.append(1 if rating >= 7 else 0)
+            rows.append(_parse_pairs(parts[1:], vocab.size, where))
+    return _stack_rows(rows, labels, vocab.size, vocab.fingerprint(), split)
+
+
+def load_kid(word_index_path, sequences_path, index_offset=3):
+    """Reference integer-sequence loader: ``label<TAB>v1 v2 ...`` lines."""
+    with _open_text(word_index_path) as fh:
+        try:
+            word_index = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{word_index_path}: not valid JSON: {exc}") from exc
+    if not isinstance(word_index, dict) or not word_index:
+        raise DataError(f"{word_index_path}: expected a non-empty token->rank object")
+    ranks_seen = {}
+    for tok, rank in word_index.items():
+        if not isinstance(rank, int) or rank < 1:
+            raise DataError(f"{word_index_path}: rank for {tok!r} must be a positive integer")
+        if rank in ranks_seen:
+            raise DataError(
+                f"{word_index_path}: tokens {ranks_seen[rank]!r} and {tok!r} share rank {rank}"
+            )
+        if "\n" in tok or "\r" in tok:
+            raise DataError(f"{word_index_path}: token {tok!r} contains a line break")
+        ranks_seen[rank] = tok
+    tokens = [tok for tok, _ in sorted(word_index.items(), key=lambda kv: kv[1])]
+    vocab = Vocabulary(tokens)
+
+    rows, labels = [], []
+    with _open_text(sequences_path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            where = f"{sequences_path}: line {lineno}"
+            label_s, sep, rest = line.rstrip("\n").partition("\t")
+            if not sep:
+                raise DataError(f"{where}: missing label")
+            try:
+                label = int(label_s)
+            except ValueError:
+                raise DataError(f"{where}: missing label") from None
+            if label not in (0, 1):
+                raise DataError(f"{where}: label {label} not in {{0, 1}}")
+            ranks = []
+            for value_s in rest.split():
+                try:
+                    rank = int(value_s) - index_offset
+                except ValueError:
+                    raise DataError(f"{where}: malformed value {value_s!r}") from None
+                if rank >= vocab.size:
+                    raise DataError(
+                        f"{where}: rank {rank} outside [0, {vocab.size}) after offset removal"
+                    )
+                if rank >= 0:
+                    ranks.append(rank)
+            labels.append(label)
+            rows.append(np.unique(np.array(ranks, dtype=np.int64), return_counts=True))
+    return vocab, _stack_rows(rows, labels, vocab.size, vocab.fingerprint(), "full")
+
+
+def load_corpus_file(path, vocab_id="", split="train", width=None):
+    """Reference canonical loader: ``label<TAB>idx:count ...`` lines."""
+    rows, labels = [], []
+    bound = width if width is not None else np.iinfo(np.int64).max
+    with _open_text(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            where = f"{path}: line {lineno}"
+            label_s, sep, rest = line.rstrip("\n").partition("\t")
+            if not sep:
+                raise DataError(f"{where}: missing label field")
+            try:
+                label = int(label_s)
+            except ValueError:
+                raise DataError(f"{where}: malformed label {label_s!r}") from None
+            if label not in (0, 1):
+                raise DataError(f"{where}: label {label} not in {{0, 1}}")
+            labels.append(label)
+            rows.append(_parse_pairs(rest.split(), bound, where))
+    return _stack_rows(rows, labels, width, vocab_id, split)

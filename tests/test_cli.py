@@ -563,8 +563,13 @@ def test_replay_without_parameter_sha_compares_metrics(tmp_path, prepared, s3_ru
         lambda body: body["config"].pop("optimizer"),
         lambda body: body.update(config=[1, 2]),
         lambda body: body.update(artifacts=[]),
+        lambda body: body["config"].update(scenario=7),
+        lambda body: body["config"].update(hidden=5),
+        lambda body: body["config"].update(optimizer="adagrad"),
+        lambda body: body["config"].update(epochs="20"),
     ],
-    ids=["missing-key", "list-config", "list-artifacts"],
+    ids=["missing-key", "list-config", "list-artifacts", "scenario-out-of-range",
+         "hidden-not-a-list", "optimizer-not-a-choice", "epochs-not-an-int"],
 )
 def test_replay_rejects_malformed_config(tmp_path, prepared, s3_run, capsys, edit):
     manifest = s3_run / "manifest.json"
@@ -572,6 +577,7 @@ def test_replay_rejects_malformed_config(tmp_path, prepared, s3_run, capsys, edi
     assert main(["replay", "--manifest", str(manifest), "--out", str(tmp_path / "r5")]) == 2
     err = capsys.readouterr().err
     assert "error=data" in err and f"{manifest}: malformed manifest" in err
+    assert not (tmp_path / "r5").exists()  # rejected before the run
 
 
 def test_replay_requires_manifest(capsys):

@@ -1,0 +1,299 @@
+"""The block-scanning record loaders against the line-by-line reference.
+
+``oracles`` holds the loaders that parse one line and one pair at a time;
+on every input both accept they must build the same matrix, and on every
+bad record both reject they must raise the same message.  Each check also
+runs with blocks of 1, 7 and 64 bytes, so block edges fall everywhere:
+inside numbers, between a number and its colon, and on a line's newline.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import oracles
+from bowtie import corpus
+from bowtie.corpus import Vocabulary, load_corpus_file, load_kid, load_slmrd_bow
+from bowtie.errors import DataError
+from synth import token_list
+
+WIDTH = 40
+OFFSET = 3
+SPACES = [" ", " ", " ", "  ", "\t", " \t", "\v", "\f"]
+
+
+@pytest.fixture(params=[None, 1, 7, 64], ids=["default", "block1", "block7", "block64"])
+def block_bytes(request, monkeypatch):
+    if request.param:
+        monkeypatch.setattr(corpus, "_BLOCK_BYTES", request.param)
+    return request.param
+
+
+def number(rng, value):
+    """``value`` in decimal, now and then with leading zeros."""
+    zeros = int(rng.integers(1, 4)) if rng.random() < 0.15 else 0
+    return "0" * zeros + str(value)
+
+
+def gap(rng):
+    return SPACES[int(rng.integers(len(SPACES)))]
+
+
+def pairs_text(rng, width):
+    """Unsorted ``index:count`` pairs over distinct indices, or none."""
+    k = int(rng.integers(0, 7)) if rng.random() > 0.15 else 0
+    indices = rng.choice(width, size=min(k, width), replace=False)
+    fields = [f"{number(rng, i)}:{number(rng, int(rng.integers(1, 30)))}" for i in indices]
+    text = "".join(gap(rng) + field for field in fields)
+    return text.lstrip() if rng.random() < 0.5 else text
+
+
+def file_text(rng, lines):
+    """Join lines with LF or CRLF, sometimes without the final line end."""
+    end = "\r\n" if rng.random() < 0.25 else "\n"
+    text = "".join(line + end for line in lines)
+    return text[: -len(end)] if lines and lines[-1] and rng.random() < 0.3 else text
+
+
+def canonical_lines(rng, n):
+    return [
+        f"{number(rng, int(rng.integers(2)))}\t{pairs_text(rng, WIDTH)}"
+        + (gap(rng) if rng.random() < 0.2 else "")
+        for _ in range(n)
+    ]
+
+
+def slmrd_lines(rng, n):
+    ratings = [0, 1, 2, 3, 4, 7, 8, 9, 10]
+    return [
+        (gap(rng) if rng.random() < 0.2 else "")
+        + number(rng, ratings[int(rng.integers(len(ratings)))])
+        + gap(rng)
+        + pairs_text(rng, WIDTH)
+        for _ in range(n)
+    ]
+
+
+def kid_lines(rng, n):
+    """Values span the control codes below the offset and every rank."""
+    lines = []
+    for _ in range(n):
+        values = rng.integers(0, WIDTH + OFFSET, size=int(rng.integers(0, 9)))
+        body = "".join(gap(rng) + number(rng, int(v)) for v in values)
+        lines.append(f"{number(rng, int(rng.integers(2)))}\t{body.lstrip(' ')}")
+    return lines
+
+
+def write_kid(tmp_path, text):
+    wi = tmp_path / "wi.json"
+    wi.write_text(json.dumps({tok: i + 1 for i, tok in enumerate(token_list(WIDTH))}))
+    seq = tmp_path / "seq.tsv"
+    seq.write_bytes(text.encode("utf-8"))
+    return wi, seq
+
+
+def loaders(fmt, tmp_path, text, width=WIDTH):
+    """(package loader, reference loader) of one file in format ``fmt``,
+    each a call that returns the Corpus."""
+    if fmt == "kid":
+        wi, seq = write_kid(tmp_path, text)
+        return (lambda: load_kid(wi, seq, OFFSET)[1],
+                lambda: oracles.load_kid(wi, seq, OFFSET)[1])
+    path = tmp_path / f"records.{fmt}"
+    path.write_bytes(text.encode("utf-8"))
+    if fmt == "slmrd":
+        vocab = Vocabulary(token_list(WIDTH))
+        return (lambda: load_slmrd_bow(path, vocab),
+                lambda: oracles.load_slmrd_bow(path, vocab))
+    return (lambda: load_corpus_file(path, width=width),
+            lambda: oracles.load_corpus_file(path, width=width))
+
+
+def assert_same_corpus(got, want):
+    assert got.counts.shape == want.counts.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.counts, name), getattr(want.counts, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.labels.dtype == want.labels.dtype
+    assert np.array_equal(got.labels, want.labels)
+    assert (got.vocab_id, got.split) == (want.vocab_id, want.split)
+
+
+LINES = {"canonical": canonical_lines, "slmrd": slmrd_lines, "kid": kid_lines}
+
+
+@pytest.mark.parametrize("fmt", sorted(LINES))
+def test_valid_files_match_the_reference(tmp_path, block_bytes, fmt):
+    for seed in range(25):
+        rng = np.random.default_rng([seed, len(fmt)])
+        text = file_text(rng, LINES[fmt](rng, int(rng.integers(0, 12))))
+        package, reference = loaders(fmt, tmp_path, text)
+        assert_same_corpus(package(), reference())
+
+
+def test_canonical_width_is_inferred_like_the_reference(tmp_path, block_bytes):
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        text = file_text(rng, canonical_lines(rng, int(rng.integers(0, 6))))
+        package, reference = loaders("canonical", tmp_path, text, width=None)
+        assert_same_corpus(package(), reference())
+
+
+# One bad record, placed among good ones; both loaders reject it the same way.
+CORRUPT = {
+    "canonical": [
+        lambda line: "2" + line[1:],
+        lambda line: line.replace("\t", " "),
+        lambda line: "x" + line,
+        lambda line: line + " 3",
+        lambda line: line + " x:1",
+        lambda line: line + f" {WIDTH}:1",
+        lambda line: line + " 7:0",
+        lambda line: line + " 5:1 5:2",
+        lambda line: "",
+    ],
+    "slmrd": [
+        lambda line: "5 " + line,
+        lambda line: "11 " + line,
+        lambda line: "pos " + line,
+        lambda line: line + " 3",
+        lambda line: line + " 3:1:2",
+        lambda line: line + f" {WIDTH + 4}:1",
+        lambda line: line + " 7:0",
+        lambda line: line + " 5:1 5:2",
+        lambda line: "  ",
+    ],
+    "kid": [
+        lambda line: "2" + line[1:],
+        lambda line: line.replace("\t", " "),
+        lambda line: line + " x",
+        lambda line: line + " 4:1",
+        lambda line: line + f" {WIDTH + OFFSET}",
+        lambda line: "",
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CORRUPT))
+def test_bad_records_raise_the_reference_message(tmp_path, block_bytes, fmt):
+    for seed, corrupt in enumerate(CORRUPT[fmt] * 3):
+        rng = np.random.default_rng([seed, 7])
+        lines = LINES[fmt](rng, int(rng.integers(1, 10)))
+        at = int(rng.integers(len(lines)))
+        lines[at] = corrupt(lines[at])
+        package, reference = loaders(fmt, tmp_path, file_text(rng, lines))
+        with pytest.raises(DataError) as got:
+            package()
+        with pytest.raises(DataError) as want:
+            reference()
+        assert str(got.value) == str(want.value)
+        assert f"line {at + 1}:" in str(got.value)
+
+
+def test_bad_record_in_a_late_block_names_its_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 4096)
+    rng = np.random.default_rng(3)
+    lines = canonical_lines(rng, 9000)
+    lines[8765] = lines[8765] + f" {WIDTH}:1"
+    path = tmp_path / "late.corpus"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert path.stat().st_size > 40 * corpus._BLOCK_BYTES
+    with pytest.raises(DataError, match=rf"late\.corpus: line 8766: token index {WIDTH} outside"):
+        load_corpus_file(path, width=WIDTH)
+
+
+def test_numbers_of_eighteen_digits_load(tmp_path):
+    path = tmp_path / "big.corpus"
+    path.write_text(f"1\t{'9' * 18}:{'9' * 18} 00000000000000003:000000000000000001\n")
+    loaded = load_corpus_file(path)
+    assert loaded.counts.indices.tolist() == [3, 10**18 - 1]
+    assert loaded.counts.data.tolist() == [1, 10**18 - 1]
+
+
+# Lines the reference accepts, which the package rejects by design; the
+# README lists them under the accepted grammar.
+NOW_REJECTED = [
+    ("canonical", "+1\t3:1", "malformed label '+1'"),
+    ("canonical", " 1\t3:1", "malformed label ' 1'"),
+    ("canonical", "1 \t3:1", "malformed label '1 '"),
+    ("canonical", "1\t+3:1", "malformed pair '+3:1'"),
+    ("canonical", "1\t1_0:1", "malformed pair '1_0:1'"),
+    ("canonical", "1\t٣:1", "malformed pair '٣:1'"),
+    ("canonical", "1\t3:1\xa04:1", "malformed pair '3:1\\xa04:1'"),
+    ("canonical", "1\t3:1\x1c4:1", "malformed pair '3:1\\x1c4:1'"),
+    ("canonical", "1\t3:1\x854:1", "malformed pair '3:1\\x854:1'"),
+    ("slmrd", "10\u20033:1", "malformed rating '10\\u20033:1'"),
+    ("canonical", "1\t3:1\r0\t4:1", "malformed pair '3:1\\r0'"),
+    ("canonical", "1\t" + "0" * 19 + "3:1", "malformed pair '" + "0" * 19 + "3:1'"),
+    ("slmrd", "+10 3:1", "malformed rating '+10'"),
+    ("slmrd", "10 3:１", "malformed pair '3:１'"),
+    ("kid", "1\t4 -5", "malformed value '-5'"),
+    ("kid", " 1\t4", "missing label"),
+]
+
+
+@pytest.mark.parametrize("fmt,line,message", NOW_REJECTED)
+def test_inputs_outside_the_grammar_are_rejected(tmp_path, fmt, line, message):
+    package, reference = loaders(fmt, tmp_path, line + "\n")
+    assert len(reference()) >= 1
+    with pytest.raises(DataError) as err:
+        package()
+    assert str(err.value).endswith(f"line 1: {message}")
+
+
+@pytest.mark.parametrize("fmt,line,message", [
+    ("canonical", "-1\t3:1", "malformed label '-1'"),
+    ("canonical", "1\t-3:1", "malformed pair '-3:1'"),
+    ("canonical", "1\t3:-1", "malformed pair '3:-1'"),
+])
+def test_negative_numbers_are_malformed_not_out_of_range(tmp_path, fmt, line, message):
+    package, reference = loaders(fmt, tmp_path, line + "\n")
+    with pytest.raises(DataError, match="not in|outside|must be >= 1"):
+        reference()
+    with pytest.raises(DataError) as err:
+        package()
+    assert str(err.value).endswith(f"line 1: {message}")
+
+
+def test_bytes_that_are_not_utf8_are_a_data_error(tmp_path):
+    path = tmp_path / "latin1.corpus"
+    path.write_bytes(b"1\t3:1\n0\t4:1 caf\xe9\n")
+    with pytest.raises(UnicodeDecodeError):
+        oracles.load_corpus_file(path)
+    with pytest.raises(DataError, match=r"line 2: malformed pair 'caf\\\\xe9'"):
+        load_corpus_file(path)
+
+
+def peak_load_bytes(path, width):
+    tracemalloc.start()
+    try:
+        loaded = load_corpus_file(path, width=width)
+        return tracemalloc.get_traced_memory()[1], loaded
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_memory_is_bounded_by_the_result_and_one_block(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    width = 5000
+    with open(tmp_path / "many.corpus", "w", encoding="utf-8") as fh:
+        for _ in range(6000):
+            idx = np.sort(rng.choice(width, size=60, replace=False))
+            cnt = rng.integers(1, 9, size=60)
+            fh.write(f"{int(rng.integers(2))}\t")
+            fh.write(" ".join(f"{i}:{c}" for i, c in zip(idx.tolist(), cnt.tolist())))
+            fh.write("\n")
+    path = tmp_path / "many.corpus"
+    size = path.stat().st_size
+
+    peak, loaded = peak_load_bytes(path, width)
+    m = loaded.counts
+    result = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes + loaded.labels.nbytes
+    bound = 5 * result + 64 * corpus._BLOCK_BYTES
+    assert size > 4 * corpus._BLOCK_BYTES
+    assert peak <= bound
+    # the bound is tight enough that parsing the file as one block breaks it
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", size + 1)
+    assert peak_load_bytes(path, width)[0] > bound
