@@ -2,6 +2,15 @@
 
 One update rule applied uniformly to every weight matrix and bias vector;
 the moment accumulators live in MomentState.
+
+Each tensor is updated in place, in chunks of ``_CHUNK_ROWS`` rows.  A chunk
+is one pass of ufuncs that write with ``out=`` into three chunk-sized
+scratch buffers, so a step allocates the same 1.5 MB for a 16-column tensor
+however tall it is, and each chunk stays in cache while it is read and
+written.
+The floating-point operations and their order are those of the plain
+whole-tensor expressions (kept in ``tests/oracles.py`` as the reference), so
+the parameters and moments are bit-identical to them at any chunk size.
 """
 
 from __future__ import annotations
@@ -14,6 +23,10 @@ from .errors import DivergenceError
 from .net import BowTieModel, Gradients
 
 OPTIMIZERS = ("sgd", "rmsprop", "adam", "nadam")
+
+# rows per update pass: 512 KiB per buffer for 16 float64 columns, small
+# enough that a chunk's operands stay in cache between its ufuncs
+_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -63,32 +76,58 @@ def _step_tensor(
     m: np.ndarray,
     v: np.ndarray,
     t: int,
-) -> None:
-    """Update one tensor in place; m and v mutate for the stateful kinds."""
-    lr = spec.learning_rate
-    if spec.kind == "sgd":
-        param -= lr * grad
-        return
-    if spec.kind == "rmsprop":
-        v *= spec.rms_decay
-        v += (1.0 - spec.rms_decay) * grad * grad
-        param -= lr * grad / (np.sqrt(v) + spec.epsilon)
-        return
-    # adam and nadam share the moment estimates and bias corrections
-    b1, b2 = spec.beta1, spec.beta2
-    m *= b1
-    m += (1.0 - b1) * grad
-    v *= b2
-    v += (1.0 - b2) * grad * grad
-    correct1 = 1.0 - b1**t
-    correct2 = 1.0 - b2**t
-    m_hat = m / correct1
-    v_hat = v / correct2
-    if spec.kind == "adam":
-        numerator = m_hat
-    else:  # nadam folds the incoming gradient into the corrected momentum
-        numerator = b1 * m_hat + (1.0 - b1) * grad / correct1
-    param -= lr * numerator / (np.sqrt(v_hat) + spec.epsilon)
+) -> bool:
+    """Update one tensor in place; m and v mutate for the stateful kinds.
+
+    Returns whether every updated value of the tensor is finite.
+    """
+    lr, kind = spec.learning_rate, spec.kind
+    height = param.shape[0]
+    rows = max(1, min(_CHUNK_ROWS, height))
+    scratch = [np.empty((rows,) + param.shape[1:], dtype=param.dtype) for _ in range(3)]
+    if kind == "rmsprop":
+        rho = spec.rms_decay
+    else:
+        b1, b2 = spec.beta1, spec.beta2
+        correct1 = 1.0 - b1**t
+        correct2 = 1.0 - b2**t
+    finite = True
+    for lo in range(0, height, rows):
+        hi = min(lo + rows, height)
+        p, g, mc, w = param[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi]
+        a, b, c = (buf[: hi - lo] for buf in scratch)
+        if kind == "sgd":
+            np.multiply(g, lr, out=a)                  # lr * grad
+        elif kind == "rmsprop":
+            w *= rho
+            np.multiply(g, 1.0 - rho, out=a)
+            a *= g
+            w += a                                     # v = v*rho + (1-rho)*g*g
+            np.sqrt(w, out=b)
+            b += spec.epsilon
+            np.multiply(g, lr, out=a)
+            a /= b                                     # lr*g / (sqrt(v) + eps)
+        else:  # adam and nadam share the moment estimates and bias corrections
+            np.multiply(g, 1.0 - b1, out=c)            # (1-b1)*g, reused by nadam
+            mc *= b1
+            mc += c
+            np.multiply(g, 1.0 - b2, out=b)
+            b *= g
+            w *= b2
+            w += b
+            np.divide(w, correct2, out=b)
+            np.sqrt(b, out=b)
+            b += spec.epsilon                          # sqrt(v_hat) + eps
+            np.divide(mc, correct1, out=a)             # m_hat
+            if kind == "nadam":  # folds the incoming gradient into the corrected momentum
+                a *= b1
+                c /= correct1
+                a += c                                 # b1*m_hat + (1-b1)*g/c1
+            a *= lr
+            a /= b                                     # lr*numerator / (sqrt(v_hat) + eps)
+        p -= a
+        finite = finite and bool(np.isfinite(p).all())
+    return finite
 
 
 def apply_update(
@@ -110,17 +149,16 @@ def apply_update(
     for l in range(n):
         if grads.weights[l].shape != model.weights[l].shape:
             raise ValueError(f"gradient shape mismatch at layer {l}")
-        _step_tensor(
+        weight_finite = _step_tensor(
             spec, model.weights[l], grads.weights[l],
             state.first[l], state.second[l], t,
         )
-        _step_tensor(
+        bias_finite = _step_tensor(
             spec, model.biases[l], grads.biases[l],
             state.first[n + l], state.second[n + l], t,
         )
-        if not (
-            np.isfinite(model.weights[l]).all() and np.isfinite(model.biases[l]).all()
-        ):
+        if not (weight_finite and bias_finite):
+            tensor = "bias" if weight_finite else "weight"
             raise DivergenceError(
-                f"non-finite parameter after {spec.kind} step {t} at layer {l}"
+                f"non-finite {tensor} after {spec.kind} step {t} at layer {l}"
             )

@@ -7,6 +7,8 @@ loss to check its backward pass.  The three record-file loaders parse one
 line and one pair at a time with ``int()`` and ``str.split()``; they
 differ from the package's loaders only on the inputs that the README's
 "Accepted line grammar" lists as now rejected or reported differently.
+The optimizer step updates a whole tensor with one numpy expression per
+formula; the package's chunked step must match it bit for bit.
 """
 
 import json
@@ -105,6 +107,43 @@ def finite_difference_grad(
 
     base = model.weights[layer] if kind == "W" else model.biases[layer]
     return central_difference(total_at, float(base[index]), h)
+
+
+# ----------------------------------------------------------- optimizer step
+
+
+def step_tensor(spec, param, grad, m, v, t):
+    """Update one tensor in place; m and v mutate for the stateful kinds."""
+    lr = spec.learning_rate
+    if spec.kind == "sgd":
+        param -= lr * grad
+        return
+    if spec.kind == "rmsprop":
+        v *= spec.rms_decay
+        v += (1.0 - spec.rms_decay) * grad * grad
+        param -= lr * grad / (np.sqrt(v) + spec.epsilon)
+        return
+    # adam and nadam share the moment estimates and bias corrections
+    b1, b2 = spec.beta1, spec.beta2
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    correct1 = 1.0 - b1**t
+    correct2 = 1.0 - b2**t
+    m_hat = m / correct1
+    v_hat = v / correct2
+    if spec.kind == "adam":
+        numerator = m_hat
+    else:  # nadam folds the incoming gradient into the corrected momentum
+        numerator = b1 * m_hat + (1.0 - b1) * grad / correct1
+    param -= lr * numerator / (np.sqrt(v_hat) + spec.epsilon)
+
+
+def finite_step_tensor(spec, param, grad, m, v, t):
+    """``step_tensor`` with the package step's return value: all of param finite."""
+    step_tensor(spec, param, grad, m, v, t)
+    return bool(np.isfinite(param).all())
 
 
 # ------------------------------------------------------------ record loaders

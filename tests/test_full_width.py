@@ -8,7 +8,10 @@ vocabulary transfer run in the tier-1 suite.
 import math
 
 import numpy as np
+import pytest
 
+import oracles
+from bowtie import optim
 from bowtie.corpus import PolarityTable, Vocabulary
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.net import ModelConfig, init_model
@@ -62,3 +65,30 @@ def test_full_width_encode_train_and_transfer():
     assert report.result.count == 200
     assert math.isfinite(report.result.bce)
     assert report.stats.element_min <= report.stats.element_max
+
+
+@pytest.mark.parametrize(
+    "encoding, kind, lr, epochs",
+    [(POLARITY_WEIGHTED, "nadam", 0.001, 1), (MULTI_HOT, "sgd", 0.05, 4)],
+)
+def test_full_width_training_matches_the_oracle_step_bit_for_bit(
+    encoding, kind, lr, epochs, monkeypatch
+):
+    """89 527 first-layer rows: 21 whole chunks of 4 096 and a ragged 3 511."""
+    ratings = rating_table(1, SLMRD_WIDTH)
+    corpus = planted_corpus(2, 256, ratings, max_distinct=130, max_count=4)
+    dataset = encode_corpus(corpus, encoding, polarity=PolarityTable(ratings), width=SLMRD_WIDTH)
+    config = TrainConfig(
+        optimizer=OptimizerSpec(kind=kind, learning_rate=lr), batch_size=64, max_epochs=epochs
+    )
+
+    def trained_bytes():
+        model = init_model(ModelConfig(input_width=SLMRD_WIDTH))
+        model, metrics = train(model, dataset, None, config, log=False)
+        assert len(metrics) == epochs
+        return [t.tobytes() for t in model.weights + model.biases]
+
+    assert SLMRD_WIDTH % optim._CHUNK_ROWS != 0
+    chunked = trained_bytes()
+    monkeypatch.setattr(optim, "_step_tensor", oracles.finite_step_tensor)
+    assert chunked == trained_bytes()

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy import sparse
 
+import oracles
+from bowtie import optim
 from bowtie.errors import DivergenceError
-from bowtie.net import Gradients, ModelConfig, forward, init_model
+from bowtie.net import Gradients, ModelConfig, backward, forward, init_model
 from bowtie.optim import (
     OPTIMIZERS,
     MomentState,
@@ -176,6 +180,23 @@ def test_non_finite_parameters_raise_divergence():
         apply_update(OptimizerSpec(kind="sgd", learning_rate=1.0), state, model, bad)
 
 
+@pytest.mark.parametrize("tensor, layer", [("weight", 0), ("bias", 1)])
+def test_divergence_names_the_non_finite_tensor(tensor, layer):
+    """Both tensors of the diverging layer are stepped first; later layers are not."""
+    model = tiny_model(seed=7)
+    before = [t.copy() for t in model.weights + model.biases]
+    grads = random_grads(np.random.default_rng(7), model)
+    (grads.weights if tensor == "weight" else grads.biases)[layer][:] = np.inf
+    with pytest.raises(DivergenceError, match=f"non-finite {tensor} .* at layer {layer}$"):
+        apply_update(
+            OptimizerSpec(kind="sgd", learning_rate=1.0), init_state(model), model, grads
+        )
+    n = model.layer_count
+    for l in range(n):
+        for got, was in ((model.weights[l], before[l]), (model.biases[l], before[n + l])):
+            assert (got != was).all() == (l <= layer), (l, got, was)
+
+
 def test_apply_update_moves_toward_lower_loss():
     rng = np.random.default_rng(8)
     from bowtie.net import backward, loss
@@ -195,6 +216,56 @@ def test_apply_update_moves_toward_lower_loss():
         apply_update(spec, state, model, grads)
     end = loss(forward(model, batch), labels, model)[1]
     assert end < start
+
+
+# ------------------------------------------------------- chunked vs oracle
+
+
+def tensors_bytes(model, state):
+    arrays = model.weights + model.biases + state.first + state.second
+    return [a.tobytes() for a in arrays]
+
+
+# first-layer heights that the chunk size does not divide (but for chunk 1,
+# where a short tensor keeps the row-by-row run quick); the 16- and 8-element
+# biases and 16x8 weights are ragged at chunk 7 too
+@pytest.mark.parametrize("chunk, width", [(1, 263), (7, 4103), (4096, 4103), (4103, 4103)])
+@pytest.mark.parametrize("kind", OPTIMIZERS)
+def test_chunked_step_matches_the_oracle_bit_for_bit(kind, chunk, width, monkeypatch):
+    """20 chained steps on a nonzero-l2 model, gradients from random batches."""
+    rng = np.random.default_rng(11)
+    cfg = ModelConfig(input_width=width, dropout_rate=0.0, l2_weight=0.019, init_seed=11)
+    fused, reference = init_model(cfg), init_model(cfg)
+    spec = OptimizerSpec(kind=kind, learning_rate=0.01)
+    fused_state, reference_state = init_state(fused), init_state(reference)
+    monkeypatch.setattr(optim, "_CHUNK_ROWS", chunk)
+    for step in range(20):
+        batch = sparse.random(32, width, density=0.03, random_state=rng, format="csr")
+        labels = rng.integers(0, 2, 32).tolist()
+        grads = backward(fused, forward(fused, batch), labels)
+        scale = 10.0 ** rng.uniform(-4.0, 2.0)
+        grads = Gradients([g * scale for g in grads.weights], [g * scale for g in grads.biases])
+        with monkeypatch.context() as patch:
+            patch.setattr(optim, "_step_tensor", oracles.finite_step_tensor)
+            apply_update(spec, reference_state, reference, grads)
+        apply_update(spec, fused_state, fused, grads)
+        assert tensors_bytes(fused, fused_state) == tensors_bytes(reference, reference_state), step
+    assert fused_state.step == reference_state.step == 20
+
+
+@pytest.mark.parametrize("kind", OPTIMIZERS)
+def test_step_allocates_less_than_half_the_first_layer(kind):
+    rng = np.random.default_rng(12)
+    model = init_model(ModelConfig(input_width=89_527, init_seed=12))
+    grads = random_grads(rng, model)
+    state = init_state(model)
+    tracemalloc.start()
+    try:
+        apply_update(OptimizerSpec(kind=kind), state, model, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < model.weights[0].nbytes / 2, peak
 
 
 # ------------------------------------------------------------- spec checking
