@@ -33,7 +33,6 @@ EXIT_VERDICT = 4
 OPTIMIZER_CHOICES = ("sgd", "rmsprop", "adam", "nadam")
 ENCODING_CHOICES = ("multi-hot", "polarity-weighted")
 ACTIVATION_CHOICES = ("none", "relu")
-SCENARIO_CHOICES = (1, 2, 3, 4)
 
 # early-stop training targets per scenario
 SCENARIO_TARGET = {1: 0.88, 2: 0.8795, 3: 0.89, 4: 0.89}
@@ -46,13 +45,22 @@ SCENARIO_VERDICT = {
 }
 
 
+class _UsageError(Exception):
+    """Bad usage found while parsing; ``parser`` is the (sub)parser whose
+    usage line applies."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad usage; this surface reserves 2 for data errors."""
+    """argparse exits 2 on bad usage; this surface reserves 2 for data errors,
+    so a usage error is raised for ``main`` (exit 1) or ``replay`` (a malformed
+    manifest, exit 2) to report."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f'error=usage detail="{message}"', file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise _UsageError(self, message)
 
     def parse_known_args(self, args=None, namespace=None):
         """argparse checks ``choices`` on explicit values only; a value that
@@ -330,16 +338,21 @@ def _run(command: str, cfg: dict, out: Path) -> int:
     return EXIT_OK if passed else EXIT_VERDICT
 
 
-def cmd_scenario(args) -> int:
+def _scenario_config(args) -> dict:
     cfg = _resolve_run_config(args)
     cfg["scenario"] = args.number
     cfg["data_dir"] = str(Path(args.data_dir).resolve())
     if cfg["target_acc"] is None:
         cfg["target_acc"] = SCENARIO_TARGET[args.number]
-    return _run("scenario", cfg, Path(args.out or f"runs/scenario-{args.number}"))
+    return cfg
 
 
-def cmd_train(args) -> int:
+def cmd_scenario(args) -> int:
+    out = Path(args.out or f"runs/scenario-{args.number}")
+    return _run("scenario", _scenario_config(args), out)
+
+
+def _train_config(args) -> dict:
     if not args.train_corpus or not args.vocab:
         raise ValueError("train requires --train-corpus and --vocab")
     cfg = _resolve_run_config(args)
@@ -348,7 +361,11 @@ def cmd_train(args) -> int:
     cfg["vocab"] = str(Path(args.vocab).resolve())
     cfg["polarity"] = str(Path(args.polarity).resolve()) if args.polarity else None
     cfg["encoding"] = args.encoding
-    return _run("train", cfg, Path(args.out or "runs/train"))
+    return cfg
+
+
+def cmd_train(args) -> int:
+    return _run("train", _train_config(args), Path(args.out or "runs/train"))
 
 
 def cmd_eval(args) -> int:
@@ -495,62 +512,39 @@ def _metrics_rows(path: Path) -> list[list[str]]:
     return rows
 
 
-class _ReplayConfig(dict):
-    """A manifest's ``config``; a key a run reads but the manifest lacks is a
-    data error that names the manifest."""
-
-    def __init__(self, values: dict, manifest: Path):
-        super().__init__(values)
-        self.manifest = manifest
-
-    def __missing__(self, key):
-        raise DataError(f"{self.manifest}: malformed manifest: config has no {key!r}")
-
-
-def _check_replay_config(command: str, cfg: _ReplayConfig) -> None:
-    """Reject a config value that parsing the command's flags could not have
-    produced, before any file is read: each number has its flag's type, each
-    choice is one of its flag's choices and ``hidden`` is the non-empty list
-    of widths ``_parse_hidden`` returns."""
-
-    def is_int(value):
-        return isinstance(value, int) and not isinstance(value, bool)
-
-    def is_number(value):
-        return is_int(value) or isinstance(value, float)
-
-    def is_path(value):
-        return isinstance(value, str)
-
-    def optional(check):
-        return lambda value: value is None or check(value)
-
-    checks = {
-        "hidden": lambda v: isinstance(v, list) and bool(v) and all(map(is_int, v)),
-        "activation": ACTIVATION_CHOICES.__contains__,
-        "optimizer": OPTIMIZER_CHOICES.__contains__,
-        "target_acc": optional(is_number),
-        "threads": optional(is_int),
-    }
-    checks.update(dict.fromkeys(
-        ("l2", "dropout", "delta", "lr", "beta1", "beta2", "rms_decay", "epsilon"), is_number
-    ))
-    checks.update(dict.fromkeys(
-        ("batch_size", "epochs", "seed", "init_seed", "data_seed", "dropout_seed"), is_int
-    ))
-    if command == "scenario":
-        checks["scenario"] = lambda v: is_int(v) and v in SCENARIO_CHOICES
-        checks["data_dir"] = is_path
-    else:
-        checks["encoding"] = ENCODING_CHOICES.__contains__
-        checks.update(train_corpus=is_path, vocab=is_path,
-                      val_corpus=optional(is_path), polarity=optional(is_path))
-    for key, check in checks.items():
-        value = cfg.get(key) if key == "threads" else cfg[key]
-        if not check(value):
+def _replay_config(command: str, cfg: dict, manifest: Path) -> dict:
+    """The config that parsing ``cfg`` back through the command's own flags
+    resolves to.  A config those flags could not have produced (a missing,
+    unknown or mistyped key, or a derived seed that does not match the seed)
+    is a data error naming the manifest, raised before any file is read."""
+    argv = [command]
+    for key, value in cfg.items():
+        # None has no spelling as a flag value, so a None is left to the flag's
+        # default; the derived seeds have no flag and are checked by the comparison
+        if value is None or key in ("init_seed", "data_seed", "dropout_seed"):
+            continue
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        argv.append(text if key == "scenario" else f"--{key.replace('_', '-')}={text}")
+    # the defaults are the flags' own, never this process's BOWTIE_* variables
+    saved = {k: os.environ.pop(k) for k in list(os.environ) if k.startswith(ENV_PREFIX)}
+    try:
+        parser = build_parser()
+    finally:
+        os.environ.update(saved)
+    try:
+        args = parser.parse_args(argv)
+        _apply_threads(args.threads)  # the config builder loads numpy
+        resolved = (_scenario_config if command == "scenario" else _train_config)(args)
+    except (_UsageError, ValueError) as exc:
+        raise DataError(f"{manifest}: malformed manifest: {exc}") from exc
+    for key in sorted(cfg.keys() | resolved.keys()):
+        got, want = (repr(c[key]) if key in c else "missing" for c in (cfg, resolved))
+        if got != want:
             raise DataError(
-                f"{cfg.manifest}: malformed manifest: config {key!r} is {value!r}"
+                f"{manifest}: malformed manifest: config {key!r} is {got},"
+                f" its flags give {want}"
             )
+    return resolved
 
 
 def cmd_replay(args) -> int:
@@ -572,9 +566,7 @@ def cmd_replay(args) -> int:
     if command not in ("scenario", "train"):
         raise DataError(f"{manifest_path}: cannot replay command {command!r}")
 
-    cfg = _ReplayConfig(cfg, manifest_path)
-    _check_replay_config(command, cfg)
-    _apply_threads(cfg.get("threads", 1))
+    cfg = _replay_config(command, cfg, manifest_path)
     out = Path(args.out) if args.out else manifest_path.parent / "replay"
     code = _run(command, cfg, out)
 
@@ -617,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("scenario", help="run one of the four benchmark scenarios")
-    p.add_argument("number", type=int, choices=SCENARIO_CHOICES)
+    p.add_argument("number", type=int, choices=sorted(SCENARIO_TARGET))
     p.add_argument("--data-dir", default=_env("data-dir", "data"),
                    help="directory holding prepared slmrd/ and kid/ subdirectories")
     p.add_argument("--out", default=_env("out"),
@@ -677,9 +669,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.error("a command is required")
+    try:
+        args = parser.parse_args(argv)
+        if not hasattr(args, "func"):
+            parser.error("a command is required")
+    except _UsageError as exc:
+        exc.parser.print_usage(sys.stderr)
+        print(f'error=usage detail="{exc}"', file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     _apply_threads(getattr(args, "threads", 0))
     try:
         return args.func(args)

@@ -173,7 +173,7 @@ def loss(cache: ForwardCache, labels, model: BowTieModel) -> tuple[float, float]
     y = _check_labels(labels)
     if len(y) != len(cache.prob):
         raise ValueError(f"{len(y)} labels for a batch of {len(cache.prob)}")
-    p = np.clip(cache.prob, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    p = cache.prob  # forward already clamped it into [PROB_CLAMP, 1 - PROB_CLAMP]
     bce = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
     penalty = model.config.l2_weight * sum(
         float((w * w).sum()) for w in model.weights
@@ -212,12 +212,3 @@ def backward(model: BowTieModel, cache: ForwardCache, labels) -> Gradients:
         delta = back
     return Gradients(weights=d_weights, biases=d_biases)
 
-
-def predict(model: BowTieModel, row: sparse.csr_matrix) -> tuple[float, int]:
-    """Inference-mode probability and category (1 when p >= discriminator)
-    for a one-row sparse matrix."""
-    if row.shape[0] != 1:
-        raise ValueError(f"predict takes one row, got {row.shape[0]}")
-    cache = forward(model, row, training=False)
-    p = float(cache.prob[0])
-    return p, int(p >= model.config.discriminator)

@@ -138,17 +138,19 @@ def apply_update(
 ) -> None:
     """One optimizer step over every parameter of the model, in place."""
     n = model.layer_count
-    if len(state.first) != 2 * n:
+    if len(state.first) != 2 * n or len(state.second) != 2 * n:
         raise ValueError("state does not match this model's layer count")
-    params = model.weights + model.biases
-    for i, (tensor, m) in enumerate(zip(params, state.first)):
-        if m.shape != tensor.shape or state.second[i].shape != tensor.shape:
+    if len(grads.weights) != n or len(grads.biases) != n:
+        raise ValueError("gradients do not match this model's layer count")
+    params = [*model.weights, *model.biases]
+    for i, (tensor, g) in enumerate(zip(params, [*grads.weights, *grads.biases])):
+        if state.first[i].shape != tensor.shape or state.second[i].shape != tensor.shape:
             raise ValueError(f"state shape mismatch at tensor {i}")
+        if g.shape != tensor.shape:
+            raise ValueError(f"gradient shape mismatch at tensor {i}")
     state.step += 1
     t = state.step
     for l in range(n):
-        if grads.weights[l].shape != model.weights[l].shape:
-            raise ValueError(f"gradient shape mismatch at layer {l}")
         weight_finite = _step_tensor(
             spec, model.weights[l], grads.weights[l],
             state.first[l], state.second[l], t,

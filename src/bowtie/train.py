@@ -70,10 +70,6 @@ class EvalResult:
     bce: float
     accuracy: float
     count: int
-    true_pos: int = 0
-    true_neg: int = 0
-    false_pos: int = 0
-    false_neg: int = 0
 
 
 def evaluate(
@@ -81,34 +77,22 @@ def evaluate(
     dataset: EncodedDataset,
     batch_size: int = 512,
 ) -> EvalResult:
-    """Inference-mode mean bce, accuracy, and confusion counts."""
+    """Inference-mode mean bce and accuracy."""
     if not len(dataset):
         raise ValueError("cannot evaluate on an empty dataset")
     x, y = dataset.matrix, dataset.labels
     n = len(y)
     delta = model.config.discriminator
     bce_sum = 0.0
-    tp = tn = fp = fn = 0
+    correct = 0
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
         cache = forward(model, x[start:stop], training=False)
         p = cache.prob
         yb = y[start:stop] == 1.0
         bce_sum -= float(np.sum(yb * np.log(p) + (~yb) * np.log1p(-p)))
-        predicted = p >= delta
-        tp += int(np.sum(predicted & yb))
-        tn += int(np.sum(~predicted & ~yb))
-        fp += int(np.sum(predicted & ~yb))
-        fn += int(np.sum(~predicted & yb))
-    return EvalResult(
-        bce=bce_sum / n,
-        accuracy=(tp + tn) / n,
-        count=n,
-        true_pos=tp,
-        true_neg=tn,
-        false_pos=fp,
-        false_neg=fn,
-    )
+        correct += int(np.sum((p >= delta) == yb))
+    return EvalResult(bce=bce_sum / n, accuracy=correct / n, count=n)
 
 
 def train(

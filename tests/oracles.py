@@ -3,10 +3,12 @@
 Everything here is deliberately written with plain Python loops and dense
 arrays so it shares no code path with the package under test, except the
 finite-difference gradient, which probes the package's own forward pass and
-loss to check its backward pass.  The three record-file loaders parse one
-line and one pair at a time with ``int()`` and ``str.split()``; they
-differ from the package's loaders only on the inputs that the README's
-"Accepted line grammar" lists as now rejected or reported differently.
+loss to check its backward pass, and ``predict``, which scores one example
+at a time through the package's forward pass as the reference for batched
+evaluation.  The three record-file loaders parse one line and one pair at a
+time with ``int()`` and ``str.split()``; they differ from the package's
+loaders only on the inputs that the README's "Accepted line grammar" lists
+as now rejected or reported differently.
 The optimizer step updates a whole tensor with one numpy expression per
 formula; the package's chunked step must match it bit for bit.
 """
@@ -70,6 +72,15 @@ def l2_penalty(model):
         for value in w.ravel():
             acc += float(value) ** 2
     return model.config.l2_weight * acc
+
+
+def predict(model, row):
+    """Inference-mode probability and category (1 when p >= discriminator)
+    for a one-row sparse matrix."""
+    if row.shape[0] != 1:
+        raise ValueError(f"predict takes one row, got {row.shape[0]}")
+    p = float(forward(model, row, training=False).prob[0])
+    return p, int(p >= model.config.discriminator)
 
 
 def central_difference(f, x: float, h: float) -> float:

@@ -27,11 +27,11 @@ from bowtie.corpus import (
     load_slmrd_vocab,
 )
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus, polarity_stats
-from bowtie.net import Gradients, backward, forward, predict
+from bowtie.net import Gradients, backward, forward
 from bowtie.optim import OptimizerSpec, apply_update, init_state
 from bowtie.train import TrainConfig, load_checkpoint, save_checkpoint, train
 from bowtie.transfer import build_vocab_map, remap_corpus
-from oracles import dense_forward, dense_multi_hot, dense_polarity_weighted
+from oracles import dense_forward, dense_multi_hot, dense_polarity_weighted, predict
 from synth import corpus_from_rows, planted_bag, planted_corpus, rating_table
 from test_net import fd_all_coords, make_model, random_batch, sample_net_case, vector_rel_error
 from test_optim import single_step

@@ -567,9 +567,16 @@ def test_replay_without_parameter_sha_compares_metrics(tmp_path, prepared, s3_ru
         lambda body: body["config"].update(hidden=5),
         lambda body: body["config"].update(optimizer="adagrad"),
         lambda body: body["config"].update(epochs="20"),
+        lambda body: body["config"].update(init_seed=body["config"]["init_seed"] + 1),
+        lambda body: body["config"].update(momentum=0.9),
+        lambda body: body["config"].pop("threads"),
+        lambda body: body["config"].update(threads=None),
+        lambda body: body["config"].update(data_dir=None),
     ],
     ids=["missing-key", "list-config", "list-artifacts", "scenario-out-of-range",
-         "hidden-not-a-list", "optimizer-not-a-choice", "epochs-not-an-int"],
+         "hidden-not-a-list", "optimizer-not-a-choice", "epochs-not-an-int",
+         "init-seed-not-derived", "unknown-key", "threads-missing", "threads-null",
+         "data-dir-null"],
 )
 def test_replay_rejects_malformed_config(tmp_path, prepared, s3_run, capsys, edit):
     manifest = s3_run / "manifest.json"
@@ -578,6 +585,60 @@ def test_replay_rejects_malformed_config(tmp_path, prepared, s3_run, capsys, edi
     err = capsys.readouterr().err
     assert "error=data" in err and f"{manifest}: malformed manifest" in err
     assert not (tmp_path / "r5").exists()  # rejected before the run
+
+
+def test_replay_ignores_environment_for_recorded_values(
+    tmp_path, prepared, monkeypatch, capsys
+):
+    """Recorded values, None included, are replayed as recorded; a BOWTIE_*
+    variable of the replaying process changes none of them."""
+    out = tmp_path / "runs" / "no-val"
+    slmrd = prepared / "slmrd"
+    code = main(
+        [
+            "train",
+            "--train-corpus", str(slmrd / "train.corpus"),
+            "--vocab", str(slmrd / "vocab.txt"),
+            "--out", str(out),
+            *FAST_FLAGS,
+            "--epochs", "2",
+        ]
+    )
+    assert code == 0
+    cfg = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]
+    assert cfg["val_corpus"] is None and cfg["target_acc"] is None
+    monkeypatch.setenv("BOWTIE_VAL_CORPUS", str(slmrd / "test.corpus"))
+    monkeypatch.setenv("BOWTIE_TARGET_ACC", "0.5")
+    monkeypatch.setenv("BOWTIE_L2", "0.25")
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(out / "manifest.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "replay_match=1"
+
+
+def test_replay_pins_threads_before_numpy_loads(s3_run):
+    """Replay applies the recorded --threads while numpy is still unloaded,
+    so the BLAS pools it pins take effect."""
+    script = (
+        "import sys\n"
+        "from bowtie import cli\n"
+        "seen = []\n"
+        "pin = cli._apply_threads\n"
+        "def spy(count):\n"
+        "    seen.append((count, 'numpy' in sys.modules))\n"
+        "    pin(count)\n"
+        "cli._apply_threads = spy\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "assert seen[-1] == (1, False), seen\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BOWTIE_")}
+    env["PYTHONPATH"] = str(Path(bowtie.__file__).resolve().parents[1])
+    argv = ["replay", "--manifest", str(s3_run / "manifest.json"),
+            "--out", str(s3_run / "replay-spy")]
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "replay_match=1"
 
 
 def test_replay_requires_manifest(capsys):

@@ -14,7 +14,6 @@ from bowtie.net import (
     forward,
     init_model,
     loss,
-    predict,
 )
 from oracles import (
     bce_mean,
@@ -22,6 +21,7 @@ from oracles import (
     dense_forward,
     finite_difference_grad,
     l2_penalty,
+    predict,
 )
 
 

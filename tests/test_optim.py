@@ -171,6 +171,46 @@ def test_gradient_shape_mismatch_rejected():
         apply_update(OptimizerSpec(), state, model, bad)
 
 
+def _bias_too_long(grads):
+    grads.biases[0] = np.zeros(7)
+
+
+def _bias_broadcasts(grads):
+    grads.biases[0] = np.zeros(1)
+
+
+def _bias_list_short(grads):
+    del grads.biases[1]
+
+
+def _later_weight_wrong(grads):
+    grads.weights[1] = np.zeros((3, 1))
+
+
+@pytest.mark.parametrize(
+    "spoil", [_bias_too_long, _bias_broadcasts, _bias_list_short, _later_weight_wrong],
+    ids=["bias-too-long", "bias-broadcasts", "bias-list-short", "later-weight-wrong"],
+)
+def test_bad_gradients_rejected_before_anything_moves(spoil):
+    """Every gradient's shape and the list lengths are checked before the first
+    tensor is stepped: a (7,) or (1,) bias gradient for a (4,) bias, a short
+    list and a wrong layer-1 weight leave parameters, moments and the step
+    counter untouched."""
+    model = tiny_model(seed=6, hidden=(4, 1))
+    state = init_state(model)
+    spec = OptimizerSpec(kind="adam")
+    apply_update(spec, state, model, random_grads(np.random.default_rng(6), model))
+    before = [t.copy() for t in (*model.weights, *model.biases, *state.first, *state.second)]
+    grads = random_grads(np.random.default_rng(7), model)
+    spoil(grads)
+    with pytest.raises(ValueError):
+        apply_update(spec, state, model, grads)
+    after = (*model.weights, *model.biases, *state.first, *state.second)
+    for got, was in zip(after, before):
+        npt.assert_array_equal(got, was)
+    assert state.step == 1
+
+
 def test_non_finite_parameters_raise_divergence():
     model = tiny_model(seed=7)
     state = init_state(model)
