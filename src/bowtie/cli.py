@@ -470,8 +470,7 @@ def cmd_prepare(args) -> int:
         polarity = load_polarity(_need(base / "imdbEr.txt", hint), vocab)
         _write_vocab(vocab, out / "vocab.txt")
         with replacing(out / "polarity.txt", "w", encoding="utf-8", newline="\n") as fh:
-            for rating in polarity.ratings:
-                fh.write(f"{float(rating)!r}\n")
+            fh.write("".join([f"{rating!r}\n" for rating in polarity.ratings.tolist()]))
         print(f"dataset=slmrd vocab={vocab.size}")
         for split in ("train", "test"):
             corpus = load_slmrd_bow(

@@ -6,8 +6,9 @@ the Keras-style integer-sequence distribution, normalizing both into one
 CSR matrix of token counts over a dense vocabulary (a row per review) plus
 a label array.  A canonical line format (``label<TAB>idx:count ...``) makes
 everything downstream source-agnostic.  The three record formats are read
-in blocks of whole lines by one array-op scanner; the README gives the
-line grammar each accepts.
+in blocks of whole lines by one array-op scanner, and the canonical one is
+written a block of rows at a time by array ops too; the README gives the
+line grammar each file accepts.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,14 +33,16 @@ class Vocabulary:
 
     def __init__(self, tokens: list[str]):
         self.tokens = list(tokens)
-        self.index_of: dict[str, int] = {}
-        for i, tok in enumerate(self.tokens):
-            if tok in self.index_of:
-                raise DataError(
-                    f"duplicate token {tok!r} at indices "
-                    f"{self.index_of[tok]} and {i}"
-                )
-            self.index_of[tok] = i
+        if len(set(self.tokens)) < len(self.tokens):
+            first, again = _first_repeat(self.tokens)
+            raise DataError(
+                f"duplicate token {self.tokens[again]!r} at indices {first} and {again}"
+            )
+
+    @cached_property
+    def index_of(self) -> dict[str, int]:
+        # built on first use: only a transfer's target vocabulary needs it
+        return dict(zip(self.tokens, range(len(self.tokens))))
 
     @property
     def size(self) -> int:
@@ -369,48 +373,88 @@ def _open_text(path: str | Path):
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def _utf8_error(path: str | Path) -> DataError:
+    """The DataError for a text file that does not decode as UTF-8; it names
+    the first bad byte by its offset in the file."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return DataError(
+            f"{path}: not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start} ({exc.reason})"
+        )
+    return DataError(f"{path}: not UTF-8")  # the file changed since it was read
+
+
+def _first_repeat(tokens: list[str]) -> tuple[int, int]:
+    """The positions of the first token seen again, and of its repeat."""
+    seen: dict[str, int] = {}
+    for i, tok in enumerate(tokens):
+        first = seen.setdefault(tok, i)
+        if first != i:
+            return first, i
+    raise ValueError("no token repeats")
+
+
 def load_slmrd_vocab(path: str | Path) -> Vocabulary:
     """Load a one-token-per-line vocabulary file (line number = index, 0-based).
 
     This is both the Stanford ``imdb.vocab`` layout and the canonical
-    vocabulary format written by ``prepare``.
+    vocabulary format written by ``prepare``.  Lines end in ``\\n``,
+    ``\\r\\n`` or a lone ``\\r``; a token is the rest of its line.
     """
-    tokens: list[str] = []
-    seen: dict[str, int] = {}
     with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            tok = line.rstrip("\n")
-            if tok in seen:
-                raise DataError(
-                    f"{path}: duplicate token {tok!r} at lines {seen[tok]} and {lineno}"
-                )
-            seen[tok] = lineno
-            tokens.append(tok)
+        try:
+            tokens = fh.read().split("\n")
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
+    if tokens[-1] == "":  # what follows the last line end
+        tokens.pop()
     if not tokens:
         raise DataError(f"{path}: empty vocabulary file")
-    return Vocabulary(tokens)
+    try:
+        return Vocabulary(tokens)
+    except DataError:
+        first, again = _first_repeat(tokens)
+        raise DataError(
+            f"{path}: duplicate token {tokens[again]!r} at lines {first + 1} and {again + 1}"
+        ) from None
 
 
 def load_polarity(path: str | Path, vocab: Vocabulary) -> PolarityTable:
-    """Load one-rating-per-line polarity values aligned with ``vocab``."""
-    ratings: list[float] = []
+    """Load one-rating-per-line polarity values aligned with ``vocab``.
+
+    A rating is any text ``float()`` accepts, whitespace around it included,
+    and must be finite.
+    """
+    with _open_text(path) as fh:
+        try:
+            ratings = np.fromiter(map(float, fh), np.float64)
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
+        except ValueError:
+            ratings = None
+    if ratings is None or not np.isfinite(ratings).all():
+        raise _rating_error(path)
+    if ratings.size != vocab.size:
+        raise DataError(
+            f"{path}: {ratings.size} ratings for a vocabulary of {vocab.size} tokens"
+        )
+    return PolarityTable(ratings)
+
+
+def _rating_error(path: str | Path) -> DataError:
+    """The DataError for the first line of ``path`` that is not a finite rating."""
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
             try:
                 value = float(text)
             except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: cannot parse rating {text!r}"
-                ) from None
+                return DataError(f"{path}: line {lineno}: cannot parse rating {text!r}")
             if not np.isfinite(value):
-                raise DataError(f"{path}: line {lineno}: non-finite rating {text!r}")
-            ratings.append(value)
-    if len(ratings) != vocab.size:
-        raise DataError(
-            f"{path}: {len(ratings)} ratings for a vocabulary of {vocab.size} tokens"
-        )
-    return PolarityTable(np.array(ratings, dtype=np.float64))
+                return DataError(f"{path}: line {lineno}: non-finite rating {text!r}")
+    return DataError(f"{path}: malformed ratings")  # the file changed since it was read
 
 
 def load_slmrd_bow(path: str | Path, vocab: Vocabulary, split: str = "train") -> Corpus:
@@ -441,27 +485,7 @@ def load_kid(
     value v maps to token index ``v - index_offset``, and values below the
     offset are reserved control codes that are dropped.
     """
-    with _open_text(word_index_path) as fh:
-        try:
-            word_index = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{word_index_path}: not valid JSON: {exc}") from exc
-    if not isinstance(word_index, dict) or not word_index:
-        raise DataError(f"{word_index_path}: expected a non-empty token->rank object")
-    ranks_seen: dict[int, str] = {}
-    for tok, rank in word_index.items():
-        if not isinstance(rank, int) or rank < 1:
-            raise DataError(f"{word_index_path}: rank for {tok!r} must be a positive integer")
-        if rank in ranks_seen:
-            raise DataError(
-                f"{word_index_path}: tokens {ranks_seen[rank]!r} and {tok!r} share rank {rank}"
-            )
-        if "\n" in tok or "\r" in tok:
-            # the canonical vocabulary is one token per line
-            raise DataError(f"{word_index_path}: token {tok!r} contains a line break")
-        ranks_seen[rank] = tok
-    tokens = [tok for tok, _ in sorted(word_index.items(), key=lambda kv: kv[1])]
-    vocab = Vocabulary(tokens)
+    vocab = Vocabulary(_word_index_tokens(word_index_path))
 
     labels, indices, counts, sizes = [], [], [], []
     for block, lines_before in _blocks(sequences_path):
@@ -487,20 +511,126 @@ def load_kid(
     )
 
 
+def _word_index_tokens(path: str | Path) -> list[str]:
+    """The tokens of a JSON token->rank object in rank order, checked."""
+    with _open_text(path) as fh:
+        try:
+            word_index = json.load(fh)
+        except UnicodeDecodeError:
+            raise _utf8_error(path) from None
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(word_index, dict) or not word_index:
+        raise DataError(f"{path}: expected a non-empty token->rank object")
+    tokens = list(word_index)
+    joined = "".join(tokens)
+    if set(map(type, word_index.values())) == {int} and "\n" not in joined and "\r" not in joined:
+        try:
+            ranks = np.fromiter(word_index.values(), np.int64, len(tokens))
+        except OverflowError:  # a rank beyond int64: the walk below sorts it
+            ranks = None
+        if ranks is not None:
+            order = np.argsort(ranks, kind="stable")
+            ranks = ranks[order]
+            if ranks[0] >= 1 and (ranks[1:] != ranks[:-1]).all():
+                return [tokens[i] for i in order.tolist()]
+    return _walk_word_index(path, word_index)
+
+
+def _walk_word_index(path: str | Path, word_index: dict) -> list[str]:
+    """``_word_index_tokens`` one entry at a time: raises the DataError for
+    the first bad entry, or returns the tokens in rank order."""
+    ranks_seen: dict[int, str] = {}
+    for tok, rank in word_index.items():
+        if type(rank) is not int or rank < 1:  # JSON true is a bool, not a rank
+            raise DataError(f"{path}: rank for {tok!r} must be a positive integer")
+        if rank in ranks_seen:
+            raise DataError(f"{path}: tokens {ranks_seen[rank]!r} and {tok!r} share rank {rank}")
+        if "\n" in tok or "\r" in tok:
+            # the canonical vocabulary is one token per line
+            raise DataError(f"{path}: token {tok!r} contains a line break")
+        ranks_seen[rank] = tok
+    return [tok for tok, _ in sorted(word_index.items(), key=lambda kv: kv[1])]
+
+
 def shuffle(corpus: Corpus, seed: int) -> Corpus:
     """Deterministically permute the reviews; same seed, same order."""
     return corpus.take(derive_rng(seed).permutation(len(corpus)))
 
 
+# save_corpus_file lays out blocks of rows of about this many stored pairs
+# (each row counts as one more), so its work arrays stay small.
+_WRITE_PAIRS = 1 << 15
+
+_TENS = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10**18
+
+
 def save_corpus_file(corpus: Corpus, path: str | Path) -> None:
-    """Write the canonical format: one ``label<TAB>idx:count ...`` record per line."""
+    """Write the canonical format: one ``label<TAB>idx:count ...`` record per line.
+
+    Pairs are written in their stored order.  A label, index or count that
+    is negative, or not an integer, raises ``ValueError`` before the file is
+    touched, since the loaders could not read it back.
+    """
     m = corpus.counts
-    indptr = m.indptr.tolist()
-    with replacing(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row, label in enumerate(corpus.labels.tolist()):
-            lo, hi = indptr[row], indptr[row + 1]
-            pairs = zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())
-            fh.write(f"{label}\t{' '.join(f'{i}:{c}' for i, c in pairs)}\n")
+    labels = _writable(corpus.labels, "label", path)
+    indices = _writable(m.indices, "index", path)
+    counts = _writable(m.data, "count", path)
+    indptr = m.indptr.astype(np.int64)
+    # cut between rows each time pairs plus rows pass a multiple of _WRITE_PAIRS
+    weight = indptr + np.arange(indptr.size)
+    cuts = np.searchsorted(weight, np.arange(_WRITE_PAIRS, weight[-1], _WRITE_PAIRS))
+    bounds = np.unique(np.concatenate(([0], cuts, [len(corpus)]))).tolist()
+    with replacing(path, "wb") as fh:
+        for lo, hi in zip(bounds, bounds[1:]):
+            p0, p1 = indptr[lo], indptr[hi]
+            fh.write(_record_bytes(labels[lo:hi], indptr[lo : hi + 1] - p0,
+                                   indices[p0:p1], counts[p0:p1]))
+
+
+def _writable(values: np.ndarray, name: str, path) -> np.ndarray:
+    """``values``, or the ValueError for one that cannot be written."""
+    values = np.asarray(values)
+    if not np.can_cast(values.dtype, np.int64):
+        raise ValueError(f"{path}: cannot write {name}s of dtype {values.dtype}")
+    if values.size and values.min() < 0:
+        raise ValueError(f"{path}: cannot write negative {name} {int(values.min())}")
+    return values
+
+
+def _record_bytes(labels, indptr, indices, counts) -> np.ndarray:
+    """The canonical lines of some rows as bytes (``indptr`` starts at 0).
+
+    A row is its label, a tab, then each pair as ``index:count`` and one
+    byte after it: a space, or the newline after the row's last pair.  An
+    empty row is its label, a tab and the newline.
+    """
+    values = np.concatenate((labels, indices, counts), dtype=np.int64)
+    digits = np.searchsorted(_TENS, values, side="right") + 1
+    label_len, index_len, count_len = np.split(digits, [labels.size, labels.size + indices.size])
+    pair_bytes = np.zeros(indices.size + 1, dtype=np.int64)
+    np.cumsum(index_len + count_len + 2, out=pair_bytes[1:])
+    sizes = np.diff(indptr)
+    row_len = label_len + 1 + np.diff(pair_bytes[indptr]) + (sizes == 0)
+    row_end = np.cumsum(row_len)
+    label_end = row_end - row_len + label_len
+    pair_start = pair_bytes[:-1] + np.repeat(label_end + 1 - pair_bytes[indptr[:-1]], sizes)
+    index_end = pair_start + index_len
+    count_end = index_end + 1 + count_len
+    out = np.empty(row_end[-1], dtype=np.uint8)
+    out[label_end] = ord("\t")
+    out[index_end] = ord(":")
+    out[count_end] = ord(" ")
+    out[row_end - 1] = ord("\n")
+    # the digits, last place first: the inverse of _eight_digits
+    end = np.concatenate((label_end, index_end, count_end))
+    while values.size:
+        values, digit = np.divmod(values, 10)
+        end -= 1
+        out[end] = digit + ord("0")
+        more = values > 0
+        values, end = values[more], end[more]
+    return out
 
 
 def load_corpus_file(

@@ -12,6 +12,7 @@ stated for safety).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 import numpy as np
 from scipy import sparse
@@ -37,18 +38,12 @@ class VocabMap:
 
 
 def build_vocab_map(source: Vocabulary, target: Vocabulary) -> VocabMap:
-    mapping = np.full(source.size, -1, dtype=np.int64)
-    dropped: list[str] = []
-    lookup = target.index_of
-    for i, token in enumerate(source.tokens):
-        j = lookup.get(token)
-        if j is None:
-            dropped.append(token)
-        else:
-            mapping[i] = j
+    mapping = np.fromiter(
+        map(target.index_of.get, source.tokens, repeat(-1)), np.int64, source.size
+    )
     return VocabMap(
         mapping=mapping,
-        dropped=sorted(dropped),
+        dropped=sorted(compress(source.tokens, (mapping < 0).tolist())),
         source_size=source.size,
         target_size=target.size,
     )

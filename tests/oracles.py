@@ -8,7 +8,9 @@ at a time through the package's forward pass as the reference for batched
 evaluation.  The three record-file loaders parse one line and one pair at a
 time with ``int()`` and ``str.split()``; they differ from the package's
 loaders only on the inputs that the README's "Accepted line grammar" lists
-as now rejected or reported differently.
+as now rejected or reported differently.  So do the vocabulary, polarity
+and word-index loaders, which walk one line or one entry at a time, and the
+corpus writer, which formats one pair at a time.
 The optimizer step updates a whole tensor with one numpy expression per
 formula; the package's chunked step must match it bit for bit.
 """
@@ -18,9 +20,10 @@ import json
 import numpy as np
 from scipy import sparse
 
-from bowtie.corpus import Corpus, Vocabulary
+from bowtie.corpus import Corpus, PolarityTable, Vocabulary
 from bowtie.errors import DataError
 from bowtie.net import forward, loss
+from bowtie.transfer import VocabMap
 
 PROB_FLOOR = 1e-12
 
@@ -225,8 +228,9 @@ def load_slmrd_bow(path, vocab, split="train"):
     return _stack_rows(rows, labels, vocab.size, vocab.fingerprint(), split)
 
 
-def load_kid(word_index_path, sequences_path, index_offset=3):
-    """Reference integer-sequence loader: ``label<TAB>v1 v2 ...`` lines."""
+def word_index_tokens(word_index_path):
+    """Reference word-index reader: the tokens of a JSON token->rank object
+    in rank order, each entry checked in turn."""
     with _open_text(word_index_path) as fh:
         try:
             word_index = json.load(fh)
@@ -245,8 +249,12 @@ def load_kid(word_index_path, sequences_path, index_offset=3):
         if "\n" in tok or "\r" in tok:
             raise DataError(f"{word_index_path}: token {tok!r} contains a line break")
         ranks_seen[rank] = tok
-    tokens = [tok for tok, _ in sorted(word_index.items(), key=lambda kv: kv[1])]
-    vocab = Vocabulary(tokens)
+    return [tok for tok, _ in sorted(word_index.items(), key=lambda kv: kv[1])]
+
+
+def load_kid(word_index_path, sequences_path, index_offset=3):
+    """Reference integer-sequence loader: ``label<TAB>v1 v2 ...`` lines."""
+    vocab = Vocabulary(word_index_tokens(word_index_path))
 
     rows, labels = [], []
     with _open_text(sequences_path) as fh:
@@ -297,3 +305,89 @@ def load_corpus_file(path, vocab_id="", split="train", width=None):
             labels.append(label)
             rows.append(_parse_pairs(rest.split(), bound, where))
     return _stack_rows(rows, labels, width, vocab_id, split)
+
+
+def load_slmrd_vocab(path):
+    """Reference vocabulary loader: one token per line, checked line by line."""
+    tokens = []
+    seen = {}
+    with _open_text(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            tok = line.rstrip("\n")
+            if tok in seen:
+                raise DataError(
+                    f"{path}: duplicate token {tok!r} at lines {seen[tok]} and {lineno}"
+                )
+            seen[tok] = lineno
+            tokens.append(tok)
+    if not tokens:
+        raise DataError(f"{path}: empty vocabulary file")
+    return Vocabulary(tokens)
+
+
+def vocabulary_index(tokens):
+    """Reference token -> index map of a Vocabulary, built token by token."""
+    index_of = {}
+    for i, tok in enumerate(tokens):
+        if tok in index_of:
+            raise DataError(f"duplicate token {tok!r} at indices {index_of[tok]} and {i}")
+        index_of[tok] = i
+    return index_of
+
+
+def load_polarity(path, vocab):
+    """Reference polarity loader: ``float()`` on one stripped line at a time."""
+    ratings = []
+    with _open_text(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            text = line.strip()
+            try:
+                value = float(text)
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {lineno}: cannot parse rating {text!r}"
+                ) from None
+            if not np.isfinite(value):
+                raise DataError(f"{path}: line {lineno}: non-finite rating {text!r}")
+            ratings.append(value)
+    if len(ratings) != vocab.size:
+        raise DataError(
+            f"{path}: {len(ratings)} ratings for a vocabulary of {vocab.size} tokens"
+        )
+    return PolarityTable(np.array(ratings, dtype=np.float64))
+
+
+# ------------------------------------------------------------ corpus writer
+
+
+def save_corpus_file(corpus, path):
+    """Reference canonical writer: one f-string per pair."""
+    m = corpus.counts
+    indptr = m.indptr.tolist()
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row, label in enumerate(corpus.labels.tolist()):
+            lo, hi = indptr[row], indptr[row + 1]
+            pairs = zip(m.indices[lo:hi].tolist(), m.data[lo:hi].tolist())
+            fh.write(f"{label}\t{' '.join(f'{i}:{c}' for i, c in pairs)}\n")
+
+
+# ---------------------------------------------------------- vocabulary map
+
+
+def build_vocab_map(source, target):
+    """Reference source -> target index map, one dict lookup per token."""
+    mapping = np.full(source.size, -1, dtype=np.int64)
+    dropped = []
+    lookup = target.index_of
+    for i, token in enumerate(source.tokens):
+        j = lookup.get(token)
+        if j is None:
+            dropped.append(token)
+        else:
+            mapping[i] = j
+    return VocabMap(
+        mapping=mapping,
+        dropped=sorted(dropped),
+        source_size=source.size,
+        target_size=target.size,
+    )

@@ -223,6 +223,32 @@ def test_prepare_missing_distribution_exits_two(tmp_path, capsys):
     assert "imdb.vocab" in err
 
 
+@pytest.mark.parametrize("dataset,name", [
+    ("slmrd", "imdb.vocab"), ("slmrd", "imdbEr.txt"), ("kid", "word_index.json"),
+])
+def test_prepare_input_that_is_not_utf8_exits_two(tmp_path, raw_trees, capsys, dataset, name):
+    slmrd_root, kid_root = raw_trees
+    root = slmrd_root if dataset == "slmrd" else kid_root
+    path = root / name
+    data = path.read_bytes()
+    path.write_bytes(data[:1] + b"\xff" + data[1:])
+    inputs = (["--input", str(slmrd_root)] if dataset == "slmrd" else
+              ["--word-index", str(path), "--sequences", str(kid_root / "sequences.tsv")])
+    code = main(["prepare", dataset, *inputs, "--out", str(tmp_path / "data")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f'error=data detail="{path}: not UTF-8: byte 0xff at offset 1 ' in err
+
+
+def test_prepare_writes_each_rating_as_its_repr(tmp_path, raw_trees):
+    slmrd_root, _ = raw_trees
+    out = tmp_path / "data"
+    assert main(["prepare", "slmrd", "--input", str(slmrd_root), "--out", str(out)]) == 0
+    ratings = [float(line) for line in (slmrd_root / "imdbEr.txt").read_text().splitlines()]
+    written = (out / "polarity.txt").read_text(encoding="utf-8")
+    assert written == "".join(f"{rating!r}\n" for rating in ratings)
+
+
 # ----------------------------------------------------------------- scenarios
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from bowtie.corpus import PolarityTable, Vocabulary
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.errors import DataError, FingerprintError
@@ -85,6 +86,19 @@ def test_mapped_plus_dropped_partitions_source():
             j = int(vmap.mapping[i])
             if j >= 0:
                 assert target_tokens[j] == token
+
+
+def test_vocab_map_matches_the_reference():
+    rng = np.random.default_rng(2)
+    for case in range(30):
+        pool = token_list(60, prefix=f"w{case}_") + ["", "Movie", "movie", "movie "]
+        source = Vocabulary(list(rng.choice(pool, size=int(rng.integers(0, 40)), replace=False)))
+        target = Vocabulary(list(rng.choice(pool, size=int(rng.integers(0, 40)), replace=False)))
+        got, want = build_vocab_map(source, target), oracles.build_vocab_map(source, target)
+        assert got.mapping.dtype == want.mapping.dtype
+        assert got.mapping.tolist() == want.mapping.tolist()
+        assert (got.dropped, got.source_size, got.target_size) == (
+            want.dropped, want.source_size, want.target_size)
 
 
 # ------------------------------------------------------------------ remapping
