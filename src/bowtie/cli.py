@@ -1,9 +1,10 @@
 """Command-line surface: four named scenarios plus utility commands.
 
 Commands: prepare, scenario, train, eval, transfer, stats, replay.  Every
-flag can be set through an environment variable BOWTIE_<FLAG> (uppercase,
-dashes become underscores); explicit flags win.  Exit codes: 0 success,
-1 usage, 2 data error, 3 numerical divergence, 4 verdict failure.
+optional flag can be set through an environment variable BOWTIE_<FLAG>
+(uppercase, dashes become underscores); explicit flags win, and positionals
+never read one.  Exit codes: 0 success, 1 usage, 2 data error, 3 numerical
+divergence, 4 verdict failure.
 
 Heavy imports happen inside the handlers so --threads can pin the BLAS
 thread-count environment variables before numpy loads.
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from .errors import DataError, DivergenceError
@@ -57,7 +59,25 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; this surface reserves 2 for data errors,
     so a usage error is raised for ``main`` (exit 1) or ``replay`` (a malformed
-    manifest, exit 2) to report."""
+    manifest, exit 2) to report.
+
+    Each optional flag (not -h) takes its default from ``BOWTIE_<DEST>`` in
+    ``environ`` when that is set; its subcommands' parsers share the mapping."""
+
+    def __init__(self, *args, environ, **kwargs):
+        self.environ = environ
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings and action.default is not argparse.SUPPRESS:
+            name = ENV_PREFIX + action.dest.upper()
+            action.default = self.environ.get(name, action.default)
+        return action
+
+    def add_subparsers(self, **kwargs):
+        kwargs.setdefault("parser_class", partial(_Parser, environ=self.environ))
+        return super().add_subparsers(**kwargs)
 
     def error(self, message):
         raise _UsageError(self, message)
@@ -74,10 +94,6 @@ class _Parser(argparse.ArgumentParser):
                 choices = ", ".join(map(str, action.choices))
                 self.error(f"{name}={value!r} is not one of {choices}")
         return namespace, extras
-
-
-def _env(flag: str, fallback=None):
-    return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"), fallback)
 
 
 def _apply_threads(count: int) -> None:
@@ -104,61 +120,45 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden", default=_env("hidden", "16,8,1"),
+    p.add_argument("--hidden", default="16,8,1",
                    help="comma-separated layer widths ending in 1 (default 16,8,1)")
-    p.add_argument("--activation", choices=ACTIVATION_CHOICES,
-                   default=_env("activation", "none"))
-    p.add_argument("--l2", type=float, default=_env("l2", "0.019"),
+    p.add_argument("--activation", choices=ACTIVATION_CHOICES, default="none")
+    p.add_argument("--l2", type=float, default=0.019,
                    help="L2 regularization weight")
-    p.add_argument("--dropout", type=float, default=_env("dropout", "0.2"))
-    p.add_argument("--delta", type=float, default=_env("delta", "0.5"),
+    p.add_argument("--dropout", type=float, default=0.2)
+    p.add_argument("--delta", type=float, default=0.5,
                    help="decision threshold on the output probability")
-    p.add_argument("--optimizer", choices=OPTIMIZER_CHOICES,
-                   default=_env("optimizer", "nadam"))
-    p.add_argument("--lr", type=float, default=_env("lr", "0.001"))
-    p.add_argument("--beta1", type=float, default=_env("beta1", "0.9"))
-    p.add_argument("--beta2", type=float, default=_env("beta2", "0.999"))
-    p.add_argument("--rms-decay", type=float, default=_env("rms-decay", "0.9"))
-    p.add_argument("--epsilon", type=float, default=_env("epsilon", "1e-7"))
-    p.add_argument("--batch-size", type=int, default=_env("batch-size", "512"))
-    p.add_argument("--epochs", type=int, default=_env("epochs", "20"))
-    p.add_argument("--target-acc", type=float, default=_env("target-acc"),
+    p.add_argument("--optimizer", choices=OPTIMIZER_CHOICES, default="nadam")
+    p.add_argument("--lr", type=float, default=0.001)
+    p.add_argument("--beta1", type=float, default=0.9)
+    p.add_argument("--beta2", type=float, default=0.999)
+    p.add_argument("--rms-decay", type=float, default=0.9)
+    p.add_argument("--epsilon", type=float, default=1e-7)
+    p.add_argument("--batch-size", type=int, default=512)
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--target-acc", type=float,
                    help="stop at the first epoch whose validation accuracy reaches this")
-    p.add_argument("--seed", type=int, default=_env("seed", "0"),
+    p.add_argument("--seed", type=int, default=0,
                    help="master seed; init/shuffle/dropout streams derive from it")
     _add_exec_flags(p)
 
 
 def _add_exec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=_env("threads", "1"),
+    p.add_argument("--threads", type=int, default=1,
                    help="BLAS thread count; 1 is fully deterministic, 0 leaves it unset")
 
 
 def _resolve_run_config(args) -> dict:
+    """The recorded config: every flag but --out as parsed, ``hidden`` as a
+    list of widths, and the three seeds derived from ``seed``."""
     from .rngseed import mix_seed
 
-    hidden = _parse_hidden(args.hidden)
-    return {
-        "hidden": list(hidden),
-        "activation": args.activation,
-        "l2": args.l2,
-        "dropout": args.dropout,
-        "delta": args.delta,
-        "optimizer": args.optimizer,
-        "lr": args.lr,
-        "beta1": args.beta1,
-        "beta2": args.beta2,
-        "rms_decay": args.rms_decay,
-        "epsilon": args.epsilon,
-        "batch_size": args.batch_size,
-        "epochs": args.epochs,
-        "target_acc": args.target_acc,
-        "seed": args.seed,
-        "init_seed": mix_seed(args.seed, 1),
-        "data_seed": mix_seed(args.seed, 2),
-        "dropout_seed": mix_seed(args.seed, 3),
-        "threads": args.threads,
-    }
+    skip = ("command", "func", "number", "out")
+    cfg = {key: value for key, value in vars(args).items() if key not in skip}
+    cfg["hidden"] = list(_parse_hidden(args.hidden))
+    for stream, key in enumerate(("init_seed", "data_seed", "dropout_seed"), 1):
+        cfg[key] = mix_seed(args.seed, stream)
+    return cfg
 
 
 def _need(path: Path, hint: str) -> Path:
@@ -360,7 +360,6 @@ def _train_config(args) -> dict:
     cfg["val_corpus"] = str(Path(args.val_corpus).resolve()) if args.val_corpus else None
     cfg["vocab"] = str(Path(args.vocab).resolve())
     cfg["polarity"] = str(Path(args.polarity).resolve()) if args.polarity else None
-    cfg["encoding"] = args.encoding
     return cfg
 
 
@@ -453,10 +452,10 @@ def cmd_prepare(args) -> int:
         save_corpus_file,
     )
 
+    # --out is created once every input has loaded: an error leaves no directory
     if not args.out:
         raise ValueError("prepare requires --out")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.dataset == "slmrd":
         if not args.input:
@@ -468,14 +467,18 @@ def cmd_prepare(args) -> int:
         )
         vocab = load_slmrd_vocab(_need(base / "imdb.vocab", hint))
         polarity = load_polarity(_need(base / "imdbEr.txt", hint), vocab)
+        splits = {
+            split: load_slmrd_bow(
+                _need(base / split / "labeledBow.feat", hint), vocab, split=split
+            )
+            for split in ("train", "test")
+        }
+        out.mkdir(parents=True, exist_ok=True)
         _write_vocab(vocab, out / "vocab.txt")
         with replacing(out / "polarity.txt", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("".join([f"{rating!r}\n" for rating in polarity.ratings.tolist()]))
         print(f"dataset=slmrd vocab={vocab.size}")
-        for split in ("train", "test"):
-            corpus = load_slmrd_bow(
-                _need(base / split / "labeledBow.feat", hint), vocab, split=split
-            )
+        for split, corpus in splits.items():
             save_corpus_file(corpus, out / f"{split}.corpus")
             neg, pos = corpus.label_counts()
             print(f"split={split} reviews={len(corpus)} negative={neg} positive={pos}")
@@ -484,6 +487,7 @@ def cmd_prepare(args) -> int:
     if not args.word_index or not args.sequences:
         raise ValueError("prepare kid requires --word-index and --sequences")
     vocab, corpus = load_kid(args.word_index, args.sequences, args.index_offset)
+    out.mkdir(parents=True, exist_ok=True)
     _write_vocab(vocab, out / "vocab.txt")
     save_corpus_file(corpus, out / "full.corpus")
     neg, pos = corpus.label_counts()
@@ -524,14 +528,9 @@ def _replay_config(command: str, cfg: dict, manifest: Path) -> dict:
             continue
         text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         argv.append(text if key == "scenario" else f"--{key.replace('_', '-')}={text}")
-    # the defaults are the flags' own, never this process's BOWTIE_* variables
-    saved = {k: os.environ.pop(k) for k in list(os.environ) if k.startswith(ENV_PREFIX)}
     try:
-        parser = build_parser()
-    finally:
-        os.environ.update(saved)
-    try:
-        args = parser.parse_args(argv)
+        # the defaults are the flags' own, never this process's BOWTIE_* variables
+        args = build_parser({}).parse_args(argv)
         _apply_threads(args.threads)  # the config builder loads numpy
         resolved = (_scenario_config if command == "scenario" else _train_config)(args)
     except (_UsageError, ValueError) as exc:
@@ -557,7 +556,6 @@ def cmd_replay(args) -> int:
         artifacts = body["artifacts"]
         if not isinstance(cfg, dict) or not isinstance(artifacts, dict):
             raise TypeError("config and artifacts must be JSON objects")
-        original = Path(artifacts["metrics_csv"])
     except OSError as exc:
         raise DataError(f"cannot read {manifest_path}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
@@ -566,25 +564,27 @@ def cmd_replay(args) -> int:
         raise DataError(f"{manifest_path}: cannot replay command {command!r}")
 
     cfg = _replay_config(command, cfg, manifest_path)
+    # read beside the manifest, where _run wrote it, before the run can overwrite it
+    original = manifest_path.parent / "metrics.csv"
+    rows = _metrics_rows(original) if original.exists() else None
     out = Path(args.out) if args.out else manifest_path.parent / "replay"
     code = _run(command, cfg, out)
 
-    if not original.exists():
+    recorded = artifacts.get("checkpoint_param_sha256")  # absent in older manifests
+    replayed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    match = recorded is None or recorded == replayed["artifacts"]["checkpoint_param_sha256"]
+    if match and rows is None:
         print("replay_match=unknown (original metrics file is gone)")
         return code
-    match = _metrics_rows(original) == _metrics_rows(out / "metrics.csv")
-    if "checkpoint_param_sha256" in artifacts:
-        replayed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-        match = match and (
-            replayed["artifacts"]["checkpoint_param_sha256"]
-            == artifacts["checkpoint_param_sha256"]
-        )
+    match = match and rows == _metrics_rows(out / "metrics.csv")
     print(f"replay_match={1 if match else 0}")
     return code if match else EXIT_VERDICT
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(environ=os.environ) -> argparse.ArgumentParser:
+    """The CLI parser; optional flags default to ``environ``'s BOWTIE_* values."""
     parser = _Parser(
+        environ=environ,
         prog="bowtie",
         description="Train and evaluate the BowTie sentiment classifier.",
         epilog=(
@@ -596,71 +596,63 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="convert a raw distribution to canonical files")
     p.add_argument("dataset", choices=("slmrd", "kid"))
-    p.add_argument("--input", default=_env("input"),
-                   help="SLMRD distribution directory")
-    p.add_argument("--word-index", default=_env("word-index"),
-                   help="KID token-to-rank JSON file")
-    p.add_argument("--sequences", default=_env("sequences"),
-                   help="KID labeled integer-sequence file")
-    p.add_argument("--index-offset", type=int, default=_env("index-offset", "3"),
+    p.add_argument("--input", help="SLMRD distribution directory")
+    p.add_argument("--word-index", help="KID token-to-rank JSON file")
+    p.add_argument("--sequences", help="KID labeled integer-sequence file")
+    p.add_argument("--index-offset", type=int, default=3,
                    help="reserved control codes below this sequence value")
-    p.add_argument("--out", default=_env("out"))
+    p.add_argument("--out")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("scenario", help="run one of the four benchmark scenarios")
     p.add_argument("number", type=int, choices=sorted(SCENARIO_TARGET))
-    p.add_argument("--data-dir", default=_env("data-dir", "data"),
+    p.add_argument("--data-dir", default="data",
                    help="directory holding prepared slmrd/ and kid/ subdirectories")
-    p.add_argument("--out", default=_env("out"),
-                   help="artifact directory (default runs/scenario-N)")
+    p.add_argument("--out", help="artifact directory (default runs/scenario-N)")
     _add_run_flags(p)
     p.set_defaults(func=cmd_scenario)
 
     p = sub.add_parser("train", help="train on explicit corpus files")
-    p.add_argument("--train-corpus", default=_env("train-corpus"))
-    p.add_argument("--val-corpus", default=_env("val-corpus"))
-    p.add_argument("--vocab", default=_env("vocab"))
-    p.add_argument("--polarity", default=_env("polarity"))
-    p.add_argument("--encoding", choices=ENCODING_CHOICES,
-                   default=_env("encoding", "multi-hot"))
-    p.add_argument("--out", default=_env("out"))
+    p.add_argument("--train-corpus")
+    p.add_argument("--val-corpus")
+    p.add_argument("--vocab")
+    p.add_argument("--polarity")
+    p.add_argument("--encoding", choices=ENCODING_CHOICES, default="multi-hot")
+    p.add_argument("--out")
     _add_run_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
-    p.add_argument("--checkpoint", default=_env("checkpoint"))
-    p.add_argument("--corpus", default=_env("corpus"))
-    p.add_argument("--vocab", default=_env("vocab"))
-    p.add_argument("--polarity", default=_env("polarity"))
-    p.add_argument("--batch-size", type=int, default=_env("batch-size", "512"))
+    p.add_argument("--checkpoint")
+    p.add_argument("--corpus")
+    p.add_argument("--vocab")
+    p.add_argument("--polarity")
+    p.add_argument("--batch-size", type=int, default=512)
     _add_exec_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("transfer", help="score a checkpoint on a foreign-vocabulary corpus")
-    p.add_argument("--checkpoint", default=_env("checkpoint"))
-    p.add_argument("--source-corpus", default=_env("source-corpus"))
-    p.add_argument("--source-vocab", default=_env("source-vocab"))
-    p.add_argument("--target-vocab", default=_env("target-vocab"))
-    p.add_argument("--polarity", default=_env("polarity"),
-                   help="polarity table over the target vocabulary")
-    p.add_argument("--report", default=_env("report"), help="report file to write")
-    p.add_argument("--batch-size", type=int, default=_env("batch-size", "512"))
+    p.add_argument("--checkpoint")
+    p.add_argument("--source-corpus")
+    p.add_argument("--source-vocab")
+    p.add_argument("--target-vocab")
+    p.add_argument("--polarity", help="polarity table over the target vocabulary")
+    p.add_argument("--report", help="report file to write")
+    p.add_argument("--batch-size", type=int, default=512)
     _add_exec_flags(p)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("stats", help="print encoding value ranges for a corpus")
-    p.add_argument("--corpus", default=_env("corpus"))
-    p.add_argument("--vocab", default=_env("vocab"))
-    p.add_argument("--polarity", default=_env("polarity"))
-    p.add_argument("--encoding", choices=ENCODING_CHOICES,
-                   default=_env("encoding", "polarity-weighted"))
+    p.add_argument("--corpus")
+    p.add_argument("--vocab")
+    p.add_argument("--polarity")
+    p.add_argument("--encoding", choices=ENCODING_CHOICES, default="polarity-weighted")
     _add_exec_flags(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("replay", help="re-run a recorded manifest and compare metrics")
-    p.add_argument("--manifest", default=_env("manifest"))
-    p.add_argument("--out", default=_env("out"),
-                   help="artifact directory (default: replay/ beside the manifest)")
+    p.add_argument("--manifest")
+    p.add_argument("--out", help="artifact directory (default: replay/ beside the manifest)")
     p.set_defaults(func=cmd_replay)
 
     return parser

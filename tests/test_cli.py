@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -221,6 +222,36 @@ def test_prepare_missing_distribution_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error=data" in err
     assert "imdb.vocab" in err
+
+
+@pytest.mark.parametrize(
+    "dataset, drop, break_file, code",
+    [
+        ("slmrd", "--input", None, 1),
+        ("kid", "--sequences", None, 1),
+        ("kid", "--word-index", None, 1),
+        ("slmrd", None, "imdbEr.txt", 2),
+        ("slmrd", None, "test/labeledBow.feat", 2),
+        ("kid", None, "sequences.tsv", 2),
+    ],
+    ids=["slmrd-no-input", "kid-no-sequences", "kid-no-word-index",
+         "slmrd-missing-polarity", "slmrd-missing-test-split", "kid-missing-sequences"],
+)
+def test_prepare_error_leaves_no_out_directory(
+    tmp_path, raw_trees, capsys, dataset, drop, break_file, code
+):
+    slmrd_root, kid_root = raw_trees
+    root = slmrd_root if dataset == "slmrd" else kid_root
+    if break_file:
+        (root / break_file).unlink()
+    flags = {"slmrd": {"--input": str(slmrd_root)},
+             "kid": {"--word-index": str(kid_root / "word_index.json"),
+                     "--sequences": str(kid_root / "sequences.tsv")}}[dataset]
+    flags.pop(drop, None)
+    out = tmp_path / "out"
+    argv = ["prepare", dataset, *(x for pair in flags.items() for x in pair), "--out", str(out)]
+    assert main(argv) == code
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dataset,name", [
@@ -583,6 +614,41 @@ def test_replay_without_parameter_sha_compares_metrics(tmp_path, prepared, s3_ru
     assert capsys.readouterr().out.splitlines()[-1] == "replay_match=1"
 
 
+def test_replay_from_another_directory_reads_metrics_beside_manifest(
+    tmp_path, prepared, monkeypatch, capsys
+):
+    """A manifest records its artifact paths relative to the run's working
+    directory; replay reads the original metrics.csv beside the manifest."""
+    for name in ("work", "elsewhere"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    assert run_scenario(3, prepared, Path("runs") / "a") == 0
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    capsys.readouterr()
+    assert main(["replay", "--manifest", "../work/runs/a/manifest.json"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "replay_match=1"
+
+
+@pytest.mark.parametrize(
+    "sha, code, verdict",
+    [
+        ("0" * 64, 4, "replay_match=0"),
+        (None, 0, "replay_match=unknown (original metrics file is gone)"),
+    ],
+    ids=["different-sha", "recorded-sha"],
+)
+def test_replay_without_original_metrics_compares_parameter_sha(
+    tmp_path, prepared, s3_run, capsys, sha, code, verdict
+):
+    (s3_run / "metrics.csv").unlink()
+    if sha:
+        edit_manifest(s3_run / "manifest.json",
+                      lambda body: body["artifacts"].update(checkpoint_param_sha256=sha))
+    argv = ["replay", "--manifest", str(s3_run / "manifest.json"), "--out", str(tmp_path / "r6")]
+    assert main(argv) == code
+    assert capsys.readouterr().out.splitlines()[-1] == verdict
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -722,6 +788,61 @@ def test_explicit_flag_beats_environment(tmp_path, prepared, monkeypatch, capsys
     assert code == 0
     cfg = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]
     assert cfg["epochs"] == 2
+
+
+# positional arguments each command needs; they never read the environment
+POSITIONALS = {"prepare": ["slmrd"], "scenario": ["2"]}
+
+
+def optional_actions(parser):
+    """(command, action) for every optional flag of every command, -h aside."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, subparser in commands.choices.items():
+        for action in subparser._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                yield command, action
+
+
+def environment_value(action) -> str:
+    """A valid value for ``action`` that differs from its default."""
+    if action.choices:
+        return next(str(c) for c in action.choices if c != action.default)
+    if action.type in (int, float):
+        return "7" if action.type is int else "0.375"
+    return "4,1" if action.dest == "hidden" else f"from-env-{action.dest}"
+
+
+def test_every_optional_flag_reads_its_environment_variable():
+    flags = list(optional_actions(cli.build_parser({})))
+    assert {command for command, _ in flags} == {
+        "prepare", "scenario", "train", "eval", "transfer", "stats", "replay"
+    }
+    for command in {command for command, _ in flags}:
+        # one environment per command: --encoding's default differs between commands
+        actions = [action for c, action in flags if c == command]
+        environ = {"BOWTIE_" + a.dest.upper(): environment_value(a) for a in actions}
+        args = cli.build_parser(environ).parse_args([command, *POSITIONALS.get(command, [])])
+        for action in actions:
+            text = environ["BOWTIE_" + action.dest.upper()]
+            expected = action.type(text) if action.type else text
+            assert expected != action.default, (command, action.dest)
+            assert getattr(args, action.dest) == expected, (command, action.dest)
+
+
+def test_positionals_never_read_the_environment():
+    parser = cli.build_parser({"BOWTIE_NUMBER": "2", "BOWTIE_DATASET": "kid"})
+    assert parser.parse_args(["prepare", "slmrd"]).dataset == "slmrd"
+    with pytest.raises(cli._UsageError):
+        parser.parse_args(["scenario"])
+
+
+def test_parser_built_without_environment_ignores_bowtie_variables(monkeypatch):
+    monkeypatch.setenv("BOWTIE_L2", "0.5")
+    monkeypatch.setenv("BOWTIE_OPTIMIZER", "sgd")
+    args = cli.build_parser({}).parse_args(["train"])
+    assert (args.l2, args.optimizer) == (0.019, "nadam")
+    args = cli.build_parser().parse_args(["train"])
+    assert (args.l2, args.optimizer) == (0.5, "sgd")
 
 
 def test_threads_flag_pins_blas_environment(tmp_path, prepared, monkeypatch, capsys):
