@@ -298,7 +298,8 @@ def _run(command: str, cfg: dict, out: Path) -> int:
         str(paths["checkpoint"]), model, vocab.size, vocab.fingerprint(), encoding,
         provenance=provenance,
     )
-    artifacts = {key: path and str(path) for key, path in paths.items()}
+    # absolute, like the config's input paths, so the manifest is readable from anywhere
+    artifacts = {key: path and str(path.resolve()) for key, path in paths.items()}
     artifacts["checkpoint_param_sha256"] = param_sha
     body = {"command": command, "config": cfg, "artifacts": artifacts}
     with replacing(paths["manifest"], "w", encoding="utf-8") as fh:
@@ -588,7 +589,7 @@ def build_parser(environ=os.environ) -> argparse.ArgumentParser:
         prog="bowtie",
         description="Train and evaluate the BowTie sentiment classifier.",
         epilog=(
-            "Any flag may be supplied via the environment as BOWTIE_<FLAG> "
+            "Any optional flag may be supplied via the environment as BOWTIE_<FLAG> "
             "(uppercase, dashes to underscores); explicit flags win."
         ),
     )

@@ -22,6 +22,9 @@ PROB_CLAMP = 1e-12
 
 ACTIVATIONS = ("none", "relu")
 
+# rows per pass of backward's in-place L2 term: 512 KiB of scratch for 16 columns
+_L2_CHUNK_ROWS = 4096
+
 
 @dataclass
 class ModelConfig:
@@ -77,7 +80,7 @@ class Gradients:
 class ForwardCache:
     """Backpropagation intermediates for one batch."""
 
-    inputs: sparse.csr_matrix
+    inputs: sparse.csr_matrix | None  # None when built by cascade() alone
     pre: list[np.ndarray]   # pre-activation per layer, shape (B, out_l)
     post: list[np.ndarray]  # post-activation (and post-dropout where applied)
     dropout_mask: np.ndarray | None
@@ -110,31 +113,42 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return np.maximum(z, 0.0) if kind == "relu" else z
 
 
-def forward(
+def first_layer(model: BowTieModel, x: sparse.csr_matrix) -> np.ndarray:
+    """The sparse product ``x @ W0``, one dense row per input row.
+
+    scipy sums each output row from zero over that row's stored entries in
+    their stored order, so a row of the product is bit-identical whether it
+    is computed alone, in a batch, or over a whole dataset.
+    """
+    # explosions surface as the explicit non-finite check, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(x @ model.weights[0])
+
+
+def cascade(
     model: BowTieModel,
-    batch,
+    product: np.ndarray,
+    inputs: sparse.csr_matrix | None = None,
     training: bool = False,
     dropout_seed: int = 0,
 ) -> ForwardCache:
-    """Run the cascade.  Layer 1 touches only nonzero input columns.
+    """Everything after the first-layer product: its bias, the activations,
+    the later layers, the non-finite check, and the clamped sigmoid.
 
-    In training mode the last hidden layer's output gets an inverted-dropout
-    mask (keep probability 1 - rate, survivors scaled by 1/(1 - rate));
-    inference applies no mask and no scaling.
+    ``inputs`` is only recorded in the cache, for ``backward``.
     """
     cfg = model.config
-    x = batch_matrix(batch, cfg.input_width)
     n_layers = model.layer_count
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = []
     mask = None
 
-    a = x
+    xw = product
     for l in range(n_layers):
-        # explosions surface as the explicit non-finite check, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            z = a @ model.weights[l] + model.biases[l]
-        z = np.asarray(z)
+            if l:
+                xw = post[-1] @ model.weights[l]
+            z = np.asarray(xw + model.biases[l])
         pre.append(z)
         if l == n_layers - 1:
             post.append(z)
@@ -150,15 +164,30 @@ def forward(
             mask = (rng.random(h.shape) < keep).astype(np.float64) / keep
             h = h * mask
         post.append(h)
-        a = h
 
     logits = pre[-1][:, 0]
     if not np.isfinite(logits).all():
         raise DivergenceError("non-finite activation in forward pass")
     prob = np.clip(expit(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
     return ForwardCache(
-        inputs=x, pre=pre, post=post, dropout_mask=mask, prob=prob, training=training
+        inputs=inputs, pre=pre, post=post, dropout_mask=mask, prob=prob, training=training
     )
+
+
+def forward(
+    model: BowTieModel,
+    batch,
+    training: bool = False,
+    dropout_seed: int = 0,
+) -> ForwardCache:
+    """Run the cascade.  Layer 1 touches only nonzero input columns.
+
+    In training mode the last hidden layer's output gets an inverted-dropout
+    mask (keep probability 1 - rate, survivors scaled by 1/(1 - rate));
+    inference applies no mask and no scaling.
+    """
+    x = batch_matrix(batch, model.config.input_width)
+    return cascade(model, first_layer(model, x), x, training, dropout_seed)
 
 
 def _check_labels(labels) -> np.ndarray:
@@ -181,6 +210,20 @@ def loss(cache: ForwardCache, labels, model: BowTieModel) -> tuple[float, float]
     return bce, bce + penalty
 
 
+def _add_l2(grad: np.ndarray, weight: np.ndarray, scale: float) -> np.ndarray:
+    """``grad + scale * weight`` written into ``grad``, in row chunks through
+    one scratch buffer; each element is the same sum as the whole-array
+    expression's."""
+    height = weight.shape[0]
+    rows = max(1, min(_L2_CHUNK_ROWS, height))
+    scratch = np.empty((rows,) + weight.shape[1:], dtype=weight.dtype)
+    for lo in range(0, height, rows):
+        hi = min(lo + rows, height)
+        term = np.multiply(weight[lo:hi], scale, out=scratch[: hi - lo])
+        np.add(grad[lo:hi], term, out=grad[lo:hi])
+    return grad
+
+
 def backward(model: BowTieModel, cache: ForwardCache, labels) -> Gradients:
     """Analytic gradient of the total loss (bce + L2) for every weight and bias."""
     cfg = model.config
@@ -200,7 +243,9 @@ def backward(model: BowTieModel, cache: ForwardCache, labels) -> Gradients:
     delta = ((cache.prob - y) / batch)[:, None]
     for l in range(n_layers - 1, -1, -1):
         upstream = cache.post[l - 1] if l > 0 else cache.inputs
-        d_weights[l] = np.asarray(upstream.T @ delta) + 2.0 * cfg.l2_weight * model.weights[l]
+        d_weights[l] = _add_l2(
+            np.asarray(upstream.T @ delta), model.weights[l], 2.0 * cfg.l2_weight
+        )
         d_biases[l] = delta.sum(axis=0)
         if l == 0:
             break

@@ -19,7 +19,15 @@ import numpy as np
 from .encode import ENCODING_KINDS, EncodedDataset
 from .errors import CheckpointError, DivergenceError, FingerprintError
 from .fileio import replacing
-from .net import BowTieModel, ModelConfig, backward, forward
+from .net import (
+    BowTieModel,
+    ModelConfig,
+    backward,
+    batch_matrix,
+    cascade,
+    first_layer,
+    forward,
+)
 from .optim import OptimizerSpec, apply_update, init_state
 from .rngseed import derive_rng, mix_seed
 
@@ -77,18 +85,24 @@ def evaluate(
     dataset: EncodedDataset,
     batch_size: int = 512,
 ) -> EvalResult:
-    """Inference-mode mean bce and accuracy."""
+    """Inference-mode mean bce and accuracy.
+
+    The sparse first-layer product is computed once over the whole dataset;
+    the dense cascade and the bce sum then run per ``batch_size`` rows, so
+    the result is bit-identical to forwarding each batch on its own.
+    """
     if not len(dataset):
         raise ValueError("cannot evaluate on an empty dataset")
-    x, y = dataset.matrix, dataset.labels
+    x = batch_matrix(dataset.matrix, model.config.input_width)
+    product = first_layer(model, x)
+    y = dataset.labels
     n = len(y)
     delta = model.config.discriminator
     bce_sum = 0.0
     correct = 0
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        cache = forward(model, x[start:stop], training=False)
-        p = cache.prob
+        p = cascade(model, product[start:stop]).prob
         yb = y[start:stop] == 1.0
         bce_sum -= float(np.sum(yb * np.log(p) + (~yb) * np.log1p(-p)))
         correct += int(np.sum((p >= delta) == yb))

@@ -12,7 +12,11 @@ as now rejected or reported differently.  So do the vocabulary, polarity
 and word-index loaders, which walk one line or one entry at a time, and the
 corpus writer, which formats one pair at a time.
 The optimizer step updates a whole tensor with one numpy expression per
-formula; the package's chunked step must match it bit for bit.
+formula; the package's chunked step must match it bit for bit.  So must the
+package's backward pass, which adds the L2 term in place in row chunks, match
+``backward`` with its whole-array sum, and the package's ``evaluate``, which
+takes the sparse first-layer product once per dataset, match ``evaluate``,
+which runs the package's forward pass on each sliced batch.
 """
 
 import json
@@ -23,6 +27,7 @@ from scipy import sparse
 from bowtie.corpus import Corpus, PolarityTable, Vocabulary
 from bowtie.errors import DataError
 from bowtie.net import forward, loss
+from bowtie.train import EvalResult
 from bowtie.transfer import VocabMap
 
 PROB_FLOOR = 1e-12
@@ -121,6 +126,48 @@ def finite_difference_grad(
 
     base = model.weights[layer] if kind == "W" else model.biases[layer]
     return central_difference(total_at, float(base[index]), h)
+
+
+# --------------------------------------------------- backward and evaluate
+
+
+def backward(model, cache, labels):
+    """(weight gradients, bias gradients) of the total loss, each weight's
+    L2 term added as one whole-array expression."""
+    y = np.asarray(labels, dtype=np.float64)
+    n_layers = len(model.weights)
+    d_weights, d_biases = [None] * n_layers, [None] * n_layers
+    delta = ((cache.prob - y) / len(y))[:, None]
+    for l in range(n_layers - 1, -1, -1):
+        upstream = cache.post[l - 1] if l > 0 else cache.inputs
+        d_weights[l] = (
+            np.asarray(upstream.T @ delta) + 2.0 * model.config.l2_weight * model.weights[l]
+        )
+        d_biases[l] = delta.sum(axis=0)
+        if l == 0:
+            break
+        back = delta @ model.weights[l].T
+        if cache.dropout_mask is not None and l - 1 == n_layers - 2:
+            back = back * cache.dropout_mask
+        if model.config.activation == "relu":
+            back = back * (cache.pre[l - 1] > 0.0)
+        delta = back
+    return d_weights, d_biases
+
+
+def evaluate(model, dataset, batch_size=512):
+    """Mean bce and accuracy from one forward pass per sliced CSR batch."""
+    x, y = dataset.matrix, dataset.labels
+    n = len(y)
+    bce_sum = 0.0
+    correct = 0
+    for start in range(0, n, batch_size):
+        stop = min(start + batch_size, n)
+        p = forward(model, x[start:stop], training=False).prob
+        yb = y[start:stop] == 1.0
+        bce_sum -= float(np.sum(yb * np.log(p) + (~yb) * np.log1p(-p)))
+        correct += int(np.sum((p >= model.config.discriminator) == yb))
+    return EvalResult(bce=bce_sum / n, accuracy=correct / n, count=n)
 
 
 # ----------------------------------------------------------- optimizer step

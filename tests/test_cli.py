@@ -15,6 +15,7 @@ from bowtie.cli import main
 from bowtie.corpus import load_slmrd_vocab
 from bowtie.net import ModelConfig, init_model
 from bowtie.train import load_checkpoint, save_checkpoint
+import oracles
 from synth import planted_corpus, rating_table, token_list, write_kid_tree, write_slmrd_tree
 
 
@@ -92,6 +93,14 @@ def test_bad_flag_value_exits_one(capsys):
     with pytest.raises(SystemExit) as err:
         main(["scenario", "1", "--lr", "fast"])
     assert err.value.code == 1
+
+
+def test_help_says_only_optional_flags_read_the_environment(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "Any optional flag may be supplied via the environment as BOWTIE_<FLAG>" in text
 
 
 def test_missing_required_flag_reports_usage(tmp_path, capsys):
@@ -503,6 +512,33 @@ def test_transfer_command_writes_report(tmp_path, prepared, s3_run, capsys):
     assert "walmington" in text
 
 
+@pytest.mark.parametrize("batch_size", ["7", "512"])
+def test_eval_and_transfer_outputs_match_the_per_batch_oracle(
+    tmp_path, prepared, s3_run, monkeypatch, capsys, batch_size
+):
+    slmrd, kid = prepared / "slmrd", prepared / "kid"
+    ckpt, polarity = str(s3_run / "model.ckpt"), str(slmrd / "polarity.txt")
+    report = tmp_path / "report.txt"
+    commands = (
+        ["eval", "--checkpoint", ckpt, "--corpus", str(slmrd / "test.corpus"),
+         "--vocab", str(slmrd / "vocab.txt"), "--polarity", polarity],
+        ["transfer", "--checkpoint", ckpt, "--source-corpus", str(kid / "full.corpus"),
+         "--source-vocab", str(kid / "vocab.txt"), "--target-vocab", str(slmrd / "vocab.txt"),
+         "--polarity", polarity, "--report", str(report)],
+    )
+
+    def outputs():
+        for argv in commands:
+            assert main([*argv, "--batch-size", batch_size]) == 0
+        return capsys.readouterr().out, report.read_bytes()
+
+    capsys.readouterr()
+    got = outputs()
+    monkeypatch.setattr("bowtie.train.evaluate", oracles.evaluate)
+    monkeypatch.setattr("bowtie.transfer.evaluate", oracles.evaluate)
+    assert outputs() == got
+
+
 def test_transfer_requires_all_paths(capsys):
     assert main(["transfer"]) == 1
 
@@ -617,8 +653,8 @@ def test_replay_without_parameter_sha_compares_metrics(tmp_path, prepared, s3_ru
 def test_replay_from_another_directory_reads_metrics_beside_manifest(
     tmp_path, prepared, monkeypatch, capsys
 ):
-    """A manifest records its artifact paths relative to the run's working
-    directory; replay reads the original metrics.csv beside the manifest."""
+    """A run made with a relative --out replays from a sibling directory,
+    reading the original metrics.csv beside the manifest."""
     for name in ("work", "elsewhere"):
         (tmp_path / name).mkdir()
     monkeypatch.chdir(tmp_path / "work")
@@ -627,6 +663,35 @@ def test_replay_from_another_directory_reads_metrics_beside_manifest(
     capsys.readouterr()
     assert main(["replay", "--manifest", "../work/runs/a/manifest.json"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "replay_match=1"
+
+
+def test_manifest_artifact_paths_resolve_from_another_directory(
+    tmp_path, prepared, monkeypatch, capsys
+):
+    """The manifest records absolute artifact paths; the printed key=path
+    lines keep the path as given on the command line."""
+    for name in ("work", "elsewhere"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    capsys.readouterr()
+    assert run_scenario(4, prepared, Path("runs") / "a") == 0
+    printed = dict(
+        line.split("=", 1) for line in capsys.readouterr().out.splitlines()
+        if line.split("=", 1)[0] in ("metrics_csv", "checkpoint", "report", "manifest")
+    )
+    assert printed == {
+        "metrics_csv": str(Path("runs") / "a" / "metrics.csv"),
+        "checkpoint": str(Path("runs") / "a" / "model.ckpt"),
+        "report": str(Path("runs") / "a" / "report.txt"),
+        "manifest": str(Path("runs") / "a" / "manifest.json"),
+    }
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    body = json.loads(Path("../work/runs/a/manifest.json").read_text(encoding="utf-8"))
+    artifacts = body["artifacts"]
+    for key in printed:
+        path = Path(artifacts[key])
+        assert path.is_absolute() and path.is_file(), key
+        assert path == (tmp_path / "work" / printed[key]).resolve()
 
 
 @pytest.mark.parametrize(

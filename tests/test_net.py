@@ -5,6 +5,9 @@ import numpy.testing as npt
 import pytest
 from scipy import sparse
 
+from bowtie import net
+from bowtie.corpus import PolarityTable
+from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.errors import DivergenceError
 from bowtie.net import (
     BowTieModel,
@@ -16,6 +19,7 @@ from bowtie.net import (
     loss,
 )
 from oracles import (
+    backward as oracle_backward,
     bce_mean,
     central_difference,
     dense_forward,
@@ -23,6 +27,7 @@ from oracles import (
     l2_penalty,
     predict,
 )
+from synth import planted_corpus, rating_table
 
 
 def make_model(input_width, hidden=(4, 1), activation="none", dropout=0.0, l2=0.0, seed=0):
@@ -203,6 +208,19 @@ def test_forward_non_finite_raises():
         forward(model, rows([1.0], width=2))
 
 
+def test_first_layer_rows_do_not_depend_on_the_slice():
+    rng = np.random.default_rng(25)
+    model = make_model(40, hidden=(16, 8, 1), seed=25)
+    x, _ = random_batch(rng, 40, 23)
+    whole = net.first_layer(model, x)
+    for lo, hi in ((0, 1), (3, 10), (10, 23)):
+        assert net.first_layer(model, x[lo:hi]).tobytes() == whole[lo:hi].tobytes()
+        got = net.cascade(model, whole[lo:hi])
+        want = forward(model, x[lo:hi])
+        assert got.inputs is None
+        assert got.prob.tobytes() == want.prob.tobytes()
+
+
 def test_forward_accepts_prebuilt_csr():
     rng = np.random.default_rng(4)
     model = make_model(9, seed=1)
@@ -364,6 +382,29 @@ def test_backward_l2_term_alone_when_probabilities_match_labels():
     grads_with = backward(model, forward(model, rows([0.0, 0.0])), [1])
     # an all-zero input row leaves only the bias path and the l2 pull on weights
     npt.assert_allclose(grads_with.weights[0], 2 * 0.01 * model.weights[0], atol=1e-15)
+
+
+@pytest.mark.parametrize("encoding", [MULTI_HOT, POLARITY_WEIGHTED])
+@pytest.mark.parametrize("activation", ["none", "relu"])
+@pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
+def test_backward_bit_equal_to_whole_array_oracle(monkeypatch, encoding, activation, chunk_rows):
+    """The in-place chunked L2 term gives the oracle's gradients bit for bit,
+    through a training forward with dropout on an encoded batch."""
+    width = 5000 if chunk_rows == 4096 else 60  # several chunks and a ragged last one
+    ratings = rating_table(21, width)
+    table = PolarityTable(ratings) if encoding == POLARITY_WEIGHTED else None
+    data = encode_corpus(
+        planted_corpus(22, 300, ratings, max_distinct=40), encoding, polarity=table, width=width
+    )
+    model = make_model(width, hidden=(16, 8, 1), activation=activation,
+                       dropout=0.2, l2=0.019, seed=23)
+    monkeypatch.setattr(net, "_L2_CHUNK_ROWS", chunk_rows)
+    cache = forward(model, data.matrix, training=True, dropout_seed=24)
+    grads = backward(model, cache, data.labels)
+    want_w, want_b = oracle_backward(model, cache, data.labels)
+    for got, want in zip(grads.weights + grads.biases, want_w + want_b):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_backward_stale_cache_rejected():

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +11,7 @@ import pytest
 from bowtie.corpus import PolarityTable, Vocabulary
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, EncodedDataset, encode_corpus
 from bowtie.errors import CheckpointError, DivergenceError, FingerprintError
+from bowtie import net
 from bowtie.net import ModelConfig, init_model
 from bowtie.optim import OptimizerSpec
 from bowtie.train import (
@@ -23,6 +25,7 @@ from bowtie.train import (
     save_checkpoint,
     train,
 )
+import oracles
 from oracles import predict
 from synth import planted_corpus, rating_table
 
@@ -286,6 +289,53 @@ def test_evaluate_batch_size_does_not_change_result():
     b = evaluate(model, train_set, batch_size=512)
     assert a.accuracy == b.accuracy
     npt.assert_allclose(a.bce, b.bce, rtol=0.0, atol=1e-12)
+
+
+def oracle_case(encoding, activation, hidden, seed, n=1100, width=200):
+    """A dataset of ``n`` rows and a model with random biases and two tokens
+    weighted so heavily that some probabilities reach the clamp."""
+    ratings = rating_table(seed, width)
+    corpus = planted_corpus(seed + 1, n, ratings, max_distinct=40)
+    table = PolarityTable(ratings) if encoding == POLARITY_WEIGHTED else None
+    data = encode_corpus(corpus, encoding, polarity=table, width=width)
+    model = fresh_model(width, seed=seed, hidden_widths=hidden, activation=activation)
+    rng = np.random.default_rng(seed)
+    model.weights[0][:2] *= 1e3
+    for b in model.biases:
+        b[:] = rng.normal(0.0, 0.5, b.shape)
+    return model, data
+
+
+@pytest.mark.parametrize("encoding", [MULTI_HOT, POLARITY_WEIGHTED])
+@pytest.mark.parametrize("activation", ["none", "relu"])
+@pytest.mark.parametrize("hidden", [(1,), (5, 3, 1), (16, 8, 1)])
+def test_evaluate_bit_equal_to_per_batch_oracle(encoding, activation, hidden):
+    model, data = oracle_case(encoding, activation, hidden, seed=len(hidden) * 7)
+    probs = net.forward(model, data.matrix).prob
+    assert probs.min() == net.PROB_CLAMP or probs.max() == 1.0 - net.PROB_CLAMP
+    for batch_size in (1, 7, 512, len(data), len(data) + 300):
+        got = evaluate(model, data, batch_size)
+        want = oracles.evaluate(model, data, batch_size)
+        assert (got.bce, got.accuracy, got.count) == (want.bce, want.accuracy, want.count)
+        assert got.bce.hex() == want.bce.hex()
+
+
+@pytest.mark.parametrize(
+    "layer, row, value",
+    [(0, 3, np.inf), (0, 150, np.nan), (1, 0, -np.inf), (2, 1, np.nan)],
+)
+def test_evaluate_non_finite_weight_raises_as_the_oracle_does(layer, row, value):
+    model, data = oracle_case(MULTI_HOT, "relu", (5, 3, 1), seed=3)
+    model.weights[layer][row, 0] = value
+    outcomes = []
+    for run in (evaluate, oracles.evaluate):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError) as err:
+                run(model, data, 7)
+        outcomes.append((str(err.value), [(w.category, str(w.message)) for w in seen]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == "non-finite activation in forward pass"
 
 
 def test_evaluate_rejects_empty_dataset():
