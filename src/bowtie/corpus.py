@@ -6,9 +6,11 @@ the Keras-style integer-sequence distribution, normalizing both into one
 CSR matrix of token counts over a dense vocabulary (a row per review) plus
 a label array.  A canonical line format (``label<TAB>idx:count ...``) makes
 everything downstream source-agnostic.  The three record formats are read
-in blocks of whole lines by one array-op scanner, and the canonical one is
-written a block of rows at a time by array ops too; the README gives the
-line grammar each file accepts.
+whole and scanned in blocks of whole lines by one array-op scanner, on the
+calling thread and a helper; the first bad line in file order is the one
+reported, and the arrays do not depend on the threads (``--threads`` sets
+only BLAS's).  The canonical format is written a block of rows at a time
+by array ops too; the README gives the line grammar each file accepts.
 """
 
 from __future__ import annotations
@@ -16,8 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -106,43 +112,99 @@ class Corpus:
         )
 
 
-# Loaders read a record file in blocks of whole lines of about this many
-# bytes, so their per-byte work arrays stay small however long the file is.
-_BLOCK_BYTES = 1 << 18
+# Loaders read a record file whole and scan it in blocks of whole lines of
+# about this many bytes, so their per-byte work arrays stay small however
+# long the file is.  The calling thread and _SCAN_THREADS - 1 helpers scan
+# the blocks (numpy releases the GIL), at most _IN_FLIGHT of them ahead of
+# the block being copied out; a helper thread keeps its own malloc arena.
+_BLOCK_BYTES = 1 << 17
+_SCAN_THREADS = 2
+_IN_FLIGHT = 4
 
-# Byte classes of record files, as a bytes.translate table.
-_DIGIT, _SPACE, _COLON, _NEWLINE, _CR, _OTHER = range(6)
-_CLASS_OF = bytes(
-    _DIGIT if 48 <= b <= 57
-    else {32: _SPACE, 9: _SPACE, 11: _SPACE, 12: _SPACE,
-          58: _COLON, 10: _NEWLINE, 13: _CR}.get(b, _OTHER)
-    for b in range(256)
-)
 _SPACES = re.compile("[ \t\v\f]+")
 _NUMBER = re.compile("[0-9]{1,18}")
 _PAIR = re.compile("([0-9]{1,18}):([0-9]{1,18})")
 
 
-def _blocks(path: str | Path):
-    """Yield (block, lines before it): ``path`` in blocks of whole lines,
-    each ending in a newline, even when the file does not."""
+def _count(data: bytes, byte: bytes) -> int:
+    """How often ``byte`` occurs in ``data``, counted a megabyte at a time."""
+    raw, step = np.frombuffer(data, np.uint8), 1 << 20
+    return sum(np.count_nonzero(raw[i : i + step] == ord(byte)) for i in range(0, raw.size, step))
+
+
+def _blocks(data: bytes):
+    """Yield ``data``, which ends in a newline, in blocks of whole lines."""
+    lo = 0
+    while lo < len(data):
+        hi = data.rfind(b"\n", lo, lo + _BLOCK_BYTES) + 1 or data.find(b"\n", lo + _BLOCK_BYTES) + 1
+        yield data[lo:hi]
+        lo = hi
+
+
+def _load_records(path, work, explain, pairs: bool = True):
+    """Read record file ``path`` whole and scan it in blocks of whole lines.
+
+    ``work(block)`` returns the block's first line that breaks the format
+    (its line count if none), its line count, then its records' heads,
+    indices, counts and sizes.  The first bad line in file order raises the
+    DataError whose reason ``explain`` gives.  Returns the file's (heads,
+    indices, counts, sizes).  A valid file has a record per newline and,
+    with ``pairs``, a pair per colon, which size the arrays; otherwise the
+    blocks' indices and counts are joined at the end.
+    """
     try:
-        fh = open(path, "rb")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        lines, pending = 0, []  # the chunks of a line longer than a block
-        while chunk := fh.read(_BLOCK_BYTES):
-            cut = chunk.rfind(b"\n") + 1
-            if cut:
-                block = b"".join([*pending, chunk[:cut]])
-                pending = []
-                yield block, lines
-                lines += block.count(b"\n")
-            pending.append(chunk[cut:])
-        tail = b"".join(pending)
-        if tail:
-            yield tail + b"\n", lines
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    n_lines, n_pairs = _count(data, b"\n"), _count(data, b":") if pairs else 0
+    heads, sizes = np.empty(n_lines, np.int64), np.empty(n_lines, np.int64)
+    indices, counts = np.empty(n_pairs, np.int64), np.empty(n_pairs, np.int64)
+    parts, lines, done = [], 0, 0
+    with closing(_scanned(_blocks(data), work)) as scanned:
+        for block, (bad, n, head, idx, cnt, size) in scanned:
+            if bad < n:
+                raise _record_error(path, block, lines, bad, explain)
+            heads[lines : lines + n], sizes[lines : lines + n] = head, size
+            if pairs:
+                indices[done : done + idx.size], counts[done : done + idx.size] = idx, cnt
+            else:
+                parts.append((idx, cnt))
+            lines, done = lines + n, done + idx.size
+    if parts:
+        indices, counts = (np.concatenate(arrays) for arrays in zip(*parts))
+    return heads, indices, counts, sizes
+
+
+def _scanned(blocks, work):
+    """Yield (block, ``work(block)``) for each of ``blocks``, in order.
+
+    The calling thread and _SCAN_THREADS - 1 helpers run ``work``, at most
+    _IN_FLIGHT blocks ahead of the one yielded.  Closing the generator drops
+    the blocks no helper has started and waits for the others.
+    """
+    helpers = ThreadPoolExecutor(_SCAN_THREADS - 1) if _SCAN_THREADS > 1 else None
+
+    def queued(block):
+        return [block, helpers.submit(work, block) if helpers else Future()]
+
+    try:
+        queue = deque(map(queued, islice(blocks, _IN_FLIGHT)))
+        while queue:
+            # rather than wait, scan here the first block no helper has started
+            if not queue[0][1].done():
+                idle = next((item for item in queue if item[1].cancel()), None)
+                if idle:
+                    idle[1] = Future()
+                    idle[1].set_result(work(idle[0]))
+                    continue
+            block, job = queue.popleft()
+            queue.extend(map(queued, islice(blocks, 1)))
+            yield block, job.result()
+    finally:
+        if helpers:
+            helpers.shutdown(cancel_futures=True)
 
 
 def _scan(block: bytes, tab_after_head: bool, pairs: bool):
@@ -155,93 +217,115 @@ def _scan(block: bytes, tab_after_head: bool, pairs: bool):
     A number is a run of 1 to 18 ASCII digits; whitespace is space, tab,
     \\v, \\f and the \\r of a \\r\\n line end.
 
-    Returns (values, head, line, n_lines, bad): each number's value,
-    whether it is a head and its line (0-based); the block's line count;
-    and the first line that breaks the grammar (``n_lines`` if none), whose
-    numbers and those of later lines are left out.
+    Returns (values, first, n_lines, bad): each number's value; the index in
+    ``values`` of the head of each line before ``bad``; the block's line
+    count; and the first line that breaks the grammar (``n_lines`` if none),
+    whose numbers and those of later lines are left out.
     """
     raw = np.frombuffer(block, np.uint8)
-    cls = np.frombuffer(block.translate(_CLASS_OF), np.uint8)
-    digit = cls == _DIGIT
-    run_first, run_last = digit.copy(), digit.copy()
-    run_first[1:] &= ~digit[:-1]
-    run_last[:-1] &= ~digit[1:]
-    start = np.flatnonzero(run_first)
-    end = np.flatnonzero(run_last) + 1
-    newline = np.flatnonzero(cls == _NEWLINE)
-    n_lines = newline.size
-    line_start = np.concatenate(([0], newline[:-1] + 1))
-    first = np.searchsorted(start, line_start)  # each line's first number
-    per_line = np.diff(first, append=start.size)
-    line = np.repeat(np.arange(n_lines), per_line)
-    head = np.zeros(start.size, dtype=bool)
-    head[first[per_line > 0]] = True
-
-    # A number's role follows from the bytes between it and the number
-    # before it: a newline makes it a head, a lone colon a count, anything
-    # else (whitespace, checked below) an index or a single value.
-    gap = np.concatenate(([0], end))[:-1]
-    lead = raw[gap]
-    colon = (lead == ord(":")) & (start - gap == 1) & ~head
-    after_head = np.concatenate(([False], head))[:-1]
-    after_colon = np.concatenate(([False], colon))[:-1]
-    fits = head | np.where(
-        after_head,
-        lead == ord("\t") if tab_after_head else ~colon,
-        colon != after_colon if pairs else ~colon,
-    )
-    # Every line has a head; a tab_after_head head starts its line and a
-    # tab follows it even when nothing else does; a pairs line ends on a count.
-    line_ok = per_line > 0
-    lines = np.flatnonzero(line_ok)
-    head_at = first[lines]
-    last = head_at + per_line[lines] - 1
-    if tab_after_head:
-        line_ok[lines] = (start[head_at] == line_start[lines]) & (
-            (last > head_at) | (raw[end[head_at]] == ord("\t"))
-        )
-    if pairs:
-        line_ok[lines] &= (last == head_at) | colon[last]
+    digit = raw - np.uint8(48) < 10
+    # a number is a run of digits; the edges alternate its first byte and the one after it
+    edge = np.flatnonzero(np.diff(digit, prepend=False))
+    start, end = edge[::2], edge[1::2]
     length = end - start
-    bad = [line[~fits | (length > 18)], np.flatnonzero(~line_ok)]
-    # Every byte between numbers is whitespace, except the lone colons.
-    if np.count_nonzero(cls == _COLON) != np.count_nonzero(colon) or np.any(cls >= _CR):
-        cr = np.flatnonzero(cls == _CR)
-        stray = np.concatenate((
-            np.flatnonzero(cls == _OTHER),
-            cr[cls[cr + 1] != _NEWLINE],
-            np.setdiff1d(np.flatnonzero(cls == _COLON), gap[colon]),
-        ))
-        bad.append(np.searchsorted(newline, stray))
-    bad = _first_bad(n_lines, *bad)
+    newline = np.flatnonzero(raw == ord("\n"))
+    if not start.size:
+        return np.zeros(0, np.int64), start, newline.size, 0
 
-    # a number's value, 8 digits at a time: words[i] holds bytes i-8..i-1
-    words = np.ndarray((len(block) + 1,), "<u8", bytes(8) + block, 0, (1,))
-    length = np.minimum(length, 18)
-    values = _eight_digits(words[end], np.minimum(length, 8))
-    for shift in (8, 16):
-        more = np.flatnonzero(length > shift)
-        values[more] += 10**shift * _eight_digits(
-            words[end[more] - shift], np.minimum(length[more] - shift, 8)
-        )
-    if bad < n_lines:
-        keep = line < bad
-        values, head, line = values[keep], head[keep], line[keep]
-    return values, head, line, n_lines, bad
+    # Each number's separator, the bytes up to the next number or the end,
+    # is coded by its first byte, plus _NL if it holds a line end.
+    code = raw[end].astype(np.uint32)
+    follows = np.searchsorted(end, newline, "right") - 1  # the number each line end follows
+    code[follows] |= _NL  # -1 is the last number, whose separator holds the block's end
+    head = np.append(0, follows + 1)  # each line's first number, once
+    head = head[(np.diff(head, prepend=-1) > 0) & (head < start.size)]
+    head_line = np.searchsorted(newline, start[head])
+    bad = []
+    # Separators of a byte each, the usual layout, leave the codes all to check.
+    if raw.size - length.sum() > end.size:
+        # every line has a number; with tab_after_head, one that starts it
+        bad.append(np.flatnonzero(np.append(head_line, newline.size) != np.arange(head.size + 1))[:1])
+        if tab_after_head:  # raw[-1], before a head at 0, is a newline
+            bad.append(head_line[raw[start[head] - 1] != ord("\n")])
+        # every byte between numbers is whitespace, a line end or a colon between two digits
+        colon = raw == ord(":")
+        other = ~(digit | colon | (raw - np.uint8(9) < 4) | (raw == ord(" ")))
+        if other.any() or np.count_nonzero(colon[1:-1] & digit[:-2] & digit[2:]) < np.count_nonzero(colon):
+            code[(code == ord(":")) & ~np.append(digit, False)[end + 1]] = 0  # not a lone colon
+            cr = np.flatnonzero(raw == ord("\r"))
+            stray = np.concatenate((
+                np.flatnonzero(other & (raw != ord("\r"))),
+                cr[raw[cr + 1] != ord("\n")],
+                np.setdiff1d(np.flatnonzero(colon), end[code == ord(":")]),
+            ))
+            bad.append(np.searchsorted(newline, stray))
+    # the code before each number and the code after it must be a pair the grammar allows
+    pair = code.copy()
+    pair[1:] |= code[:-1] << 9
+    pair[0] |= (_NL | ord("\n")) << 9
+    fits = _GRAMMARS[tab_after_head, pairs].take(pair) & (length <= 18)
+    if not fits.all():
+        bad.append(np.searchsorted(newline, start[~fits]))
+    bad = _first_bad(newline.size, *bad)
+    kept = head[bad] if bad < head.size else start.size
+    return _values(block, end[:kept], length[:kept]), head[:bad], newline.size, bad
 
 
-def _eight_digits(word: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The value of the last ``count`` (1 to 8) bytes of each little-endian
-    ``word``, which are ASCII digits; the other bytes are ignored."""
-    u = np.uint64
-    word = word & u(0x0F0F0F0F0F0F0F0F)
-    unused = ((8 - count) * 8).astype(u)
-    word = (word >> unused) << unused
-    # add neighbouring digits, then pairs, then quads, within the word
-    word = (word * u(10) + (word >> u(8))) & u(0x00FF00FF00FF00FF)
-    word = (word * u(100) + (word >> u(16))) & u(0x0000FFFF0000FFFF)
-    word = (word * u(10000) + (word >> u(32))) & u(0xFFFFFFFF)
-    return word.astype(np.int64)
+_NL = 1 << 8  # _scan's mark of a separator that holds a line end
+
+
+def _grammar(*allowed: tuple[set, set]) -> np.ndarray:
+    """A table over (code before a number) << 9 | (code after it) that is
+    true for the ``allowed`` pairs of sets of ``_scan``'s separator codes."""
+    ok = np.zeros(1 << 18, dtype=bool)
+    for before, after in allowed:
+        ok[[b << 9 | a for b in before for a in after]] = True
+    return ok
+
+
+_WS = set(b" \t\v\f")
+_END = {_NL | b for b in b" \t\v\f\n\r"}  # whitespace up to a line end
+_TAB = {ord("\t"), _NL | ord("\t")}  # a tab, maybe up to a line end
+_COLON = {ord(":")}
+_GRAMMARS = {  # a head follows a line end; an index, its colon; a count, whitespace
+    (True, True): _grammar((_END, _TAB), (_WS, _COLON), (_COLON, _WS | _END)),  # canonical
+    (False, True): _grammar((_END, _WS | _END), (_WS, _COLON), (_COLON, _WS | _END)),  # slmrd
+    (True, False): _grammar((_END, _TAB), (_WS, _WS | _END)),  # kid
+}
+
+
+def _values(block: bytes, end: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The value of each number of ``length`` (1 to 18) digits that ends
+    before byte ``end`` of ``block``, 4 digits at a time.
+
+    ``words[i]`` holds bytes i-4..i-1 of the block as a little-endian uint32,
+    so ``words[end]`` ends on a number's last digit; numbers of more than 4
+    digits, few in practice, add the words that end 4, 8, ... digits earlier.
+    """
+    words = np.ndarray((len(block) + 1,), "<u4", bytes(4) + block, 0, (1,))
+    # take() copies the unaligned view once, then gathers faster than indexing can
+    values = _four_digits(words.take(end), length)
+    more, shift = np.flatnonzero(length > 4), 4
+    while more.size:
+        values[more] += 10**shift * _four_digits(words[end[more] - shift], length[more] - shift)
+        shift += 4
+        more = more[length[more] > shift]
+    return values
+
+
+# _four_digits' mask by digit count: the low nibbles of the word's last bytes
+_DIGIT_MASK = np.array([0, 0x0F000000, 0x0F0F0000, 0x0F0F0F00] + [0x0F0F0F0F] * 15, np.uint32)
+
+
+def _four_digits(word: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The value, as int64, of the last ``count`` bytes (1 to 4, or all 4
+    when more) of each little-endian uint32 ``word``, which are ASCII digits."""
+    u = np.uint32
+    word = word & _DIGIT_MASK.take(count)
+    # a multiply adds ten times each digit into the next byte up, then a
+    # hundred times each pair into the next pair up; the shifts keep those
+    word = ((word * u(1 + (10 << 8))) >> u(8)) & u(0x00FF00FF)
+    return ((word * u(1 + (100 << 16))) >> u(16)).astype(np.int64)
 
 
 def _first_bad(default: int, *lines: np.ndarray) -> int:
@@ -320,44 +404,29 @@ def _kid_error(text: str, size: int, offset: int) -> str | None:
     return None
 
 
-def _load_pairs(path, bound: int, tab_after_head: bool, bad_head, explain):
-    """Read a file of ``head index:count ...`` records.
-
-    Returns (heads, indices, counts, sizes): one head per record, the pairs
-    of all records sorted by index within each record, and the number of
-    pairs per record.  ``bad_head`` flags invalid heads; the first bad
-    record raises a DataError whose reason ``explain`` gives.
-    """
-    heads, indices, counts, sizes = [], [], [], []
-    for block, lines_before in _blocks(path):
-        values, is_head, line, n_lines, bad = _scan(block, tab_after_head, pairs=True)
-        head, pairs, row = values[is_head], values[~is_head], line[~is_head][::2]
-        idx, cnt = pairs[::2], pairs[1::2]  # a good record alternates them
-        distinct = (idx[1:] > idx[:-1]) | (row[1:] != row[:-1])
-        if not distinct.all():
-            # rows are already in order, so sorting by (row, index) keeps them
-            order = np.lexsort((idx, row))
-            idx, cnt = idx[order], cnt[order]
-            distinct = (idx[1:] != idx[:-1]) | (row[1:] != row[:-1])
-        bad = _first_bad(
-            bad,
-            np.flatnonzero(bad_head(head)),
-            row[idx >= bound],
-            row[cnt < 1],
-            row[1:][~distinct],
-        )
-        if bad < n_lines:
-            raise _record_error(path, block, lines_before, bad, explain)
-        heads.append(head)
-        indices.append(idx)
-        counts.append(cnt)
-        sizes.append(np.bincount(row, minlength=n_lines))
-    return _joined(heads, indices, counts, sizes)
-
-
-def _joined(*block_arrays: list) -> tuple:
-    """Each list of per-block int64 arrays as one array."""
-    return tuple(np.concatenate([np.empty(0, np.int64), *parts]) for parts in block_arrays)
+def _pairs_block(block: bytes, bound: int, tab_after_head: bool, bad_head):
+    """``_load_records``' work for a block of ``head index:count ...``
+    records: their heads, their pairs sorted by index within each record,
+    and the number of pairs per record.  ``bad_head`` flags invalid heads."""
+    values, first, n_lines, bad = _scan(block, tab_after_head, pairs=True)
+    head, pairs = values[first], np.delete(values, first)
+    idx, cnt = pairs[::2], pairs[1::2]  # a good record alternates them
+    sizes = np.diff(first, append=values.size) // 2
+    row = np.repeat(np.arange(sizes.size), sizes)
+    distinct = (idx[1:] > idx[:-1]) | (row[1:] != row[:-1])
+    if not distinct.all():
+        # rows are already in order, so sorting by (row, index) keeps them
+        order = np.lexsort((idx, row))
+        idx, cnt = idx[order], cnt[order]
+        distinct = (idx[1:] != idx[:-1]) | (row[1:] != row[:-1])
+    bad = _first_bad(
+        bad,
+        np.flatnonzero(bad_head(head)),
+        row[idx >= bound],
+        row[cnt < 1],
+        row[1:][~distinct],
+    )
+    return bad, n_lines, head, idx, cnt, sizes
 
 
 def _csr(counts, indices, sizes, width: int) -> sparse.csr_matrix:
@@ -463,11 +532,10 @@ def load_slmrd_bow(path: str | Path, vocab: Vocabulary, split: str = "train") ->
     Ratings >= 7 become positive labels, <= 4 negative; 5 and 6 do not occur
     in the dataset by construction and are rejected loudly.
     """
-    ratings, indices, counts, sizes = _load_pairs(
-        path, vocab.size, False,
-        lambda r: (r > 10) | (r == 5) | (r == 6),
-        lambda text: _slmrd_error(text, vocab.size),
-    )
+    ratings, indices, counts, sizes = _load_records(path, partial(
+        _pairs_block, bound=vocab.size, tab_after_head=False,
+        bad_head=lambda r: (r > 10) | (r == 5) | (r == 6),
+    ), lambda text: _slmrd_error(text, vocab.size))
     matrix = _csr(counts, indices, sizes, vocab.size)
     return Corpus(matrix, (ratings >= 7).astype(np.int64), vocab.fingerprint(), split)
 
@@ -487,28 +555,28 @@ def load_kid(
     """
     vocab = Vocabulary(_word_index_tokens(word_index_path))
 
-    labels, indices, counts, sizes = [], [], [], []
-    for block, lines_before in _blocks(sequences_path):
-        values, is_head, line, n_lines, bad = _scan(block, True, pairs=False)
-        label = values[is_head]
-        rank, row = values[~is_head] - index_offset, line[~is_head]
-        bad = _first_bad(bad, np.flatnonzero(label > 1), row[rank >= vocab.size])
-        if bad < n_lines:
-            raise _record_error(
-                sequences_path, block, lines_before, bad,
-                lambda text: _kid_error(text, vocab.size, index_offset),
-            )
-        keep = rank >= 0  # lower values are reserved control codes
-        key, count = np.unique(row[keep] * vocab.size + rank[keep], return_counts=True)
-        row, rank = np.divmod(key, vocab.size)
-        labels.append(label)
-        indices.append(rank)
-        counts.append(count)
-        sizes.append(np.bincount(row, minlength=n_lines))
-    labels, indices, counts, sizes = _joined(labels, indices, counts, sizes)
+    labels, indices, counts, sizes = _load_records(
+        sequences_path,
+        partial(_kid_block, size=vocab.size, offset=index_offset),
+        lambda text: _kid_error(text, vocab.size, index_offset),
+        pairs=False,
+    )
     return vocab, Corpus(
         _csr(counts, indices, sizes, vocab.size), labels, vocab.fingerprint(), "full"
     )
+
+
+def _kid_block(block: bytes, size: int, offset: int):
+    """``_load_records``' work for a block of ``load_kid``'s records: per
+    record, its distinct token indices and how often each occurs."""
+    values, first, n_lines, bad = _scan(block, True, pairs=False)
+    label, rank = values[first], np.delete(values, first) - offset
+    row = np.repeat(np.arange(first.size), np.diff(first, append=values.size) - 1)
+    bad = _first_bad(bad, np.flatnonzero(label > 1), row[rank >= size])
+    keep = rank >= 0  # lower values are reserved control codes
+    key, count = np.unique(row[keep] * size + rank[keep], return_counts=True)
+    row, rank = np.divmod(key, size)
+    return bad, n_lines, label, rank, count, np.bincount(row, minlength=n_lines)
 
 
 def _word_index_tokens(path: str | Path) -> list[str]:
@@ -622,7 +690,7 @@ def _record_bytes(labels, indptr, indices, counts) -> np.ndarray:
     out[index_end] = ord(":")
     out[count_end] = ord(" ")
     out[row_end - 1] = ord("\n")
-    # the digits, last place first: the inverse of _eight_digits
+    # the digits, last place first: the inverse of _values
     end = np.concatenate((label_end, index_end, count_end))
     while values.size:
         values, digit = np.divmod(values, 10)
@@ -648,8 +716,9 @@ def load_corpus_file(
     seen requires.
     """
     bound = width if width is not None else np.iinfo(np.int64).max
-    labels, indices, counts, sizes = _load_pairs(
-        path, bound, True, lambda label: label > 1,
+    labels, indices, counts, sizes = _load_records(
+        path,
+        partial(_pairs_block, bound=bound, tab_after_head=True, bad_head=lambda label: label > 1),
         lambda text: _canonical_error(text, bound),
     )
     if width is None:

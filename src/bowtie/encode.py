@@ -28,7 +28,6 @@ class EncodedDataset:
 
     matrix: sparse.csr_matrix
     labels: np.ndarray  # int64, 0 or 1 per row
-    encoding_kind: str
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -99,7 +98,7 @@ def encode_corpus(
         (values, indices.copy(), counts.indptr.copy()), shape=(len(corpus), width)
     )
     matrix.eliminate_zeros()
-    return EncodedDataset(matrix, corpus.labels, kind)
+    return EncodedDataset(matrix, corpus.labels)
 
 
 def polarity_stats(dataset: EncodedDataset) -> PolarityStats:

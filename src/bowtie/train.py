@@ -268,10 +268,15 @@ def load_checkpoint(path: str) -> Checkpoint:
         config = ModelConfig(**cfg_dict)
         w_shapes = [tuple(s) for s in manifest["weights_shapes"]]
         b_shapes = [tuple(s) for s in manifest["biases_shapes"]]
+        if not all(type(d) is int for s in w_shapes + b_shapes for d in s):
+            raise TypeError("shapes must be lists of integers")  # JSON true == 1
         vocab = manifest["vocab"]
         vocab_size = int(vocab["size"])
         vocab_sha256 = str(vocab["sha256"])
         encoding = manifest["encoding"]
+        provenance = manifest.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise TypeError("provenance must be an object")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed manifest: {exc}") from exc
     if encoding not in ENCODING_KINDS:
@@ -312,7 +317,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         vocab_size=vocab_size,
         vocab_sha256=vocab_sha256,
         encoding=encoding,
-        provenance=dict(manifest.get("provenance", {})),
+        provenance=provenance,
     )
 
 

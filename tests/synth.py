@@ -6,12 +6,14 @@ learnable.  The raw writers mirror both real on-disk layouts at toy scale.
 """
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
 from bowtie.corpus import Corpus
+from bowtie.train import CHECKPOINT_MAGIC
 
 
 def corpus_from_rows(rows, labels, width, vocab_id="synthetic", split="train"):
@@ -93,3 +95,17 @@ def write_kid_tree(root, tokens, corpus, offset=3):
                 values.extend([idx + offset] * count)
             fh.write(f"{label}\t{' '.join(str(v) for v in values)}\n")
     return root
+
+
+def edit_checkpoint_manifest(path, edit):
+    """Rewrite the checkpoint at ``path`` with ``edit`` applied to its manifest."""
+    raw = Path(path).read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 4 + 8
+    (length,) = struct.unpack_from("<Q", raw, len(CHECKPOINT_MAGIC) + 4)
+    manifest = json.loads(raw[start : start + length])
+    edit(manifest)
+    text = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    Path(path).write_bytes(
+        raw[: len(CHECKPOINT_MAGIC) + 4] + struct.pack("<Q", len(text)) + text
+        + raw[start + length :]
+    )

@@ -16,7 +16,9 @@ from bowtie.corpus import load_slmrd_vocab
 from bowtie.net import ModelConfig, init_model
 from bowtie.train import load_checkpoint, save_checkpoint
 import oracles
-from synth import planted_corpus, rating_table, token_list, write_kid_tree, write_slmrd_tree
+from synth import (
+    edit_checkpoint_manifest, planted_corpus, rating_table, token_list, write_kid_tree, write_slmrd_tree,
+)
 
 
 FAST_FLAGS = [
@@ -468,6 +470,27 @@ def test_eval_wrong_vocabulary_exits_two(tmp_path, prepared, s3_run, capsys):
     )
     assert code == 2
     assert "error=data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "transfer"])
+@pytest.mark.parametrize("edit", [
+    lambda m: m.update(provenance=None),
+    lambda m: m["weights_shapes"][1].__setitem__(1, True),
+], ids=["provenance_null", "weight_dim_true"])
+def test_ill_typed_checkpoint_manifest_exits_two(tmp_path, prepared, s3_run, capsys, command, edit):
+    slmrd, kid = prepared / "slmrd", prepared / "kid"
+    ckpt = s3_run / "model.ckpt"
+    edit_checkpoint_manifest(ckpt, edit)
+    data = {
+        "eval": ["--corpus", str(slmrd / "test.corpus"), "--vocab", str(slmrd / "vocab.txt")],
+        "transfer": ["--source-corpus", str(kid / "full.corpus"),
+                     "--source-vocab", str(kid / "vocab.txt"),
+                     "--target-vocab", str(slmrd / "vocab.txt")],
+    }[command]
+    code = main([command, "--checkpoint", str(ckpt), *data,
+                 "--polarity", str(slmrd / "polarity.txt")])
+    assert code == 2
+    assert f'error=data detail="{ckpt}: malformed manifest' in capsys.readouterr().err
 
 
 def test_stats_prints_both_interpretations(prepared, capsys):

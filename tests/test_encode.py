@@ -129,7 +129,6 @@ def test_encode_corpus_preserves_order_and_labels():
         ds = encode_corpus(corpus, kind, **kw)
         assert len(ds) == 30
         assert ds.width == 25
-        assert ds.encoding_kind == kind
         npt.assert_array_equal(ds.labels, corpus.labels)
 
 

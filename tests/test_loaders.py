@@ -8,6 +8,8 @@ inside numbers, between a number and its colon, and on a line's newline.
 """
 
 import json
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -202,6 +204,140 @@ def test_bad_record_in_a_late_block_names_its_line(tmp_path, monkeypatch):
     assert path.stat().st_size > 40 * corpus._BLOCK_BYTES
     with pytest.raises(DataError, match=rf"late\.corpus: line 8766: token index {WIDTH} outside"):
         load_corpus_file(path, width=WIDTH)
+
+
+def tight(fmt, line):
+    """``line`` laid out as the writers lay records out: one separator byte
+    between numbers, a tab after a canonical or kid head."""
+    if fmt == "slmrd":
+        return " ".join(line.split())
+    head, _, rest = line.partition("\t")
+    return f"{head}\t{' '.join(rest.split())}"
+
+
+@pytest.mark.parametrize("fmt", sorted(LINES))
+def test_the_usual_layout_loads_like_any_other(tmp_path, block_bytes, fmt):
+    for seed in range(10):
+        rng = np.random.default_rng([seed, 13])
+        lines = LINES[fmt](rng, int(rng.integers(1, 12)))
+        package, reference = loaders(fmt, tmp_path, "".join(tight(fmt, l) + "\n" for l in lines))
+        usual = package()
+        assert_same_corpus(usual, reference())
+        package, _ = loaders(fmt, tmp_path, file_text(rng, lines))
+        assert_same_corpus(usual, package())
+
+
+@pytest.mark.parametrize("fmt", sorted(CORRUPT))
+def test_bad_records_in_the_usual_layout_raise_the_reference_message(tmp_path, fmt):
+    for seed, corrupt in enumerate(CORRUPT[fmt]):
+        rng = np.random.default_rng([seed, 17])
+        lines = [tight(fmt, line) for line in LINES[fmt](rng, 6)]
+        lines[seed % 6] = corrupt(lines[seed % 6])
+        package, reference = loaders(fmt, tmp_path, "".join(l + "\n" for l in lines))
+        with pytest.raises(DataError) as got:
+            package()
+        with pytest.raises(DataError) as want:
+            reference()
+        assert str(got.value) == str(want.value)
+
+
+# ------------------------------------------------------- the scanning pipeline
+
+
+def outcome(load):
+    """What a load gives: its arrays and shape, or its DataError's text."""
+    try:
+        got = load()
+    except DataError as exc:
+        return str(exc)
+    m = got.counts
+    return [a.tolist() for a in (m.indptr, m.indices, m.data, got.labels)], m.shape
+
+
+@pytest.mark.parametrize("fmt", sorted(CORRUPT))
+def test_one_and_two_scan_threads_load_alike(tmp_path, block_bytes, monkeypatch, fmt):
+    for seed in range(16):
+        rng = np.random.default_rng([seed, 19])
+        lines = LINES[fmt](rng, int(rng.integers(1, 12)))
+        if seed % 2:
+            at = int(rng.integers(len(lines)))
+            lines[at] = CORRUPT[fmt][seed % len(CORRUPT[fmt])](lines[at])
+        package, _ = loaders(fmt, tmp_path, file_text(rng, lines))
+        seen = []
+        for threads in (1, 2):
+            monkeypatch.setattr(corpus, "_SCAN_THREADS", threads)
+            seen.append(outcome(package))
+        assert seen[0] == seen[1]
+
+
+def scan_spy(monkeypatch, delay):
+    """Patch the block scanner to sleep ``delay(block)`` seconds first; the
+    returned dict maps each block scanned to the thread that scanned it."""
+    threads, scan = {}, corpus._scan
+
+    def spied(block, *args, **kwargs):
+        threads[block] = threading.get_ident()
+        time.sleep(delay(block))
+        return scan(block, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "_scan", spied)
+    return threads
+
+
+@pytest.mark.parametrize("fmt", sorted(CORRUPT))
+def test_the_first_bad_line_is_named_whichever_thread_finds_it(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1)  # a block per line
+    rng = np.random.default_rng(21)
+    lines = LINES[fmt](rng, 12)
+    lines[0], lines[1] = CORRUPT[fmt][0](lines[0]), CORRUPT[fmt][-1](lines[1])
+    first, second = (f"{line}\n".encode() for line in lines[:2])
+    # the first bad block is slow, so the other thread finds the second first
+    threads = scan_spy(monkeypatch, lambda block: 0.2 if block == first else 0)
+    package, reference = loaders(fmt, tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(DataError) as got:
+        package()
+    with pytest.raises(DataError) as want:
+        reference()
+    assert str(got.value) == str(want.value)
+    assert "line 1:" in str(got.value)
+    assert threads[first] != threads[second]
+
+
+def test_an_error_in_the_first_block_stops_the_scan(tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1)
+    rng = np.random.default_rng(22)
+    lines = canonical_lines(rng, 60)
+    lines[0] = "2" + lines[0][1:]
+    first = f"{lines[0]}\n".encode()
+    threads = scan_spy(monkeypatch, lambda block: 0 if block == first else 0.1)
+    path = tmp_path / "early.corpus"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    before = set(threading.enumerate())
+    started = time.monotonic()
+    with pytest.raises(DataError, match="line 1: label 2 not in"):
+        load_corpus_file(path, width=WIDTH)
+    # scanning the 59 slow blocks on two threads would take about 3 s
+    assert time.monotonic() - started < 1.0
+    # the blocks in flight that no thread had started were dropped
+    assert len(threads) <= 1 + corpus._SCAN_THREADS
+    assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize("fmt", sorted(LINES))
+def test_a_file_without_its_final_newline_loads(tmp_path, fmt):
+    rng = np.random.default_rng(23)
+    package, reference = loaders(fmt, tmp_path, "\n".join(LINES[fmt](rng, 5)))
+    assert_same_corpus(package(), reference())
+
+
+def test_a_line_longer_than_a_block_loads(tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
+    rng = np.random.default_rng(24)
+    lines = canonical_lines(rng, 6)
+    lines[3] = "1\t" + " ".join(f"{i}:{i + 1}" for i in range(WIDTH))
+    assert len(lines[3]) > 3 * corpus._BLOCK_BYTES
+    package, reference = loaders("canonical", tmp_path, "\n".join(lines) + "\n")
+    assert_same_corpus(package(), reference())
 
 
 def test_numbers_of_eighteen_digits_load(tmp_path):

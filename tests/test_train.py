@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import struct
 import warnings
 
@@ -27,7 +28,7 @@ from bowtie.train import (
 )
 import oracles
 from oracles import predict
-from synth import planted_corpus, rating_table
+from synth import edit_checkpoint_manifest, planted_corpus, rating_table
 
 
 WIDTH = 30
@@ -35,7 +36,7 @@ WIDTH = 30
 
 def subset(dataset, rows):
     """The dataset rows at ``rows``, in that order."""
-    return EncodedDataset(dataset.matrix[rows], dataset.labels[rows], dataset.encoding_kind)
+    return EncodedDataset(dataset.matrix[rows], dataset.labels[rows])
 
 
 def encoded_split(seed, n_train=120, n_val=60, width=WIDTH):
@@ -504,17 +505,30 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
 )
 def test_checkpoint_rejects_shapes_that_contradict_the_config(tmp_path, edit):
     path, _, _ = trained_checkpoint(tmp_path, seed=40)
-    raw = path.read_bytes()
-    start = len(CHECKPOINT_MAGIC) + 4 + 8
-    (length,) = struct.unpack_from("<Q", raw, len(CHECKPOINT_MAGIC) + 4)
-    manifest = json.loads(raw[start : start + length])
-    edit(manifest)
-    text = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    path.write_bytes(
-        raw[: len(CHECKPOINT_MAGIC) + 4] + struct.pack("<Q", len(text)) + text
-        + raw[start + length :]
-    )
+    edit_checkpoint_manifest(path, edit)
     with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
+# Values of the wrong JSON type that once escaped load_checkpoint as a
+# TypeError: a provenance that is not an object, and shape dimensions that
+# are not integers (JSON true equals 1, so [8, true] chains like [8, 1]).
+ILL_TYPED = {
+    "provenance_null": lambda m: m.update(provenance=None),
+    "provenance_list": lambda m: m.update(provenance=[1]),
+    "provenance_true": lambda m: m.update(provenance=True),
+    "provenance_number": lambda m: m.update(provenance=3),
+    "weight_dim_true": lambda m: m["weights_shapes"][1].__setitem__(1, True),
+    "bias_dim_true": lambda m: m["biases_shapes"][1].__setitem__(0, True),
+    "weight_dim_float": lambda m: m["weights_shapes"][1].__setitem__(1, 1.0),
+}
+
+
+@pytest.mark.parametrize("edit", ILL_TYPED.values(), ids=ILL_TYPED.keys())
+def test_checkpoint_rejects_ill_typed_manifest_values(tmp_path, edit):
+    path, _, _ = trained_checkpoint(tmp_path, seed=41)
+    edit_checkpoint_manifest(path, edit)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: malformed manifest"):
         load_checkpoint(str(path))
 
 
