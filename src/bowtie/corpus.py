@@ -241,7 +241,8 @@ def _scan(block: bytes, tab_after_head: bool, pairs: bool):
     head = head[(np.diff(head, prepend=-1) > 0) & (head < start.size)]
     head_line = np.searchsorted(newline, start[head])
     bad = []
-    # Separators of a byte each, the usual layout, leave the codes all to check.
+    # When every separator is one byte, the usual layout, the codes below
+    # say all there is to check; otherwise the bytes are checked too.
     if raw.size - length.sum() > end.size:
         # every line has a number; with tab_after_head, one that starts it
         bad.append(np.flatnonzero(np.append(head_line, newline.size) != np.arange(head.size + 1))[:1])

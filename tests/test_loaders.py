@@ -8,6 +8,7 @@ inside numbers, between a number and its colon, and on a line's newline.
 """
 
 import json
+import sys
 import threading
 import time
 import tracemalloc
@@ -268,6 +269,23 @@ def test_one_and_two_scan_threads_load_alike(tmp_path, block_bytes, monkeypatch,
             monkeypatch.setattr(corpus, "_SCAN_THREADS", threads)
             seen.append(outcome(package))
         assert seen[0] == seen[1]
+
+
+def test_more_scan_threads_than_cores_load_alike(tmp_path, monkeypatch):
+    """Four threads on blocks of 7 bytes, switching as often as they can:
+    a block scanned twice, lost or copied out of order would show."""
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 7)
+    monkeypatch.setattr(corpus, "_SCAN_THREADS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(6):
+            rng = np.random.default_rng([seed, 29])
+            fmt = sorted(LINES)[seed % 3]
+            package, reference = loaders(fmt, tmp_path, file_text(rng, LINES[fmt](rng, 40)))
+            assert_same_corpus(package(), reference())
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def scan_spy(monkeypatch, delay):
