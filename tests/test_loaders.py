@@ -310,7 +310,7 @@ def test_the_first_bad_line_is_named_whichever_thread_finds_it(tmp_path, monkeyp
     lines[0], lines[1] = CORRUPT[fmt][0](lines[0]), CORRUPT[fmt][-1](lines[1])
     first, second = (f"{line}\n".encode() for line in lines[:2])
     # the first bad block is slow, so the other thread finds the second first
-    threads = scan_spy(monkeypatch, lambda block: 0.2 if block == first else 0)
+    threads = scan_spy(monkeypatch, lambda block: 0.3 if block == first else 0)
     package, reference = loaders(fmt, tmp_path, "\n".join(lines) + "\n")
     with pytest.raises(DataError) as got:
         package()
@@ -336,8 +336,9 @@ def test_an_error_in_the_first_block_stops_the_scan(tmp_path, monkeypatch):
         load_corpus_file(path, width=WIDTH)
     # scanning the 59 slow blocks on two threads would take about 3 s
     assert time.monotonic() - started < 1.0
-    # the blocks in flight that no thread had started were dropped
-    assert len(threads) <= 1 + corpus._SCAN_THREADS
+    # the blocks in flight that no thread had started were dropped: the
+    # first block and the _IN_FLIGHT queued behind it were not all scanned
+    assert len(threads) <= corpus._IN_FLIGHT
     assert set(threading.enumerate()) <= before
 
 
