@@ -7,10 +7,11 @@ CSR matrix of token counts over a dense vocabulary (a row per review) plus
 a label array.  A canonical line format (``label<TAB>idx:count ...``) makes
 everything downstream source-agnostic.  The three record formats are read
 whole and scanned in blocks of whole lines by one array-op scanner, on the
-calling thread and a helper; the first bad line in file order is the one
-reported, and the arrays do not depend on the threads (``--threads`` sets
-only BLAS's).  The canonical format is written a block of rows at a time
-by array ops too; the README gives the line grammar each file accepts.
+calling thread and a helper, which write each block into its place in the
+arrays; the first bad line in file order is the one reported, and the
+arrays do not depend on the threads (``--threads`` sets only BLAS's).  The
+canonical format is written a block of rows at a time by array ops too; the
+README gives the line grammar each file accepts.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ import hashlib
 import json
 import re
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import closing
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import islice
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -114,31 +114,20 @@ class Corpus:
 
 # Loaders read a record file whole and scan it in blocks of whole lines of
 # about this many bytes, so their per-byte work arrays stay small however
-# long the file is.  The calling thread and _SCAN_THREADS - 1 helpers scan
-# the blocks (numpy releases the GIL), at most _IN_FLIGHT of them ahead of
-# the block being copied out; a helper thread keeps its own malloc arena.
+# long the file is.
 _BLOCK_BYTES = 1 << 17
-_SCAN_THREADS = 2
-_IN_FLIGHT = 4
 
 _SPACES = re.compile("[ \t\v\f]+")
 _NUMBER = re.compile("[0-9]{1,18}")
 _PAIR = re.compile("([0-9]{1,18}):([0-9]{1,18})")
 
 
-def _count(data: bytes, byte: bytes) -> int:
-    """How often ``byte`` occurs in ``data``, counted a megabyte at a time
-    (in about half the time ``bytes.count`` takes on a 20 MB corpus)."""
-    raw, step = np.frombuffer(data, np.uint8), 1 << 20
-    return sum(np.count_nonzero(raw[i : i + step] == ord(byte)) for i in range(0, raw.size, step))
-
-
 def _blocks(data: bytes):
-    """Yield ``data``, which ends in a newline, in blocks of whole lines."""
+    """Yield (start, end) of each block of whole lines of ``data``, which ends in a newline."""
     lo = 0
     while lo < len(data):
         hi = data.rfind(b"\n", lo, lo + _BLOCK_BYTES) + 1 or data.find(b"\n", lo + _BLOCK_BYTES) + 1
-        yield data[lo:hi]
+        yield lo, hi
         lo = hi
 
 
@@ -147,11 +136,17 @@ def _load_records(path, work, explain, pairs: bool = True):
 
     ``work(block)`` returns the block's first line that breaks the format
     (its line count if none), its line count, then its records' heads,
-    indices, counts and sizes.  The first bad line in file order raises the
-    DataError whose reason ``explain`` gives.  Returns the file's (heads,
-    indices, counts, sizes).  A valid file has a record per newline and,
-    with ``pairs``, a pair per colon, which size the arrays; otherwise the
+    indices, counts and sizes.  Returns the file's (heads, indices, counts,
+    sizes).  A valid block has a record per newline and, with ``pairs``, a
+    pair per colon, which place its slice of the arrays; otherwise the
     blocks' indices and counts are joined at the end.
+
+    The calling thread and a helper (numpy releases the GIL) pop blocks in
+    file order from one queue and write each good one into its slice.
+    Neither pops another once a block is bad, and one popped at that moment
+    comes later in the file, so no lock is needed: when both stop, every
+    block before the first bad one is done, and its first bad line raises
+    the DataError whose reason ``explain`` gives.
     """
     try:
         data = Path(path).read_bytes()
@@ -159,53 +154,48 @@ def _load_records(path, work, explain, pairs: bool = True):
         raise DataError(f"cannot read {path}: {exc}") from exc
     if data and not data.endswith(b"\n"):
         data += b"\n"
-    n_lines, n_pairs = _count(data, b"\n"), _count(data, b":") if pairs else 0
-    heads, sizes = np.empty(n_lines, np.int64), np.empty(n_lines, np.int64)
-    indices, counts = np.empty(n_pairs, np.int64), np.empty(n_pairs, np.int64)
-    parts, lines, done = [], 0, 0
-    with closing(_scanned(_blocks(data), work)) as scanned:
-        for block, (bad, n, head, idx, cnt, size) in scanned:
-            if bad < n:
-                raise _record_error(path, block, lines, bad, explain)
-            heads[lines : lines + n], sizes[lines : lines + n] = head, size
-            if pairs:
-                indices[done : done + idx.size], counts[done : done + idx.size] = idx, cnt
-            else:
-                parts.append((idx, cnt))
-            lines, done = lines + n, done + idx.size
-    if parts:
+    raw, spans = np.frombuffer(data, np.uint8), list(_blocks(data))
+
+    def starts(byte: str) -> list[int]:
+        counts = (np.count_nonzero(raw[lo:hi] == ord(byte)) for lo, hi in spans)
+        return list(accumulate(counts, initial=0))
+
+    line_at = starts("\n")
+    pair_at = starts(":") if pairs else [0] * len(line_at)
+    heads, sizes = (np.empty(line_at[-1], np.int64) for _ in range(2))
+    indices, counts = (np.empty(pair_at[-1], np.int64) for _ in range(2))
+    parts, bad, todo = [None] * len(spans), [], deque(range(len(spans)))
+
+    def scan():
+        try:
+            while not bad:
+                try:
+                    block = todo.popleft()
+                except IndexError:  # the other thread took the last block
+                    return
+                first_bad, n, head, idx, cnt, size = work(data[slice(*spans[block])])
+                if first_bad < n:
+                    bad.append((block, first_bad))
+                    return
+                rows, cells = (slice(at[block], at[block + 1]) for at in (line_at, pair_at))
+                heads[rows], sizes[rows] = head, size
+                if pairs:
+                    indices[cells], counts[cells] = idx, cnt
+                else:
+                    parts[block] = idx, cnt
+        finally:
+            todo.clear()  # a thread that raised stops the other after its block
+
+    with ThreadPoolExecutor(1) as pool:
+        helper = pool.submit(scan)
+        scan()
+        helper.result()
+    if bad:
+        block, line = min(bad)
+        raise _record_error(path, data[slice(*spans[block])], line_at[block], line, explain)
+    if not pairs and parts:
         indices, counts = (np.concatenate(arrays) for arrays in zip(*parts))
     return heads, indices, counts, sizes
-
-
-def _scanned(blocks, work):
-    """Yield (block, ``work(block)``) for each of ``blocks``, in order.
-
-    The calling thread and _SCAN_THREADS - 1 helpers run ``work``, at most
-    _IN_FLIGHT blocks ahead of the one yielded.  Closing the generator drops
-    the blocks no helper has started and waits for the others.
-    """
-    helpers = ThreadPoolExecutor(_SCAN_THREADS - 1) if _SCAN_THREADS > 1 else None
-
-    def queued(block):
-        return [block, helpers.submit(work, block) if helpers else Future()]
-
-    try:
-        queue = deque(map(queued, islice(blocks, _IN_FLIGHT)))
-        while queue:
-            # rather than wait, scan here the first block no helper has started
-            if not queue[0][1].done():
-                idle = next((item for item in queue if item[1].cancel()), None)
-                if idle:
-                    idle[1] = Future()
-                    idle[1].set_result(work(idle[0]))
-                    continue
-            block, job = queue.popleft()
-            queue.extend(map(queued, islice(blocks, 1)))
-            yield block, job.result()
-    finally:
-        if helpers:
-            helpers.shutdown(cancel_futures=True)
 
 
 def _scan(block: bytes, tab_after_head: bool, pairs: bool):

@@ -46,8 +46,8 @@ class ModelConfig:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.l2_weight < 0.0:
-            raise ValueError("l2_weight must be >= 0")
+        if not 0.0 <= self.l2_weight < math.inf:
+            raise ValueError("l2_weight must be finite and >= 0")
         if not 0.0 <= self.discriminator <= 1.0:
             raise ValueError("discriminator must lie in [0, 1]")
 

@@ -41,14 +41,14 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.kind not in OPTIMIZERS:
             raise ValueError(f"kind must be one of {OPTIMIZERS}")
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         for name in ("beta1", "beta2", "rms_decay"):
             val = getattr(self, name)
             if not 0.0 <= val < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be > 0")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and > 0")
 
 
 @dataclass

@@ -91,6 +91,8 @@ def evaluate(
     the dense cascade and the bce sum then run per ``batch_size`` rows, so
     the result is bit-identical to forwarding each batch on its own.
     """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     if not len(dataset):
         raise ValueError("cannot evaluate on an empty dataset")
     x = batch_matrix(dataset.matrix, model.config.input_width)

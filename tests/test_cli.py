@@ -427,6 +427,22 @@ def test_train_divergence_exits_three(tmp_path, prepared, capsys):
     assert "error=divergence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--lr", "nan"), ("--lr", "inf"), ("--l2", "nan"), ("--l2", "inf"),
+    ("--epsilon", "nan"), ("--epsilon", "inf"),
+])
+def test_non_finite_training_value_exits_one(tmp_path, prepared, capsys, flag, value):
+    slmrd = prepared / "slmrd"
+    code = main([
+        "train", "--train-corpus", str(slmrd / "train.corpus"),
+        "--vocab", str(slmrd / "vocab.txt"), "--polarity", str(slmrd / "polarity.txt"),
+        "--out", str(tmp_path / "out"), *FAST_FLAGS, "--optimizer", "nadam", "--epochs", "1",
+        flag, value,
+    ])
+    assert code == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ eval and stats
 
 
@@ -560,6 +576,29 @@ def test_eval_and_transfer_outputs_match_the_per_batch_oracle(
     monkeypatch.setattr("bowtie.train.evaluate", oracles.evaluate)
     monkeypatch.setattr("bowtie.transfer.evaluate", oracles.evaluate)
     assert outputs() == got
+
+
+@pytest.mark.parametrize("batch_size", ["0", "-5"])
+@pytest.mark.parametrize("command", ["eval", "transfer"])
+def test_batch_size_below_one_exits_one(tmp_path, prepared, capsys, command, batch_size):
+    slmrd, kid = prepared / "slmrd", prepared / "kid"
+    vocab_path, polarity = str(slmrd / "vocab.txt"), str(slmrd / "polarity.txt")
+    vocab = load_slmrd_vocab(vocab_path)
+    ckpt, report = str(tmp_path / "model.ckpt"), tmp_path / "report.txt"
+    model = init_model(ModelConfig(input_width=vocab.size, hidden_widths=(4, 1)))
+    save_checkpoint(ckpt, model, vocab.size, vocab.fingerprint(), "polarity-weighted")
+    argv = {
+        "eval": ["eval", "--corpus", str(slmrd / "test.corpus"), "--vocab", vocab_path],
+        "transfer": ["transfer", "--source-corpus", str(kid / "full.corpus"),
+                     "--source-vocab", str(kid / "vocab.txt"), "--target-vocab", vocab_path,
+                     "--report", str(report)],
+    }[command]
+    code = main([*argv, "--checkpoint", ckpt, "--polarity", polarity, "--batch-size", batch_size])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == 'error=usage detail="batch_size must be >= 1"\n'
+    assert "accuracy=" not in captured.out
+    assert not report.exists()
 
 
 def test_transfer_requires_all_paths(capsys):

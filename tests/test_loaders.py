@@ -245,37 +245,10 @@ def test_bad_records_in_the_usual_layout_raise_the_reference_message(tmp_path, f
 # ------------------------------------------------------- the scanning pipeline
 
 
-def outcome(load):
-    """What a load gives: its arrays and shape, or its DataError's text."""
-    try:
-        got = load()
-    except DataError as exc:
-        return str(exc)
-    m = got.counts
-    return [a.tolist() for a in (m.indptr, m.indices, m.data, got.labels)], m.shape
-
-
-@pytest.mark.parametrize("fmt", sorted(CORRUPT))
-def test_one_and_two_scan_threads_load_alike(tmp_path, block_bytes, monkeypatch, fmt):
-    for seed in range(16):
-        rng = np.random.default_rng([seed, 19])
-        lines = LINES[fmt](rng, int(rng.integers(1, 12)))
-        if seed % 2:
-            at = int(rng.integers(len(lines)))
-            lines[at] = CORRUPT[fmt][seed % len(CORRUPT[fmt])](lines[at])
-        package, _ = loaders(fmt, tmp_path, file_text(rng, lines))
-        seen = []
-        for threads in (1, 2):
-            monkeypatch.setattr(corpus, "_SCAN_THREADS", threads)
-            seen.append(outcome(package))
-        assert seen[0] == seen[1]
-
-
-def test_more_scan_threads_than_cores_load_alike(tmp_path, monkeypatch):
-    """Four threads on blocks of 7 bytes, switching as often as they can:
-    a block scanned twice, lost or copied out of order would show."""
+def test_threads_switching_often_load_alike(tmp_path, monkeypatch):
+    """Both threads on blocks of 7 bytes, switching as often as they can:
+    a block scanned twice, lost or written to the wrong slice would show."""
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 7)
-    monkeypatch.setattr(corpus, "_SCAN_THREADS", 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -336,9 +309,51 @@ def test_an_error_in_the_first_block_stops_the_scan(tmp_path, monkeypatch):
         load_corpus_file(path, width=WIDTH)
     # scanning the 59 slow blocks on two threads would take about 3 s
     assert time.monotonic() - started < 1.0
-    # the blocks in flight that no thread had started were dropped: the
-    # first block and the _IN_FLIGHT queued behind it were not all scanned
-    assert len(threads) <= corpus._IN_FLIGHT
+    # no thread took a block after block 0 was found bad: block 0 and at
+    # most the one each thread was scanning then
+    assert len(threads) <= 3
+    assert set(threading.enumerate()) <= before
+
+
+def test_a_slow_good_block_does_not_hide_a_later_bad_one(tmp_path, monkeypatch):
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1)
+    rng = np.random.default_rng(25)
+    lines = canonical_lines(rng, 12)
+    lines[1], lines[5] = "2" + lines[1][1:], "3" + lines[5][1:]
+    first = f"{lines[0]}\n".encode()
+    # while one thread scans the good block 0, the other finds block 1 bad
+    threads = scan_spy(monkeypatch, lambda block: 0.3 if block == first else 0)
+    path = tmp_path / "slow.corpus"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 2: label 2 not in"):
+        load_corpus_file(path, width=WIDTH)
+    assert first in threads
+    assert f"{lines[5]}\n".encode() not in threads  # taken after block 1 was found bad
+
+
+@pytest.mark.parametrize("raiser", ["caller", "helper"])
+def test_an_exception_in_either_thread_reaches_the_caller(tmp_path, monkeypatch, raiser):
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1)
+    lines = canonical_lines(np.random.default_rng(26), 60)
+    caller, scan, raised = threading.get_ident(), corpus._scan, []
+
+    def failing(block, *args, **kwargs):
+        time.sleep(0.02)  # so that both threads get blocks
+        if (threading.get_ident() == caller) == (raiser == "caller") and not raised:
+            raised.append(block)
+            raise RuntimeError("scan failed")
+        return scan(block, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "_scan", failing)
+    path = tmp_path / "fails.corpus"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    before = set(threading.enumerate())
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="scan failed"):
+        load_corpus_file(path, width=WIDTH)
+    # the other thread stopped after its block rather than scan the other 58
+    assert time.monotonic() - started < 0.5
+    assert raised
     assert set(threading.enumerate()) <= before
 
 
