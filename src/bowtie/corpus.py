@@ -6,12 +6,11 @@ the Keras-style integer-sequence distribution, normalizing both into one
 CSR matrix of token counts over a dense vocabulary (a row per review) plus
 a label array.  A canonical line format (``label<TAB>idx:count ...``) makes
 everything downstream source-agnostic.  The three record formats are read
-whole and scanned in blocks of whole lines by one array-op scanner, on the
-calling thread and a helper, which write each block into its place in the
-arrays; the first bad line in file order is the one reported, and the
-arrays do not depend on the threads (``--threads`` sets only BLAS's).  The
-canonical format is written a block of rows at a time by array ops too; the
-README gives the line grammar each file accepts.
+whole and scanned in file order, in blocks of whole lines, by one array-op
+scanner on the calling thread, which writes each block into its place in
+the arrays and stops at the first bad line (``--threads`` sets only BLAS's
+pools).  The canonical format is written a block of rows at a time by
+array ops too; the README gives the line grammar each file accepts.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate
@@ -139,14 +136,9 @@ def _load_records(path, work, explain, pairs: bool = True):
     indices, counts and sizes.  Returns the file's (heads, indices, counts,
     sizes).  A valid block has a record per newline and, with ``pairs``, a
     pair per colon, which place its slice of the arrays; otherwise the
-    blocks' indices and counts are joined at the end.
-
-    The calling thread and a helper (numpy releases the GIL) pop blocks in
-    file order from one queue and write each good one into its slice.
-    Neither pops another once a block is bad, and one popped at that moment
-    comes later in the file, so no lock is needed: when both stop, every
-    block before the first bad one is done, and its first bad line raises
-    the DataError whose reason ``explain`` gives.
+    blocks' indices and counts are joined at the end.  Blocks are scanned
+    in file order, so the first bad line raises the DataError whose reason
+    ``explain`` gives.
     """
     try:
         data = Path(path).read_bytes()
@@ -164,36 +156,18 @@ def _load_records(path, work, explain, pairs: bool = True):
     pair_at = starts(":") if pairs else [0] * len(line_at)
     heads, sizes = (np.empty(line_at[-1], np.int64) for _ in range(2))
     indices, counts = (np.empty(pair_at[-1], np.int64) for _ in range(2))
-    parts, bad, todo = [None] * len(spans), [], deque(range(len(spans)))
-
-    def scan():
-        try:
-            while not bad:
-                try:
-                    block = todo.popleft()
-                except IndexError:  # the other thread took the last block
-                    return
-                first_bad, n, head, idx, cnt, size = work(data[slice(*spans[block])])
-                if first_bad < n:
-                    bad.append((block, first_bad))
-                    return
-                rows, cells = (slice(at[block], at[block + 1]) for at in (line_at, pair_at))
-                heads[rows], sizes[rows] = head, size
-                if pairs:
-                    indices[cells], counts[cells] = idx, cnt
-                else:
-                    parts[block] = idx, cnt
-        finally:
-            todo.clear()  # a thread that raised stops the other after its block
-
-    with ThreadPoolExecutor(1) as pool:
-        helper = pool.submit(scan)
-        scan()
-        helper.result()
-    if bad:
-        block, line = min(bad)
-        raise _record_error(path, data[slice(*spans[block])], line_at[block], line, explain)
-    if not pairs and parts:
+    parts = []
+    for block, (lo, hi) in enumerate(spans):
+        first_bad, n, head, idx, cnt, size = work(data[lo:hi])
+        if first_bad < n:
+            raise _record_error(path, data[lo:hi], line_at[block], first_bad, explain)
+        rows, cells = (slice(at[block], at[block + 1]) for at in (line_at, pair_at))
+        heads[rows], sizes[rows] = head, size
+        if pairs:
+            indices[cells], counts[cells] = idx, cnt
+        else:
+            parts.append((idx, cnt))
+    if parts:
         indices, counts = (np.concatenate(arrays) for arrays in zip(*parts))
     return heads, indices, counts, sizes
 

@@ -93,9 +93,14 @@ def init_model(config: ModelConfig) -> BowTieModel:
     rng = derive_rng(config.init_seed)
     widths = (config.input_width, *config.hidden_widths)
     weights, biases = [], []
-    for fan_in, fan_out in zip(widths, widths[1:]):
+    for l, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        try:
+            weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        except MemoryError as exc:  # a usage error: the widths ask for too much
+            raise ValueError(
+                f"cannot allocate layer {l} weights of shape ({fan_in}, {fan_out})"
+            ) from exc
         biases.append(np.zeros(fan_out, dtype=np.float64))
     return BowTieModel(config=config, weights=weights, biases=biases)
 

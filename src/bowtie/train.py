@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import sys
 import time
@@ -294,25 +295,20 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(
             f"{path}: vocabulary size {vocab_size} != input width {config.input_width}"
         )
-    want = sum(int(np.prod(s)) for s in w_shapes) + sum(
-        int(np.prod(s)) for s in b_shapes
-    )
+    shapes = w_shapes + b_shapes
+    want = sum(map(math.prod, shapes))
     blob = raw[header + manifest_len :]
     if len(blob) != want * 8:
         raise CheckpointError(
             f"{path}: parameter blob is {len(blob)} bytes, expected {want * 8}"
         )
     flat = np.frombuffer(blob, dtype="<f8")
-    weights, biases = [], []
-    offset = 0
-    for shape in w_shapes:
-        count = int(np.prod(shape))
-        weights.append(flat[offset : offset + count].reshape(shape).copy())
+    params, offset = [], 0
+    for shape in shapes:
+        count = math.prod(shape)
+        params.append(flat[offset : offset + count].reshape(shape).copy())
         offset += count
-    for shape in b_shapes:
-        count = int(np.prod(shape))
-        biases.append(flat[offset : offset + count].reshape(shape).copy())
-        offset += count
+    weights, biases = params[: len(w_shapes)], params[len(w_shapes) :]
     model = BowTieModel(config=config, weights=weights, biases=biases)
     return Checkpoint(
         model=model,

@@ -443,6 +443,25 @@ def test_non_finite_training_value_exits_one(tmp_path, prepared, capsys, flag, v
     assert "must be finite" in capsys.readouterr().err
 
 
+# Each width asks for weights of more than 2**57 bytes, beyond any address
+# space, so the allocation is refused at once whatever the overcommit policy.
+@pytest.mark.parametrize("hidden,layer,shape", [
+    (f"{2**52},1", 0, f"(40, {2**52})"),
+    (f"4,{2**55},1", 1, f"(4, {2**55})"),
+], ids=["layer0", "layer1"])
+def test_weights_too_large_to_allocate_exit_one(tmp_path, prepared, capsys, hidden, layer, shape):
+    slmrd = prepared / "slmrd"
+    code = main([
+        "train", "--train-corpus", str(slmrd / "train.corpus"),
+        "--vocab", str(slmrd / "vocab.txt"), "--out", str(tmp_path / "out"),
+        *FAST_FLAGS, "--epochs", "1", "--hidden", hidden,
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f'error=usage detail="cannot allocate layer {layer} weights of shape {shape}"\n'
+    )
+
+
 # ------------------------------------------------------------ eval and stats
 
 

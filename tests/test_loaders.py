@@ -8,7 +8,6 @@ inside numbers, between a number and its colon, and on a line's newline.
 """
 
 import json
-import sys
 import threading
 import time
 import tracemalloc
@@ -245,53 +244,41 @@ def test_bad_records_in_the_usual_layout_raise_the_reference_message(tmp_path, f
 # ------------------------------------------------------- the scanning pipeline
 
 
-def test_threads_switching_often_load_alike(tmp_path, monkeypatch):
-    """Both threads on blocks of 7 bytes, switching as often as they can:
-    a block scanned twice, lost or written to the wrong slice would show."""
-    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 7)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for seed in range(6):
-            rng = np.random.default_rng([seed, 29])
-            fmt = sorted(LINES)[seed % 3]
-            package, reference = loaders(fmt, tmp_path, file_text(rng, LINES[fmt](rng, 40)))
-            assert_same_corpus(package(), reference())
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def scan_spy(monkeypatch, delay):
-    """Patch the block scanner to sleep ``delay(block)`` seconds first; the
-    returned dict maps each block scanned to the thread that scanned it."""
-    threads, scan = {}, corpus._scan
+def scan_spy(monkeypatch, delay=lambda block: 0):
+    """Patch the block scanner to sleep ``delay(block)`` seconds first and to
+    record (thread, block) of each call, in call order; the second list
+    returned gets the number of threads alive at each call."""
+    calls, alive, scan = [], [], corpus._scan
 
     def spied(block, *args, **kwargs):
-        threads[block] = threading.get_ident()
+        calls.append((threading.get_ident(), block))
+        alive.append(threading.active_count())
         time.sleep(delay(block))
         return scan(block, *args, **kwargs)
 
     monkeypatch.setattr(corpus, "_scan", spied)
-    return threads
+    return calls, alive
 
 
-@pytest.mark.parametrize("fmt", sorted(CORRUPT))
-def test_the_first_bad_line_is_named_whichever_thread_finds_it(tmp_path, monkeypatch, fmt):
+@pytest.mark.parametrize("fmt", sorted(LINES))
+def test_blocks_are_scanned_in_file_order_on_the_calling_thread(tmp_path, monkeypatch, fmt):
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1)  # a block per line
-    rng = np.random.default_rng(21)
-    lines = LINES[fmt](rng, 12)
-    lines[0], lines[1] = CORRUPT[fmt][0](lines[0]), CORRUPT[fmt][-1](lines[1])
-    first, second = (f"{line}\n".encode() for line in lines[:2])
-    # the first bad block is slow, so the other thread finds the second first
-    threads = scan_spy(monkeypatch, lambda block: 0.3 if block == first else 0)
-    package, reference = loaders(fmt, tmp_path, "\n".join(lines) + "\n")
-    with pytest.raises(DataError) as got:
+    lines = LINES[fmt](np.random.default_rng(22), 60)
+    calls, alive = scan_spy(monkeypatch)
+    before = set(threading.enumerate())
+    package, reference = loaders(fmt, tmp_path, "".join(f"{line}\n" for line in lines))
+    assert_same_corpus(package(), reference())
+    me = threading.get_ident()
+    assert calls == [(me, f"{line}\n".encode()) for line in lines]
+    assert alive == [len(before)] * len(lines)  # no thread started
+    assert set(threading.enumerate()) == before  # none left
+
+    calls.clear()
+    lines[0] = CORRUPT[fmt][0](lines[0])
+    package, _ = loaders(fmt, tmp_path, "".join(f"{line}\n" for line in lines))
+    with pytest.raises(DataError, match="line 1:"):
         package()
-    with pytest.raises(DataError) as want:
-        reference()
-    assert str(got.value) == str(want.value)
-    assert "line 1:" in str(got.value)
-    assert threads[first] != threads[second]
+    assert calls == [(me, f"{lines[0]}\n".encode())]
 
 
 def test_an_error_in_the_first_block_stops_the_scan(tmp_path, monkeypatch):
@@ -299,62 +286,31 @@ def test_an_error_in_the_first_block_stops_the_scan(tmp_path, monkeypatch):
     rng = np.random.default_rng(22)
     lines = canonical_lines(rng, 60)
     lines[0] = "2" + lines[0][1:]
-    first = f"{lines[0]}\n".encode()
-    threads = scan_spy(monkeypatch, lambda block: 0 if block == first else 0.1)
+    calls, _ = scan_spy(monkeypatch)
     path = tmp_path / "early.corpus"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     before = set(threading.enumerate())
-    started = time.monotonic()
     with pytest.raises(DataError, match="line 1: label 2 not in"):
         load_corpus_file(path, width=WIDTH)
-    # scanning the 59 slow blocks on two threads would take about 3 s
-    assert time.monotonic() - started < 1.0
-    # no thread took a block after block 0 was found bad: block 0 and at
-    # most the one each thread was scanning then
-    assert len(threads) <= 3
-    assert set(threading.enumerate()) <= before
+    # no block after block 0 was taken once it was found bad
+    assert [block for _, block in calls] == [f"{lines[0]}\n".encode()]
+    assert set(threading.enumerate()) == before
 
 
 def test_a_slow_good_block_does_not_hide_a_later_bad_one(tmp_path, monkeypatch):
+    """The first bad block, here block 1 of blocks 1 and 5, is the last one
+    scanned, however long the good block 0 takes."""
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1)
     rng = np.random.default_rng(25)
     lines = canonical_lines(rng, 12)
     lines[1], lines[5] = "2" + lines[1][1:], "3" + lines[5][1:]
     first = f"{lines[0]}\n".encode()
-    # while one thread scans the good block 0, the other finds block 1 bad
-    threads = scan_spy(monkeypatch, lambda block: 0.3 if block == first else 0)
+    calls, _ = scan_spy(monkeypatch, delay=lambda block: 0.1 if block == first else 0)
     path = tmp_path / "slow.corpus"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(DataError, match="line 2: label 2 not in"):
         load_corpus_file(path, width=WIDTH)
-    assert first in threads
-    assert f"{lines[5]}\n".encode() not in threads  # taken after block 1 was found bad
-
-
-@pytest.mark.parametrize("raiser", ["caller", "helper"])
-def test_an_exception_in_either_thread_reaches_the_caller(tmp_path, monkeypatch, raiser):
-    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 1)
-    lines = canonical_lines(np.random.default_rng(26), 60)
-    caller, scan, raised = threading.get_ident(), corpus._scan, []
-
-    def failing(block, *args, **kwargs):
-        time.sleep(0.02)  # so that both threads get blocks
-        if (threading.get_ident() == caller) == (raiser == "caller") and not raised:
-            raised.append(block)
-            raise RuntimeError("scan failed")
-        return scan(block, *args, **kwargs)
-
-    monkeypatch.setattr(corpus, "_scan", failing)
-    path = tmp_path / "fails.corpus"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    before = set(threading.enumerate())
-    started = time.monotonic()
-    with pytest.raises(RuntimeError, match="scan failed"):
-        load_corpus_file(path, width=WIDTH)
-    # the other thread stopped after its block rather than scan the other 58
-    assert time.monotonic() - started < 0.5
-    assert raised
-    assert set(threading.enumerate()) <= before
+    assert [block for _, block in calls] == [f"{line}\n".encode() for line in lines[:2]]
 
 
 @pytest.mark.parametrize("fmt", sorted(LINES))
