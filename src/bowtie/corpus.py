@@ -2,15 +2,15 @@
 
 Loads the Stanford-style raw distribution (one-token-per-line vocabulary,
 per-line polarity ratings, ``rating idx:count ...`` bag-of-words lines) and
-the Keras-style integer-sequence distribution, normalizing both into one
-CSR matrix of token counts over a dense vocabulary (a row per review) plus
-a label array.  A canonical line format (``label<TAB>idx:count ...``) makes
-everything downstream source-agnostic.  The three record formats are read
-whole and scanned in file order, in blocks of whole lines, by one array-op
-scanner on the calling thread, which writes each block into its place in
-the arrays and stops at the first bad line (``--threads`` sets only BLAS's
-pools).  The canonical format is written a block of rows at a time by
-array ops too; the README gives the line grammar each file accepts.
+the Keras-style integer-sequence distribution into one CSR matrix of token
+counts over a dense vocabulary (a row per review) plus a label array; a
+canonical ``label<TAB>idx:count ...`` format makes everything downstream
+source-agnostic.  Record files are read whole and scanned in file order, in
+blocks of whole lines, by one array-op scanner on the calling thread that
+writes each block into its place in arrays allocated once, the indices at
+scipy's final dtype (int32 when it fits), and stops at the first bad line.
+The canonical format is written a block of rows at a time by array ops
+too; the README gives the line grammar each file accepts.
 """
 
 from __future__ import annotations
@@ -128,7 +128,12 @@ def _blocks(data: bytes):
         lo = hi
 
 
-def _load_records(path, work, explain, pairs: bool = True):
+def _index_dtype(*bounds: int) -> type:
+    """int32 when every bound (width, rows, stored entries) fits it, as scipy's CSR would pick."""
+    return np.int32 if max(bounds) <= np.iinfo(np.int32).max else np.int64
+
+
+def _load_records(path, work, explain, bound: int, pairs: bool = True):
     """Read record file ``path`` whole and scan it in blocks of whole lines.
 
     ``work(block)`` returns the block's first line that breaks the format
@@ -136,9 +141,9 @@ def _load_records(path, work, explain, pairs: bool = True):
     indices, counts and sizes.  Returns the file's (heads, indices, counts,
     sizes).  A valid block has a record per newline and, with ``pairs``, a
     pair per colon, which place its slice of the arrays; otherwise the
-    blocks' indices and counts are joined at the end.  Blocks are scanned
-    in file order, so the first bad line raises the DataError whose reason
-    ``explain`` gives.
+    blocks' indices and counts are joined at the end, the indices (below
+    ``bound`` in a valid block) at ``_index_dtype``.  Blocks are scanned in
+    file order, so the first bad line raises the DataError ``explain`` names.
     """
     try:
         data = Path(path).read_bytes()
@@ -155,8 +160,8 @@ def _load_records(path, work, explain, pairs: bool = True):
     line_at = starts("\n")
     pair_at = starts(":") if pairs else [0] * len(line_at)
     heads, sizes = (np.empty(line_at[-1], np.int64) for _ in range(2))
-    indices, counts = (np.empty(pair_at[-1], np.int64) for _ in range(2))
-    parts = []
+    indices = np.empty(pair_at[-1], _index_dtype(bound, line_at[-1], pair_at[-1]))
+    counts, parts = np.empty(pair_at[-1], np.int64), []
     for block, (lo, hi) in enumerate(spans):
         first_bad, n, head, idx, cnt, size = work(data[lo:hi])
         if first_bad < n:
@@ -168,7 +173,9 @@ def _load_records(path, work, explain, pairs: bool = True):
         else:
             parts.append((idx, cnt))
     if parts:
-        indices, counts = (np.concatenate(arrays) for arrays in zip(*parts))
+        idx, cnt = zip(*parts)
+        indices = np.concatenate(idx, dtype=_index_dtype(bound, heads.size, sum(map(len, idx))))
+        counts = np.concatenate(cnt)
     return heads, indices, counts, sizes
 
 
@@ -396,7 +403,7 @@ def _pairs_block(block: bytes, bound: int, tab_after_head: bool, bad_head):
 
 
 def _csr(counts, indices, sizes, width: int) -> sparse.csr_matrix:
-    indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    indptr = np.zeros(sizes.size + 1, dtype=indices.dtype)
     np.cumsum(sizes, out=indptr[1:])
     return sparse.csr_matrix((counts, indices, indptr), shape=(sizes.size, width))
 
@@ -501,7 +508,7 @@ def load_slmrd_bow(path: str | Path, vocab: Vocabulary, split: str = "train") ->
     ratings, indices, counts, sizes = _load_records(path, partial(
         _pairs_block, bound=vocab.size, tab_after_head=False,
         bad_head=lambda r: (r > 10) | (r == 5) | (r == 6),
-    ), lambda text: _slmrd_error(text, vocab.size))
+    ), lambda text: _slmrd_error(text, vocab.size), vocab.size)
     matrix = _csr(counts, indices, sizes, vocab.size)
     return Corpus(matrix, (ratings >= 7).astype(np.int64), vocab.fingerprint(), split)
 
@@ -525,6 +532,7 @@ def load_kid(
         sequences_path,
         partial(_kid_block, size=vocab.size, offset=index_offset),
         lambda text: _kid_error(text, vocab.size, index_offset),
+        vocab.size,
         pairs=False,
     )
     return vocab, Corpus(
@@ -686,6 +694,7 @@ def load_corpus_file(
         path,
         partial(_pairs_block, bound=bound, tab_after_head=True, bad_head=lambda label: label > 1),
         lambda text: _canonical_error(text, bound),
+        bound,
     )
     if width is None:
         width = int(indices.max()) + 1 if indices.size else 0

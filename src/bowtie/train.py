@@ -10,10 +10,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -151,8 +153,7 @@ def train(
             seed = mix_seed(config.dropout_seed, epoch, batch_index)
             try:
                 cache = forward(model, x[rows], training=True, dropout_seed=seed)
-                grads = backward(model, cache, y[rows])
-                apply_update(config.optimizer, state, model, grads)
+                apply_update(config.optimizer, state, model, backward(model, cache, y[rows]))
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"epoch {epoch} batch {batch_index}: {exc}"
@@ -216,7 +217,7 @@ def save_checkpoint(
     """Binary layout: magic, uint32 version, uint64 manifest length, JSON
     manifest, then every weight and bias as little-endian float64, C order,
     weights first, layer by layer.  Round-trips bit for bit.  Returns the
-    sha256 of that parameter blob.
+    sha256 of the parameters, hashed and written from each tensor's buffer.
     """
     if encoding not in ENCODING_KINDS:
         raise ValueError(f"encoding must be one of {ENCODING_KINDS}")
@@ -232,37 +233,39 @@ def save_checkpoint(
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
     with replacing(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(blob)) + blob)
         params = hashlib.sha256()
         for tensor in (*model.weights, *model.biases):
-            data = np.ascontiguousarray(tensor, dtype="<f8").tobytes()
+            data = np.ascontiguousarray(tensor, dtype="<f8")
             params.update(data)
             fh.write(data)
     return params.hexdigest()
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint file; its tensors are views into one float64 array, read once."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        with open(path, "rb") as fh:  # a pipe cannot seek to its size: "cannot read"
+            return _read_checkpoint(path, fh, fh.seek(0, os.SEEK_END))
     except OSError as exc:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_checkpoint(path: str, fh, size: int) -> Checkpoint:
     header = len(CHECKPOINT_MAGIC) + 4 + 8
+    fh.seek(0)
+    raw = fh.read(header)
     if len(raw) < header:
         raise CheckpointError(f"{path}: truncated (only {len(raw)} bytes)")
     if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    (version,) = struct.unpack_from("<I", raw, len(CHECKPOINT_MAGIC))
+    version, manifest_len = struct.unpack_from("<IQ", raw, len(CHECKPOINT_MAGIC))
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    (manifest_len,) = struct.unpack_from("<Q", raw, len(CHECKPOINT_MAGIC) + 4)
-    if header + manifest_len > len(raw):
+    if header + manifest_len > size:
         raise CheckpointError(f"{path}: manifest overruns the file")
     try:
-        manifest = json.loads(raw[header : header + manifest_len])
+        manifest = json.loads(fh.read(manifest_len))
     except ValueError as exc:
         raise CheckpointError(f"{path}: manifest is not valid JSON: {exc}") from exc
     try:
@@ -296,18 +299,12 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{path}: vocabulary size {vocab_size} != input width {config.input_width}"
         )
     shapes = w_shapes + b_shapes
-    want = sum(map(math.prod, shapes))
-    blob = raw[header + manifest_len :]
-    if len(blob) != want * 8:
-        raise CheckpointError(
-            f"{path}: parameter blob is {len(blob)} bytes, expected {want * 8}"
-        )
-    flat = np.frombuffer(blob, dtype="<f8")
-    params, offset = [], 0
-    for shape in shapes:
-        count = math.prod(shape)
-        params.append(flat[offset : offset + count].reshape(shape).copy())
-        offset += count
+    ends = list(accumulate(map(math.prod, shapes), initial=0))
+    blob, want = size - header - manifest_len, ends[-1]
+    # allocated only once the length matches; a short read means the file shrank meanwhile
+    if blob != want * 8 or fh.readinto(flat := np.empty(want, "<f8")) != blob:
+        raise CheckpointError(f"{path}: parameter blob is {blob} bytes, expected {want * 8}")
+    params = [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
     weights, biases = params[: len(w_shapes)], params[len(w_shapes) :]
     model = BowTieModel(config=config, weights=weights, biases=biases)
     return Checkpoint(

@@ -17,7 +17,7 @@ from itertools import compress, repeat
 import numpy as np
 from scipy import sparse
 
-from .corpus import Corpus, PolarityTable, Vocabulary
+from .corpus import Corpus, PolarityTable, Vocabulary, _index_dtype
 from .encode import PolarityStats, encode_corpus, polarity_stats
 from .fileio import replacing
 from .train import Checkpoint, EvalResult, check_fingerprint, evaluate
@@ -56,11 +56,15 @@ def remap_corpus(corpus: Corpus, vmap: VocabMap, vocab_id: str = "") -> Corpus:
     index their counts add.  A review can come out empty.
     """
     counts = corpus.counts
-    targets = vmap.mapping[counts.indices]
+    dtype = _index_dtype(vmap.target_size, len(corpus), counts.nnz)
+    targets = vmap.mapping.astype(dtype).take(counts.indices)  # the result's dtype, not int64
     keep = targets >= 0
-    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    kept_before = np.zeros(counts.nnz + 1, dtype)
+    np.cumsum(keep, dtype=dtype, out=kept_before[1:])
+    indptr = kept_before[counts.indptr]
+    del kept_before  # freed before the result's arrays, which can take its memory
     remapped = sparse.csr_matrix(
-        (counts.data[keep], targets[keep], kept_before[counts.indptr]),
+        (counts.data[keep], targets[keep], indptr),
         shape=(len(corpus), vmap.target_size),
     )
     remapped.sum_duplicates()

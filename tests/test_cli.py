@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from bowtie import cli, encode, net, optim
 from bowtie.cli import main
 from bowtie.corpus import load_slmrd_vocab
 from bowtie.net import ModelConfig, init_model
-from bowtie.train import load_checkpoint, save_checkpoint
+from bowtie.train import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 import oracles
 from synth import (
     edit_checkpoint_manifest, planted_corpus, rating_table, token_list, write_kid_tree, write_slmrd_tree,
@@ -526,6 +527,62 @@ def test_ill_typed_checkpoint_manifest_exits_two(tmp_path, prepared, s3_run, cap
                  "--polarity", str(slmrd / "polarity.txt")])
     assert code == 2
     assert f'error=data detail="{ckpt}: malformed manifest' in capsys.readouterr().err
+
+
+def claim_manifest_length(length):
+    """An edit that sets a checkpoint's manifest-length field to ``length``."""
+    def edit(path):
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<Q", raw, len(CHECKPOINT_MAGIC) + 4, length)
+        path.write_bytes(raw)
+    return edit
+
+
+def claim_input_rows(rows):
+    """An edit whose manifest claims ``rows`` input rows, consistently."""
+    def widen(manifest):
+        manifest["config"]["input_width"] = manifest["vocab"]["size"] = rows
+        manifest["weights_shapes"][0][0] = rows
+    return lambda path: edit_checkpoint_manifest(path, widen)
+
+
+@pytest.mark.parametrize("edit,detail", [
+    (claim_manifest_length(2**63 - 1), "manifest overruns the file"),
+    (claim_manifest_length(2**40), "manifest overruns the file"),
+    (claim_input_rows(2**40), "parameter blob is "),
+], ids=["manifest_2^63-1", "manifest_2^40", "blob_2^40_rows"])
+def test_checkpoint_length_past_the_file_exits_two(prepared, s3_run, capsys, edit, detail):
+    """A length that claims more bytes than the file holds is a data error,
+    raised before anything that long is read or allocated."""
+    slmrd, ckpt = prepared / "slmrd", s3_run / "model.ckpt"
+    edit(ckpt)
+    code = main(["eval", "--checkpoint", str(ckpt), "--corpus", str(slmrd / "test.corpus"),
+                 "--vocab", str(slmrd / "vocab.txt"), "--polarity", str(slmrd / "polarity.txt")])
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error=" in line]
+    assert code == 2
+    assert len(errors) == 1
+    assert errors[0].startswith(f'error=data detail="{ckpt}: {detail}')
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+def test_checkpoint_read_from_a_pipe_exits_two(prepared, s3_run, capsys):
+    """A pipe has no size to check the header's lengths against, so it is
+    refused as unreadable, before its manifest is read."""
+    slmrd = prepared / "slmrd"
+    read_end, write_end = os.pipe()
+    os.write(write_end, (s3_run / "model.ckpt").read_bytes()[:4096])
+    os.close(write_end)
+    pipe = f"/dev/fd/{read_end}"
+    try:
+        code = main(["eval", "--checkpoint", pipe, "--corpus", str(slmrd / "test.corpus"),
+                     "--vocab", str(slmrd / "vocab.txt"), "--polarity", str(slmrd / "polarity.txt")])
+    finally:
+        os.close(read_end)
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error=" in line]
+    assert code == 2
+    assert len(errors) == 1
+    assert errors[0].startswith(f'error=data detail="cannot read {pipe}: ')
+    assert "not seekable" in errors[0]
 
 
 def test_stats_prints_both_interpretations(prepared, capsys):

@@ -3,11 +3,13 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import sparse
 
 from bowtie.corpus import PolarityTable, Vocabulary
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, EncodedDataset, encode_corpus
@@ -557,3 +559,66 @@ def test_checkpoint_rejects_unknown_encoding(tmp_path):
 def test_checkpoint_magic_is_stable(tmp_path):
     path, _, _ = trained_checkpoint(tmp_path, seed=39)
     assert path.read_bytes()[: len(CHECKPOINT_MAGIC)] == CHECKPOINT_MAGIC
+
+
+# ------------------------------------------------------- allocation bounds
+# tracemalloc counts numpy's buffers as well as Python's.  Each bound fails
+# for the code that copied here: the old loader, writer and step loop.
+
+
+def peak_bytes(call):
+    """The tracemalloc peak during ``call()``, and what it returned."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def paper_width_model(seed=3):
+    return init_model(ModelConfig(input_width=89_527, init_seed=seed))
+
+
+def parameter_bytes(model):
+    return sum(t.nbytes for t in model.weights + model.biases)
+
+
+def test_save_checkpoint_copies_no_tensor(tmp_path):
+    model = paper_width_model()
+    path = str(tmp_path / "wide.ckpt")
+    peak, _ = peak_bytes(lambda: save_checkpoint(path, model, 89_527, "0" * 64, MULTI_HOT))
+    # a copy of the first layer for hashing or writing would be 11.5 MB
+    assert peak < 64 * 1024, peak
+
+
+def test_load_checkpoint_reads_the_parameters_once_into_one_buffer(tmp_path):
+    model = paper_width_model()
+    path = tmp_path / "wide.ckpt"
+    save_checkpoint(str(path), model, 89_527, "0" * 64, MULTI_HOT)
+    params = parameter_bytes(model)
+    manifest = path.stat().st_size - len(CHECKPOINT_MAGIC) - 12 - params
+    peak, loaded = peak_bytes(lambda: load_checkpoint(str(path)))
+    # reading the whole file, slicing the blob out and copying each tensor was 3x
+    assert peak <= params + manifest + 64 * 1024, (peak, params)
+    tensors = loaded.model.weights + loaded.model.biases
+    buffer = tensors[0].base
+    assert buffer is not None and buffer.nbytes == params
+    assert all(t.base is buffer and t.flags.writeable and t.flags.aligned for t in tensors)
+    for got, want in zip(tensors, model.weights + model.biases):
+        npt.assert_array_equal(got, want)
+
+
+def test_a_training_step_holds_one_gradient():
+    model = paper_width_model(seed=4)
+    rng = np.random.default_rng(4)
+    n = 1024
+    x = sparse.random(n, 89_527, density=40 / 89_527, format="csr", random_state=5)
+    data = EncodedDataset(x, rng.integers(0, 2, n))
+    config = TrainConfig(optimizer=OptimizerSpec(kind="sgd"), batch_size=256, max_epochs=1)
+    peak, _ = peak_bytes(lambda: train(model, data, None, config, log=False))
+    params = parameter_bytes(model)
+    # two moment buffers (allocated for every optimizer) and one gradient;
+    # a gradient kept from the previous step while backward builds the next
+    # would add another first layer
+    assert peak < 3 * params + model.weights[0].nbytes / 2, (peak, params)

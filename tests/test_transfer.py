@@ -1,11 +1,13 @@
 import io
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import sparse
 
 import oracles
-from bowtie.corpus import PolarityTable, Vocabulary
+from bowtie.corpus import Corpus, PolarityTable, Vocabulary
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.errors import DataError, FingerprintError
 from bowtie.net import ModelConfig, init_model
@@ -162,6 +164,36 @@ def test_remap_corpus_keeps_order_and_split():
     assert out.vocab_id == "target"
     npt.assert_array_equal(out.labels, corpus.labels)
     assert rows_of(out.counts) == rows_of(corpus.counts)
+
+
+def test_remap_keeps_no_int64_array_per_stored_entry():
+    """Beside the result, the peak holds an int32 target and a bool mask per
+    entry (5 bytes); the int32 running count is freed before the result is
+    built.  int64 temporaries (the mapped indices, a running count and its
+    shifted copy) put the peak near the result plus 23 bytes an entry."""
+    rng = np.random.default_rng(6)
+    rows, width, per = 2000, 5000, 100
+    columns = [np.sort(rng.choice(width, per, replace=False)) for _ in range(rows)]
+    counts = sparse.csr_matrix(
+        (rng.integers(1, 9, rows * per), np.concatenate(columns), np.arange(0, rows * per + 1, per)),
+        shape=(rows, width),
+    )
+    mapping = rng.permutation(width)
+    mapping[rng.random(width) < 0.3] = -1
+    vmap = VocabMap(mapping=mapping, dropped=[], source_size=width, target_size=width)
+    corpus = Corpus(counts, rng.integers(0, 2, rows))
+    tracemalloc.start()
+    try:
+        out = remap_corpus(corpus, vmap).counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = out.data.nbytes + out.indices.nbytes + out.indptr.nbytes
+    assert peak <= result + 8 * counts.nnz, (peak, result, counts.nnz)
+    assert out.indices.dtype == out.indptr.dtype == np.int32
+    kept = mapping[counts.indices] >= 0
+    assert out.nnz == np.count_nonzero(kept)
+    assert out.sum() == counts.data[kept].sum()
 
 
 # ----------------------------------------------------------------- reencoding
