@@ -219,6 +219,7 @@ def _scenario_inputs(cfg: dict):
     if n == 1:
         vocab, polarity = kid_vocab, None
         mixed = shuffle(kid_corpus, cfg["data_seed"])
+        del kid_corpus  # so the halves below are the only other copy
         half = len(mixed) // 2
         train_c = mixed.take(slice(None, half), "train")
         val_c = mixed.take(slice(half, None), "test")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import accumulate
 from pathlib import Path
@@ -82,16 +82,22 @@ class Corpus:
 
     ``counts`` is an int64 CSR matrix of shape (reviews, width) whose rows
     have sorted column indices, no duplicates and no stored zeros; every
-    vocabulary index a review uses is a column.
+    vocabulary index a review uses is a column.  Encoding and remapping
+    rewrite it in place and delete it: the corpus keeps only its labels.
     """
 
-    counts: sparse.csr_matrix
+    counts: sparse.csr_matrix = field(repr=False)  # gone once consumed
     labels: np.ndarray  # int64, 0 or 1 per row
     vocab_id: str = ""
     split: str = "train"
 
     def __len__(self) -> int:
-        return self.counts.shape[0]
+        return len(self.labels)
+
+    def __getattr__(self, name):  # reached for ``counts`` only once it is deleted
+        if name == "counts":
+            raise ValueError("corpus was consumed by encoding or remapping; copy it first")
+        raise AttributeError(name)
 
     @property
     def nnz(self) -> int:

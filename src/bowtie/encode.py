@@ -21,6 +21,10 @@ MULTI_HOT = "multi-hot"
 POLARITY_WEIGHTED = "polarity-weighted"
 ENCODING_KINDS = (MULTI_HOT, POLARITY_WEIGHTED)
 
+# entries per chunk when a corpus's arrays are rewritten in place: a ufunc whose
+# output aliases an input of another dtype, or a take by int32 indices, copies it all
+_CHUNK = 1 << 16
+
 
 @dataclass(eq=False)  # matrices have no single truth value; compare rows instead
 class EncodedDataset:
@@ -64,6 +68,10 @@ def encode_corpus(
     whose rating is exactly zero, which the encoding cannot distinguish from
     absent tokens.  ``width`` defaults to the polarity length for weighted
     encodings and must be given for multi-hot.
+
+    The result reuses the corpus's arrays (each int64 count becomes its
+    float64 value), so once the arguments check out the corpus is consumed,
+    even by a non-finite product; copy it first to keep it.
     """
     if kind == MULTI_HOT:
         if width is None:
@@ -81,22 +89,24 @@ def encode_corpus(
         raise DataError(f"unknown encoding kind {kind!r}")
     counts = corpus.counts
     indices = counts.indices
-    outside = indices >= width
-    if outside.any():
+    if indices.size and indices.max() >= width:
         raise DataError(
-            f"bag index {int(indices[outside][0])} outside encoding width {width}"
+            f"bag index {int(indices[indices >= width][0])} outside encoding width {width}"
         )
+    del corpus.counts
+    values = counts.data.view(np.float64)  # each value overwrites its count
     if kind == MULTI_HOT:
-        values = np.ones(len(indices), dtype=np.float64)
+        values.fill(1.0)
     else:
-        values = polarity.ratings[indices] * counts.data
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = int(indices[~finite][0])
-            raise DataError(f"non-finite cumulative polarity at token index {bad}")
-    matrix = sparse.csr_matrix(
-        (values, indices.copy(), counts.indptr.copy()), shape=(len(corpus), width)
-    )
+        for lo in range(0, len(values), _CHUNK):
+            chunk = polarity.ratings.take(indices[lo:lo + _CHUNK])
+            chunk *= counts.data[lo:lo + _CHUNK]  # exact for counts below 2**53
+            finite = np.isfinite(chunk)
+            if not finite.all():
+                bad = int(indices[lo:lo + _CHUNK][~finite][0])
+                raise DataError(f"non-finite cumulative polarity at token index {bad}")
+            values[lo:lo + _CHUNK] = chunk
+    matrix = sparse.csr_matrix((values, indices, counts.indptr), shape=(len(corpus), width))
     matrix.eliminate_zeros()
     return EncodedDataset(matrix, corpus.labels)
 

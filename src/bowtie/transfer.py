@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import Corpus, PolarityTable, Vocabulary, _index_dtype
-from .encode import PolarityStats, encode_corpus, polarity_stats
+from .encode import _CHUNK, PolarityStats, encode_corpus, polarity_stats
 from .fileio import replacing
 from .train import Checkpoint, EvalResult, check_fingerprint, evaluate
 
@@ -53,22 +53,24 @@ def remap_corpus(corpus: Corpus, vmap: VocabMap, vocab_id: str = "") -> Corpus:
     """Rewrite every review into the target index space.
 
     Unmapped tokens vanish; if several source indices land on the same target
-    index their counts add.  A review can come out empty.
+    index their counts add.  A review can come out empty.  The result reuses
+    the corpus's arrays, so the corpus is consumed; copy it first to keep it.
     """
     counts = corpus.counts
+    del corpus.counts
     dtype = _index_dtype(vmap.target_size, len(corpus), counts.nnz)
-    targets = vmap.mapping.astype(dtype).take(counts.indices)  # the result's dtype, not int64
-    keep = targets >= 0
-    kept_before = np.zeros(counts.nnz + 1, dtype)
-    np.cumsum(keep, dtype=dtype, out=kept_before[1:])
-    indptr = kept_before[counts.indptr]
-    del kept_before  # freed before the result's arrays, which can take its memory
-    remapped = sparse.csr_matrix(
-        (counts.data[keep], targets[keep], indptr),
-        shape=(len(corpus), vmap.target_size),
-    )
-    remapped.sum_duplicates()
-    return Corpus(remapped, corpus.labels, vocab_id=vocab_id, split=corpus.split)
+    indices, data = counts.indices.astype(dtype, copy=False), counts.data
+    mapping = vmap.mapping.astype(dtype)
+    for lo in range(0, len(indices), _CHUNK):
+        part = indices[lo:lo + _CHUNK]
+        mapping.take(part, out=part)
+        unmapped = part < 0
+        data[lo:lo + _CHUNK][unmapped] = 0  # eliminate_zeros drops the entry
+        part[unmapped] = 0
+    out = sparse.csr_matrix((data, indices, counts.indptr), shape=(len(corpus), vmap.target_size))
+    out.eliminate_zeros()
+    out.sum_duplicates()  # sorts each row in place, adding colliding targets
+    return Corpus(out, corpus.labels, vocab_id=vocab_id, split=corpus.split)
 
 
 @dataclass
@@ -94,7 +96,8 @@ def transfer_evaluate(
     The checkpoint must fingerprint-match the target vocabulary.  The corpus
     is remapped into the target index space and encoded as the checkpoint
     was trained, so the polarity-weighted encoding needs a polarity table
-    over the target vocabulary.
+    over the target vocabulary.  Both steps reuse the corpus's arrays: once
+    the fingerprint matches, the corpus is consumed; copy it first to keep it.
     """
     check_fingerprint(checkpoint, target_vocab.size, target_vocab.fingerprint())
     vmap = build_vocab_map(source_vocab, target_vocab)

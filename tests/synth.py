@@ -27,6 +27,12 @@ def corpus_from_rows(rows, labels, width, vocab_id="synthetic", split="train"):
     return Corpus(matrix, np.array(labels, dtype=np.int64), vocab_id, split)
 
 
+def copy_of(corpus):
+    """An independent copy of ``corpus``, for a test that reads it again after
+    encoding or remapping has consumed the original."""
+    return Corpus(corpus.counts.copy(), corpus.labels.copy(), corpus.vocab_id, corpus.split)
+
+
 def rows_of(matrix):
     """Per-row lists of (column, value) pairs of a CSR matrix, as Python numbers."""
     ptr = matrix.indptr

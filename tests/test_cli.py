@@ -5,20 +5,24 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
+from scipy import sparse
 
 import bowtie
 from bowtie import cli, encode, net, optim
+from bowtie import corpus as corpus_module
 from bowtie.cli import main
-from bowtie.corpus import load_slmrd_vocab
+from bowtie.corpus import Corpus, Vocabulary, load_slmrd_vocab, shuffle
 from bowtie.net import ModelConfig, init_model
 from bowtie.train import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 import oracles
 from synth import (
-    edit_checkpoint_manifest, planted_corpus, rating_table, token_list, write_kid_tree, write_slmrd_tree,
+    copy_of, edit_checkpoint_manifest, planted_corpus, rating_table, token_list, write_kid_tree, write_slmrd_tree,
 )
 
 
@@ -334,6 +338,43 @@ def test_scenario_one_runs_the_kid_split(tmp_path, prepared, capsys):
     rows = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()
     assert rows[0] == "epoch,train_bce,train_acc,val_bce,val_acc,seconds"
     assert 2 <= len(rows) <= 11
+
+
+def test_scenario_one_inputs_hold_two_copies_of_the_kid_corpus(tmp_path, monkeypatch):
+    """Once the kid corpus is shuffled, the shuffled copy and its halves are
+    all that is held; the loaded corpus kept alive beside them is a third copy."""
+    rows, per, width = 6000, 50, 200
+    rng = np.random.default_rng(12)
+    indices = (np.arange(per) * 4 + rng.integers(0, 4, (rows, 1))).ravel()
+    template = Corpus(
+        sparse.csr_matrix(
+            (rng.integers(1, 9, rows * per), indices, np.arange(0, rows * per + 1, per)),
+            shape=(rows, width),
+        ),
+        rng.integers(0, 2, rows),
+    )
+    for name in ("vocab.txt", "full.corpus"):
+        (tmp_path / "kid").mkdir(exist_ok=True)
+        (tmp_path / "kid" / name).touch()
+    monkeypatch.setattr(corpus_module, "load_slmrd_vocab", lambda path: Vocabulary(token_list(width)))
+    monkeypatch.setattr(cli, "_corpus", lambda path, vocab, split: copy_of(template))
+    m = template.counts
+    one_copy = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes + template.labels.nbytes
+    tracemalloc.start()
+    try:
+        _, _, _, train_c, val_c, kid = cli._scenario_inputs(
+            {"scenario": 1, "data_dir": str(tmp_path), "data_seed": 5}
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * one_copy, peak / one_copy
+    mixed = shuffle(template, 5)
+    for got, want in ((train_c, mixed.take(slice(None, rows // 2))),
+                      (val_c, mixed.take(slice(rows // 2, None)))):
+        assert (got.counts != want.counts).nnz == 0
+        npt.assert_array_equal(got.labels, want.labels)
+    assert kid is None and (train_c.split, val_c.split) == ("train", "test")
 
 
 def test_scenario_flags_recorded_in_manifest(tmp_path, prepared, capsys):

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy import sparse
 
-from bowtie.corpus import PolarityTable
+from bowtie import encode
+from bowtie.corpus import Corpus, PolarityTable, load_corpus_file, save_corpus_file
 from bowtie.encode import (
     MULTI_HOT,
     POLARITY_WEIGHTED,
@@ -11,7 +15,7 @@ from bowtie.encode import (
 )
 from bowtie.errors import DataError
 from oracles import dense_multi_hot, dense_polarity_weighted
-from synth import corpus_from_rows, planted_corpus, rating_table, rows_of
+from synth import copy_of, corpus_from_rows, planted_corpus, rating_table, rows_of
 
 
 def bags(*rows, width, labels=None):
@@ -59,8 +63,8 @@ def test_multi_hot_matches_dense_oracle():
     for _ in range(100):
         width = int(rng.integers(1, 51))
         corpus = random_corpus(rng, width, 10)
-        got = encode_corpus(corpus, MULTI_HOT, width=width).matrix.toarray()
         want = [dense_multi_hot(row, width) for row in rows_of(corpus.counts)]
+        got = encode_corpus(corpus, MULTI_HOT, width=width).matrix.toarray()
         npt.assert_array_equal(got, np.reshape(want, (10, width)))
 
 
@@ -86,7 +90,7 @@ def test_weighted_equals_multi_hot_for_unit_ratings_and_counts():
     width = 30
     table = PolarityTable(np.ones(width))
     corpus = random_corpus(rng, width, 50, max_count=1)
-    weighted = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=table).matrix
+    weighted = encode_corpus(copy_of(corpus), POLARITY_WEIGHTED, polarity=table).matrix
     hot = encode_corpus(corpus, MULTI_HOT, width=width).matrix
     assert rows_of(weighted) == rows_of(hot)
 
@@ -111,8 +115,8 @@ def test_weighted_matches_dense_oracle():
         ratings = rng.normal(0, 2, width)
         ratings[rng.random(width) < 0.1] = 0.0  # force some dropped entries
         corpus = random_corpus(rng, width, 10)
-        ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings))
         want = [dense_polarity_weighted(row, ratings, width) for row in rows_of(corpus.counts)]
+        ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings))
         npt.assert_array_equal(ds.matrix.toarray(), np.reshape(want, (10, width)))
         assert ds.matrix.has_canonical_format
         assert not (ds.matrix.data == 0.0).any()
@@ -126,7 +130,7 @@ def test_encode_corpus_preserves_order_and_labels():
     corpus = planted_corpus(4, 30, ratings)
     table = PolarityTable(ratings)
     for kind, kw in ((MULTI_HOT, {"width": 25}), (POLARITY_WEIGHTED, {"polarity": table})):
-        ds = encode_corpus(corpus, kind, **kw)
+        ds = encode_corpus(copy_of(corpus), kind, **kw)
         assert len(ds) == 30
         assert ds.width == 25
         npt.assert_array_equal(ds.labels, corpus.labels)
@@ -167,7 +171,7 @@ def test_sparsity_never_exceeds_distinct_tokens():
     table = PolarityTable(ratings)
     corpus = random_corpus(rng, width, 100)
     distinct = np.diff(corpus.counts.indptr)
-    hot = encode_corpus(corpus, MULTI_HOT, width=width).matrix
+    hot = encode_corpus(copy_of(corpus), MULTI_HOT, width=width).matrix
     weighted = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=table).matrix
     npt.assert_array_equal(np.diff(hot.indptr), distinct)
     assert (np.diff(weighted.indptr) <= distinct).all()
@@ -177,11 +181,87 @@ def test_encoded_matrix_matches_dense_rows():
     rng = np.random.default_rng(21)
     ratings = rng.normal(0, 1, 20)
     corpus = planted_corpus(22, 15, ratings)
+    rows = rows_of(corpus.counts)
     ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings))
     dense = ds.matrix.toarray()
     assert dense.shape == (15, 20)
-    for row, pairs in zip(dense, rows_of(corpus.counts)):
+    for row, pairs in zip(dense, rows):
         npt.assert_array_equal(row, dense_polarity_weighted(pairs, ratings, 20))
+
+
+# ------------------------------------------------------------------ in place
+
+
+def wide_corpus(rng, rows=4000, per=100, width=1000):
+    """rows x per stored entries, each row's columns sorted and distinct."""
+    step = width // per
+    indices = (np.arange(per) * step + rng.integers(0, step, (rows, 1))).ravel()
+    counts = sparse.csr_matrix(
+        (rng.integers(1, 9, rows * per), indices, np.arange(0, rows * per + 1, per)),
+        shape=(rows, width),
+    )
+    return Corpus(counts, rng.integers(0, 2, rows))
+
+
+@pytest.mark.parametrize("kind", [MULTI_HOT, POLARITY_WEIGHTED])
+def test_encode_in_place_keeps_only_chunk_sized_temporaries(kind):
+    """Values overwrite the counts and the index arrays are shared, so the
+    peak is a few chunks' work: far below one float64 per stored entry."""
+    rng = np.random.default_rng(8)
+    corpus = wide_corpus(rng)
+    ratings = rng.normal(0, 1, 1000)
+    ratings[::7] = 0.0
+    m = corpus.counts
+    assert m.nnz >= 6 * encode._CHUNK
+    if kind == MULTI_HOT:
+        want = np.ones(m.nnz)
+    else:
+        want = ratings[m.indices] * m.data
+    keep = want != 0.0
+    want_indices, want_indptr = m.indices[keep], np.concatenate([[0], np.cumsum(keep)[m.indptr[1:] - 1]])
+    tracemalloc.start()
+    try:
+        ds = encode_corpus(corpus, kind, polarity=PolarityTable(ratings), width=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * encode._CHUNK < 8 * m.nnz, peak
+    assert ds.matrix.data.tobytes() == want[keep].tobytes()
+    npt.assert_array_equal(ds.matrix.indices, want_indices)
+    npt.assert_array_equal(ds.matrix.indptr, want_indptr)
+
+
+@pytest.mark.parametrize("kind", [MULTI_HOT, POLARITY_WEIGHTED])
+def test_encoded_matrix_shares_the_loaded_corpus_buffers(tmp_path, kind):
+    """scipy's constructor and its prune after eliminate_zeros copy nothing."""
+    rng = np.random.default_rng(9)
+    save_corpus_file(wide_corpus(rng, rows=500), tmp_path / "wide.corpus")
+    corpus = load_corpus_file(tmp_path / "wide.corpus", width=1000)
+    counts, indices = corpus.counts.data, corpus.counts.indices
+    ratings = rng.normal(0, 1, 1000)
+    ratings[::7] = 0.0
+    ds = encode_corpus(corpus, kind, polarity=PolarityTable(ratings), width=1000)
+    assert np.shares_memory(ds.matrix.data, counts)
+    assert np.shares_memory(ds.matrix.indices, indices)
+
+
+def test_a_consumed_corpus_raises_on_reuse():
+    corpus = bags([(0, 2)], [(1, 1)], width=2)
+    with pytest.raises(DataError, match="unknown"):
+        encode_corpus(corpus, "one-hot", width=2)
+    assert corpus.nnz == 2  # arguments that fail their checks consume nothing
+    encode_corpus(corpus, MULTI_HOT, width=2)
+    assert len(corpus) == 2 and corpus.labels.tolist() == [1, 1]
+    assert repr(corpus).startswith("Corpus(")
+    uses = (
+        lambda: corpus.counts,
+        lambda: corpus.nnz,
+        lambda: corpus.take([0]),
+        lambda: encode_corpus(corpus, MULTI_HOT, width=2),
+    )
+    for use in uses:
+        with pytest.raises(ValueError, match="consumed"):
+            use()
 
 
 # --------------------------------------------------------------------- stats

@@ -18,7 +18,7 @@ from bowtie.net import ModelConfig, init_model
 from bowtie.optim import OptimizerSpec
 from bowtie.train import Checkpoint, TrainConfig, train
 from bowtie.transfer import transfer_evaluate
-from synth import planted_corpus, rating_table, token_list
+from synth import copy_of, planted_corpus, rating_table, token_list
 
 SLMRD_WIDTH = 89_527
 KID_WIDTH = 88_584
@@ -36,11 +36,12 @@ def test_full_width_encode_train_and_transfer():
     train_c = planted_corpus(2, 256, ratings, **shape)
     val_c = planted_corpus(3, 128, ratings, split="test", **shape)
 
-    hot = encode_corpus(train_c, MULTI_HOT, width=SLMRD_WIDTH)
-    assert hot.matrix.shape == (256, SLMRD_WIDTH) and hot.nnz == train_c.nnz
+    entries = train_c.nnz
+    hot = encode_corpus(copy_of(train_c), MULTI_HOT, width=SLMRD_WIDTH)
+    assert hot.matrix.shape == (256, SLMRD_WIDTH) and hot.nnz == entries
     train_set = encode_corpus(train_c, POLARITY_WEIGHTED, polarity=polarity)
     val_set = encode_corpus(val_c, POLARITY_WEIGHTED, polarity=polarity)
-    assert train_set.width == SLMRD_WIDTH and 0 < train_set.nnz < train_c.nnz
+    assert train_set.width == SLMRD_WIDTH and 0 < train_set.nnz < entries
 
     model = init_model(ModelConfig(input_width=SLMRD_WIDTH))
     config = TrainConfig(optimizer=OptimizerSpec(kind="nadam"), batch_size=64, max_epochs=1)

@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 
 import oracles
+from bowtie import encode
 from bowtie.corpus import Corpus, PolarityTable, Vocabulary
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.errors import DataError, FingerprintError
@@ -147,11 +148,12 @@ def test_remap_preserves_total_mass_minus_dropped():
         indices = np.sort(rng.choice(40, size=k, replace=False)).astype(np.int64)
         counts = rng.integers(1, 6, size=k).astype(np.int64)
         original = bag(list(zip(indices, counts)), label=0, width=40)
+        total = original.counts.sum()
         out = remap_corpus(original, vmap)
         dropped_mass = sum(
             int(c) for i, c in zip(indices, counts) if vmap.mapping[i] < 0
         )
-        assert out.counts.sum() == original.counts.sum() - dropped_mass
+        assert out.counts.sum() == total - dropped_mass
 
 
 def test_remap_corpus_keeps_order_and_split():
@@ -159,20 +161,21 @@ def test_remap_corpus_keeps_order_and_split():
     corpus = planted_corpus(4, 10, ratings, split="full")
     vocab = Vocabulary(token_list(12))
     vmap = build_vocab_map(vocab, vocab)
+    rows = rows_of(corpus.counts)
     out = remap_corpus(corpus, vmap, vocab_id="target")
     assert out.split == "full"
     assert out.vocab_id == "target"
     npt.assert_array_equal(out.labels, corpus.labels)
-    assert rows_of(out.counts) == rows_of(corpus.counts)
+    assert rows_of(out.counts) == rows
 
 
 def test_remap_keeps_no_int64_array_per_stored_entry():
-    """Beside the result, the peak holds an int32 target and a bool mask per
-    entry (5 bytes); the int32 running count is freed before the result is
-    built.  int64 temporaries (the mapped indices, a running count and its
-    shifted copy) put the peak near the result plus 23 bytes an entry."""
+    """The targets are written over the source indices a chunk at a time and
+    scipy drops, sorts and merges in place, so the peak is a few chunks'
+    work: below one int32 per stored entry, where the copying remap held an
+    int32 target and a bool mask per entry beside its result."""
     rng = np.random.default_rng(6)
-    rows, width, per = 2000, 5000, 100
+    rows, width, per = 4000, 5000, 100
     columns = [np.sort(rng.choice(width, per, replace=False)) for _ in range(rows)]
     counts = sparse.csr_matrix(
         (rng.integers(1, 9, rows * per), np.concatenate(columns), np.arange(0, rows * per + 1, per)),
@@ -181,19 +184,38 @@ def test_remap_keeps_no_int64_array_per_stored_entry():
     mapping = rng.permutation(width)
     mapping[rng.random(width) < 0.3] = -1
     vmap = VocabMap(mapping=mapping, dropped=[], source_size=width, target_size=width)
-    corpus = Corpus(counts, rng.integers(0, 2, rows))
+    want = oracle_remap(counts, mapping, width)
+    data, entries = counts.data, counts.nnz
     tracemalloc.start()
     try:
-        out = remap_corpus(corpus, vmap).counts
+        out = remap_corpus(Corpus(counts, rng.integers(0, 2, rows)), vmap).counts
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    result = out.data.nbytes + out.indices.nbytes + out.indptr.nbytes
-    assert peak <= result + 8 * counts.nnz, (peak, result, counts.nnz)
+    assert peak <= 20 * encode._CHUNK < 4 * entries, peak
+    assert np.shares_memory(out.data, data)
     assert out.indices.dtype == out.indptr.dtype == np.int32
-    kept = mapping[counts.indices] >= 0
-    assert out.nnz == np.count_nonzero(kept)
-    assert out.sum() == counts.data[kept].sum()
+    assert out.has_canonical_format
+    assert (out != want).nnz == 0
+
+
+def test_remap_consumes_its_corpus():
+    vocab = Vocabulary(["a", "b", "c"])
+    corpus = bag([(0, 2), (2, 1)])
+    out = remap_corpus(corpus, build_vocab_map(vocab, vocab))
+    assert rows_of(out.counts) == [[(0, 2), (2, 1)]]
+    assert len(corpus) == 1
+    with pytest.raises(ValueError, match="consumed"):
+        remap_corpus(corpus, build_vocab_map(vocab, vocab))
+
+
+def oracle_remap(counts, mapping, width):
+    """The remap by a sparse product with the 0/1 source-to-target matrix."""
+    keep = np.flatnonzero(mapping >= 0)
+    onto = sparse.csr_matrix(
+        (np.ones(len(keep), np.int64), (keep, mapping[keep])), shape=(len(mapping), width)
+    )
+    return counts @ onto
 
 
 # ----------------------------------------------------------------- reencoding
