@@ -218,7 +218,7 @@ def test_encode_in_place_keeps_only_chunk_sized_temporaries(kind):
     else:
         want = ratings[m.indices] * m.data
     keep = want != 0.0
-    want_indices, want_indptr = m.indices[keep], np.concatenate([[0], np.cumsum(keep)[m.indptr[1:] - 1]])
+    want_indices, want_indptr = m.indices[keep], np.concatenate([[0], np.cumsum(keep)])[m.indptr]
     tracemalloc.start()
     try:
         ds = encode_corpus(corpus, kind, polarity=PolarityTable(ratings), width=1000)
