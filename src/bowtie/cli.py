@@ -478,7 +478,7 @@ def cmd_prepare(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_vocab(vocab, out / "vocab.txt")
         with replacing(out / "polarity.txt", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("".join([f"{rating!r}\n" for rating in polarity.ratings.tolist()]))
+            fh.write("\n".join(map(repr, polarity.ratings.tolist())) + "\n")
         print(f"dataset=slmrd vocab={vocab.size}")
         for split, corpus in splits.items():
             save_corpus_file(corpus, out / f"{split}.corpus")

@@ -555,8 +555,8 @@ def _kid_block(block: bytes, size: int, offset: int):
     bad = _first_bad(bad, np.flatnonzero(label > 1), row[rank >= size])
     keep = rank >= 0  # lower values are reserved control codes
     key, count = np.unique(row[keep] * size + rank[keep], return_counts=True)
-    row, rank = np.divmod(key, size)
-    return bad, n_lines, label, rank, count, np.bincount(row, minlength=n_lines)
+    row = key // size
+    return bad, n_lines, label, key - row * size, count, np.bincount(row, minlength=n_lines)
 
 
 def _word_index_tokens(path: str | Path) -> list[str]:
@@ -578,10 +578,10 @@ def _word_index_tokens(path: str | Path) -> list[str]:
         except OverflowError:  # a rank beyond int64: the walk below sorts it
             ranks = None
         if ranks is not None:
-            order = np.argsort(ranks, kind="stable")
+            order = np.argsort(ranks)  # any sort: the order is kept only if ranks are distinct
             ranks = ranks[order]
             if ranks[0] >= 1 and (ranks[1:] != ranks[:-1]).all():
-                return [tokens[i] for i in order.tolist()]
+                return np.array(tokens, dtype=object).take(order).tolist()
     return _walk_word_index(path, word_index)
 
 
@@ -610,20 +610,23 @@ def shuffle(corpus: Corpus, seed: int) -> Corpus:
 # (each row counts as one more), so its work arrays stay small.
 _WRITE_PAIRS = 1 << 15
 
-_TENS = 10 ** np.arange(1, 19, dtype=np.int64)  # 10 .. 10**18
+# the tens and the ones character of each two-digit value 00 .. 99
+_TENS_CHAR = np.arange(100, dtype=np.uint8) // 10 + ord("0")
+_ONES_CHAR = np.arange(100, dtype=np.uint8) % 10 + ord("0")
 
 
 def save_corpus_file(corpus: Corpus, path: str | Path) -> None:
     """Write the canonical format: one ``label<TAB>idx:count ...`` record per line.
 
-    Pairs are written in their stored order.  A label, index or count that
-    is negative, or not an integer, raises ``ValueError`` before the file is
-    touched, since the loaders could not read it back.
+    Pairs are written in their stored order.  A label other than 0 or 1, an
+    index or count that is negative or has more than 18 digits, a count of
+    0, or a dtype that is not an integer raises ``ValueError`` before the
+    file is touched, since the loaders could not read it back.
     """
     m = corpus.counts
-    labels = _writable(corpus.labels, "label", path)
+    labels = _writable(corpus.labels, "label", path, high=1)
     indices = _writable(m.indices, "index", path)
-    counts = _writable(m.data, "count", path)
+    counts = _writable(m.data, "count", path, low=1)
     indptr = m.indptr.astype(np.int64)
     # cut between rows each time pairs plus rows pass a multiple of _WRITE_PAIRS
     weight = indptr + np.arange(indptr.size)
@@ -636,13 +639,18 @@ def save_corpus_file(corpus: Corpus, path: str | Path) -> None:
                                    indices[p0:p1], counts[p0:p1]))
 
 
-def _writable(values: np.ndarray, name: str, path) -> np.ndarray:
-    """``values``, or the ValueError for one that cannot be written."""
+def _writable(values: np.ndarray, name: str, path, low: int = 0, high: int = 10**18 - 1):
+    """``values``, or the ValueError for a dtype int64 cannot hold or a value
+    outside [``low``, ``high``] (18 digits at most by default)."""
     values = np.asarray(values)
     if not np.can_cast(values.dtype, np.int64):
-        raise ValueError(f"{path}: cannot write {name}s of dtype {values.dtype}")
-    if values.size and values.min() < 0:
-        raise ValueError(f"{path}: cannot write negative {name} {int(values.min())}")
+        names = "indices" if name == "index" else name + "s"
+        raise ValueError(f"{path}: cannot write {names} of dtype {values.dtype}")
+    least, most = (int(values.min()), int(values.max())) if values.size else (low, high)
+    if least < low or most > high:
+        bad = least if least < low else most
+        sign = "negative " if bad < 0 else ""
+        raise ValueError(f"{path}: cannot write {sign}{name} {bad} outside [{low}, {high}]")
     return values
 
 
@@ -651,10 +659,14 @@ def _record_bytes(labels, indptr, indices, counts) -> np.ndarray:
 
     A row is its label, a tab, then each pair as ``index:count`` and one
     byte after it: a space, or the newline after the row's last pair.  An
-    empty row is its label, a tab and the newline.
+    empty row is its label, a tab and the newline.  The values (1 to 18
+    digits) are written two digits per pass, last first, into a buffer with
+    one spare byte in front: the inverse of ``_values``.
     """
     values = np.concatenate((labels, indices, counts), dtype=np.int64)
-    digits = np.searchsorted(_TENS, values, side="right") + 1
+    digits = np.ones(values.size, np.uint8)
+    for k in range(1, len(str(values.max(initial=0)))):
+        digits += values >= 10**k
     label_len, index_len, count_len = np.split(digits, [labels.size, labels.size + indices.size])
     pair_bytes = np.zeros(indices.size + 1, dtype=np.int64)
     np.cumsum(index_len + count_len + 2, out=pair_bytes[1:])
@@ -665,20 +677,23 @@ def _record_bytes(labels, indptr, indices, counts) -> np.ndarray:
     pair_start = pair_bytes[:-1] + np.repeat(label_end + 1 - pair_bytes[indptr[:-1]], sizes)
     index_end = pair_start + index_len
     count_end = index_end + 1 + count_len
-    out = np.empty(row_end[-1], dtype=np.uint8)
-    out[label_end] = ord("\t")
-    out[index_end] = ord(":")
-    out[count_end] = ord(" ")
-    out[row_end - 1] = ord("\n")
-    # the digits, last place first: the inverse of _values
-    end = np.concatenate((label_end, index_end, count_end))
+    # an odd-length number's last pass puts a '0' on the byte before it: the
+    # separator, written after the digits, or the block's spare byte out[0]
+    out = np.empty(row_end[-1] + 1, dtype=np.uint8)
+    end = np.concatenate((label_end, index_end, count_end))  # each last digit, in out
     while values.size:
-        values, digit = np.divmod(values, 10)
-        end -= 1
-        out[end] = digit + ord("0")
-        more = values > 0
-        values, end = values[more], end[more]
-    return out
+        high = values // 100
+        pair = values - 100 * high
+        out[end] = _ONES_CHAR.take(pair)
+        out[end - 1] = _TENS_CHAR.take(pair)
+        more = high > 0
+        values, end = high[more], end[more] - 2
+    text = out[1:]
+    text[label_end] = ord("\t")
+    text[index_end] = ord(":")
+    text[count_end] = ord(" ")
+    text[row_end - 1] = ord("\n")
+    return text
 
 
 def load_corpus_file(

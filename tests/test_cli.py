@@ -289,11 +289,20 @@ def test_prepare_input_that_is_not_utf8_exits_two(tmp_path, raw_trees, capsys, d
 
 def test_prepare_writes_each_rating_as_its_repr(tmp_path, raw_trees):
     slmrd_root, _ = raw_trees
+    lines = (slmrd_root / "imdbEr.txt").read_text().splitlines()
+    # spellings whose repr switches between plain and exponent form, or sits at an extreme
+    edges = ["1E-5", " 0.0001", "1e16", "1234567890123456", "5e-324", "-0",
+             "0.30000000000000004", "1.7976931348623157e308"]
+    (slmrd_root / "imdbEr.txt").write_text("\n".join(edges + lines[len(edges):]) + "\n")
     out = tmp_path / "data"
     assert main(["prepare", "slmrd", "--input", str(slmrd_root), "--out", str(out)]) == 0
     ratings = [float(line) for line in (slmrd_root / "imdbEr.txt").read_text().splitlines()]
     written = (out / "polarity.txt").read_text(encoding="utf-8")
     assert written == "".join(f"{rating!r}\n" for rating in ratings)
+    assert written.splitlines()[:len(edges)] == [
+        "1e-05", "0.0001", "1e+16", "1234567890123456.0", "5e-324", "-0.0",
+        "0.30000000000000004", "1.7976931348623157e+308",
+    ]
 
 
 # ----------------------------------------------------------------- scenarios

@@ -15,9 +15,10 @@ from scipy import sparse
 import oracles
 from bowtie import corpus
 from bowtie.corpus import Corpus, load_corpus_file, save_corpus_file
+from bowtie.errors import DataError
 
-# 1-, 2-, 18- and 19-digit values, and the powers of ten around them
-EDGES = [0, 1, 9, 10, 99, 10**17 - 1, 10**17, 10**18 - 1, 10**18, 2**63 - 1]
+# 1-, 2-, 17- and 18-digit values, and the powers of ten around them
+EDGES = [0, 1, 9, 10, 99, 10**17 - 1, 10**17, 10**18 - 1]
 
 
 @pytest.fixture(params=[None, 1, 7], ids=["default", "pairs1", "pairs7"])
@@ -54,8 +55,8 @@ def random_rows(rng, n, edges):
         for j in range(k):
             if rng.random() < 0.2:
                 indices[j] = int(big[int(rng.integers(len(big)))])
-            if rng.random() < 0.2:
-                counts[j] = int(big[int(rng.integers(len(big)))])
+            if rng.random() < 0.2:  # a count of 0 is refused
+                counts[j] = max(1, int(big[int(rng.integers(len(big)))]))
         rows.append(list(zip(indices, counts)))
     return rows
 
@@ -76,7 +77,7 @@ def test_random_corpora_match_the_reference(tmp_path, write_pairs, index_dtype):
         rows = random_rows(rng, int(rng.integers(0, 15)), edges)
         if index_dtype is np.int32:
             rows = [[(i, c) for i, c in row if i <= edges[-1]] for row in rows]
-        labels = rng.choice([0, 1, 7, 10**18, 2**63 - 1], size=len(rows), p=[.4, .4, .1, .05, .05])
+        labels = rng.integers(0, 2, size=len(rows))
         assert_writes_like_the_reference(tmp_path, make_corpus(rows, labels, index_dtype))
 
 
@@ -94,10 +95,21 @@ def test_empty_reviews_anywhere(tmp_path, write_pairs, rows):
 
 
 def test_every_digit_count(tmp_path, write_pairs):
-    values = [10**k for k in range(19)] + [10**k - 1 for k in range(1, 19)] + [2**63 - 1]
+    values = [10**k for k in range(18)] + [10**k - 1 for k in range(1, 19)]
     rows = [[(v, v)] for v in values] + [[(v, 1) for v in sorted(values)]]
     text = assert_writes_like_the_reference(tmp_path, make_corpus(rows, [0] * len(rows)))
-    assert b"\t9223372036854775807:9223372036854775807\n" in text
+    assert b"\t999999999999999999:999999999999999999\n" in text
+
+
+def test_odd_length_numbers_start_every_block(tmp_path, monkeypatch):
+    # one row per block, so every block starts with a one-digit label; its
+    # first pass writes a '0' before it, into the block's spare byte
+    monkeypatch.setattr(corpus, "_WRITE_PAIRS", 1)
+    odd = [10**k + 7 for k in range(0, 18, 2)]  # 1, 3, ..., 17 digits
+    rows = [[(i, c)] for i in odd for c in odd] + [[], [(odd[-1], 1), (odd[-2], 5)]]
+    labels = [(i + 1) % 2 for i in range(len(rows))]
+    text = assert_writes_like_the_reference(tmp_path, make_corpus(rows, labels))
+    assert text.startswith(b"1\t8:8\n")
 
 
 def test_a_review_longer_than_a_block(tmp_path, monkeypatch):
@@ -122,17 +134,49 @@ def test_written_file_loads_back_equal(tmp_path, write_pairs):
     assert np.array_equal(loaded.labels, c.labels)
 
 
+def refused(c, tmp_path, match):
+    """Assert that saving ``c`` raises ValueError and leaves the file as it was."""
+    path = tmp_path / "kept.corpus"
+    path.write_bytes(b"previous\n")
+    with pytest.raises(ValueError, match=match):
+        save_corpus_file(c, path)
+    assert path.read_bytes() == b"previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.corpus"]
+
+
 @pytest.mark.parametrize("what", ["label", "index", "count"])
 def test_negative_values_raise_before_writing(tmp_path, what):
     c = make_corpus([[(3, 1), (4, 2)]], [1])
     target = {"label": c.labels, "index": c.counts.indices, "count": c.counts.data}[what]
     target[-1] = -5
-    path = tmp_path / "kept.corpus"
-    path.write_bytes(b"previous\n")
-    with pytest.raises(ValueError, match=f"cannot write negative {what} -5"):
-        save_corpus_file(c, path)
-    assert path.read_bytes() == b"previous\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["kept.corpus"]
+    refused(c, tmp_path, f"cannot write negative {what} -5")
+
+
+@pytest.mark.parametrize("what, value", [
+    ("label", 2), ("label", 7), ("label", 10**18), ("index", 10**18),
+    ("index", 2**63 - 1), ("count", 0), ("count", 10**18), ("count", 2**63 - 1),
+])
+def test_values_the_loaders_reject_raise_before_writing(tmp_path, what, value):
+    c = make_corpus([[(3, 1), (4, 2)]], [1])
+    {"label": c.labels, "index": c.counts.indices, "count": c.counts.data}[what][-1] = value
+    # the one-pair-at-a-time reference writes the value, and the loader refuses it
+    oracles.save_corpus_file(c, tmp_path / "reference.corpus")
+    with pytest.raises(DataError):
+        load_corpus_file(tmp_path / "reference.corpus")
+    (tmp_path / "reference.corpus").unlink()
+    refused(c, tmp_path, f"cannot write {what} {value} outside ")
+
+
+@pytest.mark.parametrize("what, dtype, names", [
+    ("count", np.float64, "counts"), ("index", np.uint64, "indices"),
+])
+def test_dtypes_that_are_not_int64_values_raise_before_writing(tmp_path, what, dtype, names):
+    c = make_corpus([[(3, 1), (4, 2)]], [1])
+    if what == "count":
+        c.counts.data = c.counts.data.astype(dtype)
+    else:
+        c.counts.indices = c.counts.indices.astype(dtype)
+    refused(c, tmp_path, f"cannot write {names} of dtype {np.dtype(dtype)}$")
 
 
 def peak_save_bytes(c, path):
