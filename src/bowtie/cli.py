@@ -179,13 +179,11 @@ def _polarity(encoding: str, path, vocab):
     return load_polarity(path, vocab)
 
 
-def _corpus(path, vocab, split: str):
+def _corpus(path, vocab):
     """A canonical corpus file over ``vocab``; a file without reviews is a data error."""
     from .corpus import load_corpus_file
 
-    corpus = load_corpus_file(
-        path, vocab_id=vocab.fingerprint(), split=split, width=vocab.size
-    )
+    corpus = load_corpus_file(path, width=vocab.size)
     if not len(corpus):
         raise DataError(f"{path}: no reviews")
     return corpus
@@ -211,18 +209,18 @@ def _scenario_inputs(cfg: dict):
     if n != 1:
         vocab = load_slmrd_vocab(need("slmrd", "vocab.txt"))
         polarity = _polarity(encoding, need("slmrd", "polarity.txt"), vocab)
-        train_c = _corpus(need("slmrd", "train.corpus"), vocab, "train")
-        val_c = _corpus(need("slmrd", "test.corpus"), vocab, "test")
+        train_c = _corpus(need("slmrd", "train.corpus"), vocab)
+        val_c = _corpus(need("slmrd", "test.corpus"), vocab)
     if n in (1, 4):
         kid_vocab = load_slmrd_vocab(need("kid", "vocab.txt"))
-        kid_corpus = _corpus(need("kid", "full.corpus"), kid_vocab, "full")
+        kid_corpus = _corpus(need("kid", "full.corpus"), kid_vocab)
     if n == 1:
         vocab, polarity = kid_vocab, None
         mixed = shuffle(kid_corpus, cfg["data_seed"])
         del kid_corpus  # so the halves below are the only other copy
         half = len(mixed) // 2
-        train_c = mixed.take(slice(None, half), "train")
-        val_c = mixed.take(slice(half, None), "test")
+        train_c = mixed.take(slice(None, half))
+        val_c = mixed.take(slice(half, None))
     kid = (kid_vocab, kid_corpus) if n == 4 else None
     return vocab, encoding, polarity, train_c, val_c, kid
 
@@ -233,8 +231,8 @@ def _train_inputs(cfg: dict):
 
     vocab = load_slmrd_vocab(cfg["vocab"])
     polarity = _polarity(cfg["encoding"], cfg["polarity"], vocab)
-    train_c = _corpus(cfg["train_corpus"], vocab, "train")
-    val_c = _corpus(cfg["val_corpus"], vocab, "test") if cfg["val_corpus"] else None
+    train_c = _corpus(cfg["train_corpus"], vocab)
+    val_c = _corpus(cfg["val_corpus"], vocab) if cfg["val_corpus"] else None
     return vocab, cfg["encoding"], polarity, train_c, val_c, None
 
 
@@ -380,7 +378,7 @@ def cmd_eval(args) -> int:
     vocab = load_slmrd_vocab(args.vocab)
     check_fingerprint(ckpt, vocab.size, vocab.fingerprint())
     polarity = _polarity(ckpt.encoding, args.polarity, vocab)
-    corpus = _corpus(args.corpus, vocab, "test")
+    corpus = _corpus(args.corpus, vocab)
     dataset = encode_corpus(corpus, ckpt.encoding, polarity=polarity, width=vocab.size)
     result = evaluate(ckpt.model, dataset, batch_size=args.batch_size)
     print(
@@ -404,7 +402,7 @@ def cmd_transfer(args) -> int:
     source_vocab = load_slmrd_vocab(args.source_vocab)
     target_vocab = load_slmrd_vocab(args.target_vocab)
     polarity = _polarity(ckpt.encoding, args.polarity, target_vocab)
-    corpus = _corpus(args.source_corpus, source_vocab, "full")
+    corpus = _corpus(args.source_corpus, source_vocab)
     report = transfer_evaluate(
         ckpt, corpus, source_vocab, target_vocab,
         polarity=polarity, batch_size=args.batch_size,
@@ -428,7 +426,7 @@ def cmd_stats(args) -> int:
         raise ValueError("stats requires --corpus and --vocab")
     vocab = load_slmrd_vocab(args.vocab)
     polarity = _polarity(args.encoding, args.polarity, vocab)
-    corpus = _corpus(args.corpus, vocab, "full")
+    corpus = _corpus(args.corpus, vocab)
     dataset = encode_corpus(corpus, args.encoding, polarity=polarity, width=vocab.size)
     s = polarity_stats(dataset)
     print(
@@ -470,9 +468,7 @@ def cmd_prepare(args) -> int:
         vocab = load_slmrd_vocab(_need(base / "imdb.vocab", hint))
         polarity = load_polarity(_need(base / "imdbEr.txt", hint), vocab)
         splits = {
-            split: load_slmrd_bow(
-                _need(base / split / "labeledBow.feat", hint), vocab, split=split
-            )
+            split: load_slmrd_bow(_need(base / split / "labeledBow.feat", hint), vocab)
             for split in ("train", "test")
         }
         out.mkdir(parents=True, exist_ok=True)

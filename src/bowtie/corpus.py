@@ -19,7 +19,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 
@@ -41,11 +41,6 @@ class Vocabulary:
             raise DataError(
                 f"duplicate token {self.tokens[again]!r} at indices {first} and {again}"
             )
-
-    @cached_property
-    def index_of(self) -> dict[str, int]:
-        # built on first use: only a transfer's target vocabulary needs it
-        return dict(zip(self.tokens, range(len(self.tokens))))
 
     @property
     def size(self) -> int:
@@ -88,8 +83,6 @@ class Corpus:
 
     counts: sparse.csr_matrix = field(repr=False)  # gone once consumed
     labels: np.ndarray  # int64, 0 or 1 per row
-    vocab_id: str = ""
-    split: str = "train"
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -108,11 +101,9 @@ class Corpus:
         pos = int(self.labels.sum())
         return len(self) - pos, pos
 
-    def take(self, rows, split: str | None = None) -> "Corpus":
+    def take(self, rows) -> "Corpus":
         """The reviews at ``rows`` (an index array or a slice), in that order."""
-        return Corpus(
-            self.counts[rows], self.labels[rows], self.vocab_id, split or self.split
-        )
+        return Corpus(self.counts[rows], self.labels[rows])
 
 
 # Loaders read a record file whole and scan it in blocks of whole lines of
@@ -505,7 +496,7 @@ def _rating_error(path: str | Path) -> DataError:
     return DataError(f"{path}: malformed ratings")  # the file changed since it was read
 
 
-def load_slmrd_bow(path: str | Path, vocab: Vocabulary, split: str = "train") -> Corpus:
+def load_slmrd_bow(path: str | Path, vocab: Vocabulary) -> Corpus:
     """Load a ``labeledBow.feat`` file: each line ``rating idx:count ...``.
 
     Ratings >= 7 become positive labels, <= 4 negative; 5 and 6 do not occur
@@ -516,7 +507,7 @@ def load_slmrd_bow(path: str | Path, vocab: Vocabulary, split: str = "train") ->
         bad_head=lambda r: (r > 10) | (r == 5) | (r == 6),
     ), lambda text: _slmrd_error(text, vocab.size), vocab.size)
     matrix = _csr(counts, indices, sizes, vocab.size)
-    return Corpus(matrix, (ratings >= 7).astype(np.int64), vocab.fingerprint(), split)
+    return Corpus(matrix, (ratings >= 7).astype(np.int64))
 
 
 def load_kid(
@@ -541,9 +532,7 @@ def load_kid(
         vocab.size,
         pairs=False,
     )
-    return vocab, Corpus(
-        _csr(counts, indices, sizes, vocab.size), labels, vocab.fingerprint(), "full"
-    )
+    return vocab, Corpus(_csr(counts, indices, sizes, vocab.size), labels)
 
 
 def _kid_block(block: bytes, size: int, offset: int):
@@ -696,27 +685,19 @@ def _record_bytes(labels, indptr, indices, counts) -> np.ndarray:
     return text
 
 
-def load_corpus_file(
-    path: str | Path,
-    vocab_id: str = "",
-    split: str = "train",
-    width: int | None = None,
-) -> Corpus:
-    """Read the canonical format back.
+def load_corpus_file(path: str | Path, *, width: int, vocab_id=None, split=None) -> Corpus:
+    """Read the canonical format back as a matrix ``width`` columns wide.
 
     Pairs within a record may come in any order and are sorted by token
-    index; a repeated index, a count below 1, an index outside ``width``
-    (when given), a label other than 0/1 or a line outside the grammar
-    raises a ``DataError`` naming the line.  Without ``width`` the matrix is as wide as the largest index
-    seen requires.
+    index; a repeated index, a count below 1, an index outside ``width``, a
+    label other than 0/1 or a line outside the grammar raises a
+    ``DataError`` naming the line.
     """
-    bound = width if width is not None else np.iinfo(np.int64).max
+    # vocab_id and split are accepted and ignored: the benchmark worker still passes them
     labels, indices, counts, sizes = _load_records(
         path,
-        partial(_pairs_block, bound=bound, tab_after_head=True, bad_head=lambda label: label > 1),
-        lambda text: _canonical_error(text, bound),
-        bound,
+        partial(_pairs_block, bound=width, tab_after_head=True, bad_head=lambda label: label > 1),
+        lambda text: _canonical_error(text, width),
+        width,
     )
-    if width is None:
-        width = int(indices.max()) + 1 if indices.size else 0
-    return Corpus(_csr(counts, indices, sizes, width), labels, vocab_id, split)
+    return Corpus(_csr(counts, indices, sizes, width), labels)

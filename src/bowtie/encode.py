@@ -56,36 +56,27 @@ class PolarityStats:
 
 
 def encode_corpus(
-    corpus: Corpus,
-    kind: str,
-    polarity: PolarityTable | None = None,
-    width: int | None = None,
+    corpus: Corpus, kind: str, polarity: PolarityTable | None = None, *, width: int
 ) -> EncodedDataset:
-    """Encode every review, keeping row order.
+    """Encode every review as a row ``width`` columns wide, keeping row order.
 
     multi-hot stores 1.0 at each distinct token index (counts ignored);
     polarity-weighted stores rating_k * count_k at index k and drops entries
     whose rating is exactly zero, which the encoding cannot distinguish from
-    absent tokens.  ``width`` defaults to the polarity length for weighted
-    encodings and must be given for multi-hot.
+    absent tokens.  Its polarity table must be ``width`` long.
 
     The result reuses the corpus's arrays (each int64 count becomes its
     float64 value), so once the arguments check out the corpus is consumed,
     even by a non-finite product; copy it first to keep it.
     """
-    if kind == MULTI_HOT:
-        if width is None:
-            raise DataError("multi-hot encoding requires an explicit width")
-    elif kind == POLARITY_WEIGHTED:
+    if kind == POLARITY_WEIGHTED:
         if polarity is None:
             raise DataError("polarity-weighted encoding requires a polarity table")
-        if width is None:
-            width = len(polarity)
         if len(polarity) != width:
             raise DataError(
                 f"polarity table of length {len(polarity)} for encoding width {width}"
             )
-    else:
+    elif kind != MULTI_HOT:
         raise DataError(f"unknown encoding kind {kind!r}")
     counts = corpus.counts
     indices = counts.indices

@@ -183,18 +183,15 @@ def train(
     return model, metrics
 
 
-def emit_metrics_csv(metrics: list[EpochMetrics], out) -> None:
-    """Write metrics as CSV (6 significant digits) to a file object or path."""
-    if isinstance(out, (str, bytes)):
-        with replacing(out, "w", encoding="utf-8") as fh:
-            emit_metrics_csv(metrics, fh)
-        return
-    out.write("epoch,train_bce,train_acc,val_bce,val_acc,seconds\n")
-    for m in metrics:
-        out.write(
-            f"{m.epoch},{m.train_bce:.6g},{m.train_accuracy:.6g},"
-            f"{m.val_bce:.6g},{m.val_accuracy:.6g},{m.epoch_seconds:.6g}\n"
-        )
+def emit_metrics_csv(metrics: list[EpochMetrics], path) -> None:
+    """Write metrics as CSV (6 significant digits) to ``path``, replacing it whole."""
+    with replacing(path, "w", encoding="utf-8") as out:
+        out.write("epoch,train_bce,train_acc,val_bce,val_acc,seconds\n")
+        for m in metrics:
+            out.write(
+                f"{m.epoch},{m.train_bce:.6g},{m.train_accuracy:.6g},"
+                f"{m.val_bce:.6g},{m.val_accuracy:.6g},{m.epoch_seconds:.6g}\n"
+            )
 
 
 @dataclass

@@ -38,9 +38,9 @@ class VocabMap:
 
 
 def build_vocab_map(source: Vocabulary, target: Vocabulary) -> VocabMap:
-    mapping = np.fromiter(
-        map(target.index_of.get, source.tokens, repeat(-1)), np.int64, source.size
-    )
+    # built per call, never cached on the vocabulary, so it does not outlive the map
+    index_of = dict(zip(target.tokens, range(target.size)))
+    mapping = np.fromiter(map(index_of.get, source.tokens, repeat(-1)), np.int64, source.size)
     return VocabMap(
         mapping=mapping,
         dropped=sorted(compress(source.tokens, (mapping < 0).tolist())),
@@ -49,7 +49,7 @@ def build_vocab_map(source: Vocabulary, target: Vocabulary) -> VocabMap:
     )
 
 
-def remap_corpus(corpus: Corpus, vmap: VocabMap, vocab_id: str = "") -> Corpus:
+def remap_corpus(corpus: Corpus, vmap: VocabMap) -> Corpus:
     """Rewrite every review into the target index space.
 
     Unmapped tokens vanish; if several source indices land on the same target
@@ -70,7 +70,7 @@ def remap_corpus(corpus: Corpus, vmap: VocabMap, vocab_id: str = "") -> Corpus:
     out = sparse.csr_matrix((data, indices, counts.indptr), shape=(len(corpus), vmap.target_size))
     out.eliminate_zeros()
     out.sum_duplicates()  # sorts each row in place, adding colliding targets
-    return Corpus(out, corpus.labels, vocab_id=vocab_id, split=corpus.split)
+    return Corpus(out, corpus.labels)
 
 
 @dataclass
@@ -101,7 +101,7 @@ def transfer_evaluate(
     """
     check_fingerprint(checkpoint, target_vocab.size, target_vocab.fingerprint())
     vmap = build_vocab_map(source_vocab, target_vocab)
-    remapped = remap_corpus(source_corpus, vmap, vocab_id=target_vocab.fingerprint())
+    remapped = remap_corpus(source_corpus, vmap)
     dataset = encode_corpus(
         remapped, checkpoint.encoding, polarity=polarity, width=target_vocab.size
     )
@@ -116,40 +116,37 @@ def transfer_evaluate(
     )
 
 
-def write_transfer_report(report: TransferReport, out) -> None:
-    """Dropped tokens one per line, then the mapping summary, polarity stats,
-    and accuracy/bce, closed by a machine-parseable key=value footer."""
-    if isinstance(out, (str, bytes)):
-        with replacing(out, "w", encoding="utf-8") as fh:
-            write_transfer_report(report, fh)
-        return
-    out.write("# tokens with no counterpart in the target vocabulary\n")
-    for token in report.dropped:
-        out.write(f"{token}\n")
-    out.write(
-        f"# {report.mapped_count} of {report.source_vocab_size} source tokens "
-        f"map onto the {report.target_vocab_size}-token target vocabulary, "
-        f"{len(report.dropped)} dropped\n"
-    )
-    s = report.stats
-    out.write(
-        f"# re-encoded entry range [{s.element_min:.6f}, {s.element_max:.6f}], "
-        f"per-review sum range [{s.rowsum_min:.6f}, {s.rowsum_max:.6f}]\n"
-    )
-    r = report.result
-    out.write(
-        f"# {r.count} examples: accuracy {r.accuracy:.4f}, bce {r.bce:.4f}\n"
-    )
-    out.write("---\n")
-    out.write(f"source_vocab={report.source_vocab_size}\n")
-    out.write(f"target_vocab={report.target_vocab_size}\n")
-    out.write(f"mapped={report.mapped_count}\n")
-    out.write(f"dropped={len(report.dropped)}\n")
-    out.write(f"element_min={s.element_min:.9g}\n")
-    out.write(f"element_max={s.element_max:.9g}\n")
-    out.write(f"rowsum_min={s.rowsum_min:.9g}\n")
-    out.write(f"rowsum_max={s.rowsum_max:.9g}\n")
-    out.write(f"examples={r.count}\n")
-    out.write(f"accuracy={r.accuracy:.6f}\n")
-    out.write(f"bce={r.bce:.6f}\n")
-
+def write_transfer_report(report: TransferReport, path) -> None:
+    """Write to ``path``, replacing it whole: dropped tokens one per line,
+    then the mapping summary, polarity stats, and accuracy/bce, closed by a
+    machine-parseable key=value footer."""
+    with replacing(path, "w", encoding="utf-8") as out:
+        out.write("# tokens with no counterpart in the target vocabulary\n")
+        for token in report.dropped:
+            out.write(f"{token}\n")
+        out.write(
+            f"# {report.mapped_count} of {report.source_vocab_size} source tokens "
+            f"map onto the {report.target_vocab_size}-token target vocabulary, "
+            f"{len(report.dropped)} dropped\n"
+        )
+        s = report.stats
+        out.write(
+            f"# re-encoded entry range [{s.element_min:.6f}, {s.element_max:.6f}], "
+            f"per-review sum range [{s.rowsum_min:.6f}, {s.rowsum_max:.6f}]\n"
+        )
+        r = report.result
+        out.write(
+            f"# {r.count} examples: accuracy {r.accuracy:.4f}, bce {r.bce:.4f}\n"
+        )
+        out.write("---\n")
+        out.write(f"source_vocab={report.source_vocab_size}\n")
+        out.write(f"target_vocab={report.target_vocab_size}\n")
+        out.write(f"mapped={report.mapped_count}\n")
+        out.write(f"dropped={len(report.dropped)}\n")
+        out.write(f"element_min={s.element_min:.9g}\n")
+        out.write(f"element_max={s.element_max:.9g}\n")
+        out.write(f"rowsum_min={s.rowsum_min:.9g}\n")
+        out.write(f"rowsum_max={s.rowsum_max:.9g}\n")
+        out.write(f"examples={r.count}\n")
+        out.write(f"accuracy={r.accuracy:.6f}\n")
+        out.write(f"bce={r.bce:.6f}\n")

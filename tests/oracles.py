@@ -217,16 +217,14 @@ def _open_text(path):
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _stack_rows(rows, labels, width, vocab_id, split):
+def _stack_rows(rows, labels, width):
     """One Corpus from per-review (sorted indices, counts) array pairs."""
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(idx) for idx, _ in rows], out=indptr[1:])
     indices = np.concatenate([np.empty(0, np.int64)] + [idx for idx, _ in rows])
     counts = np.concatenate([np.empty(0, np.int64)] + [cnt for _, cnt in rows])
-    if width is None:
-        width = int(indices.max()) + 1 if indices.size else 0
     matrix = sparse.csr_matrix((counts, indices, indptr), shape=(len(rows), width))
-    return Corpus(matrix, np.array(labels, dtype=np.int64), vocab_id, split)
+    return Corpus(matrix, np.array(labels, dtype=np.int64))
 
 
 def _parse_pairs(parts, width, where):
@@ -253,7 +251,7 @@ def _parse_pairs(parts, width, where):
     return indices, counts
 
 
-def load_slmrd_bow(path, vocab, split="train"):
+def load_slmrd_bow(path, vocab):
     """Reference ``labeledBow.feat`` loader: ``rating idx:count ...`` lines."""
     rows, labels = [], []
     with _open_text(path) as fh:
@@ -272,7 +270,7 @@ def load_slmrd_bow(path, vocab, split="train"):
                 raise DataError(f"{where}: rating {rating} has no defined label")
             labels.append(1 if rating >= 7 else 0)
             rows.append(_parse_pairs(parts[1:], vocab.size, where))
-    return _stack_rows(rows, labels, vocab.size, vocab.fingerprint(), split)
+    return _stack_rows(rows, labels, vocab.size)
 
 
 def word_index_tokens(word_index_path):
@@ -330,13 +328,12 @@ def load_kid(word_index_path, sequences_path, index_offset=3):
                     ranks.append(rank)
             labels.append(label)
             rows.append(np.unique(np.array(ranks, dtype=np.int64), return_counts=True))
-    return vocab, _stack_rows(rows, labels, vocab.size, vocab.fingerprint(), "full")
+    return vocab, _stack_rows(rows, labels, vocab.size)
 
 
-def load_corpus_file(path, vocab_id="", split="train", width=None):
+def load_corpus_file(path, *, width):
     """Reference canonical loader: ``label<TAB>idx:count ...`` lines."""
     rows, labels = [], []
-    bound = width if width is not None else np.iinfo(np.int64).max
     with _open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             where = f"{path}: line {lineno}"
@@ -350,8 +347,8 @@ def load_corpus_file(path, vocab_id="", split="train", width=None):
             if label not in (0, 1):
                 raise DataError(f"{where}: label {label} not in {{0, 1}}")
             labels.append(label)
-            rows.append(_parse_pairs(rest.split(), bound, where))
-    return _stack_rows(rows, labels, width, vocab_id, split)
+            rows.append(_parse_pairs(rest.split(), width, where))
+    return _stack_rows(rows, labels, width)
 
 
 def load_slmrd_vocab(path):
@@ -425,7 +422,7 @@ def build_vocab_map(source, target):
     """Reference source -> target index map, one dict lookup per token."""
     mapping = np.full(source.size, -1, dtype=np.int64)
     dropped = []
-    lookup = target.index_of
+    lookup = vocabulary_index(target.tokens)
     for i, token in enumerate(source.tokens):
         j = lookup.get(token)
         if j is None:

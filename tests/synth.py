@@ -16,7 +16,7 @@ from bowtie.corpus import Corpus
 from bowtie.train import CHECKPOINT_MAGIC
 
 
-def corpus_from_rows(rows, labels, width, vocab_id="synthetic", split="train"):
+def corpus_from_rows(rows, labels, width):
     """A Corpus from per-review lists of (token index, count) pairs, each
     list already sorted by index with no repeats and counts >= 1."""
     indptr = np.cumsum([0] + [len(row) for row in rows])
@@ -24,13 +24,13 @@ def corpus_from_rows(rows, labels, width, vocab_id="synthetic", split="train"):
     indices = np.array([i for i, _ in pairs], dtype=np.int64)
     counts = np.array([c for _, c in pairs], dtype=np.int64)
     matrix = sparse.csr_matrix((counts, indices, indptr), shape=(len(rows), width))
-    return Corpus(matrix, np.array(labels, dtype=np.int64), vocab_id, split)
+    return Corpus(matrix, np.array(labels, dtype=np.int64))
 
 
 def copy_of(corpus):
     """An independent copy of ``corpus``, for a test that reads it again after
     encoding or remapping has consumed the original."""
-    return Corpus(corpus.counts.copy(), corpus.labels.copy(), corpus.vocab_id, corpus.split)
+    return Corpus(corpus.counts.copy(), corpus.labels.copy())
 
 
 def rows_of(matrix):
@@ -63,10 +63,10 @@ def planted_bag(rng, ratings, max_distinct=8, max_count=3, margin=0.5):
             return list(zip(indices.tolist(), counts.tolist())), int(score > 0.0)
 
 
-def planted_corpus(seed, size, ratings, split="train", vocab_id="synthetic", **kw):
+def planted_corpus(seed, size, ratings, **kw):
     rng = np.random.default_rng(seed)
     rows, labels = zip(*[planted_bag(rng, ratings, **kw) for _ in range(size)])
-    return corpus_from_rows(rows, labels, len(ratings), vocab_id=vocab_id, split=split)
+    return corpus_from_rows(rows, labels, len(ratings))
 
 
 def write_slmrd_tree(root, tokens, ratings, train_corpus, test_corpus, seed=0):

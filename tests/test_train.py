@@ -45,12 +45,10 @@ def encoded_split(seed, n_train=120, n_val=60, width=WIDTH):
     ratings = rating_table(seed, width)
     table = PolarityTable(ratings)
     train_set = encode_corpus(
-        planted_corpus(seed + 1, n_train, ratings), POLARITY_WEIGHTED, polarity=table
+        planted_corpus(seed + 1, n_train, ratings), POLARITY_WEIGHTED, polarity=table, width=width
     )
     val_set = encode_corpus(
-        planted_corpus(seed + 2, n_val, ratings, split="test"),
-        POLARITY_WEIGHTED,
-        polarity=table,
+        planted_corpus(seed + 2, n_val, ratings), POLARITY_WEIGHTED, polarity=table, width=width
     )
     return train_set, val_set
 
@@ -351,7 +349,9 @@ def test_evaluate_rejects_empty_dataset():
 def test_perfect_separator_scores_one():
     ratings = rating_table(20, WIDTH)
     table = PolarityTable(ratings)
-    data = encode_corpus(planted_corpus(21, 80, ratings), POLARITY_WEIGHTED, polarity=table)
+    data = encode_corpus(
+        planted_corpus(21, 80, ratings), POLARITY_WEIGHTED, polarity=table, width=WIDTH
+    )
     model = fresh_model(seed=20, hidden_widths=(1,))
     model.weights[0][:, 0] = 50.0  # the row sum of a weighted row is the planted score
     model.biases[0][:] = 0.0
@@ -376,23 +376,20 @@ def fabricated_metrics(n):
     ]
 
 
-def test_csv_header_exact():
-    sink = io.StringIO()
-    emit_metrics_csv([], sink)
-    assert sink.getvalue() == "epoch,train_bce,train_acc,val_bce,val_acc,seconds\n"
+def test_csv_header_exact(tmp_path):
+    emit_metrics_csv([], tmp_path / "metrics.csv")
+    assert (tmp_path / "metrics.csv").read_text() == "epoch,train_bce,train_acc,val_bce,val_acc,seconds\n"
 
 
-def test_csv_has_one_line_per_epoch_plus_header():
-    sink = io.StringIO()
-    emit_metrics_csv(fabricated_metrics(20), sink)
-    lines = sink.getvalue().strip().splitlines()
+def test_csv_has_one_line_per_epoch_plus_header(tmp_path):
+    emit_metrics_csv(fabricated_metrics(20), tmp_path / "metrics.csv")
+    lines = (tmp_path / "metrics.csv").read_text().strip().splitlines()
     assert len(lines) == 21
 
 
-def test_csv_values_carry_six_significant_digits():
-    sink = io.StringIO()
-    emit_metrics_csv(fabricated_metrics(1), sink)
-    row = sink.getvalue().splitlines()[1].split(",")
+def test_csv_values_carry_six_significant_digits(tmp_path):
+    emit_metrics_csv(fabricated_metrics(1), tmp_path / "metrics.csv")
+    row = (tmp_path / "metrics.csv").read_text().splitlines()[1].split(",")
     assert row[0] == "1"
     assert row[5] == "0.123457"
     parsed = [float(v) for v in row[1:]]

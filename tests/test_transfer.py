@@ -1,4 +1,4 @@
-import io
+import sys
 import tracemalloc
 
 import numpy as np
@@ -26,7 +26,7 @@ from synth import corpus_from_rows, planted_corpus, rating_table, rows_of, token
 
 def bag(pairs, label=1, width=3):
     """A one-review corpus over ``width`` source tokens."""
-    return corpus_from_rows([pairs], [label], width, split="full")
+    return corpus_from_rows([pairs], [label], width)
 
 
 def checkpoint_for(model, vocab, encoding):
@@ -89,6 +89,23 @@ def test_mapped_plus_dropped_partitions_source():
             j = int(vmap.mapping[i])
             if j >= 0:
                 assert target_tokens[j] == token
+
+
+def test_vocab_map_keeps_no_index_over_the_target():
+    """The target's token -> index dict lives only while the map is built:
+    afterwards the call holds its mapping, its dropped list and a little more."""
+    pool = token_list(30_000)
+    source, target = Vocabulary(pool[:20_000]), Vocabulary(pool[10_000:])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        vmap = build_vocab_map(source, target)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert vmap.mapped_count == len(vmap.dropped) == 10_000
+    # an index over the target's 20 000 tokens would hold about 1 MB more
+    assert held <= vmap.mapping.nbytes + sys.getsizeof(vmap.dropped) + 16_384, held
 
 
 def test_vocab_map_matches_the_reference():
@@ -156,15 +173,13 @@ def test_remap_preserves_total_mass_minus_dropped():
         assert out.counts.sum() == total - dropped_mass
 
 
-def test_remap_corpus_keeps_order_and_split():
+def test_remap_corpus_keeps_order_and_labels():
     ratings = rating_table(3, 12)
-    corpus = planted_corpus(4, 10, ratings, split="full")
+    corpus = planted_corpus(4, 10, ratings)
     vocab = Vocabulary(token_list(12))
     vmap = build_vocab_map(vocab, vocab)
     rows = rows_of(corpus.counts)
-    out = remap_corpus(corpus, vmap, vocab_id="target")
-    assert out.split == "full"
-    assert out.vocab_id == "target"
+    out = remap_corpus(corpus, vmap)
     npt.assert_array_equal(out.labels, corpus.labels)
     assert rows_of(out.counts) == rows
 
@@ -270,7 +285,7 @@ def shared_vocab_setup(seed=5, shared=24, extra_source=4, extra_target=6):
 def trained_target_model(target_vocab, polarity, seed=6, epochs=12):
     ratings = np.asarray(polarity.ratings)
     corpus = planted_corpus(seed, 400, ratings)
-    data = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=polarity)
+    data = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=polarity, width=target_vocab.size)
     cfg = ModelConfig(
         input_width=target_vocab.size,
         hidden_widths=(8, 1),
@@ -290,13 +305,13 @@ def trained_target_model(target_vocab, polarity, seed=6, epochs=12):
 
 def source_corpus_on(source_vocab, target_vocab, polarity, seed=7, size=200):
     """Planted bags over the source vocabulary, labeled by target ratings."""
-    lookup = target_vocab.index_of
+    lookup = oracles.vocabulary_index(target_vocab.tokens)
     aligned = np.zeros(source_vocab.size)
     for i, token in enumerate(source_vocab.tokens):
         j = lookup.get(token)
         if j is not None:
             aligned[i] = polarity.ratings[j]
-    return planted_corpus(seed, size, aligned, split="full")
+    return planted_corpus(seed, size, aligned)
 
 
 def test_transfer_evaluate_end_to_end_beats_chance():
@@ -345,7 +360,7 @@ def test_transfer_evaluate_multi_hot_checkpoint_path():
         w[:] = 0.0
     ck = checkpoint_for(model, target_vocab, MULTI_HOT)
     ratings = rating_table(9, source_vocab.size)
-    planted = planted_corpus(10, 40, ratings, split="full")
+    planted = planted_corpus(10, 40, ratings)
     # balance the labels exactly so the all-positive zero model scores 0.5
     keep_pos = np.flatnonzero(planted.labels == 1)
     keep_neg = np.flatnonzero(planted.labels == 0)
@@ -358,16 +373,15 @@ def test_transfer_evaluate_multi_hot_checkpoint_path():
 # -------------------------------------------------------------------- report
 
 
-def test_report_lists_dropped_tokens_one_per_line():
+def test_report_lists_dropped_tokens_one_per_line(tmp_path):
     source_vocab, target_vocab, polarity = shared_vocab_setup()
     model = trained_target_model(target_vocab, polarity, epochs=2)
     ck = checkpoint_for(model, target_vocab, POLARITY_WEIGHTED)
     corpus = source_corpus_on(source_vocab, target_vocab, polarity, size=30)
     report = transfer_evaluate(ck, corpus, source_vocab, target_vocab, polarity)
-    sink = io.StringIO()
-    write_transfer_report(report, sink)
-    text = sink.getvalue()
-    lines = text.splitlines()
+    path = tmp_path / "report.txt"
+    write_transfer_report(report, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
     body = lines[1 : 1 + len(report.dropped)]
     assert body == report.dropped
     assert "---" in lines
