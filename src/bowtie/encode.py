@@ -111,8 +111,15 @@ def polarity_stats(dataset: EncodedDataset) -> PolarityStats:
     if not len(dataset):
         raise DataError("polarity_stats on an empty dataset")
     data, indptr = dataset.matrix.data, dataset.matrix.indptr
-    # one ndarray.sum per row: reduceat and csr.sum round differently
-    rowsums = np.array([data[a:b].sum() for a, b in zip(indptr[:-1], indptr[1:])])
+    # reduceat and csr.sum round differently from a row's own ndarray.sum; a
+    # sum along the rows of a (rows, length) gather is that same pairwise sum,
+    # so rows are summed in groups of one stored length, a group at a time
+    lengths = np.diff(indptr)
+    order = np.argsort(lengths)
+    rowsums = np.zeros(len(lengths))
+    for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        if n := lengths[rows[0]]:
+            rowsums[rows] = data[indptr[rows][:, None] + np.arange(n)].sum(axis=1)
     element_min = float(data.min()) if data.size else 0.0
     element_max = float(data.max()) if data.size else 0.0
     return PolarityStats(

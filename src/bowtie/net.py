@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.special import expit
 
 from .errors import DivergenceError
 from .rngseed import derive_rng
@@ -173,7 +172,11 @@ def cascade(
     logits = pre[-1][:, 0]
     if not np.isfinite(logits).all():
         raise DivergenceError("non-finite activation in forward pass")
-    prob = np.clip(expit(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    # numpy's complex exp of a real value calls the C library's exp, as
+    # scipy's expit does; its float exp rounds differently.  Below a logit of
+    # -709 the clamp decides the probability, so the exp need not overflow.
+    e = np.exp(np.negative(logits).clip(None, 709.0).astype(np.complex128)).real
+    prob = np.clip(1.0 / (1.0 + e), PROB_CLAMP, 1.0 - PROB_CLAMP)
     return ForwardCache(
         inputs=inputs, pre=pre, post=post, dropout_mask=mask, prob=prob, training=training
     )

@@ -17,12 +17,15 @@ package's backward pass, which adds the L2 term in place in row chunks, match
 ``backward`` with its whole-array sum, and the package's ``evaluate``, which
 takes the sparse first-layer product once per dataset, match ``evaluate``,
 which runs the package's forward pass on each sliced batch.
+``clamped_sigmoid`` is scipy's ``expit``, which the package no longer
+imports; the package's sigmoid must match it bit for bit.
 """
 
 import json
 
 import numpy as np
 from scipy import sparse
+from scipy.special import expit
 
 from bowtie.corpus import Corpus, PolarityTable, Vocabulary
 from bowtie.errors import DataError
@@ -64,6 +67,11 @@ def dense_forward(model, rows):
     raise AssertionError("model had no layers")
 
 
+def clamped_sigmoid(logits):
+    """scipy's ``expit`` of each logit, clamped into [PROB_FLOOR, 1 - PROB_FLOOR]."""
+    return np.clip(expit(logits), PROB_FLOOR, 1.0 - PROB_FLOOR)
+
+
 def bce_mean(probs, labels):
     """Mean binary cross-entropy with the same probability clamp."""
     total = 0.0
@@ -71,6 +79,12 @@ def bce_mean(probs, labels):
         p = min(max(float(p), PROB_FLOOR), 1.0 - PROB_FLOOR)
         total += -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
     return total / len(labels)
+
+
+def row_sums(matrix):
+    """Each CSR row's stored values summed by that row's own ``ndarray.sum``."""
+    ptr = matrix.indptr
+    return np.array([matrix.data[a:b].sum() for a, b in zip(ptr[:-1], ptr[1:])])
 
 
 def l2_penalty(model):

@@ -79,6 +79,16 @@ def run_scenario(n, data, out, extra=()):
     )
 
 
+def fresh_python(script, *argv):
+    """Run ``script`` in a new interpreter that imports this package and sees
+    no BOWTIE_* variable."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BOWTIE_")}
+    env["PYTHONPATH"] = str(Path(bowtie.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
+    )
+
+
 # --------------------------------------------------------------------- usage
 
 
@@ -133,11 +143,26 @@ def test_parsing_every_command_leaves_numpy_unloaded():
         "    build_parser().parse_args(argv)\n"
         "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
     )
-    env = {k: v for k, v in os.environ.items() if not k.startswith("BOWTIE_")}
-    env["PYTHONPATH"] = str(Path(bowtie.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    result = fresh_python(script)
+    assert result.returncode == 0, result.stderr
+
+
+def test_train_and_eval_leave_scipy_special_unloaded(tmp_path, prepared):
+    """The sigmoid needs numpy alone: a command never imports scipy.special."""
+    slmrd = prepared / "slmrd"
+    files = ["--vocab", str(slmrd / "vocab.txt"), "--polarity", str(slmrd / "polarity.txt")]
+    train = ["train", "--train-corpus", str(slmrd / "train.corpus"), *files,
+             "--out", str(tmp_path / "run"), *FAST_FLAGS, "--epochs", "1"]
+    evaluate = ["eval", "--checkpoint", str(tmp_path / "run" / "model.ckpt"),
+                "--corpus", str(slmrd / "test.corpus"), *files]
+    script = (
+        "import sys\n"
+        "from bowtie.cli import main\n"
+        f"assert main({train!r}) == 0\n"
+        f"assert main({evaluate!r}) == 0\n"
+        "assert 'scipy.special' not in sys.modules\n"
     )
+    result = fresh_python(script)
     assert result.returncode == 0, result.stderr
 
 
@@ -1011,13 +1036,9 @@ def test_replay_pins_threads_before_numpy_loads(s3_run):
         "assert cli.main(sys.argv[1:]) == 0\n"
         "assert seen[-1] == (1, False), seen\n"
     )
-    env = {k: v for k, v in os.environ.items() if not k.startswith("BOWTIE_")}
-    env["PYTHONPATH"] = str(Path(bowtie.__file__).resolve().parents[1])
     argv = ["replay", "--manifest", str(s3_run / "manifest.json"),
             "--out", str(s3_run / "replay-spy")]
-    result = subprocess.run(
-        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
-    )
+    result = fresh_python(script, *argv)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "replay_match=1"
 

@@ -10,11 +10,12 @@ from bowtie.corpus import Corpus, PolarityTable, load_corpus_file, save_corpus_f
 from bowtie.encode import (
     MULTI_HOT,
     POLARITY_WEIGHTED,
+    EncodedDataset,
     encode_corpus,
     polarity_stats,
 )
 from bowtie.errors import DataError
-from oracles import dense_multi_hot, dense_polarity_weighted
+from oracles import dense_multi_hot, dense_polarity_weighted, row_sums
 from synth import copy_of, corpus_from_rows, planted_corpus, rating_table, rows_of
 
 
@@ -312,3 +313,29 @@ def test_stats_match_brute_force():
         # each row summed on its own, as a separate array, bit for bit
         sums = [row.sum() for row in rows]
         assert [stats.rowsum_min, stats.rowsum_max] == [min(sums), max(sums)]
+
+
+def test_stats_row_sums_match_each_rows_own_sum_bit_for_bit():
+    rng = np.random.default_rng(34)
+    lengths = np.concatenate([
+        np.zeros(40, np.int64), rng.integers(1, 8, 300), np.full(40, 8),
+        rng.integers(9, 129, 600), rng.integers(129, 401, 600),
+    ])
+    rng.shuffle(lengths)
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    total = int(indptr[-1])
+    values = rng.standard_normal(total) * rng.choice([1e-3, 1.0, 1e5], total)
+    columns = np.arange(total) - np.repeat(indptr[:-1], lengths)
+    matrix = sparse.csr_matrix((values, columns, indptr), shape=(len(lengths), 400))
+    labels = np.ones(len(lengths), dtype=np.int64)
+    want = row_sums(matrix)
+    whole = polarity_stats(EncodedDataset(matrix, labels))
+    assert (whole.rowsum_min, whole.rowsum_max) == (want.min(), want.max())
+    # a one-row dataset's extrema are that row's sum
+    alone = np.array([
+        polarity_stats(EncodedDataset(matrix[i:i + 1], labels[i:i + 1])).rowsum_max
+        for i in range(len(lengths))
+    ])
+    assert alone.tobytes() == want.tobytes()
+    empty = polarity_stats(EncodedDataset(sparse.csr_matrix((5, 400)), labels[:5]))
+    assert (empty.rowsum_min, empty.rowsum_max) == (0.0, 0.0)

@@ -22,6 +22,7 @@ from oracles import (
     backward as oracle_backward,
     bce_mean,
     central_difference,
+    clamped_sigmoid,
     dense_forward,
     finite_difference_grad,
     l2_penalty,
@@ -206,6 +207,33 @@ def test_forward_non_finite_raises():
     model.weights[0][0] = np.inf
     with pytest.raises(DivergenceError):
         forward(model, rows([1.0], width=2))
+
+
+def cascade_prob(logits):
+    """``net.cascade``'s probabilities for the given logits, fed through one
+    width-1 layer whose bias of -0.0 leaves every value, -0.0 too, unchanged."""
+    model = zero_model(1)
+    model.biases[0][:] = -0.0
+    return net.cascade(model, np.asarray(logits, dtype=np.float64)[:, None]).prob
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, f"{differ.size} differ, first at {got[differ[:1]]} vs {want[differ[:1]]}"
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 10.0, 30.0, 700.0])
+def test_sigmoid_matches_expit_bit_for_bit(scale):
+    logits = np.random.default_rng(41).standard_normal(10**6) * scale
+    assert_same_bits(cascade_prob(logits), clamped_sigmoid(logits))
+
+
+def test_sigmoid_matches_expit_at_the_edges():
+    edges = [0.0, 5e-324, 709.0, 709.79, 745.2, 1.7e308]
+    logits = np.array(edges + [-x for x in edges])
+    assert np.signbit(logits[len(edges)])  # -0.0 is in the list
+    assert_same_bits(cascade_prob(logits), clamped_sigmoid(logits))
 
 
 def test_first_layer_rows_do_not_depend_on_the_slice():
