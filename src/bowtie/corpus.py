@@ -7,8 +7,8 @@ counts over a dense vocabulary (a row per review) plus a label array; a
 canonical ``label<TAB>idx:count ...`` format makes everything downstream
 source-agnostic.  Record files are read whole and scanned in file order, in
 blocks of whole lines, by one array-op scanner on the calling thread that
-writes each block into its place in arrays allocated once, the indices at
-scipy's final dtype (int32 when it fits), and stops at the first bad line.
+fills arrays sized once from the file's newline and mark counts, the indices
+at scipy's final dtype (int32 when it fits), and stops at the first bad line.
 The canonical format is written a block of rows at a time by array ops
 too; the README gives the line grammar each file accepts.
 """
@@ -20,7 +20,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -130,17 +129,16 @@ def _index_dtype(*bounds: int) -> type:
     return np.int32 if max(bounds) <= np.iinfo(np.int32).max else np.int64
 
 
-def _load_records(path, work, explain, bound: int, pairs: bool = True):
-    """Read record file ``path`` whole and scan it in blocks of whole lines.
+def _load_records(path, work, explain, width: int, marks: bytes):
+    """Read record file ``path`` whole, scan it in blocks of whole lines and
+    return its records' heads and their ``width``-column CSR matrix.
 
     ``work(block)`` returns the block's first line that breaks the format
     (its line count if none), its line count, then its records' heads,
-    indices, counts and sizes.  Returns the file's (heads, indices, counts,
-    sizes).  A valid block has a record per newline and, with ``pairs``, a
-    pair per colon, which place its slice of the arrays; otherwise the
-    blocks' indices and counts are joined at the end, the indices (below
-    ``bound`` in a valid block) at ``_index_dtype``.  Blocks are scanned in
-    file order, so the first bad line raises the DataError ``explain`` names.
+    indices, counts and sizes.  The arrays are sized once by the file's
+    newlines and ``marks`` bytes (one precedes each value a valid block
+    stores) and filled in file order; the first bad line raises the
+    DataError ``explain`` names before its block is placed.
     """
     try:
         data = Path(path).read_bytes()
@@ -150,30 +148,24 @@ def _load_records(path, work, explain, bound: int, pairs: bool = True):
         data += b"\n"
     raw, spans = np.frombuffer(data, np.uint8), list(_blocks(data))
 
-    def starts(byte: str) -> list[int]:
-        counts = (np.count_nonzero(raw[lo:hi] == ord(byte)) for lo, hi in spans)
-        return list(accumulate(counts, initial=0))
+    def total(byte: int) -> int:
+        return sum(np.count_nonzero(raw[lo:hi] == byte) for lo, hi in spans)
 
-    line_at = starts("\n")
-    pair_at = starts(":") if pairs else [0] * len(line_at)
-    heads, sizes = (np.empty(line_at[-1], np.int64) for _ in range(2))
-    indices = np.empty(pair_at[-1], _index_dtype(bound, line_at[-1], pair_at[-1]))
-    counts, parts = np.empty(pair_at[-1], np.int64), []
-    for block, (lo, hi) in enumerate(spans):
+    n_lines, n_marks = total(ord("\n")), sum(map(total, marks))
+    heads, counts = np.empty(n_lines, np.int64), np.empty(n_marks, np.int64)
+    indptr = np.zeros(n_lines + 1, _index_dtype(width, n_lines, n_marks))
+    indices = np.empty(n_marks, indptr.dtype)
+    line = cell = 0
+    for lo, hi in spans:
         first_bad, n, head, idx, cnt, size = work(data[lo:hi])
         if first_bad < n:
-            raise _record_error(path, data[lo:hi], line_at[block], first_bad, explain)
-        rows, cells = (slice(at[block], at[block + 1]) for at in (line_at, pair_at))
-        heads[rows], sizes[rows] = head, size
-        if pairs:
-            indices[cells], counts[cells] = idx, cnt
-        else:
-            parts.append((idx, cnt))
-    if parts:
-        idx, cnt = zip(*parts)
-        indices = np.concatenate(idx, dtype=_index_dtype(bound, heads.size, sum(map(len, idx))))
-        counts = np.concatenate(cnt)
-    return heads, indices, counts, sizes
+            raise _record_error(path, data[lo:hi], line, first_bad, explain)
+        heads[line : line + n] = head
+        indptr[line + 1 : line + n + 1] = cell + np.cumsum(size)
+        indices[cell : cell + idx.size], counts[cell : cell + idx.size] = idx, cnt
+        line, cell = line + n, cell + idx.size
+    matrix = sparse.csr_matrix((counts[:cell], indices[:cell], indptr), shape=(n_lines, width))
+    return heads, matrix
 
 
 def _scan(block: bytes, tab_after_head: bool, pairs: bool):
@@ -399,12 +391,6 @@ def _pairs_block(block: bytes, bound: int, tab_after_head: bool, bad_head):
     return bad, n_lines, head, idx, cnt, sizes
 
 
-def _csr(counts, indices, sizes, width: int) -> sparse.csr_matrix:
-    indptr = np.zeros(sizes.size + 1, dtype=indices.dtype)
-    np.cumsum(sizes, out=indptr[1:])
-    return sparse.csr_matrix((counts, indices, indptr), shape=(sizes.size, width))
-
-
 def _open_text(path: str | Path):
     try:
         return open(path, encoding="utf-8")
@@ -502,11 +488,10 @@ def load_slmrd_bow(path: str | Path, vocab: Vocabulary) -> Corpus:
     Ratings >= 7 become positive labels, <= 4 negative; 5 and 6 do not occur
     in the dataset by construction and are rejected loudly.
     """
-    ratings, indices, counts, sizes = _load_records(path, partial(
+    ratings, matrix = _load_records(path, partial(
         _pairs_block, bound=vocab.size, tab_after_head=False,
         bad_head=lambda r: (r > 10) | (r == 5) | (r == 6),
-    ), lambda text: _slmrd_error(text, vocab.size), vocab.size)
-    matrix = _csr(counts, indices, sizes, vocab.size)
+    ), lambda text: _slmrd_error(text, vocab.size), vocab.size, b":")
     return Corpus(matrix, (ratings >= 7).astype(np.int64))
 
 
@@ -520,19 +505,19 @@ def load_kid(
     The word-index file is a JSON object mapping token -> positive rank; the
     vocabulary index of a token is its position in rank order.  The sequence
     file holds one review per line as ``label<TAB>v1 v2 ...``; each stored
-    value v maps to token index ``v - index_offset``, and values below the
-    offset are reserved control codes that are dropped.
+    value v maps to token index ``v - index_offset``; values below the offset
+    are reserved control codes that are dropped.  The matrix holds views into
+    arrays sized by the file's value count (scipy copies them if half empty).
     """
     vocab = Vocabulary(_word_index_tokens(word_index_path))
 
-    labels, indices, counts, sizes = _load_records(
+    labels, matrix = _load_records(
         sequences_path,
         partial(_kid_block, size=vocab.size, offset=index_offset),
         lambda text: _kid_error(text, vocab.size, index_offset),
-        vocab.size,
-        pairs=False,
+        vocab.size, b" \t\v\f",
     )
-    return vocab, Corpus(_csr(counts, indices, sizes, vocab.size), labels)
+    return vocab, Corpus(matrix, labels)
 
 
 def _kid_block(block: bytes, size: int, offset: int):
@@ -694,10 +679,10 @@ def load_corpus_file(path: str | Path, *, width: int, vocab_id=None, split=None)
     ``DataError`` naming the line.
     """
     # vocab_id and split are accepted and ignored: the benchmark worker still passes them
-    labels, indices, counts, sizes = _load_records(
+    labels, matrix = _load_records(
         path,
         partial(_pairs_block, bound=width, tab_after_head=True, bad_head=lambda label: label > 1),
         lambda text: _canonical_error(text, width),
-        width,
+        width, b":",
     )
-    return Corpus(_csr(counts, indices, sizes, width), labels)
+    return Corpus(matrix, labels)

@@ -23,7 +23,7 @@ from synth import token_list
 
 WIDTH = 40
 OFFSET = 3
-SPACES = [" ", " ", " ", "  ", "\t", " \t", "\v", "\f"]
+SPACES = [" ", " ", " ", "  ", "\t", " \t", "\v", "\f", "\t\v \f", "\f \t\v\v"]
 
 
 @pytest.fixture(params=[None, 1, 7, 64], ids=["default", "block1", "block7", "block64"])
@@ -124,12 +124,33 @@ def assert_same_corpus(got, want):
 
 LINES = {"canonical": canonical_lines, "slmrd": slmrd_lines, "kid": kid_lines}
 
+# Records at the edges of the arrays' sizing.  The first of each format
+# stores a value after every byte that sizes them, but a kid label's tab, so
+# a file of it alone fills them; in the rest, whitespace runs, control codes,
+# repeated tokens and empty bodies leave far fewer stored pairs than bytes.
+EDGES = {
+    "canonical": ["1\t3:1 4:2\t5:1\v6:1\f7:1", "0\t", "1\t\t\v \f3:1\f \t\v\v0:2 \t"],
+    "slmrd": ["7 3:1\t5:1\v6:1\f7:1", "7\t\v \f3:1\f \t\v\v0:2", " \f 10\v39:1"],
+    "kid": ["1\t5 6\t7\v8\f9", "1\t", "0\t0 1 2 \t\v\f 2 1", "1\t7 7\t\v7 \f 0007",
+            "0\t\f\v 9 \t4 9 \v\f0"],
+}
+
+
+def with_edges(rng, lines, fmt):
+    """``lines`` with each of the format's edge records put in at random."""
+    for line in EDGES[fmt]:
+        lines.insert(int(rng.integers(len(lines) + 1)), line)
+    return lines
+
 
 @pytest.mark.parametrize("fmt", sorted(LINES))
 def test_valid_files_match_the_reference(tmp_path, block_bytes, fmt):
     for seed in range(25):
         rng = np.random.default_rng([seed, len(fmt)])
-        text = file_text(rng, LINES[fmt](rng, int(rng.integers(0, 12))))
+        lines = LINES[fmt](rng, int(rng.integers(0, 12)))
+        if seed % 2:
+            lines = with_edges(rng, lines, fmt)
+        text = file_text(rng, lines if seed else EDGES[fmt][:1] * 5)
         package, reference = loaders(fmt, tmp_path, text)
         assert_same_corpus(package(), reference())
 
@@ -146,6 +167,7 @@ CORRUPT = {
         lambda line: line + " 7:0",
         lambda line: line + " 5:1 5:2",
         lambda line: "",
+        lambda line: line + " 1:2:3",
     ],
     "slmrd": [
         lambda line: "5 " + line,
@@ -157,6 +179,7 @@ CORRUPT = {
         lambda line: line + " 7:0",
         lambda line: line + " 5:1 5:2",
         lambda line: "  ",
+        lambda line: line + " 1:2:3",
     ],
     "kid": [
         lambda line: "2" + line[1:],
@@ -210,7 +233,7 @@ def tight(fmt, line):
 def test_the_usual_layout_loads_like_any_other(tmp_path, block_bytes, fmt):
     for seed in range(10):
         rng = np.random.default_rng([seed, 13])
-        lines = LINES[fmt](rng, int(rng.integers(1, 12)))
+        lines = with_edges(rng, LINES[fmt](rng, int(rng.integers(1, 12))), fmt)
         package, reference = loaders(fmt, tmp_path, "".join(tight(fmt, l) + "\n" for l in lines))
         usual = package()
         assert_same_corpus(usual, reference())
@@ -385,13 +408,19 @@ def test_bytes_that_are_not_utf8_are_a_data_error(tmp_path):
         load_corpus_file(path, width=WIDTH)
 
 
-def peak_load_bytes(path, width):
+def peak_load_bytes(load):
+    """The tracemalloc peak while ``load()`` runs, and what it returned."""
     tracemalloc.start()
     try:
-        loaded = load_corpus_file(path, width=width)
+        loaded = load()
         return tracemalloc.get_traced_memory()[1], loaded
     finally:
         tracemalloc.stop()
+
+
+def result_bytes(loaded):
+    m = loaded.counts
+    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes + loaded.labels.nbytes
 
 
 def test_load_memory_is_bounded_by_the_result_and_one_block(tmp_path, monkeypatch):
@@ -408,9 +437,8 @@ def test_load_memory_is_bounded_by_the_result_and_one_block(tmp_path, monkeypatc
     path = tmp_path / "many.corpus"
     size = path.stat().st_size
 
-    peak, loaded = peak_load_bytes(path, width)
-    m = loaded.counts
-    result = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes + loaded.labels.nbytes
+    peak, loaded = peak_load_bytes(lambda: load_corpus_file(path, width=width))
+    m, result = loaded.counts, result_bytes(loaded)
     # indices read as int64, then copied down to int32, would add 2.9 MB (22 blocks)
     bound = size + result + 30 * corpus._BLOCK_BYTES
     assert size > 4 * corpus._BLOCK_BYTES
@@ -418,4 +446,25 @@ def test_load_memory_is_bounded_by_the_result_and_one_block(tmp_path, monkeypatc
     assert m.indices.dtype == m.indptr.dtype == np.int32
     # the bound is tight enough that parsing the file as one block breaks it
     monkeypatch.setattr(corpus, "_BLOCK_BYTES", size + 1)
-    assert peak_load_bytes(path, width)[0] > bound
+    assert peak_load_bytes(lambda: load_corpus_file(path, width=width))[0] > bound
+
+
+def test_kid_load_memory_is_bounded_by_the_result_and_a_few_blocks(tmp_path):
+    """A kid file's values are placed once, in arrays sized by their count:
+    holding each block's pairs until they are joined would add 6 MB here."""
+    rng = np.random.default_rng(6)
+    width = 5000
+    wi = tmp_path / "wi.json"
+    wi.write_text(json.dumps({tok: i + 1 for i, tok in enumerate(token_list(width))}))
+    seq = tmp_path / "seq.tsv"
+    with open(seq, "w", encoding="utf-8") as fh:
+        for _ in range(6000):  # 60 distinct tokens a review, none a control code
+            values = rng.choice(width, size=60, replace=False) + OFFSET
+            fh.write(f"{int(rng.integers(2))}\t{' '.join(map(str, values.tolist()))}\n")
+    size = seq.stat().st_size
+
+    peak, (_, loaded) = peak_load_bytes(lambda: load_kid(wi, seq, OFFSET))
+    result = result_bytes(loaded)
+    assert size > 12 * corpus._BLOCK_BYTES
+    assert loaded.nnz == 6000 * 60
+    assert peak <= size + result + 30 * corpus._BLOCK_BYTES, peak - size - result
