@@ -1,20 +1,22 @@
 """First-order optimizers: sgd, rmsprop, adam, and nadam.
 
 One update rule applied uniformly to every weight matrix and bias vector;
-the moment accumulators live in MomentState.
+the moment accumulators live in MomentState, scaled so that a step adds the
+raw gradient.  The bias corrections, learning rate, ``1 - decay`` factors
+and epsilon fold into two scalars per step, so a chunk takes one divide.
 
 Each tensor is updated in place, in chunks of ``_CHUNK_ROWS`` rows.  A chunk
-is one pass of ufuncs that write with ``out=`` into three chunk-sized
-scratch buffers, so a step allocates the same 1.5 MB for a 16-column tensor
-however tall it is, and each chunk stays in cache while it is read and
-written.
-The floating-point operations and their order are those of the plain
-whole-tensor expressions (kept in ``tests/oracles.py`` as the reference), so
-the parameters and moments are bit-identical to them at any chunk size.
+is one pass of ufuncs that write with ``out=`` into two chunk-sized scratch
+buffers, so a step allocates the same 1 MB for a 16-column tensor however
+tall it is, and each chunk stays in cache while it is read and written.
+The operations and their order are those of the whole-tensor expressions in
+``tests/oracles.py``, so the results are bit-identical to them at any chunk
+size.  They round differently from the textbook formulas kept there too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +55,13 @@ class OptimizerSpec:
 
 @dataclass
 class MomentState:
-    """Per-parameter accumulators; zeros for freshly initialized runs."""
+    """Per-parameter accumulators; zeros for freshly initialized runs.
+
+    The moments are stored scaled: ``first`` is m / (1 - beta1) and
+    ``second`` is v / (1 - beta2), or v / (1 - rms_decay) for rmsprop.  The
+    textbook m and v are ``first * (1 - beta1)`` and ``second * (1 - beta2)``
+    (``1 - rms_decay``).  sgd leaves both untouched.
+    """
 
     first: list[np.ndarray] = field(default_factory=list)
     second: list[np.ndarray] = field(default_factory=list)
@@ -81,50 +89,40 @@ def _step_tensor(
 
     Returns whether every updated value of the tensor is finite.
     """
-    lr, kind = spec.learning_rate, spec.kind
+    lr, kind, b1 = spec.learning_rate, spec.kind, spec.beta1
     height = param.shape[0]
     rows = max(1, min(_CHUNK_ROWS, height))
-    scratch = [np.empty((rows,) + param.shape[1:], dtype=param.dtype) for _ in range(3)]
+    scratch = [np.empty((rows,) + param.shape[1:], dtype=param.dtype) for _ in range(2)]
     if kind == "rmsprop":
-        rho = spec.rms_decay
+        decay, correct2, k = spec.rms_decay, 1.0, lr
     else:
-        b1, b2 = spec.beta1, spec.beta2
-        correct1 = 1.0 - b1**t
-        correct2 = 1.0 - b2**t
+        decay, correct2, k = spec.beta2, 1.0 - spec.beta2**t, lr * (1.0 - b1) / (1.0 - b1**t)
+    # sqrt(v_hat) + eps == (sqrt(second) + e) / root: one array divide per chunk
+    root = math.sqrt(correct2 / (1.0 - decay))
+    k, e = k * root, spec.epsilon * root
     finite = True
     for lo in range(0, height, rows):
         hi = min(lo + rows, height)
         p, g, mc, w = param[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi]
-        a, b, c = (buf[: hi - lo] for buf in scratch)
+        a, b = (buf[: hi - lo] for buf in scratch)
         if kind == "sgd":
             np.multiply(g, lr, out=a)                  # lr * grad
-        elif kind == "rmsprop":
-            w *= rho
-            np.multiply(g, 1.0 - rho, out=a)
-            a *= g
-            w += a                                     # v = v*rho + (1-rho)*g*g
+        else:
+            w *= decay
+            np.multiply(g, g, out=b)
+            w += b                                     # second = decay*second + g*g
             np.sqrt(w, out=b)
-            b += spec.epsilon
-            np.multiply(g, lr, out=a)
-            a /= b                                     # lr*g / (sqrt(v) + eps)
-        else:  # adam and nadam share the moment estimates and bias corrections
-            np.multiply(g, 1.0 - b1, out=c)            # (1-b1)*g, reused by nadam
-            mc *= b1
-            mc += c
-            np.multiply(g, 1.0 - b2, out=b)
-            b *= g
-            w *= b2
-            w += b
-            np.divide(w, correct2, out=b)
-            np.sqrt(b, out=b)
-            b += spec.epsilon                          # sqrt(v_hat) + eps
-            np.divide(mc, correct1, out=a)             # m_hat
-            if kind == "nadam":  # folds the incoming gradient into the corrected momentum
-                a *= b1
-                c /= correct1
-                a += c                                 # b1*m_hat + (1-b1)*g/c1
-            a *= lr
-            a /= b                                     # lr*numerator / (sqrt(v_hat) + eps)
+            b += e
+            if kind != "rmsprop":
+                mc *= b1
+                mc += g                                # first = b1*first + g
+            if kind == "nadam":  # folds the incoming gradient into the momentum
+                np.multiply(mc, b1, out=a)
+                a += g
+                a /= b
+            else:
+                np.divide(g if kind == "rmsprop" else mc, b, out=a)
+            a *= k
         p -= a
         finite = finite and bool(np.isfinite(p).all())
     return finite

@@ -16,12 +16,15 @@ formula; the package's chunked step must match it bit for bit.  So must the
 package's backward pass, which adds the L2 term in place in row chunks, match
 ``backward`` with its whole-array sum, and the package's ``evaluate``, which
 takes the sparse first-layer product once per dataset, match ``evaluate``,
-which runs the package's forward pass on each sliced batch.
+which runs the package's forward pass on each sliced batch.  The textbook
+optimizer step on unscaled moments is kept too, to bound how far the scaled
+step rounds from it.
 ``clamped_sigmoid`` is scipy's ``expit``, which the package no longer
 imports; the package's sigmoid must match it bit for bit.
 """
 
 import json
+import math
 
 import numpy as np
 from scipy import sparse
@@ -188,7 +191,39 @@ def evaluate(model, dataset, batch_size=512):
 
 
 def step_tensor(spec, param, grad, m, v, t):
-    """Update one tensor in place; m and v mutate for the stateful kinds."""
+    """Update one tensor in place; m and v mutate for the stateful kinds.
+
+    The package's scaled-moment step: m holds m / (1 - beta1) and v holds
+    v / (1 - decay), and the step's scalars are folded into k and e.
+    """
+    lr = spec.learning_rate
+    if spec.kind == "sgd":
+        param -= lr * grad
+        return
+    if spec.kind == "rmsprop":
+        decay, correct2, k = spec.rms_decay, 1.0, lr
+    else:
+        b1, decay = spec.beta1, spec.beta2
+        correct2, k = 1.0 - decay**t, lr * (1.0 - b1) / (1.0 - b1**t)
+    root = math.sqrt(correct2 / (1.0 - decay))
+    k, e = k * root, spec.epsilon * root
+    v *= decay
+    v += grad * grad
+    denom = np.sqrt(v) + e
+    if spec.kind == "rmsprop":
+        param -= grad / denom * k
+        return
+    m *= b1
+    m += grad
+    if spec.kind == "adam":
+        param -= m / denom * k
+    else:  # nadam folds the incoming gradient into the momentum
+        param -= (m * b1 + grad) / denom * k
+
+
+def textbook_step_tensor(spec, param, grad, m, v, t):
+    """The textbook formulas on unscaled moments; they round differently
+    from ``step_tensor``."""
     lr = spec.learning_rate
     if spec.kind == "sgd":
         param -= lr * grad
