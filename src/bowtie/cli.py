@@ -13,6 +13,7 @@ thread-count environment variables before numpy loads.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -474,7 +475,7 @@ def cmd_prepare(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_vocab(vocab, out / "vocab.txt")
         with replacing(out / "polarity.txt", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(map(repr, polarity.ratings.tolist())) + "\n")
+            fh.write("\n".join(map(repr, polarity.tolist())) + "\n")
         print(f"dataset=slmrd vocab={vocab.size}")
         for split, corpus in splits.items():
             save_corpus_file(corpus, out / f"{split}.corpus")
@@ -496,21 +497,26 @@ def cmd_prepare(args) -> int:
     return EXIT_OK
 
 
-def _metrics_rows(path: Path) -> list[list[str]]:
-    """CSV rows with the wall-time column removed (timings never replay)."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        try:
-            drop = header.index("seconds")
-        except ValueError:
-            drop = -1
-        for line in fh:
-            cells = line.rstrip("\n").split(",")
-            if drop >= 0:
-                del cells[drop]
-            rows.append(cells)
+def _metrics_rows(path: Path) -> list[dict]:
+    """metrics.csv as a {column: cell} dict per row, less the wall-time
+    column (timings never replay)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row.pop("seconds", None)
     return rows
+
+
+def _metrics_differences(recorded: list[dict], replayed: list[dict]) -> list[str]:
+    """A line naming the first cell that differs, with both values, or both row counts."""
+    if len(recorded) != len(replayed):
+        return [f"differs=metrics_rows recorded={len(recorded)} replayed={len(replayed)}"]
+    for old, new in zip(recorded, replayed):
+        for column in dict.fromkeys([*old, *new]):
+            if old.get(column) != new.get(column):
+                return [f"differs=metrics epoch={old.get('epoch')} column={column}"
+                        f" recorded={old.get(column)} replayed={new.get(column)}"]
+    return []
 
 
 def _replay_config(command: str, cfg: dict, manifest: Path) -> dict:
@@ -569,14 +575,20 @@ def cmd_replay(args) -> int:
     code = _run(command, cfg, out)
 
     recorded = artifacts.get("checkpoint_param_sha256")  # absent in older manifests
-    replayed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    match = recorded is None or recorded == replayed["artifacts"]["checkpoint_param_sha256"]
-    if match and rows is None:
+    replay = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    replayed = replay["artifacts"]["checkpoint_param_sha256"]
+    differs = [] if recorded in (None, replayed) else [
+        f"differs=checkpoint_param_sha256 recorded={recorded} replayed={replayed}"
+    ]
+    if rows is None and not differs:
         print("replay_match=unknown (original metrics file is gone)")
         return code
-    match = match and rows == _metrics_rows(out / "metrics.csv")
-    print(f"replay_match={1 if match else 0}")
-    return code if match else EXIT_VERDICT
+    if rows is not None:
+        differs += _metrics_differences(rows, _metrics_rows(out / "metrics.csv"))
+    for line in differs:
+        print(line)
+    print(f"replay_match={0 if differs else 1}")
+    return EXIT_VERDICT if differs else code
 
 
 def build_parser(environ=os.environ) -> argparse.ArgumentParser:

@@ -50,50 +50,36 @@ class Vocabulary:
         joined = "\n".join(self.tokens).encode("utf-8")
         return hashlib.sha256(joined).hexdigest()
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocabulary) and self.tokens == other.tokens
-
-    def __repr__(self) -> str:
-        return f"Vocabulary(size={self.size})"
-
-
-@dataclass
-class PolarityTable:
-    """Per-token sentiment ratings aligned index-for-index with a Vocabulary."""
-
-    ratings: np.ndarray  # float64, all finite
-
-    def __post_init__(self):
-        self.ratings = np.asarray(self.ratings, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return len(self.ratings)
-
 
 @dataclass(eq=False)  # matrices have no single truth value; compare rows instead
 class Corpus:
-    """Reviews as the rows of one token-count matrix plus one label per row.
+    """Reviews as the rows of one CSR matrix plus one label per row.
 
-    ``counts`` is an int64 CSR matrix of shape (reviews, width) whose rows
-    have sorted column indices, no duplicates and no stored zeros; every
-    vocabulary index a review uses is a column.  Encoding and remapping
-    rewrite it in place and delete it: the corpus keeps only its labels.
+    ``matrix`` has shape (reviews, width) and rows with sorted column
+    indices, no duplicates and no stored zeros.  Loaders fill it with int64
+    token counts, a column per vocabulary index; ``encode_corpus`` gives
+    float64 values.  Encoding and remapping rewrite it in place and delete
+    it: the corpus keeps only its labels.
     """
 
-    counts: sparse.csr_matrix = field(repr=False)  # gone once consumed
+    matrix: sparse.csr_matrix = field(repr=False)  # gone once consumed
     labels: np.ndarray  # int64, 0 or 1 per row
 
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __getattr__(self, name):  # reached for ``counts`` only once it is deleted
-        if name == "counts":
+    def __getattr__(self, name):  # reached for ``matrix`` only once it is deleted
+        if name == "matrix":
             raise ValueError("corpus was consumed by encoding or remapping; copy it first")
         raise AttributeError(name)
 
     @property
+    def width(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
     def nnz(self) -> int:
-        return self.counts.nnz
+        return self.matrix.nnz
 
     def label_counts(self) -> tuple[int, int]:
         """(negative, positive) totals."""
@@ -102,7 +88,7 @@ class Corpus:
 
     def take(self, rows) -> "Corpus":
         """The reviews at ``rows`` (an index array or a slice), in that order."""
-        return Corpus(self.counts[rows], self.labels[rows])
+        return Corpus(self.matrix[rows], self.labels[rows])
 
 
 # Loaders read a record file whole and scan it in blocks of whole lines of
@@ -446,8 +432,8 @@ def load_slmrd_vocab(path: str | Path) -> Vocabulary:
         ) from None
 
 
-def load_polarity(path: str | Path, vocab: Vocabulary) -> PolarityTable:
-    """Load one-rating-per-line polarity values aligned with ``vocab``.
+def load_polarity(path: str | Path, vocab: Vocabulary) -> np.ndarray:
+    """The float64 ratings of a one-rating-per-line file, aligned with ``vocab``.
 
     A rating is any text ``float()`` accepts, whitespace around it included,
     and must be finite.
@@ -465,7 +451,7 @@ def load_polarity(path: str | Path, vocab: Vocabulary) -> PolarityTable:
         raise DataError(
             f"{path}: {ratings.size} ratings for a vocabulary of {vocab.size} tokens"
         )
-    return PolarityTable(ratings)
+    return ratings
 
 
 def _rating_error(path: str | Path) -> DataError:
@@ -597,7 +583,7 @@ def save_corpus_file(corpus: Corpus, path: str | Path) -> None:
     0, or a dtype that is not an integer raises ``ValueError`` before the
     file is touched, since the loaders could not read it back.
     """
-    m = corpus.counts
+    m = corpus.matrix
     labels = _writable(corpus.labels, "label", path, high=1)
     indices = _writable(m.indices, "index", path)
     counts = _writable(m.data, "count", path, low=1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .corpus import Corpus, PolarityTable
+from .corpus import Corpus
 from .errors import DataError
 
 MULTI_HOT = "multi-hot"
@@ -26,23 +26,9 @@ ENCODING_KINDS = (MULTI_HOT, POLARITY_WEIGHTED)
 _CHUNK = 1 << 16
 
 
-@dataclass(eq=False)  # matrices have no single truth value; compare rows instead
-class EncodedDataset:
-    """Encoded reviews as the rows of one float64 CSR matrix, a label per row."""
-
-    matrix: sparse.csr_matrix
-    labels: np.ndarray  # int64, 0 or 1 per row
-
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
+# the benchmark's tracer (perfbench/spans.py) reads this old name when it
+# installs its spans; the name goes when that row of its table does
+EncodedDataset = Corpus
 
 
 @dataclass
@@ -56,18 +42,18 @@ class PolarityStats:
 
 
 def encode_corpus(
-    corpus: Corpus, kind: str, polarity: PolarityTable | None = None, *, width: int
-) -> EncodedDataset:
+    corpus: Corpus, kind: str, polarity: np.ndarray | None = None, *, width: int
+) -> Corpus:
     """Encode every review as a row ``width`` columns wide, keeping row order.
 
     multi-hot stores 1.0 at each distinct token index (counts ignored);
     polarity-weighted stores rating_k * count_k at index k and drops entries
     whose rating is exactly zero, which the encoding cannot distinguish from
-    absent tokens.  Its polarity table must be ``width`` long.
+    absent tokens.  Its polarity table is a float64 array of ``width`` ratings.
 
-    The result reuses the corpus's arrays (each int64 count becomes its
-    float64 value), so once the arguments check out the corpus is consumed,
-    even by a non-finite product; copy it first to keep it.
+    The result is a corpus of float64 values on the corpus's arrays (each
+    int64 count becomes its value), so once the arguments check out the
+    corpus is consumed, even by a non-finite product; copy it first to keep it.
     """
     if kind == POLARITY_WEIGHTED:
         if polarity is None:
@@ -78,20 +64,21 @@ def encode_corpus(
             )
     elif kind != MULTI_HOT:
         raise DataError(f"unknown encoding kind {kind!r}")
-    counts = corpus.counts
+    counts = corpus.matrix
     indices = counts.indices
     if indices.size and indices.max() >= width:
         raise DataError(
             f"bag index {int(indices[indices >= width][0])} outside encoding width {width}"
         )
-    del corpus.counts
+    del corpus.matrix
     values = counts.data.view(np.float64)  # each value overwrites its count
     if kind == MULTI_HOT:
         values.fill(1.0)
     else:
         for lo in range(0, len(values), _CHUNK):
-            chunk = polarity.ratings.take(indices[lo:lo + _CHUNK])
-            chunk *= counts.data[lo:lo + _CHUNK]  # exact for counts below 2**53
+            chunk = polarity.take(indices[lo:lo + _CHUNK])
+            with np.errstate(over="ignore"):  # an overflow is the DataError below
+                chunk *= counts.data[lo:lo + _CHUNK]  # exact for counts below 2**53
             finite = np.isfinite(chunk)
             if not finite.all():
                 bad = int(indices[lo:lo + _CHUNK][~finite][0])
@@ -99,10 +86,10 @@ def encode_corpus(
             values[lo:lo + _CHUNK] = chunk
     matrix = sparse.csr_matrix((values, indices, counts.indptr), shape=(len(corpus), width))
     matrix.eliminate_zeros()
-    return EncodedDataset(matrix, corpus.labels)
+    return Corpus(matrix, corpus.labels)
 
 
-def polarity_stats(dataset: EncodedDataset) -> PolarityStats:
+def polarity_stats(dataset: Corpus) -> PolarityStats:
     """Exact extrema over stored entry values and per-example stored-value sums.
 
     Examples with no stored entries contribute 0.0 to the row sums; if the

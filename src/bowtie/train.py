@@ -19,7 +19,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .encode import ENCODING_KINDS, EncodedDataset
+from .corpus import Corpus
+from .encode import ENCODING_KINDS
 from .errors import CheckpointError, DivergenceError, FingerprintError
 from .fileio import replacing
 from .net import (
@@ -85,7 +86,7 @@ class EvalResult:
 
 def evaluate(
     model: BowTieModel,
-    dataset: EncodedDataset,
+    dataset: Corpus,
     batch_size: int = 512,
 ) -> EvalResult:
     """Inference-mode mean bce and accuracy.
@@ -116,8 +117,8 @@ def evaluate(
 
 def train(
     model: BowTieModel,
-    train_data: EncodedDataset,
-    val_data: EncodedDataset | None,
+    train_data: Corpus,
+    val_data: Corpus | None,
     config: TrainConfig,
     log=None,
 ) -> tuple[BowTieModel, list[EpochMetrics]]:
@@ -158,11 +159,15 @@ def train(
                 raise DivergenceError(
                     f"epoch {epoch} batch {batch_index}: {exc}"
                 ) from exc
-        train_eval = evaluate(model, train_data, config.batch_size)
-        if val_data is not None:
-            val_eval = evaluate(model, val_data, config.batch_size)
-        else:
+        split = "training"
+        try:
+            train_eval = evaluate(model, train_data, config.batch_size)
+            split = "validation"
             val_eval = EvalResult(bce=float("nan"), accuracy=float("nan"), count=0)
+            if val_data is not None:
+                val_eval = evaluate(model, val_data, config.batch_size)
+        except DivergenceError as exc:
+            raise DivergenceError(f"epoch {epoch} {split} split: {exc}") from exc
         entry = EpochMetrics(
             epoch=epoch,
             train_bce=train_eval.bce,

@@ -17,7 +17,7 @@ from itertools import compress, repeat
 import numpy as np
 from scipy import sparse
 
-from .corpus import Corpus, PolarityTable, Vocabulary, _index_dtype
+from .corpus import Corpus, Vocabulary, _index_dtype
 from .encode import _CHUNK, PolarityStats, encode_corpus, polarity_stats
 from .fileio import replacing
 from .train import Checkpoint, EvalResult, check_fingerprint, evaluate
@@ -56,8 +56,8 @@ def remap_corpus(corpus: Corpus, vmap: VocabMap) -> Corpus:
     index their counts add.  A review can come out empty.  The result reuses
     the corpus's arrays, so the corpus is consumed; copy it first to keep it.
     """
-    counts = corpus.counts
-    del corpus.counts
+    counts = corpus.matrix
+    del corpus.matrix
     dtype = _index_dtype(vmap.target_size, len(corpus), counts.nnz)
     indices, data = counts.indices.astype(dtype, copy=False), counts.data
     mapping = vmap.mapping.astype(dtype)
@@ -88,7 +88,7 @@ def transfer_evaluate(
     source_corpus: Corpus,
     source_vocab: Vocabulary,
     target_vocab: Vocabulary,
-    polarity: PolarityTable | None = None,
+    polarity: np.ndarray | None = None,
     batch_size: int = 512,
 ) -> TransferReport:
     """Score a target-vocabulary checkpoint on a foreign corpus.

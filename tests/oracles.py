@@ -30,7 +30,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
-from bowtie.corpus import Corpus, PolarityTable, Vocabulary
+from bowtie.corpus import Corpus, Vocabulary
 from bowtie.errors import DataError
 from bowtie.net import forward, loss
 from bowtie.train import EvalResult
@@ -447,7 +447,7 @@ def load_polarity(path, vocab):
         raise DataError(
             f"{path}: {len(ratings)} ratings for a vocabulary of {vocab.size} tokens"
         )
-    return PolarityTable(np.array(ratings, dtype=np.float64))
+    return np.array(ratings, dtype=np.float64)
 
 
 # ------------------------------------------------------------ corpus writer
@@ -455,7 +455,7 @@ def load_polarity(path, vocab):
 
 def save_corpus_file(corpus, path):
     """Reference canonical writer: one f-string per pair."""
-    m = corpus.counts
+    m = corpus.matrix
     indptr = m.indptr.tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for row, label in enumerate(corpus.labels.tolist()):

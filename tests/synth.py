@@ -30,7 +30,7 @@ def corpus_from_rows(rows, labels, width):
 def copy_of(corpus):
     """An independent copy of ``corpus``, for a test that reads it again after
     encoding or remapping has consumed the original."""
-    return Corpus(corpus.counts.copy(), corpus.labels.copy())
+    return Corpus(corpus.matrix.copy(), corpus.labels.copy())
 
 
 def rows_of(matrix):
@@ -81,7 +81,7 @@ def write_slmrd_tree(root, tokens, ratings, train_corpus, test_corpus, seed=0):
             fh.write(f"{float(rating)!r}\n")
     for split, corpus in (("train", train_corpus), ("test", test_corpus)):
         with open(root / split / "labeledBow.feat", "w", encoding="utf-8", newline="\n") as fh:
-            for row, label in zip(rows_of(corpus.counts), corpus.labels):
+            for row, label in zip(rows_of(corpus.matrix), corpus.labels):
                 stars = int(rng.integers(7, 11)) if label else int(rng.integers(1, 5))
                 pairs = " ".join(f"{i}:{c}" for i, c in row)
                 fh.write(f"{stars} {pairs}\n")
@@ -95,7 +95,7 @@ def write_kid_tree(root, tokens, corpus, offset=3):
     word_index = {tok: i + 1 for i, tok in enumerate(tokens)}
     (root / "word_index.json").write_text(json.dumps(word_index), encoding="utf-8")
     with open(root / "sequences.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        for row, label in zip(rows_of(corpus.counts), corpus.labels):
+        for row, label in zip(rows_of(corpus.matrix), corpus.labels):
             values = [1]  # leading start-of-review control code
             for idx, count in row:
                 values.extend([idx + offset] * count)

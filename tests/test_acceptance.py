@@ -20,7 +20,6 @@ import pytest
 
 from bowtie.cli import main
 from bowtie.corpus import (
-    PolarityTable,
     Vocabulary,
     load_corpus_file,
     load_polarity,
@@ -281,7 +280,7 @@ def test_criterion_8_property_suite(tmp_path):
         corpus = corpus_from_rows([pairs], [label], width)
         hot = encode_corpus(copy_of(corpus), MULTI_HOT, width=width).matrix.toarray()[0]
         weighted = encode_corpus(
-            corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings), width=width
+            corpus, POLARITY_WEIGHTED, polarity=ratings, width=width
         ).matrix.toarray()[0]
         encoder_ok = (
             encoder_ok
@@ -332,13 +331,13 @@ def test_criterion_8_property_suite(tmp_path):
     # a repeated single-threaded run reproduces metrics and weights exactly
     ratings = rating_table(400, 24)
     train_set = encode_corpus(
-        planted_corpus(401, 90, ratings), POLARITY_WEIGHTED, polarity=PolarityTable(ratings),
+        planted_corpus(401, 90, ratings), POLARITY_WEIGHTED, polarity=ratings,
         width=24,
     )
     val_set = encode_corpus(
         planted_corpus(402, 40, ratings),
         POLARITY_WEIGHTED,
-        polarity=PolarityTable(ratings),
+        polarity=ratings,
         width=24,
     )
     outcomes = []

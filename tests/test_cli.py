@@ -392,7 +392,7 @@ def test_scenario_one_inputs_hold_two_copies_of_the_kid_corpus(tmp_path, monkeyp
         (tmp_path / "kid" / name).touch()
     monkeypatch.setattr(corpus_module, "load_slmrd_vocab", lambda path: Vocabulary(token_list(width)))
     monkeypatch.setattr(cli, "_corpus", lambda path, vocab: copy_of(template))
-    m = template.counts
+    m = template.matrix
     one_copy = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes + template.labels.nbytes
     tracemalloc.start()
     try:
@@ -406,7 +406,7 @@ def test_scenario_one_inputs_hold_two_copies_of_the_kid_corpus(tmp_path, monkeyp
     mixed = shuffle(template, 5)
     for got, want in ((train_c, mixed.take(slice(None, rows // 2))),
                       (val_c, mixed.take(slice(rows // 2, None)))):
-        assert (got.counts != want.counts).nnz == 0
+        assert (got.matrix != want.matrix).nnz == 0
         npt.assert_array_equal(got.labels, want.labels)
     assert kid is None
 
@@ -537,6 +537,28 @@ def test_train_divergence_exits_three(tmp_path, prepared, capsys):
     )
     assert code == 3
     assert "error=divergence" in capsys.readouterr().err
+
+
+def test_train_divergence_while_evaluating_names_epoch_and_split(tmp_path, prepared, capsys):
+    """100 more tokens rated 1.7e308, used by one validation row only, make
+    the epoch-end evaluate overflow the first layer."""
+    slmrd = prepared / "slmrd"
+    width = load_slmrd_vocab(slmrd / "vocab.txt").size
+    extra = [f"huge{i}" for i in range(100)]
+    vocab, polarity, val = tmp_path / "vocab.txt", tmp_path / "polarity.txt", tmp_path / "val.corpus"
+    vocab.write_text((slmrd / "vocab.txt").read_text(encoding="utf-8") + "\n".join(extra) + "\n",
+                     encoding="utf-8")
+    polarity.write_text((slmrd / "polarity.txt").read_text(encoding="utf-8") + "1.7e308\n" * 100,
+                        encoding="utf-8")
+    val.write_text("1\t" + " ".join(f"{width + i}:1" for i in range(100)) + "\n", encoding="utf-8")
+    code = main([
+        "train", "--train-corpus", str(slmrd / "train.corpus"), "--val-corpus", str(val),
+        "--vocab", str(vocab), "--polarity", str(polarity), "--encoding", "polarity-weighted",
+        "--out", str(tmp_path / "runs" / "diverge"), *FAST_FLAGS, "--epochs", "1",
+    ])
+    assert code == 3
+    detail = "epoch 1 validation split: non-finite activation in forward pass"
+    assert f'error=divergence detail="{detail}"' in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -844,6 +866,35 @@ def test_replay_detects_tampered_metrics(tmp_path, prepared, s3_run, capsys):
     assert "replay_match=0" in capsys.readouterr().out
 
 
+def test_replay_names_the_first_metrics_cell_that_differs(tmp_path, prepared, s3_run, capsys):
+    csv_path = s3_run / "metrics.csv"
+    rows = csv_path.read_text(encoding="utf-8").splitlines()
+    cells = rows[-1].split(",")
+    recorded, cells[4] = cells[4], "0.123456"  # the last epoch's val_acc
+    rows[-1] = ",".join(cells)
+    csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["replay", "--manifest", str(s3_run / "manifest.json"), "--out", str(tmp_path / "r7")]
+    assert main(argv) == 4
+    stdout = capsys.readouterr().out.splitlines()
+    assert stdout[-2:] == [
+        f"differs=metrics epoch={cells[0]} column=val_acc recorded=0.123456 replayed={recorded}",
+        "replay_match=0",
+    ]
+
+
+def test_replay_names_both_row_counts_when_they_differ(tmp_path, prepared, s3_run, capsys):
+    csv_path = s3_run / "metrics.csv"
+    rows = csv_path.read_text(encoding="utf-8").splitlines()
+    csv_path.write_text("\n".join(rows[:-1]) + "\n", encoding="utf-8")
+    argv = ["replay", "--manifest", str(s3_run / "manifest.json"), "--out", str(tmp_path / "r8")]
+    assert main(argv) == 4
+    stdout = capsys.readouterr().out.splitlines()
+    assert stdout[-2:] == [
+        f"differs=metrics_rows recorded={len(rows) - 2} replayed={len(rows) - 1}",
+        "replay_match=0",
+    ]
+
+
 def edit_manifest(path, edit):
     body = json.loads(path.read_text(encoding="utf-8"))
     edit(body)
@@ -886,7 +937,12 @@ def test_replay_detects_a_different_parameter_sha(tmp_path, prepared, s3_run, ca
         ["replay", "--manifest", str(s3_run / "manifest.json"), "--out", str(tmp_path / "r3")]
     )
     assert code == 4
-    assert capsys.readouterr().out.splitlines()[-1] == "replay_match=0"
+    replayed = json.loads((tmp_path / "r3" / "manifest.json").read_text(encoding="utf-8"))
+    sha = replayed["artifacts"]["checkpoint_param_sha256"]
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"differs=checkpoint_param_sha256 recorded={'0' * 64} replayed={sha}",
+        "replay_match=0",
+    ]
 
 
 def test_replay_without_parameter_sha_compares_metrics(tmp_path, prepared, s3_run, capsys):

@@ -69,7 +69,7 @@ def test_vocab_fingerprint_tracks_content_and_order():
 def test_polarity_parses_aligned_file(tmp_path):
     vocab = Vocabulary(["a", "b"])
     table = load_polarity(write(tmp_path / "er.txt", "0.5\n-1.25\n"), vocab)
-    npt.assert_array_equal(table.ratings, [0.5, -1.25])
+    npt.assert_array_equal(table, [0.5, -1.25])
     assert len(table) == 2
 
 
@@ -102,15 +102,15 @@ def test_bow_rating_seven_is_positive(tmp_path):
     vocab = Vocabulary(token_list(6))
     corpus = load_slmrd_bow(write(tmp_path / "f.feat", "10 0:2 5:1\n"), vocab)
     assert corpus.labels.tolist() == [1]
-    assert rows_of(corpus.counts) == [[(0, 2), (5, 1)]]
-    assert corpus.counts.shape == (1, 6)
+    assert rows_of(corpus.matrix) == [[(0, 2), (5, 1)]]
+    assert corpus.matrix.shape == (1, 6)
 
 
 def test_bow_rating_four_or_less_is_negative(tmp_path):
     vocab = Vocabulary(token_list(6))
     corpus = load_slmrd_bow(write(tmp_path / "f.feat", "1 3:4\n"), vocab)
     assert corpus.labels.tolist() == [0]
-    assert corpus.counts.sum() == 4
+    assert corpus.matrix.sum() == 4
 
 
 @pytest.mark.parametrize("rating", [5, 6])
@@ -130,7 +130,7 @@ def test_bow_rating_out_of_range(tmp_path):
 def test_bow_pairs_come_back_sorted(tmp_path):
     vocab = Vocabulary(token_list(8))
     corpus = load_slmrd_bow(write(tmp_path / "f.feat", "8 5:1 0:2 3:7\n"), vocab)
-    assert rows_of(corpus.counts) == [[(0, 2), (3, 7), (5, 1)]]
+    assert rows_of(corpus.matrix) == [[(0, 2), (3, 7), (5, 1)]]
 
 
 @pytest.mark.parametrize(
@@ -173,14 +173,14 @@ def test_kid_vocab_is_rank_ordered(tmp_path):
     wi, seq = kid_files(tmp_path, {"b": 2, "a": 1, "c": 3}, ["1\t3 4 5\n"])
     vocab, corpus = load_kid(wi, seq, index_offset=3)
     assert vocab.tokens == ["a", "b", "c"]
-    assert rows_of(corpus.counts) == [[(0, 1), (1, 1), (2, 1)]]
+    assert rows_of(corpus.matrix) == [[(0, 1), (1, 1), (2, 1)]]
 
 
 def test_kid_sequence_folds_to_counts(tmp_path):
     word_index = {tok: i + 1 for i, tok in enumerate(token_list(13))}
     wi, seq = kid_files(tmp_path, word_index, ["1\t7 7 12\n"])
     _, corpus = load_kid(wi, seq, index_offset=0)
-    assert rows_of(corpus.counts) == [[(7, 2), (12, 1)]]
+    assert rows_of(corpus.matrix) == [[(7, 2), (12, 1)]]
     assert corpus.labels.tolist() == [1]
 
 
@@ -188,7 +188,7 @@ def test_kid_values_below_offset_dropped(tmp_path):
     word_index = {tok: i + 1 for i, tok in enumerate(token_list(5))}
     wi, seq = kid_files(tmp_path, word_index, ["0\t0 1 2 3 3 4\n"])
     _, corpus = load_kid(wi, seq, index_offset=3)
-    assert rows_of(corpus.counts) == [[(0, 2), (1, 1)]]
+    assert rows_of(corpus.matrix) == [[(0, 2), (1, 1)]]
 
 
 def test_kid_rank_beyond_vocab_rejected(tmp_path):
@@ -226,7 +226,7 @@ def test_kid_roundtrip_through_tree_writer(tmp_path):
     vocab, loaded = load_kid(root / "word_index.json", root / "sequences.tsv", 3)
     assert vocab.tokens == token_list(30)
     assert len(loaded) == 40
-    assert rows_of(loaded.counts) == rows_of(corpus.counts)
+    assert rows_of(loaded.matrix) == rows_of(corpus.matrix)
     npt.assert_array_equal(loaded.labels, corpus.labels)
 
 
@@ -239,7 +239,7 @@ def test_shuffle_same_seed_same_order():
     a = shuffle(corpus, seed=99)
     b = shuffle(corpus, seed=99)
     npt.assert_array_equal(a.labels, b.labels)
-    assert rows_of(a.counts) == rows_of(b.counts)
+    assert rows_of(a.matrix) == rows_of(b.matrix)
 
 
 def test_shuffle_is_a_permutation():
@@ -248,7 +248,7 @@ def test_shuffle_is_a_permutation():
     shuffled = shuffle(corpus, seed=5)
     assert len(shuffled) == len(corpus)
     assert shuffled.label_counts() == corpus.label_counts()
-    key = lambda c: sorted(zip(c.labels.tolist(), rows_of(c.counts)))
+    key = lambda c: sorted(zip(c.labels.tolist(), rows_of(c.matrix)))
     assert key(shuffled) == key(corpus)
 
 
@@ -257,7 +257,7 @@ def test_shuffle_different_seeds_differ():
     corpus = planted_corpus(7, 80, ratings)
     a = shuffle(corpus, seed=1)
     b = shuffle(corpus, seed=2)
-    assert rows_of(a.counts) != rows_of(b.counts)
+    assert rows_of(a.matrix) != rows_of(b.matrix)
 
 
 def test_shuffle_empty_corpus():
@@ -277,7 +277,7 @@ def test_corpus_file_roundtrip(tmp_path):
         save_corpus_file(corpus, path)
         loaded = load_corpus_file(path, width=15)
         assert len(loaded) == len(corpus)
-        assert rows_of(loaded.counts) == rows_of(corpus.counts)
+        assert rows_of(loaded.matrix) == rows_of(corpus.matrix)
         npt.assert_array_equal(loaded.labels, corpus.labels)
 
 
@@ -291,7 +291,7 @@ def test_corpus_file_empty_bag_roundtrip(tmp_path):
     path = tmp_path / "empty.corpus"
     save_corpus_file(corpus_from_rows([[]], [0], width=3), path)
     loaded = load_corpus_file(path, width=3)
-    assert loaded.counts.shape == (1, 3)
+    assert loaded.matrix.shape == (1, 3)
     assert loaded.labels.tolist() == [0]
 
 
@@ -303,8 +303,8 @@ def test_corpus_file_ignores_the_benchmark_workers_keywords(tmp_path):
     plain = load_corpus_file(path, width=12)
     worker = load_corpus_file(path, vocab_id=Vocabulary(token_list(12)).fingerprint(),
                               split="train", width=12)
-    assert (worker.counts != plain.counts).nnz == 0 and (plain.counts != corpus.counts).nnz == 0
-    assert worker.counts.shape == (30, 12)
+    assert (worker.matrix != plain.matrix).nnz == 0 and (plain.matrix != corpus.matrix).nnz == 0
+    assert worker.matrix.shape == (30, 12)
     npt.assert_array_equal(worker.labels, corpus.labels)
 
 

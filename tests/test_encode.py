@@ -6,11 +6,10 @@ import pytest
 from scipy import sparse
 
 from bowtie import encode
-from bowtie.corpus import Corpus, PolarityTable, load_corpus_file, save_corpus_file
+from bowtie.corpus import Corpus, load_corpus_file, save_corpus_file
 from bowtie.encode import (
     MULTI_HOT,
     POLARITY_WEIGHTED,
-    EncodedDataset,
     encode_corpus,
     polarity_stats,
 )
@@ -64,7 +63,7 @@ def test_multi_hot_matches_dense_oracle():
     for _ in range(100):
         width = int(rng.integers(1, 51))
         corpus = random_corpus(rng, width, 10)
-        want = [dense_multi_hot(row, width) for row in rows_of(corpus.counts)]
+        want = [dense_multi_hot(row, width) for row in rows_of(corpus.matrix)]
         got = encode_corpus(corpus, MULTI_HOT, width=width).matrix.toarray()
         npt.assert_array_equal(got, np.reshape(want, (10, width)))
 
@@ -73,13 +72,13 @@ def test_multi_hot_matches_dense_oracle():
 
 
 def test_weighted_value_is_rating_times_count():
-    table = PolarityTable(np.array([0.0, 0.0, 0.0, -1.25]))
+    table = np.array([0.0, 0.0, 0.0, -1.25])
     ds = encode_corpus(bags([(3, 4)], width=4), POLARITY_WEIGHTED, polarity=table, width=4)
     assert rows_of(ds.matrix) == [[(3, -5.0)]]
 
 
 def test_weighted_drops_exact_zero_ratings():
-    table = PolarityTable(np.array([0.0, 2.0]))
+    table = np.array([0.0, 2.0])
     corpus = bags([(0, 3), (1, 1)], [(0, 1)], width=2)
     ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=table, width=2)
     assert rows_of(ds.matrix) == [[(1, 2.0)], []]
@@ -89,7 +88,7 @@ def test_weighted_drops_exact_zero_ratings():
 def test_weighted_equals_multi_hot_for_unit_ratings_and_counts():
     rng = np.random.default_rng(7)
     width = 30
-    table = PolarityTable(np.ones(width))
+    table = np.ones(width)
     corpus = random_corpus(rng, width, 50, max_count=1)
     weighted = encode_corpus(copy_of(corpus), POLARITY_WEIGHTED, polarity=table, width=width).matrix
     hot = encode_corpus(corpus, MULTI_HOT, width=width).matrix
@@ -97,14 +96,13 @@ def test_weighted_equals_multi_hot_for_unit_ratings_and_counts():
 
 
 def test_weighted_table_length_must_match_width():
-    table = PolarityTable(np.array([1.0, 2.0]))
+    table = np.array([1.0, 2.0])
     with pytest.raises(DataError, match="length 2"):
         encode_corpus(bags([(0, 1)], width=3), POLARITY_WEIGHTED, polarity=table, width=3)
 
 
 def test_weighted_rejects_non_finite_products():
-    table = PolarityTable.__new__(PolarityTable)
-    table.ratings = np.array([1.0, np.inf])
+    table = np.array([1.0, np.inf])
     with pytest.raises(DataError, match="non-finite"):
         encode_corpus(bags([(1, 2)], width=2), POLARITY_WEIGHTED, polarity=table, width=2)
 
@@ -116,8 +114,8 @@ def test_weighted_matches_dense_oracle():
         ratings = rng.normal(0, 2, width)
         ratings[rng.random(width) < 0.1] = 0.0  # force some dropped entries
         corpus = random_corpus(rng, width, 10)
-        want = [dense_polarity_weighted(row, ratings, width) for row in rows_of(corpus.counts)]
-        ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings), width=width)
+        want = [dense_polarity_weighted(row, ratings, width) for row in rows_of(corpus.matrix)]
+        ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=ratings, width=width)
         npt.assert_array_equal(ds.matrix.toarray(), np.reshape(want, (10, width)))
         assert ds.matrix.has_canonical_format
         assert not (ds.matrix.data == 0.0).any()
@@ -129,8 +127,7 @@ def test_weighted_matches_dense_oracle():
 def test_encode_corpus_preserves_order_and_labels():
     ratings = rating_table(3, 25)
     corpus = planted_corpus(4, 30, ratings)
-    table = PolarityTable(ratings)
-    for kind, kw in ((MULTI_HOT, {}), (POLARITY_WEIGHTED, {"polarity": table})):
+    for kind, kw in ((MULTI_HOT, {}), (POLARITY_WEIGHTED, {"polarity": ratings})):
         ds = encode_corpus(copy_of(corpus), kind, width=25, **kw)
         assert len(ds) == 30
         assert ds.width == 25
@@ -158,11 +155,10 @@ def test_sparsity_never_exceeds_distinct_tokens():
     width = 40
     ratings = rng.normal(0, 1, width)
     ratings[::4] = 0.0
-    table = PolarityTable(ratings)
     corpus = random_corpus(rng, width, 100)
-    distinct = np.diff(corpus.counts.indptr)
+    distinct = np.diff(corpus.matrix.indptr)
     hot = encode_corpus(copy_of(corpus), MULTI_HOT, width=width).matrix
-    weighted = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=table, width=width).matrix
+    weighted = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=ratings, width=width).matrix
     npt.assert_array_equal(np.diff(hot.indptr), distinct)
     assert (np.diff(weighted.indptr) <= distinct).all()
 
@@ -171,8 +167,8 @@ def test_encoded_matrix_matches_dense_rows():
     rng = np.random.default_rng(21)
     ratings = rng.normal(0, 1, 20)
     corpus = planted_corpus(22, 15, ratings)
-    rows = rows_of(corpus.counts)
-    ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings), width=20)
+    rows = rows_of(corpus.matrix)
+    ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=ratings, width=20)
     dense = ds.matrix.toarray()
     assert dense.shape == (15, 20)
     for row, pairs in zip(dense, rows):
@@ -201,7 +197,7 @@ def test_encode_in_place_keeps_only_chunk_sized_temporaries(kind):
     corpus = wide_corpus(rng)
     ratings = rng.normal(0, 1, 1000)
     ratings[::7] = 0.0
-    m = corpus.counts
+    m = corpus.matrix
     assert m.nnz >= 6 * encode._CHUNK
     if kind == MULTI_HOT:
         want = np.ones(m.nnz)
@@ -211,7 +207,7 @@ def test_encode_in_place_keeps_only_chunk_sized_temporaries(kind):
     want_indices, want_indptr = m.indices[keep], np.concatenate([[0], np.cumsum(keep)])[m.indptr]
     tracemalloc.start()
     try:
-        ds = encode_corpus(corpus, kind, polarity=PolarityTable(ratings), width=1000)
+        ds = encode_corpus(corpus, kind, polarity=ratings, width=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -227,10 +223,10 @@ def test_encoded_matrix_shares_the_loaded_corpus_buffers(tmp_path, kind):
     rng = np.random.default_rng(9)
     save_corpus_file(wide_corpus(rng, rows=500), tmp_path / "wide.corpus")
     corpus = load_corpus_file(tmp_path / "wide.corpus", width=1000)
-    counts, indices = corpus.counts.data, corpus.counts.indices
+    counts, indices = corpus.matrix.data, corpus.matrix.indices
     ratings = rng.normal(0, 1, 1000)
     ratings[::7] = 0.0
-    ds = encode_corpus(corpus, kind, polarity=PolarityTable(ratings), width=1000)
+    ds = encode_corpus(corpus, kind, polarity=ratings, width=1000)
     assert np.shares_memory(ds.matrix.data, counts)
     assert np.shares_memory(ds.matrix.indices, indices)
 
@@ -244,7 +240,7 @@ def test_a_consumed_corpus_raises_on_reuse():
     assert len(corpus) == 2 and corpus.labels.tolist() == [1, 1]
     assert repr(corpus).startswith("Corpus(")
     uses = (
-        lambda: corpus.counts,
+        lambda: corpus.matrix,
         lambda: corpus.nnz,
         lambda: corpus.take([0]),
         lambda: encode_corpus(corpus, MULTI_HOT, width=2),
@@ -254,11 +250,27 @@ def test_a_consumed_corpus_raises_on_reuse():
             use()
 
 
+def test_an_overflow_in_a_later_chunk_names_its_token_and_leaves_the_corpus_consumed():
+    """The chunks before the failing one are already rewritten, so the
+    corpus is consumed even though encoding raised."""
+    corpus = wide_corpus(np.random.default_rng(10), rows=1500)
+    assert corpus.nnz > 2 * encode._CHUNK
+    bad = encode._CHUNK + 5  # in the second chunk
+    token = int(corpus.matrix.indices[bad])
+    corpus.matrix.data[bad] = 10**9  # every other count is at most 8
+    ratings = np.ones(1000)
+    ratings[token] = 1e300  # 1e309 overflows; 8e300 does not
+    with pytest.raises(DataError, match=f"^non-finite cumulative polarity at token index {token}$"):
+        encode_corpus(corpus, POLARITY_WEIGHTED, polarity=ratings, width=1000)
+    with pytest.raises(ValueError, match="^corpus was consumed by encoding or remapping; copy it first$"):
+        corpus.matrix
+
+
 # --------------------------------------------------------------------- stats
 
 
 def test_stats_hand_example():
-    table = PolarityTable(np.array([2.0, -3.0]))
+    table = np.array([2.0, -3.0])
     ds = encode_corpus(
         bags([(0, 1), (1, 1)], width=2), POLARITY_WEIGHTED, polarity=table, width=2
     )
@@ -270,7 +282,7 @@ def test_stats_hand_example():
 
 
 def test_stats_empty_example_contributes_zero_rowsum():
-    table = PolarityTable(np.array([5.0]))
+    table = np.array([5.0])
     ds = encode_corpus(
         bags([(0, 1)], [], width=1, labels=[1, 0]), POLARITY_WEIGHTED, polarity=table, width=1
     )
@@ -304,7 +316,7 @@ def test_stats_match_brute_force():
         width = int(rng.integers(1, 30))
         ratings = rng.normal(0, 3, width)
         corpus = random_corpus(rng, width, int(rng.integers(1, 20)))
-        ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=PolarityTable(ratings), width=width)
+        ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=ratings, width=width)
         stats = polarity_stats(ds)
         rows = [np.array([v for _, v in row]) for row in rows_of(ds.matrix)]
         if ds.nnz:
@@ -329,13 +341,13 @@ def test_stats_row_sums_match_each_rows_own_sum_bit_for_bit():
     matrix = sparse.csr_matrix((values, columns, indptr), shape=(len(lengths), 400))
     labels = np.ones(len(lengths), dtype=np.int64)
     want = row_sums(matrix)
-    whole = polarity_stats(EncodedDataset(matrix, labels))
+    whole = polarity_stats(Corpus(matrix, labels))
     assert (whole.rowsum_min, whole.rowsum_max) == (want.min(), want.max())
     # a one-row dataset's extrema are that row's sum
     alone = np.array([
-        polarity_stats(EncodedDataset(matrix[i:i + 1], labels[i:i + 1])).rowsum_max
+        polarity_stats(Corpus(matrix[i:i + 1], labels[i:i + 1])).rowsum_max
         for i in range(len(lengths))
     ])
     assert alone.tobytes() == want.tobytes()
-    empty = polarity_stats(EncodedDataset(sparse.csr_matrix((5, 400)), labels[:5]))
+    empty = polarity_stats(Corpus(sparse.csr_matrix((5, 400)), labels[:5]))
     assert (empty.rowsum_min, empty.rowsum_max) == (0.0, 0.0)

@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from bowtie import optim
-from bowtie.corpus import PolarityTable, Vocabulary
+from bowtie.corpus import Vocabulary
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.net import ModelConfig, init_model
 from bowtie.optim import OptimizerSpec
@@ -31,7 +31,7 @@ def test_full_width_encode_train_and_transfer():
     slmrd_vocab, kid_vocab = Vocabulary(slmrd_tokens), Vocabulary(kid_tokens)
     ratings = rating_table(1, SLMRD_WIDTH)
     ratings[::13] = 0.0  # some tokens carry no polarity and drop out
-    polarity = PolarityTable(ratings)
+    polarity = ratings
     shape = {"max_distinct": 130, "max_count": 4}
     train_c = planted_corpus(2, 256, ratings, **shape)
     val_c = planted_corpus(3, 128, ratings, **shape)
@@ -78,7 +78,7 @@ def test_full_width_training_matches_the_oracle_step_bit_for_bit(
     """89 527 first-layer rows: 21 whole chunks of 4 096 and a ragged 3 511."""
     ratings = rating_table(1, SLMRD_WIDTH)
     corpus = planted_corpus(2, 256, ratings, max_distinct=130, max_count=4)
-    dataset = encode_corpus(corpus, encoding, polarity=PolarityTable(ratings), width=SLMRD_WIDTH)
+    dataset = encode_corpus(corpus, encoding, polarity=ratings, width=SLMRD_WIDTH)
     config = TrainConfig(
         optimizer=OptimizerSpec(kind=kind, learning_rate=lr), batch_size=64, max_epochs=epochs
     )

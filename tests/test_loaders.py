@@ -114,9 +114,9 @@ def loaders(fmt, tmp_path, text):
 
 
 def assert_same_corpus(got, want):
-    assert got.counts.shape == want.counts.shape
+    assert got.matrix.shape == want.matrix.shape
     for name in ("indptr", "indices", "data"):
-        a, b = getattr(got.counts, name), getattr(want.counts, name)
+        a, b = getattr(got.matrix, name), getattr(want.matrix, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert got.labels.dtype == want.labels.dtype
     assert np.array_equal(got.labels, want.labels)
@@ -349,9 +349,9 @@ def test_numbers_of_eighteen_digits_load(tmp_path):
     path.write_text(f"1\t{'9' * 18}:{'9' * 18} 00000000000000003:000000000000000001\n")
     # a width past int32 keeps the indices int64 while they are filled
     wide = load_corpus_file(path, width=10**18)
-    assert wide.counts.indices.dtype == wide.counts.indptr.dtype == np.int64
-    assert wide.counts.indices.tolist() == [3, 10**18 - 1]
-    assert wide.counts.data.tolist() == [1, 10**18 - 1]
+    assert wide.matrix.indices.dtype == wide.matrix.indptr.dtype == np.int64
+    assert wide.matrix.indices.tolist() == [3, 10**18 - 1]
+    assert wide.matrix.data.tolist() == [1, 10**18 - 1]
 
 
 # Lines the reference accepts, which the package rejects by design; the
@@ -419,7 +419,7 @@ def peak_load_bytes(load):
 
 
 def result_bytes(loaded):
-    m = loaded.counts
+    m = loaded.matrix
     return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes + loaded.labels.nbytes
 
 
@@ -438,7 +438,7 @@ def test_load_memory_is_bounded_by_the_result_and_one_block(tmp_path, monkeypatc
     size = path.stat().st_size
 
     peak, loaded = peak_load_bytes(lambda: load_corpus_file(path, width=width))
-    m, result = loaded.counts, result_bytes(loaded)
+    m, result = loaded.matrix, result_bytes(loaded)
     # indices read as int64, then copied down to int32, would add 2.9 MB (22 blocks)
     bound = size + result + 30 * corpus._BLOCK_BYTES
     assert size > 4 * corpus._BLOCK_BYTES

@@ -6,7 +6,6 @@ import pytest
 from scipy import sparse
 
 from bowtie import net
-from bowtie.corpus import PolarityTable
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.errors import DivergenceError
 from bowtie.net import (
@@ -420,7 +419,7 @@ def test_backward_bit_equal_to_whole_array_oracle(monkeypatch, encoding, activat
     through a training forward with dropout on an encoded batch."""
     width = 5000 if chunk_rows == 4096 else 60  # several chunks and a ragged last one
     ratings = rating_table(21, width)
-    table = PolarityTable(ratings) if encoding == POLARITY_WEIGHTED else None
+    table = ratings if encoding == POLARITY_WEIGHTED else None
     data = encode_corpus(
         planted_corpus(22, 300, ratings, max_distinct=40), encoding, polarity=table, width=width
     )

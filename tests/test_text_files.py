@@ -99,8 +99,8 @@ def test_polarity_file_matches_the_reference(tmp_path):
         if isinstance(want, str):
             assert got == want
         else:
-            assert got.ratings.dtype == want.ratings.dtype == np.float64
-            assert got.ratings.view(np.int64).tolist() == want.ratings.view(np.int64).tolist()
+            assert got.dtype == want.dtype == np.float64
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def _float_or_nan(text):

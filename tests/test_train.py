@@ -11,8 +11,8 @@ import numpy.testing as npt
 import pytest
 from scipy import sparse
 
-from bowtie.corpus import PolarityTable, Vocabulary
-from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, EncodedDataset, encode_corpus
+from bowtie.corpus import Corpus, Vocabulary
+from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.errors import CheckpointError, DivergenceError, FingerprintError
 from bowtie import net
 from bowtie.net import ModelConfig, init_model
@@ -30,7 +30,7 @@ from bowtie.train import (
 )
 import oracles
 from oracles import predict
-from synth import edit_checkpoint_manifest, planted_corpus, rating_table
+from synth import corpus_from_rows, edit_checkpoint_manifest, planted_corpus, rating_table
 
 
 WIDTH = 30
@@ -38,17 +38,16 @@ WIDTH = 30
 
 def subset(dataset, rows):
     """The dataset rows at ``rows``, in that order."""
-    return EncodedDataset(dataset.matrix[rows], dataset.labels[rows])
+    return Corpus(dataset.matrix[rows], dataset.labels[rows])
 
 
 def encoded_split(seed, n_train=120, n_val=60, width=WIDTH):
     ratings = rating_table(seed, width)
-    table = PolarityTable(ratings)
     train_set = encode_corpus(
-        planted_corpus(seed + 1, n_train, ratings), POLARITY_WEIGHTED, polarity=table, width=width
+        planted_corpus(seed + 1, n_train, ratings), POLARITY_WEIGHTED, polarity=ratings, width=width
     )
     val_set = encode_corpus(
-        planted_corpus(seed + 2, n_val, ratings), POLARITY_WEIGHTED, polarity=table, width=width
+        planted_corpus(seed + 2, n_val, ratings), POLARITY_WEIGHTED, polarity=ratings, width=width
     )
     return train_set, val_set
 
@@ -219,6 +218,20 @@ def test_divergence_reports_epoch_and_batch():
         train(fresh_model(seed=12), train_set, val_set, cfg, log=False)
 
 
+def test_divergence_while_evaluating_names_epoch_and_split():
+    """One validation row of 100 tokens rated 1.7e308, which no training row
+    uses, trains fine and overflows the first layer in the epoch-end evaluate."""
+    width = WIDTH + 100
+    ratings = np.concatenate([rating_table(12, WIDTH), np.full(100, 1.7e308)])
+    train_set = encode_corpus(planted_corpus(13, 120, ratings[:WIDTH]), POLARITY_WEIGHTED,
+                              polarity=ratings, width=width)
+    row = corpus_from_rows([[(i, 1) for i in range(WIDTH, width)]], [1], width)
+    val_set = encode_corpus(row, POLARITY_WEIGHTED, polarity=ratings, width=width)
+    message = "^epoch 1 validation split: non-finite activation in forward pass$"
+    with pytest.raises(DivergenceError, match=message):
+        train(fresh_model(width, seed=12), train_set, val_set, quick_config(), log=False)
+
+
 def test_epoch_lines_written_to_log():
     train_set, val_set = encoded_split(13)
     sink = io.StringIO()
@@ -297,7 +310,7 @@ def oracle_case(encoding, activation, hidden, seed, n=1100, width=200):
     weighted so heavily that some probabilities reach the clamp."""
     ratings = rating_table(seed, width)
     corpus = planted_corpus(seed + 1, n, ratings, max_distinct=40)
-    table = PolarityTable(ratings) if encoding == POLARITY_WEIGHTED else None
+    table = ratings if encoding == POLARITY_WEIGHTED else None
     data = encode_corpus(corpus, encoding, polarity=table, width=width)
     model = fresh_model(width, seed=seed, hidden_widths=hidden, activation=activation)
     rng = np.random.default_rng(seed)
@@ -348,9 +361,8 @@ def test_evaluate_rejects_empty_dataset():
 
 def test_perfect_separator_scores_one():
     ratings = rating_table(20, WIDTH)
-    table = PolarityTable(ratings)
     data = encode_corpus(
-        planted_corpus(21, 80, ratings), POLARITY_WEIGHTED, polarity=table, width=WIDTH
+        planted_corpus(21, 80, ratings), POLARITY_WEIGHTED, polarity=ratings, width=WIDTH
     )
     model = fresh_model(seed=20, hidden_widths=(1,))
     model.weights[0][:, 0] = 50.0  # the row sum of a weighted row is the planted score
@@ -611,7 +623,7 @@ def test_a_training_step_holds_one_gradient():
     rng = np.random.default_rng(4)
     n = 1024
     x = sparse.random(n, 89_527, density=40 / 89_527, format="csr", random_state=5)
-    data = EncodedDataset(x, rng.integers(0, 2, n))
+    data = Corpus(x, rng.integers(0, 2, n))
     config = TrainConfig(optimizer=OptimizerSpec(kind="sgd"), batch_size=256, max_epochs=1)
     peak, _ = peak_bytes(lambda: train(model, data, None, config, log=False))
     params = parameter_bytes(model)

@@ -8,7 +8,7 @@ from scipy import sparse
 
 import oracles
 from bowtie import encode
-from bowtie.corpus import Corpus, PolarityTable, Vocabulary
+from bowtie.corpus import Corpus, Vocabulary
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.errors import DataError, FingerprintError
 from bowtie.net import ModelConfig, init_model
@@ -129,8 +129,8 @@ def test_remap_rewrites_indices():
     target = Vocabulary(["c", "a"])
     vmap = build_vocab_map(source, target)
     out = remap_corpus(bag([(0, 2), (1, 5), (2, 1)]), vmap)
-    assert rows_of(out.counts) == [[(0, 1), (1, 2)]]  # c -> 0, a -> 1
-    assert out.counts.shape == (1, 2)
+    assert rows_of(out.matrix) == [[(0, 1), (1, 2)]]  # c -> 0, a -> 1
+    assert out.matrix.shape == (1, 2)
     assert out.labels.tolist() == [1]
 
 
@@ -143,14 +143,14 @@ def test_remap_merges_colliding_counts():
         target_size=2,
     )
     out = remap_corpus(bag([(0, 2), (1, 3), (2, 4)]), vmap)
-    assert rows_of(out.counts) == [[(0, 5), (1, 4)]]
-    assert out.counts.has_canonical_format
+    assert rows_of(out.matrix) == [[(0, 5), (1, 4)]]
+    assert out.matrix.has_canonical_format
 
 
 def test_remap_can_empty_a_bag():
     vmap = build_vocab_map(Vocabulary(["a"]), Vocabulary(["b"]))
     out = remap_corpus(bag([(0, 7)], width=1), vmap)
-    assert rows_of(out.counts) == [[]]
+    assert rows_of(out.matrix) == [[]]
     assert out.labels.tolist() == [1]
 
 
@@ -165,12 +165,12 @@ def test_remap_preserves_total_mass_minus_dropped():
         indices = np.sort(rng.choice(40, size=k, replace=False)).astype(np.int64)
         counts = rng.integers(1, 6, size=k).astype(np.int64)
         original = bag(list(zip(indices, counts)), label=0, width=40)
-        total = original.counts.sum()
+        total = original.matrix.sum()
         out = remap_corpus(original, vmap)
         dropped_mass = sum(
             int(c) for i, c in zip(indices, counts) if vmap.mapping[i] < 0
         )
-        assert out.counts.sum() == total - dropped_mass
+        assert out.matrix.sum() == total - dropped_mass
 
 
 def test_remap_corpus_keeps_order_and_labels():
@@ -178,10 +178,10 @@ def test_remap_corpus_keeps_order_and_labels():
     corpus = planted_corpus(4, 10, ratings)
     vocab = Vocabulary(token_list(12))
     vmap = build_vocab_map(vocab, vocab)
-    rows = rows_of(corpus.counts)
+    rows = rows_of(corpus.matrix)
     out = remap_corpus(corpus, vmap)
     npt.assert_array_equal(out.labels, corpus.labels)
-    assert rows_of(out.counts) == rows
+    assert rows_of(out.matrix) == rows
 
 
 def test_remap_keeps_no_int64_array_per_stored_entry():
@@ -203,7 +203,7 @@ def test_remap_keeps_no_int64_array_per_stored_entry():
     data, entries = counts.data, counts.nnz
     tracemalloc.start()
     try:
-        out = remap_corpus(Corpus(counts, rng.integers(0, 2, rows)), vmap).counts
+        out = remap_corpus(Corpus(counts, rng.integers(0, 2, rows)), vmap).matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -218,7 +218,7 @@ def test_remap_consumes_its_corpus():
     vocab = Vocabulary(["a", "b", "c"])
     corpus = bag([(0, 2), (2, 1)])
     out = remap_corpus(corpus, build_vocab_map(vocab, vocab))
-    assert rows_of(out.counts) == [[(0, 2), (2, 1)]]
+    assert rows_of(out.matrix) == [[(0, 2), (2, 1)]]
     assert len(corpus) == 1
     with pytest.raises(ValueError, match="consumed"):
         remap_corpus(corpus, build_vocab_map(vocab, vocab))
@@ -247,7 +247,7 @@ def test_reencode_applies_target_polarity_to_merged_counts():
     source = Vocabulary(["a"])
     target = Vocabulary(["pad", "a"])
     vmap = build_vocab_map(source, target)
-    polarity = PolarityTable(np.array([9.0, 0.5]))
+    polarity = np.array([9.0, 0.5])
     ds = reencode(bag([(0, 2)], width=1), vmap, polarity)
     assert ds.width == 2
     assert rows_of(ds.matrix) == [[(1, 1.0)]]  # 0.5 rating x count 2
@@ -256,12 +256,12 @@ def test_reencode_applies_target_polarity_to_merged_counts():
 def test_reencode_rejects_misaligned_polarity():
     vmap = build_vocab_map(Vocabulary(["a"]), Vocabulary(["a", "b"]))
     with pytest.raises(DataError, match="length"):
-        reencode(bag([(0, 1)], width=1), vmap, PolarityTable(np.array([1.0])))
+        reencode(bag([(0, 1)], width=1), vmap, np.array([1.0]))
 
 
 def test_reencode_keeps_empty_rows():
     vmap = build_vocab_map(Vocabulary(["gone"]), Vocabulary(["kept"]))
-    ds = reencode(bag([(0, 3)], label=0, width=1), vmap, PolarityTable(np.array([2.0])))
+    ds = reencode(bag([(0, 3)], label=0, width=1), vmap, np.array([2.0]))
     assert len(ds) == 1
     assert ds.nnz == 0
 
@@ -279,11 +279,11 @@ def shared_vocab_setup(seed=5, shared=24, extra_source=4, extra_target=6):
     ratings = rating_table(seed, target_vocab.size)
     # keep the planted signal inside the shared region
     ratings[:extra_target] = 0.0
-    return source_vocab, target_vocab, PolarityTable(ratings)
+    return source_vocab, target_vocab, ratings
 
 
 def trained_target_model(target_vocab, polarity, seed=6, epochs=12):
-    ratings = np.asarray(polarity.ratings)
+    ratings = polarity
     corpus = planted_corpus(seed, 400, ratings)
     data = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=polarity, width=target_vocab.size)
     cfg = ModelConfig(
@@ -310,7 +310,7 @@ def source_corpus_on(source_vocab, target_vocab, polarity, seed=7, size=200):
     for i, token in enumerate(source_vocab.tokens):
         j = lookup.get(token)
         if j is not None:
-            aligned[i] = polarity.ratings[j]
+            aligned[i] = polarity[j]
     return planted_corpus(seed, size, aligned)
 
 

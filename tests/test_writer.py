@@ -128,9 +128,9 @@ def test_written_file_loads_back_equal(tmp_path, write_pairs):
         rows.append(list(zip(indices.tolist(), rng.integers(1, 10**12, size=k).tolist())))
     c = make_corpus(rows, rng.integers(0, 2, size=40))
     save_corpus_file(c, tmp_path / "round.corpus")
-    loaded = load_corpus_file(tmp_path / "round.corpus", width=c.counts.shape[1])
+    loaded = load_corpus_file(tmp_path / "round.corpus", width=c.matrix.shape[1])
     for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(loaded.counts, name), getattr(c.counts, name))
+        assert np.array_equal(getattr(loaded.matrix, name), getattr(c.matrix, name))
     assert np.array_equal(loaded.labels, c.labels)
 
 
@@ -147,7 +147,7 @@ def refused(c, tmp_path, match):
 @pytest.mark.parametrize("what", ["label", "index", "count"])
 def test_negative_values_raise_before_writing(tmp_path, what):
     c = make_corpus([[(3, 1), (4, 2)]], [1])
-    target = {"label": c.labels, "index": c.counts.indices, "count": c.counts.data}[what]
+    target = {"label": c.labels, "index": c.matrix.indices, "count": c.matrix.data}[what]
     target[-1] = -5
     refused(c, tmp_path, f"cannot write negative {what} -5")
 
@@ -158,7 +158,7 @@ def test_negative_values_raise_before_writing(tmp_path, what):
 ])
 def test_values_the_loaders_reject_raise_before_writing(tmp_path, what, value):
     c = make_corpus([[(3, 1), (4, 2)]], [1])
-    {"label": c.labels, "index": c.counts.indices, "count": c.counts.data}[what][-1] = value
+    {"label": c.labels, "index": c.matrix.indices, "count": c.matrix.data}[what][-1] = value
     # the one-pair-at-a-time reference writes the value, and the loader refuses it
     oracles.save_corpus_file(c, tmp_path / "reference.corpus")
     with pytest.raises(DataError):
@@ -173,9 +173,9 @@ def test_values_the_loaders_reject_raise_before_writing(tmp_path, what, value):
 def test_dtypes_that_are_not_int64_values_raise_before_writing(tmp_path, what, dtype, names):
     c = make_corpus([[(3, 1), (4, 2)]], [1])
     if what == "count":
-        c.counts.data = c.counts.data.astype(dtype)
+        c.matrix.data = c.matrix.data.astype(dtype)
     else:
-        c.counts.indices = c.counts.indices.astype(dtype)
+        c.matrix.indices = c.matrix.indices.astype(dtype)
     refused(c, tmp_path, f"cannot write {names} of dtype {np.dtype(dtype)}$")
 
 
