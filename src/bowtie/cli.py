@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from functools import partial
 from pathlib import Path
 
 from .errors import DataError, DivergenceError
-from .fileio import replacing
+from .fileio import read_text, replacing
 
 ENV_PREFIX = "BOWTIE_"
 
@@ -500,8 +501,7 @@ def cmd_prepare(args) -> int:
 def _metrics_rows(path: Path) -> list[dict]:
     """metrics.csv as a {column: cell} dict per row, less the wall-time
     column (timings never replay)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = list(csv.DictReader(io.StringIO(read_text(path))))
     for row in rows:
         row.pop("seconds", None)
     return rows
@@ -554,14 +554,12 @@ def cmd_replay(args) -> int:
         raise ValueError("replay requires --manifest")
     manifest_path = Path(args.manifest)
     try:
-        body = json.loads(manifest_path.read_text(encoding="utf-8"))
+        body = json.loads(read_text(manifest_path))
         command = body["command"]
         cfg = body["config"]
         artifacts = body["artifacts"]
         if not isinstance(cfg, dict) or not isinstance(artifacts, dict):
             raise TypeError("config and artifacts must be JSON objects")
-    except OSError as exc:
-        raise DataError(f"cannot read {manifest_path}: {exc}") from exc
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{manifest_path}: malformed manifest: {exc}") from exc
     if command not in ("scenario", "train"):
@@ -575,7 +573,7 @@ def cmd_replay(args) -> int:
     code = _run(command, cfg, out)
 
     recorded = artifacts.get("checkpoint_param_sha256")  # absent in older manifests
-    replay = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    replay = json.loads(read_text(out / "manifest.json"))
     replayed = replay["artifacts"]["checkpoint_param_sha256"]
     differs = [] if recorded in (None, replayed) else [
         f"differs=checkpoint_param_sha256 recorded={recorded} replayed={replayed}"

@@ -5,12 +5,14 @@ per-line polarity ratings, ``rating idx:count ...`` bag-of-words lines) and
 the Keras-style integer-sequence distribution into one CSR matrix of token
 counts over a dense vocabulary (a row per review) plus a label array; a
 canonical ``label<TAB>idx:count ...`` format makes everything downstream
-source-agnostic.  Record files are read whole and scanned in file order, in
-blocks of whole lines, by one array-op scanner on the calling thread that
-fills arrays sized once from the file's newline and mark counts, the indices
-at scipy's final dtype (int32 when it fits), and stops at the first bad line.
-The canonical format is written a block of rows at a time by array ops
-too; the README gives the line grammar each file accepts.
+source-agnostic.  Every input is read whole in one read (``fileio``) and a
+failure is explained from the bytes read, so a pipe loads like a file.
+Record files are scanned in file order, in blocks of whole lines, by one
+array-op scanner on the calling thread that fills arrays sized once from
+the file's newline and mark counts, the indices at scipy's final dtype
+(int32 when it fits), and stops at the first bad line.  The canonical
+format is written a block of rows at a time by array ops too; the README
+gives the line grammar each file accepts.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DataError
-from .fileio import replacing
+from .fileio import read_bytes, read_text, replacing
 from .rngseed import derive_rng
 
 
@@ -126,10 +128,7 @@ def _load_records(path, work, explain, width: int, marks: bytes):
     stores) and filled in file order; the first bad line raises the
     DataError ``explain`` names before its block is placed.
     """
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    data = read_bytes(path)
     if data and not data.endswith(b"\n"):
         data += b"\n"
     raw, spans = np.frombuffer(data, np.uint8), list(_blocks(data))
@@ -377,24 +376,10 @@ def _pairs_block(block: bytes, bound: int, tab_after_head: bool, bad_head):
     return bad, n_lines, head, idx, cnt, sizes
 
 
-def _open_text(path: str | Path):
-    try:
-        return open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
-def _utf8_error(path: str | Path) -> DataError:
-    """The DataError for a text file that does not decode as UTF-8; it names
-    the first bad byte by its offset in the file."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return DataError(
-            f"{path}: not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start} ({exc.reason})"
-        )
-    return DataError(f"{path}: not UTF-8")  # the file changed since it was read
+def _lines(path: str | Path) -> list[str]:
+    """The lines of text file ``path``, without their line ends."""
+    text = read_text(path)
+    return text.removesuffix("\n").split("\n") if text else []
 
 
 def _first_repeat(tokens: list[str]) -> tuple[int, int]:
@@ -414,13 +399,7 @@ def load_slmrd_vocab(path: str | Path) -> Vocabulary:
     vocabulary format written by ``prepare``.  Lines end in ``\\n``,
     ``\\r\\n`` or a lone ``\\r``; a token is the rest of its line.
     """
-    with _open_text(path) as fh:
-        try:
-            tokens = fh.read().split("\n")
-        except UnicodeDecodeError:
-            raise _utf8_error(path) from None
-    if tokens[-1] == "":  # what follows the last line end
-        tokens.pop()
+    tokens = _lines(path)
     if not tokens:
         raise DataError(f"{path}: empty vocabulary file")
     try:
@@ -438,15 +417,13 @@ def load_polarity(path: str | Path, vocab: Vocabulary) -> np.ndarray:
     A rating is any text ``float()`` accepts, whitespace around it included,
     and must be finite.
     """
-    with _open_text(path) as fh:
-        try:
-            ratings = np.fromiter(map(float, fh), np.float64)
-        except UnicodeDecodeError:
-            raise _utf8_error(path) from None
-        except ValueError:
-            ratings = None
+    lines = _lines(path)
+    try:
+        ratings = np.fromiter(map(float, lines), np.float64, count=len(lines))
+    except ValueError:
+        ratings = None
     if ratings is None or not np.isfinite(ratings).all():
-        raise _rating_error(path)
+        raise _rating_error(path, lines)
     if ratings.size != vocab.size:
         raise DataError(
             f"{path}: {ratings.size} ratings for a vocabulary of {vocab.size} tokens"
@@ -454,18 +431,16 @@ def load_polarity(path: str | Path, vocab: Vocabulary) -> np.ndarray:
     return ratings
 
 
-def _rating_error(path: str | Path) -> DataError:
-    """The DataError for the first line of ``path`` that is not a finite rating."""
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            try:
-                value = float(text)
-            except ValueError:
-                return DataError(f"{path}: line {lineno}: cannot parse rating {text!r}")
-            if not np.isfinite(value):
-                return DataError(f"{path}: line {lineno}: non-finite rating {text!r}")
-    return DataError(f"{path}: malformed ratings")  # the file changed since it was read
+def _rating_error(path: str | Path, lines: list[str]) -> DataError:
+    """The DataError for the first of ``lines`` that is not a finite rating."""
+    for lineno, line in enumerate(lines, 1):
+        text = line.strip()
+        try:
+            value = float(text)
+        except ValueError:
+            return DataError(f"{path}: line {lineno}: cannot parse rating {text!r}")
+        if not np.isfinite(value):
+            return DataError(f"{path}: line {lineno}: non-finite rating {text!r}")
 
 
 def load_slmrd_bow(path: str | Path, vocab: Vocabulary) -> Corpus:
@@ -510,10 +485,11 @@ def _kid_block(block: bytes, size: int, offset: int):
     """``_load_records``' work for a block of ``load_kid``'s records: per
     record, its distinct token indices and how often each occurs."""
     values, first, n_lines, bad = _scan(block, True, pairs=False)
-    label, rank = values[first], np.delete(values, first) - offset
+    # past +-10**18 an offset drops or rejects every value (18 digits at most)
+    label, rank = values[first], np.delete(values, first) - min(max(offset, -10**18), 10**18)
     row = np.repeat(np.arange(first.size), np.diff(first, append=values.size) - 1)
     bad = _first_bad(bad, np.flatnonzero(label > 1), row[rank >= size])
-    keep = rank >= 0  # lower values are reserved control codes
+    keep = (rank >= 0) & (rank < size)  # lower: control codes; higher: a bad line
     key, count = np.unique(row[keep] * size + rank[keep], return_counts=True)
     row = key // size
     return bad, n_lines, label, key - row * size, count, np.bincount(row, minlength=n_lines)
@@ -521,13 +497,10 @@ def _kid_block(block: bytes, size: int, offset: int):
 
 def _word_index_tokens(path: str | Path) -> list[str]:
     """The tokens of a JSON token->rank object in rank order, checked."""
-    with _open_text(path) as fh:
-        try:
-            word_index = json.load(fh)
-        except UnicodeDecodeError:
-            raise _utf8_error(path) from None
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        word_index = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(word_index, dict) or not word_index:
         raise DataError(f"{path}: expected a non-empty token->rank object")
     tokens = list(word_index)

@@ -1,10 +1,37 @@
-"""Output files that are replaced whole or not at all."""
+"""Input files read whole in one read, so a pipe reads like a file and a
+failure is explained from the bytes already read; output files replaced
+whole or not at all."""
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import DataError
+
+
+def read_bytes(path) -> bytes:
+    """The whole content of ``path``, read in one call."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_text(path) -> str:
+    """``path`` decoded as UTF-8, with ``\\r\\n`` and a lone ``\\r`` turned
+    into ``\\n`` as text-mode ``open`` does; bytes that are not UTF-8 are a
+    DataError naming the first bad byte by its offset in the file."""
+    data = read_bytes(path)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start} ({exc.reason})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 @contextmanager

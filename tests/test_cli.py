@@ -18,6 +18,7 @@ from bowtie import cli, encode, net, optim
 from bowtie import corpus as corpus_module
 from bowtie.cli import main
 from bowtie.corpus import Corpus, Vocabulary, load_slmrd_vocab, shuffle
+from bowtie.errors import DataError
 from bowtie.net import ModelConfig, init_model
 from bowtie.train import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
 import oracles
@@ -233,6 +234,35 @@ def test_prepare_kid_reports_counts(tmp_path, raw_trees, capsys):
     assert line.startswith("dataset=kid vocab=40 reviews=400")
     assert (out / "vocab.txt").exists()
     assert (out / "full.corpus").exists()
+
+
+@pytest.mark.parametrize("offset", [str(10**20 - 1), str(2**63), str(-10**20)])
+@pytest.mark.parametrize("through", ["flag", "environment"])
+def test_prepare_kid_takes_an_offset_past_int64(
+    tmp_path, raw_trees, monkeypatch, capsys, offset, through
+):
+    """An offset from --index-offset or BOWTIE_INDEX_OFFSET that int64 cannot
+    hold drops every value, or names the first line, as the reference does."""
+    _, kid_root = raw_trees
+    wi, seq = kid_root / "word_index.json", kid_root / "sequences.tsv"
+    out = tmp_path / "data" / "kid"
+    argv = ["prepare", "kid", "--word-index", str(wi), "--sequences", str(seq), "--out", str(out)]
+    if through == "flag":
+        argv += ["--index-offset", offset]
+    else:
+        monkeypatch.setenv("BOWTIE_INDEX_OFFSET", offset)
+    code = main(argv)
+    stdout, stderr = capsys.readouterr()
+    try:
+        vocab, want = oracles.load_kid(wi, seq, int(offset))
+    except DataError as exc:
+        assert (code, stderr.splitlines()) == (2, [f'error=data detail="{exc}"'])
+        assert not out.exists()
+    else:
+        assert code == 0
+        assert stdout.startswith(f"dataset=kid vocab={vocab.size} reviews={len(want)} ")
+        assert want.nnz == 0
+        assert corpus_module.load_corpus_file(out / "full.corpus", width=vocab.size).nnz == 0
 
 
 @pytest.mark.parametrize("token", ["bad\ntoken", "bad\rtoken"])
@@ -893,6 +923,35 @@ def test_replay_names_both_row_counts_when_they_differ(tmp_path, prepared, s3_ru
         f"differs=metrics_rows recorded={len(rows) - 2} replayed={len(rows) - 1}",
         "replay_match=0",
     ]
+
+
+def test_replay_of_metrics_that_are_not_utf8_exits_two(tmp_path, prepared, s3_run, capsys):
+    """The recorded metrics.csv is read before the run, so a byte that is not
+    UTF-8 is a data error naming the file and the byte, and nothing trains."""
+    csv_path = s3_run / "metrics.csv"
+    data = csv_path.read_bytes()
+    at = data.index(b"\n") + 1  # the first byte of the first epoch's row
+    csv_path.write_bytes(data[:at] + b"\xff" + data[at:])
+    out = tmp_path / "r9"
+    assert main(["replay", "--manifest", str(s3_run / "manifest.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f'error=data detail="{csv_path}: not UTF-8: byte 0xff at offset {at} (invalid start byte)"'
+    ]
+    assert not out.exists()
+
+
+def test_replay_of_a_manifest_that_is_not_utf8_names_its_byte(tmp_path, prepared, s3_run, capsys):
+    manifest = s3_run / "manifest.json"
+    data = manifest.read_bytes()
+    at = data.index(b'"command"') + 1
+    manifest.write_bytes(data[:at] + b"\xe9" + data[at:])
+    out = tmp_path / "r10"
+    assert main(["replay", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f'error=data detail="{manifest}: not UTF-8: byte 0xe9 at offset {at}'
+        ' (invalid continuation byte)"'
+    ]
+    assert not out.exists()
 
 
 def edit_manifest(path, edit):

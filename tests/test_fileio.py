@@ -1,4 +1,4 @@
-"""Every artifact is replaced whole or not at all."""
+"""Every input is read whole in one read; every artifact is replaced whole or not at all."""
 
 import errno
 
@@ -8,6 +8,7 @@ from bowtie import fileio
 from bowtie.cli import main
 from bowtie.corpus import save_corpus_file
 from bowtie.encode import PolarityStats
+from bowtie.errors import DataError
 from bowtie.net import ModelConfig, init_model
 from bowtie.train import EpochMetrics, EvalResult, emit_metrics_csv, save_checkpoint
 from bowtie.transfer import TransferReport, write_transfer_report
@@ -51,6 +52,19 @@ def failing_writes(monkeypatch):
 
 def snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_read_text_ends_lines_as_text_mode_open_does(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_bytes(b"a\r\nb\rc\n\r\n\r\rd\xc2\x85e\xe2\x80\xa8f")
+    with open(path, encoding="utf-8") as fh:
+        assert fileio.read_text(path) == fh.read() == "a\nb\nc\n\n\n\nd\x85e\u2028f"
+
+
+def test_read_bytes_names_what_it_cannot_read(tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        with pytest.raises(DataError, match=f"^cannot read {path}: "):
+            fileio.read_bytes(path)
 
 
 def test_replacing_moves_the_finished_file_into_place(tmp_path):

@@ -255,6 +255,34 @@ def test_bad_records_in_the_usual_layout_raise_the_reference_message(tmp_path, f
         assert str(got.value) == str(want.value)
 
 
+# Offsets past int64 and values of 18 digits: the reference subtracts them
+# as Python integers.  Every value is at most 18 digits, and none lands
+# between WIDTH and 10**17 after the offset, so a loader that keeps an
+# out-of-range rank fails at once instead of allocating.
+FAR_OFFSETS = [0, OFFSET, -1, 10**18 - 1, 10**18, -10**18, 2**63 - 1, 2**63, -(2**63),
+               99999999999999999999, -10**20]
+FAR_VALUES = [
+    "1\t5 6 7\n0\t4 4\n",
+    "1\t5\n0\t" + "9" * 18 + "\n",
+    "0\t999999999999999990 999999999999999999\n1\t3\n",
+    "1\t100000000000000000 2\n",
+]
+
+
+def test_far_offsets_and_values_match_the_reference(tmp_path):
+    for text in FAR_VALUES:
+        wi, seq = write_kid(tmp_path, text)
+        for offset in FAR_OFFSETS:
+            try:
+                want = oracles.load_kid(wi, seq, offset)[1]
+            except DataError as exc:
+                with pytest.raises(DataError) as got:
+                    load_kid(wi, seq, offset)
+                assert str(got.value) == str(exc)
+            else:
+                assert_same_corpus(load_kid(wi, seq, offset)[1], want)
+
+
 # ------------------------------------------------------- the scanning pipeline
 
 

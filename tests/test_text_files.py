@@ -1,14 +1,21 @@
 """The vocabulary, polarity and word-index loaders against the reference.
 
 ``oracles`` holds the loaders that walk one line or one JSON entry at a
-time.  The package reads a vocabulary with one split, parses ratings with
-one ``np.fromiter`` over ``float``, and sorts word-index ranks as one
-array; on every input both must give bit-equal results or byte-equal
-messages.  The two differences are by design: a JSON ``true`` is not a
-rank, and bytes that are not UTF-8 are a data error naming the file.
+time.  The package reads each file whole, once, then splits a vocabulary
+in one call, parses ratings with one ``np.fromiter`` over ``float``, and
+sorts word-index ranks as one array; on every input both must give
+bit-equal results or byte-equal messages.  The two differences are by
+design: a JSON ``true`` is not a rank, and bytes that are not UTF-8 are a
+data error naming the file and the offset of the first bad byte.  The
+same bytes fed through a pipe give the same result, or the same message
+with the pipe's name for the file's: a failure is explained from the
+bytes already read, never by reading the input again.
 """
 
 import json
+import os
+import threading
+from contextlib import contextmanager, suppress
 
 import numpy as np
 import pytest
@@ -35,6 +42,25 @@ def text_of(rng, lines):
     if lines and rng.random() < 0.3:
         ends[-1] = ""
     return "".join(line + end for line, end in zip(lines, ends))
+
+
+@contextmanager
+def piped(data):
+    """The name, ``/dev/fd/N``, of a pipe that a thread feeds ``data`` into."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with suppress(BrokenPipeError), open(write_end, "wb") as fh:
+            fh.write(data)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)  # a reader that stopped early breaks the pipe
+        feeder.join(timeout=60)
+        assert not feeder.is_alive()
 
 
 def random_tokens(rng, n):
@@ -96,11 +122,15 @@ def test_polarity_file_matches_the_reference(tmp_path):
         vocab = Vocabulary([f"t{i}" for i in range(n + int(rng.integers(-1, 2)) if n else 1)])
         got = outcome(lambda: load_polarity(path, vocab))
         want = outcome(lambda: oracles.load_polarity(path, vocab))
+        with piped(path.read_bytes()) as pipe:
+            via_pipe = outcome(lambda: load_polarity(pipe, vocab))
         if isinstance(want, str):
             assert got == want
+            assert via_pipe == want.replace(str(path), pipe)
         else:
-            assert got.dtype == want.dtype == np.float64
-            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+            for array in (got, via_pipe):
+                assert array.dtype == want.dtype == np.float64
+                assert array.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def _float_or_nan(text):
@@ -178,6 +208,9 @@ def test_vocabulary_that_is_not_utf8_is_a_data_error(tmp_path):
     assert str(err.value) == (
         f"{path}: not UTF-8: byte 0xff at offset {offset} (invalid start byte)"
     )
+    with piped(path.read_bytes()) as pipe, pytest.raises(DataError) as err:
+        load_slmrd_vocab(pipe)
+    assert str(err.value) == f"{pipe}: not UTF-8: byte 0xff at offset {offset} (invalid start byte)"
 
 
 def test_polarity_that_is_not_utf8_is_a_data_error(tmp_path):
@@ -191,6 +224,9 @@ def test_polarity_that_is_not_utf8_is_a_data_error(tmp_path):
     assert str(err.value) == (
         f"{path}: not UTF-8: byte 0xff at offset {offset} (invalid start byte)"
     )
+    with piped(path.read_bytes()) as pipe, pytest.raises(DataError) as err:
+        load_polarity(pipe, vocab)
+    assert str(err.value) == f"{pipe}: not UTF-8: byte 0xff at offset {offset} (invalid start byte)"
 
 
 def test_word_index_that_is_not_utf8_is_a_data_error(tmp_path):
@@ -202,3 +238,6 @@ def test_word_index_that_is_not_utf8_is_a_data_error(tmp_path):
     with pytest.raises(DataError) as err:
         load_kid(wi, seq)
     assert str(err.value) == f"{wi}: not UTF-8: byte 0xff at offset {offset} (invalid start byte)"
+    with piped(wi.read_bytes()) as pipe, pytest.raises(DataError) as err:
+        load_kid(pipe, seq)
+    assert str(err.value) == f"{pipe}: not UTF-8: byte 0xff at offset {offset} (invalid start byte)"
