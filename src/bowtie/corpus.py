@@ -59,9 +59,10 @@ class Corpus:
 
     ``matrix`` has shape (reviews, width) and rows with sorted column
     indices, no duplicates and no stored zeros.  Loaders fill it with int64
-    token counts, a column per vocabulary index; ``encode_corpus`` gives
-    float64 values.  Encoding and remapping rewrite it in place and delete
-    it: the corpus keeps only its labels.
+    token counts, a column per vocabulary index; ``encode_corpus`` gives a
+    bool pattern (multi-hot) or float64 values (polarity-weighted) on the
+    same ``indices`` and ``indptr``.  Encoding and remapping consume it in
+    place and delete it: the corpus keeps only its labels.
     """
 
     matrix: sparse.csr_matrix = field(repr=False)  # gone once consumed
@@ -573,10 +574,11 @@ def save_corpus_file(corpus: Corpus, path: str | Path) -> None:
 
 
 def _writable(values: np.ndarray, name: str, path, low: int = 0, high: int = 10**18 - 1):
-    """``values``, or the ValueError for a dtype int64 cannot hold or a value
-    outside [``low``, ``high``] (18 digits at most by default)."""
+    """``values``, or the ValueError for a dtype that is not an integer
+    int64 can hold (bool, such as an encoded multi-hot pattern, is not) or a
+    value outside [``low``, ``high``] (18 digits at most by default)."""
     values = np.asarray(values)
-    if not np.can_cast(values.dtype, np.int64):
+    if values.dtype.kind not in "iu" or not np.can_cast(values.dtype, np.int64):
         names = "indices" if name == "index" else name + "s"
         raise ValueError(f"{path}: cannot write {names} of dtype {values.dtype}")
     least, most = (int(values.min()), int(values.max())) if values.size else (low, high)

@@ -1,10 +1,12 @@
 """Sparse input encodings: plain multi-hot rows and polarity-weighted rows.
 
-An encoded corpus is one float64 CSR matrix, a row per review, because the
-full dense design matrix would be on the order of 25 000 x 89 527 doubles
+An encoded corpus is one CSR matrix, a row per review, because the full
+dense design matrix would be on the order of 25 000 x 89 527 doubles
 (~18 GB) while almost every entry is zero.  Each row keeps the corpus row's
-sorted column order and stores no zeros.  The network's first-layer kernels
-consume row slices of this matrix directly.
+sorted column order and stores no zeros.  Multi-hot stores a bool pattern,
+which scipy turns into exactly 1.0 inside every product; polarity-weighted
+stores float64 values.  The network's first-layer kernels consume row slices
+of this matrix directly.
 """
 
 from __future__ import annotations
@@ -46,13 +48,15 @@ def encode_corpus(
 ) -> Corpus:
     """Encode every review as a row ``width`` columns wide, keeping row order.
 
-    multi-hot stores 1.0 at each distinct token index (counts ignored);
-    polarity-weighted stores rating_k * count_k at index k and drops entries
-    whose rating is exactly zero, which the encoding cannot distinguish from
-    absent tokens.  Its polarity table is a float64 array of ``width`` ratings.
+    multi-hot stores True, a 1-byte pattern that products read as 1.0, at
+    each distinct token index (counts ignored); polarity-weighted stores
+    float64 rating_k * count_k at index k and drops entries whose rating is
+    exactly zero, which the encoding cannot distinguish from absent tokens.
+    Its polarity table is a float64 array of ``width`` ratings.
 
-    The result is a corpus of float64 values on the corpus's arrays (each
-    int64 count becomes its value), so once the arguments check out the
+    The result shares the corpus's ``indices`` and ``indptr``.  Multi-hot
+    allocates its pattern once and lets the int64 counts go; polarity-weighted
+    writes each value over its count.  So once the arguments check out the
     corpus is consumed, even by a non-finite product; copy it first to keep it.
     """
     if kind == POLARITY_WEIGHTED:
@@ -71,10 +75,10 @@ def encode_corpus(
             f"bag index {int(indices[indices >= width][0])} outside encoding width {width}"
         )
     del corpus.matrix
-    values = counts.data.view(np.float64)  # each value overwrites its count
     if kind == MULTI_HOT:
-        values.fill(1.0)
+        values = np.ones(len(indices), dtype=bool)
     else:
+        values = counts.data.view(np.float64)  # each value overwrites its count
         for lo in range(0, len(values), _CHUNK):
             chunk = polarity.take(indices[lo:lo + _CHUNK])
             with np.errstate(over="ignore"):  # an overflow is the DataError below

@@ -24,6 +24,10 @@ ACTIVATIONS = ("none", "relu")
 # rows per pass of backward's in-place L2 term: 512 KiB of scratch for 16 columns
 _L2_CHUNK_ROWS = 4096
 
+# rows per product of a pattern (non-float64) matrix: scipy copies the values
+# it multiplies as float64, so each product copies one block's, not all of them
+_PATTERN_ROWS = 4096
+
 
 @dataclass
 class ModelConfig:
@@ -122,11 +126,27 @@ def first_layer(model: BowTieModel, x: sparse.csr_matrix) -> np.ndarray:
 
     scipy sums each output row from zero over that row's stored entries in
     their stored order, so a row of the product is bit-identical whether it
-    is computed alone, in a batch, or over a whole dataset.
+    is computed alone, in a batch, or over a whole dataset.  A float64
+    matrix is multiplied in one call; any other dtype, such as multi-hot's
+    bool pattern, which scipy upcasts to exactly 1.0, ``_PATTERN_ROWS`` rows
+    at a time, through views of its arrays.
     """
+    w = model.weights[0]
     # explosions surface as the explicit non-finite check, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.asarray(x @ model.weights[0])
+        if x.dtype == np.float64:
+            return np.asarray(x @ w)
+        rows = x.shape[0]
+        out = np.empty((rows, w.shape[1]))
+        for lo in range(0, rows, _PATTERN_ROWS):
+            hi = min(lo + _PATTERN_ROWS, rows)
+            p0, p1 = x.indptr[lo], x.indptr[hi]
+            # set, not passed: scipy's constructor copies a view of under half its base
+            block = sparse.csr_matrix((hi - lo, x.shape[1]), dtype=x.dtype)
+            block.data, block.indices = x.data[p0:p1], x.indices[p0:p1]
+            block.indptr = x.indptr[lo:hi + 1] - p0
+            out[lo:hi] = block @ w
+        return out
 
 
 def cascade(

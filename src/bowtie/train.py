@@ -91,9 +91,11 @@ def evaluate(
 ) -> EvalResult:
     """Inference-mode mean bce and accuracy.
 
-    The sparse first-layer product is computed once over the whole dataset;
-    the dense cascade and the bce sum then run per ``batch_size`` rows, so
-    the result is bit-identical to forwarding each batch on its own.
+    The sparse first-layer product is computed once over the whole dataset
+    (a multi-hot pattern a bounded block of rows at a time, see
+    ``first_layer``); the dense cascade and the bce sum then run per
+    ``batch_size`` rows, so the result is bit-identical to forwarding each
+    batch on its own, and equal for a pattern and its float64 1.0 values.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")

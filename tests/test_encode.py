@@ -5,8 +5,9 @@ import numpy.testing as npt
 import pytest
 from scipy import sparse
 
-from bowtie import encode
-from bowtie.corpus import Corpus, load_corpus_file, save_corpus_file
+from bowtie import encode, net, transfer
+from bowtie.cli import main
+from bowtie.corpus import Corpus, Vocabulary, load_corpus_file, save_corpus_file
 from bowtie.encode import (
     MULTI_HOT,
     POLARITY_WEIGHTED,
@@ -14,8 +15,18 @@ from bowtie.encode import (
     polarity_stats,
 )
 from bowtie.errors import DataError
+from bowtie.net import ModelConfig, init_model
+from bowtie.optim import OptimizerSpec
+from bowtie.train import Checkpoint, TrainConfig, evaluate, train
 from oracles import dense_multi_hot, dense_polarity_weighted, row_sums
-from synth import copy_of, corpus_from_rows, planted_corpus, rating_table, rows_of
+from synth import (
+    copy_of,
+    corpus_from_rows,
+    planted_corpus,
+    rating_table,
+    rows_of,
+    token_list,
+)
 
 
 def bags(*rows, width, labels=None):
@@ -191,7 +202,8 @@ def wide_corpus(rng, rows=4000, per=100, width=1000):
 
 @pytest.mark.parametrize("kind", [MULTI_HOT, POLARITY_WEIGHTED])
 def test_encode_in_place_keeps_only_chunk_sized_temporaries(kind):
-    """Values overwrite the counts and the index arrays are shared, so the
+    """Polarity-weighted values overwrite the counts, a multi-hot pattern
+    takes one byte per stored entry, and the index arrays are shared, so the
     peak is a few chunks' work: far below one float64 per stored entry."""
     rng = np.random.default_rng(8)
     corpus = wide_corpus(rng)
@@ -200,7 +212,7 @@ def test_encode_in_place_keeps_only_chunk_sized_temporaries(kind):
     m = corpus.matrix
     assert m.nnz >= 6 * encode._CHUNK
     if kind == MULTI_HOT:
-        want = np.ones(m.nnz)
+        want = np.ones(m.nnz, dtype=bool)
     else:
         want = ratings[m.indices] * m.data
     keep = want != 0.0
@@ -212,6 +224,7 @@ def test_encode_in_place_keeps_only_chunk_sized_temporaries(kind):
     finally:
         tracemalloc.stop()
     assert peak <= 32 * encode._CHUNK < 8 * m.nnz, peak
+    assert ds.matrix.data.dtype == want.dtype
     assert ds.matrix.data.tobytes() == want[keep].tobytes()
     npt.assert_array_equal(ds.matrix.indices, want_indices)
     npt.assert_array_equal(ds.matrix.indptr, want_indptr)
@@ -219,7 +232,9 @@ def test_encode_in_place_keeps_only_chunk_sized_temporaries(kind):
 
 @pytest.mark.parametrize("kind", [MULTI_HOT, POLARITY_WEIGHTED])
 def test_encoded_matrix_shares_the_loaded_corpus_buffers(tmp_path, kind):
-    """scipy's constructor and its prune after eliminate_zeros copy nothing."""
+    """scipy's constructor and its prune after eliminate_zeros copy nothing:
+    polarity-weighted values lie on the counts, and a multi-hot pattern is
+    one byte per stored entry beside the loaded index arrays."""
     rng = np.random.default_rng(9)
     save_corpus_file(wide_corpus(rng, rows=500), tmp_path / "wide.corpus")
     corpus = load_corpus_file(tmp_path / "wide.corpus", width=1000)
@@ -227,7 +242,10 @@ def test_encoded_matrix_shares_the_loaded_corpus_buffers(tmp_path, kind):
     ratings = rng.normal(0, 1, 1000)
     ratings[::7] = 0.0
     ds = encode_corpus(corpus, kind, polarity=ratings, width=1000)
-    assert np.shares_memory(ds.matrix.data, counts)
+    if kind == MULTI_HOT:
+        assert ds.matrix.data.dtype == np.bool_ and ds.matrix.data.nbytes == ds.nnz
+    else:
+        assert np.shares_memory(ds.matrix.data, counts)
     assert np.shares_memory(ds.matrix.indices, indices)
 
 
@@ -351,3 +369,59 @@ def test_stats_row_sums_match_each_rows_own_sum_bit_for_bit():
     assert alone.tobytes() == want.tobytes()
     empty = polarity_stats(Corpus(sparse.csr_matrix((5, 400)), labels[:5]))
     assert (empty.rowsum_min, empty.rowsum_max) == (0.0, 0.0)
+
+
+# ------------------------------------------------- pattern and float64 ones
+
+
+def float64_ones(corpus, kind, polarity=None, *, width):
+    """``encode_corpus``, with a multi-hot pattern stored as float64 1.0."""
+    m = encode_corpus(corpus, kind, polarity=polarity, width=width).matrix
+    ones = sparse.csr_matrix((m.data.astype(np.float64), m.indices, m.indptr), shape=m.shape)
+    return Corpus(ones, corpus.labels)
+
+
+def multi_hot_results(tmp_path, capsys):
+    """Everything a multi-hot run reports, through ``encode.encode_corpus``."""
+    width = 300
+    files = tmp_path / "files"
+    files.mkdir(exist_ok=True)
+    save_corpus_file(planted_corpus(41, 700, rating_table(40, width), max_distinct=40),
+                     files / "reviews.corpus")
+    target = Vocabulary(token_list(width))
+    (files / "vocab.txt").write_text("\n".join(target.tokens) + "\n")
+    reviews = load_corpus_file(files / "reviews.corpus", width=width)
+    data = encode.encode_corpus(reviews, MULTI_HOT, width=width)
+    model = init_model(ModelConfig(input_width=width, init_seed=42))
+    config = TrainConfig(optimizer=OptimizerSpec(kind="nadam", learning_rate=0.01),
+                         batch_size=64, max_epochs=3, data_seed=43, dropout_seed=44)
+    _, epochs = train(model, data, data, config, log=False)
+    # the source vocabulary holds the target's tokens in reverse, and 20 of its own
+    source = Vocabulary(target.tokens[::-1] + token_list(20, prefix="src"))
+    foreign = planted_corpus(45, 300, rating_table(46, source.size), max_distinct=40)
+    checkpoint = Checkpoint(model, width, target.fingerprint(), MULTI_HOT, {})
+    assert main(["stats", "--encoding", MULTI_HOT, "--corpus", str(files / "reviews.corpus"),
+                 "--vocab", str(files / "vocab.txt")]) == 0
+    return (
+        data.matrix.dtype,
+        b"".join(t.tobytes() for t in model.weights + model.biases),
+        [(e.train_bce, e.train_accuracy, e.val_bce, e.val_accuracy) for e in epochs],
+        evaluate(model, data, 100),
+        polarity_stats(data),
+        transfer.transfer_evaluate(checkpoint, foreign, source, target, batch_size=100),
+        capsys.readouterr().out,
+    )
+
+
+def test_a_pattern_computes_the_bits_its_float64_ones_would(tmp_path, monkeypatch, capsys):
+    """scipy reads a multi-hot pattern as exactly 1.0 in every product:
+    training, evaluate, stats, transfer and ``bowtie stats`` give the same
+    bits as float64 ones, over several first-layer blocks."""
+    monkeypatch.setattr(net, "_PATTERN_ROWS", 128)
+    pattern = multi_hot_results(tmp_path, capsys)
+    monkeypatch.setattr(encode, "encode_corpus", float64_ones)
+    monkeypatch.setattr(transfer, "encode_corpus", float64_ones)
+    ones = multi_hot_results(tmp_path, capsys)
+    assert (pattern[0], ones[0]) == (np.bool_, np.float64)
+    assert pattern[1:] == ones[1:]
+    assert pattern[-1].startswith("encoding=multi-hot examples=700 element_min=1 ")

@@ -631,3 +631,30 @@ def test_a_training_step_holds_one_gradient():
     # a gradient kept from the previous step while backward builds the next
     # would add another first layer
     assert peak < 3 * params + model.weights[0].nbytes / 2, (peak, params)
+
+
+def test_evaluate_upcasts_a_pattern_one_block_at_a_time():
+    """scipy copies a pattern's values as float64 inside each product, so
+    evaluate multiplies views of one block of rows at a time: its peak is
+    one block's copy, one block's product and the whole product, not a
+    float64 per stored entry, nor a slice's copy of a block's arrays."""
+    rng = np.random.default_rng(7)
+    rows, per, width = 3 * net._PATTERN_ROWS + 100, 100, 5000
+    step = width // per
+    indices = (np.arange(per) * step + rng.integers(0, step, (rows, 1))).ravel()
+    counts = sparse.csr_matrix(
+        (rng.integers(1, 9, rows * per), indices.astype(np.int32),
+         np.arange(0, rows * per + 1, per, dtype=np.int32)),
+        shape=(rows, width),
+    )
+    data = encode_corpus(Corpus(counts, rng.integers(0, 2, rows)), MULTI_HOT, width=width)
+    model = init_model(ModelConfig(input_width=width, init_seed=7))
+    assert data.matrix.dtype == np.bool_
+    columns = model.weights[0].shape[1]
+    block = 8 * net._PATTERN_ROWS * (per + columns)  # its float64 copy and its product
+    product = 8 * rows * columns
+    peak, result = peak_bytes(lambda: evaluate(model, data, 512))
+    # slicing each block would copy its int32 indices and its pattern: 5 bytes
+    # per entry more than this bound allows
+    assert peak <= block + product + (1 << 18) < 0.6 * 8 * data.nnz, (peak, block, product)
+    assert result == oracles.evaluate(model, data, 512)

@@ -169,6 +169,7 @@ def test_values_the_loaders_reject_raise_before_writing(tmp_path, what, value):
 
 @pytest.mark.parametrize("what, dtype, names", [
     ("count", np.float64, "counts"), ("index", np.uint64, "indices"),
+    ("count", np.bool_, "counts"),
 ])
 def test_dtypes_that_are_not_int64_values_raise_before_writing(tmp_path, what, dtype, names):
     c = make_corpus([[(3, 1), (4, 2)]], [1])
