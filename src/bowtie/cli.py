@@ -147,7 +147,9 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_exec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1,
-                   help="BLAS thread count; 1 is fully deterministic, 0 leaves it unset")
+                   help="threads of the BLAS pools only (the optimizer step uses the "
+                   "process's CPUs either way, with the same bits); 1 is fully "
+                   "deterministic, 0 leaves it unset")
 
 
 def _resolve_run_config(args) -> dict:
@@ -191,12 +193,21 @@ def _corpus(path, vocab):
     return corpus
 
 
+def _encoded(path, vocab, encoding: str, polarity):
+    """``_corpus`` encoded as soon as it loads, so a multi-hot file's int64
+    counts are freed before the next file is read."""
+    from .encode import encode_corpus
+
+    return encode_corpus(_corpus(path, vocab), encoding, polarity=polarity, width=vocab.size)
+
+
 def _scenario_inputs(cfg: dict):
-    """Scenario N's inputs from the prepared slmrd/ and kid/ directories.
+    """Scenario N's inputs from the prepared slmrd/ and kid/ directories, each
+    split encoded as it loads.
 
     Scenario 1 trains and validates on the two halves of the shuffled kid
-    corpus; scenario 4 also returns (kid vocabulary, kid corpus) for its
-    transfer check.
+    corpus, returned unencoded; scenario 4 also returns (kid vocabulary, kid
+    corpus) for its transfer check.
     """
     from .corpus import load_slmrd_vocab, shuffle
     from .encode import MULTI_HOT, POLARITY_WEIGHTED
@@ -211,8 +222,8 @@ def _scenario_inputs(cfg: dict):
     if n != 1:
         vocab = load_slmrd_vocab(need("slmrd", "vocab.txt"))
         polarity = _polarity(encoding, need("slmrd", "polarity.txt"), vocab)
-        train_c = _corpus(need("slmrd", "train.corpus"), vocab)
-        val_c = _corpus(need("slmrd", "test.corpus"), vocab)
+        train_set = _encoded(need("slmrd", "train.corpus"), vocab, encoding, polarity)
+        val_set = _encoded(need("slmrd", "test.corpus"), vocab, encoding, polarity)
     if n in (1, 4):
         kid_vocab = load_slmrd_vocab(need("kid", "vocab.txt"))
         kid_corpus = _corpus(need("kid", "full.corpus"), kid_vocab)
@@ -221,27 +232,28 @@ def _scenario_inputs(cfg: dict):
         mixed = shuffle(kid_corpus, cfg["data_seed"])
         del kid_corpus  # so the halves below are the only other copy
         half = len(mixed) // 2
-        train_c = mixed.take(slice(None, half))
-        val_c = mixed.take(slice(half, None))
+        train_set = mixed.take(slice(None, half))
+        val_set = mixed.take(slice(half, None))
     kid = (kid_vocab, kid_corpus) if n == 4 else None
-    return vocab, encoding, polarity, train_c, val_c, kid
+    return vocab, encoding, polarity, train_set, val_set, kid
 
 
 def _train_inputs(cfg: dict):
-    """``bowtie train``'s inputs from the explicit files it names."""
+    """``bowtie train``'s inputs from the explicit files it names, each split
+    encoded."""
     from .corpus import load_slmrd_vocab
 
-    vocab = load_slmrd_vocab(cfg["vocab"])
-    polarity = _polarity(cfg["encoding"], cfg["polarity"], vocab)
-    train_c = _corpus(cfg["train_corpus"], vocab)
-    val_c = _corpus(cfg["val_corpus"], vocab) if cfg["val_corpus"] else None
-    return vocab, cfg["encoding"], polarity, train_c, val_c, None
+    vocab, encoding = load_slmrd_vocab(cfg["vocab"]), cfg["encoding"]
+    polarity = _polarity(encoding, cfg["polarity"], vocab)
+    train_set = _encoded(cfg["train_corpus"], vocab, encoding, polarity)
+    val_set = _encoded(cfg["val_corpus"], vocab, encoding, polarity) if cfg["val_corpus"] else None
+    return vocab, encoding, polarity, train_set, val_set, None
 
 
 def _run(command: str, cfg: dict, out: Path) -> int:
-    """Encode and train on the command's inputs; write metrics.csv,
-    model.ckpt, manifest.json and, for scenario 4, the transfer report.txt
-    into ``out``; print their paths and the command's result line."""
+    """Train on the command's inputs, encoding scenario 1's halves; write
+    metrics.csv, model.ckpt, manifest.json and, for scenario 4, the transfer
+    report.txt into ``out``; print their paths and the command's result line."""
     from .encode import encode_corpus
     from .net import ModelConfig, init_model
     from .optim import OptimizerSpec
@@ -249,11 +261,11 @@ def _run(command: str, cfg: dict, out: Path) -> int:
     from .transfer import transfer_evaluate, write_transfer_report
 
     resolve = _scenario_inputs if command == "scenario" else _train_inputs
-    vocab, encoding, polarity, train_c, val_c, kid = resolve(cfg)
-    train_set, val_set = (
-        c if c is None else encode_corpus(c, encoding, polarity=polarity, width=vocab.size)
-        for c in (train_c, val_c)
-    )
+    vocab, encoding, polarity, train_set, val_set, kid = resolve(cfg)
+    if cfg.get("scenario") == 1:  # halves of one loaded corpus
+        train_set, val_set = (
+            encode_corpus(c, encoding, width=vocab.size) for c in (train_set, val_set)
+        )
     model = init_model(ModelConfig(
         input_width=vocab.size,
         hidden_widths=tuple(cfg["hidden"]),
@@ -371,7 +383,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from .corpus import load_slmrd_vocab
-    from .encode import encode_corpus
     from .train import check_fingerprint, evaluate, load_checkpoint
 
     if not args.checkpoint or not args.corpus or not args.vocab:
@@ -380,8 +391,7 @@ def cmd_eval(args) -> int:
     vocab = load_slmrd_vocab(args.vocab)
     check_fingerprint(ckpt, vocab.size, vocab.fingerprint())
     polarity = _polarity(ckpt.encoding, args.polarity, vocab)
-    corpus = _corpus(args.corpus, vocab)
-    dataset = encode_corpus(corpus, ckpt.encoding, polarity=polarity, width=vocab.size)
+    dataset = _encoded(args.corpus, vocab, ckpt.encoding, polarity)
     result = evaluate(ckpt.model, dataset, batch_size=args.batch_size)
     print(
         f"examples={result.count} accuracy={result.accuracy:.6f} bce={result.bce:.6f}"
@@ -422,14 +432,13 @@ def cmd_transfer(args) -> int:
 
 def cmd_stats(args) -> int:
     from .corpus import load_slmrd_vocab
-    from .encode import encode_corpus, polarity_stats
+    from .encode import polarity_stats
 
     if not args.corpus or not args.vocab:
         raise ValueError("stats requires --corpus and --vocab")
     vocab = load_slmrd_vocab(args.vocab)
     polarity = _polarity(args.encoding, args.polarity, vocab)
-    corpus = _corpus(args.corpus, vocab)
-    dataset = encode_corpus(corpus, args.encoding, polarity=polarity, width=vocab.size)
+    dataset = _encoded(args.corpus, vocab, args.encoding, polarity)
     s = polarity_stats(dataset)
     print(
         f"encoding={args.encoding} examples={len(dataset)}"

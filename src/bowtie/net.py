@@ -8,7 +8,10 @@ dense.  All arithmetic is 64-bit.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +24,15 @@ PROB_CLAMP = 1e-12
 
 ACTIVATIONS = ("none", "relu")
 
-# rows per pass of backward's in-place L2 term: 512 KiB of scratch for 16 columns
-_L2_CHUNK_ROWS = 4096
+# rows per chunk of an in-place pass over a tensor (optimizer step, L2 term):
+# 512 KiB per buffer for 16 float64 columns, which stays in cache between ufuncs
+_CHUNK_ROWS = 4096
+
+# threads sharing a tensor's chunks, the caller's included: the CPUs this
+# process may use, at most 4 so that their scratch (about 1 MB each) stays
+# under 40 % of an 89 527x16 first layer
+_THREADS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 # rows per product of a pattern (non-float64) matrix: scipy copies the values
 # it multiplies as float64, so each product copies one block's, not all of them
@@ -238,17 +248,54 @@ def loss(cache: ForwardCache, labels, model: BowTieModel) -> tuple[float, float]
     return bce, bce + penalty
 
 
+@functools.cache
+def _pool(helpers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(helpers, thread_name_prefix="bowtie-chunks")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _chunked(height: int, work, scratch) -> None:
+    """``work(lo, hi, buffers)`` over rows ``[0, height)`` in ``_CHUNK_ROWS``-row
+    chunks, shared by the calling thread and up to ``_THREADS - 1`` helpers.
+
+    ``scratch(rows)`` makes one thread's buffers, every thread's on the caller.
+    Each chunk goes to whichever thread is free, so ``work`` must touch its own
+    rows only; a single chunk runs on the caller alone.  The caller waits for
+    every helper, then raises its own exception or else a helper's.
+    """
+    rows = _CHUNK_ROWS
+    if height <= rows:
+        return work(0, height, scratch(height))
+    buffers = [scratch(rows) for _ in range(min(_THREADS, -(-height // rows)))]
+    starts = iter(range(0, height, rows))  # shared; next() holds the GIL
+    err = np.geterr()  # a helper starts with numpy's default errstate
+
+    def drain(bufs):
+        with np.errstate(**err):
+            for lo in starts:
+                work(lo, min(lo + rows, height), bufs)
+
+    futures = [_pool(_THREADS - 1).submit(drain, bufs) for bufs in buffers[1:]]
+    try:
+        drain(buffers[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _add_l2(grad: np.ndarray, weight: np.ndarray, scale: float) -> np.ndarray:
-    """``grad + scale * weight`` written into ``grad``, in row chunks through
-    one scratch buffer; each element is the same sum as the whole-array
-    expression's."""
-    height = weight.shape[0]
-    rows = max(1, min(_L2_CHUNK_ROWS, height))
-    scratch = np.empty((rows,) + weight.shape[1:], dtype=weight.dtype)
-    for lo in range(0, height, rows):
-        hi = min(lo + rows, height)
-        term = np.multiply(weight[lo:hi], scale, out=scratch[: hi - lo])
+    """``grad + scale * weight`` written into ``grad`` by ``_chunked``; each
+    element is the same sum as the whole-array expression's."""
+
+    def work(lo, hi, term):
+        term = np.multiply(weight[lo:hi], scale, out=term[: hi - lo])
         np.add(grad[lo:hi], term, out=grad[lo:hi])
+
+    _chunked(len(weight), work, lambda rows: np.empty((rows, *weight.shape[1:])))
     return grad
 
 

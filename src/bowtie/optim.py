@@ -5,13 +5,16 @@ the moment accumulators live in MomentState, scaled so that a step adds the
 raw gradient.  The bias corrections, learning rate, ``1 - decay`` factors
 and epsilon fold into two scalars per step, so a chunk takes one divide.
 
-Each tensor is updated in place, in chunks of ``_CHUNK_ROWS`` rows.  A chunk
-is one pass of ufuncs that write with ``out=`` into two chunk-sized scratch
-buffers, so a step allocates the same 1 MB for a 16-column tensor however
-tall it is, and each chunk stays in cache while it is read and written.
-The operations and their order are those of the whole-tensor expressions in
-``tests/oracles.py``, so the results are bit-identical to them at any chunk
-size.  They round differently from the textbook formulas kept there too.
+Each tensor is updated in place by ``net._chunked``: its ``_CHUNK_ROWS``-row
+chunks are shared by the calling thread and helpers on the process's other
+CPUs.  A chunk is one pass of ufuncs that write with ``out=`` into two
+chunk-sized scratch buffers and a bool one, all allocated by the caller: about
+1 MB per thread for a 16-column tensor however tall it is, and each chunk
+stays in cache while it is read and written.  The operations and their order
+are those of the whole-tensor expressions in ``tests/oracles.py`` and each
+element is computed alone, so the results are bit-identical to them at any
+chunk size, thread count and chunk order.  They round differently from the
+textbook formulas kept there too.
 """
 
 from __future__ import annotations
@@ -22,13 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .net import BowTieModel, Gradients
+from .net import BowTieModel, Gradients, _chunked
 
 OPTIMIZERS = ("sgd", "rmsprop", "adam", "nadam")
-
-# rows per update pass: 512 KiB per buffer for 16 float64 columns, small
-# enough that a chunk's operands stay in cache between its ufuncs
-_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -90,9 +89,6 @@ def _step_tensor(
     Returns whether every updated value of the tensor is finite.
     """
     lr, kind, b1 = spec.learning_rate, spec.kind, spec.beta1
-    height = param.shape[0]
-    rows = max(1, min(_CHUNK_ROWS, height))
-    scratch = [np.empty((rows,) + param.shape[1:], dtype=param.dtype) for _ in range(2)]
     if kind == "rmsprop":
         decay, correct2, k = spec.rms_decay, 1.0, lr
     else:
@@ -100,11 +96,12 @@ def _step_tensor(
     # sqrt(v_hat) + eps == (sqrt(second) + e) / root: one array divide per chunk
     root = math.sqrt(correct2 / (1.0 - decay))
     k, e = k * root, spec.epsilon * root
-    finite = True
-    for lo in range(0, height, rows):
-        hi = min(lo + rows, height)
+    bad = []  # starts of the chunks left non-finite
+
+    def work(lo, hi, scratch):
         p, g, mc, w = param[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi]
-        a, b = (buf[: hi - lo] for buf in scratch)
+        n = hi - lo
+        a, b, ok = scratch[0][:n], scratch[1][:n], scratch[2][:n]
         if kind == "sgd":
             np.multiply(g, lr, out=a)                  # lr * grad
         else:
@@ -124,8 +121,15 @@ def _step_tensor(
                 np.divide(g if kind == "rmsprop" else mc, b, out=a)
             a *= k
         p -= a
-        finite = finite and bool(np.isfinite(p).all())
-    return finite
+        if np.count_nonzero(np.isfinite(p, out=ok)) < ok.size:  # cheaper than .all()
+            bad.append(lo)
+
+    def scratch(rows):
+        shape = (rows, *param.shape[1:])
+        return np.empty(shape), np.empty(shape), np.empty(shape, bool)
+
+    _chunked(len(param), work, scratch)
+    return not bad
 
 
 def apply_update(

@@ -540,6 +540,38 @@ def test_train_early_stop_via_target(tmp_path, prepared, capsys):
     assert "epochs_run=1" in capsys.readouterr().out
 
 
+def test_train_encodes_each_multi_hot_split_before_loading_the_next(tmp_path, monkeypatch, capsys):
+    """The first split's int64 counts are freed by its encoding before the
+    second split loads, so the command never holds two loaded splits."""
+    rows, per, width = 6000, 50, 200
+    rng = np.random.default_rng(13)
+    indices = (np.arange(per) * 4 + rng.integers(0, 4, (rows, 1))).ravel()
+    template = Corpus(
+        sparse.csr_matrix(
+            (rng.integers(1, 9, rows * per), indices, np.arange(0, rows * per + 1, per)),
+            shape=(rows, width),
+        ),
+        rng.integers(0, 2, rows),
+    )
+    monkeypatch.setattr(corpus_module, "load_slmrd_vocab", lambda path: Vocabulary(token_list(width)))
+    monkeypatch.setattr(cli, "_corpus", lambda path, vocab: copy_of(template))
+    m = template.matrix
+    one_split = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes + template.labels.nbytes
+    tracemalloc.start()
+    try:
+        code = main([
+            "train", "--train-corpus", str(tmp_path / "train.corpus"),
+            "--val-corpus", str(tmp_path / "test.corpus"), "--vocab", str(tmp_path / "vocab.txt"),
+            "--encoding", "multi-hot", "--epochs", "0", "--out", str(tmp_path / "run"),
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "epochs_run=0" in capsys.readouterr().out
+    assert peak < 2 * one_split, peak / one_split
+
+
 def test_train_requires_corpus_and_vocab(capsys):
     assert main(["train"]) == 1
     assert "error=usage" in capsys.readouterr().err

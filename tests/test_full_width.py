@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from bowtie import optim
+from bowtie import net, optim
 from bowtie.corpus import Vocabulary
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.net import ModelConfig, init_model
@@ -89,7 +89,7 @@ def test_full_width_training_matches_the_oracle_step_bit_for_bit(
         assert len(metrics) == epochs
         return [t.tobytes() for t in model.weights + model.biases]
 
-    assert SLMRD_WIDTH % optim._CHUNK_ROWS != 0
+    assert SLMRD_WIDTH % net._CHUNK_ROWS != 0
     chunked = trained_bytes()
     monkeypatch.setattr(optim, "_step_tensor", oracles.finite_step_tensor)
     assert chunked == trained_bytes()

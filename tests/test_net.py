@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -425,13 +429,112 @@ def test_backward_bit_equal_to_whole_array_oracle(monkeypatch, encoding, activat
     )
     model = make_model(width, hidden=(16, 8, 1), activation=activation,
                        dropout=0.2, l2=0.019, seed=23)
-    monkeypatch.setattr(net, "_L2_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(net, "_CHUNK_ROWS", chunk_rows)
     cache = forward(model, data.matrix, training=True, dropout_seed=24)
     grads = backward(model, cache, data.labels)
     want_w, want_b = oracle_backward(model, cache, data.labels)
     for got, want in zip(grads.weights + grads.biases, want_w + want_b):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_backward_gradients_equal_at_one_and_two_threads(monkeypatch):
+    """The L2 term's chunks, shared by two threads, give the same bytes."""
+    width = 5 * net._CHUNK_ROWS + 11  # five whole chunks and a ragged one
+    rng = np.random.default_rng(25)
+    batch = sparse.random(64, width, density=0.02, random_state=rng, format="csr")
+    labels = rng.integers(0, 2, 64)
+    model = make_model(width, hidden=(16, 8, 1), dropout=0.2, l2=0.019, seed=26)
+    got = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(net, "_THREADS", threads)
+        grads = backward(model, forward(model, batch, training=True, dropout_seed=27), labels)
+        got[threads] = [g.tobytes() for g in grads.weights + grads.biases]
+    assert got[1] == got[2]
+
+
+def test_chunked_runs_every_chunk_once_under_contention(monkeypatch):
+    """Four threads on the shared chunk iterator, switching as often as the
+    interpreter allows: no chunk is lost or run twice."""
+    monkeypatch.setattr(net, "_THREADS", 4)
+    monkeypatch.setattr(net, "_CHUNK_ROWS", 3)
+    seen = []
+
+    def work(lo, hi, scratch):
+        seen.append((lo, hi))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        net._chunked(3 * 5000 + 2, work, lambda rows: None)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == [(lo, min(lo + 3, 15002)) for lo in range(0, 15002, 3)]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+def test_chunked_runs_in_a_forked_child(monkeypatch):
+    """A child forked after the helpers started gets helpers of its own; the
+    parent's pool, copied without its threads, would never run a task."""
+    monkeypatch.setattr(net, "_THREADS", 2)
+    height, done = 3 * net._CHUNK_ROWS, []
+    net._chunked(height, lambda lo, hi, scratch: done.append(lo), lambda rows: None)
+    pid = os.fork()
+    if pid == 0:  # the child reports through its exit status
+        code = 1
+        try:
+            net._chunked(height, lambda lo, hi, scratch: None, lambda rows: None)
+            code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 10
+    while not (status := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if not status[0]:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
+    assert sorted(done) == [0, net._CHUNK_ROWS, 2 * net._CHUNK_ROWS]
+
+
+def test_chunked_raises_a_helpers_exception(monkeypatch):
+    monkeypatch.setattr(net, "_THREADS", 2)
+    caller, helper_failed = threading.get_ident(), threading.Event()
+    done = []
+
+    def work(lo, hi, scratch):
+        if threading.get_ident() == caller:
+            assert helper_failed.wait(10)  # so the helper takes a chunk
+            done.append(lo)
+        else:
+            helper_failed.set()
+            raise ValueError(f"helper chunk at {lo}")
+
+    with pytest.raises(ValueError, match="helper chunk at"):
+        net._chunked(6 * net._CHUNK_ROWS, work, lambda rows: None)
+    assert done  # the caller finished its chunks before raising
+
+
+def test_chunked_waits_for_helpers_when_the_caller_raises(monkeypatch):
+    monkeypatch.setattr(net, "_THREADS", 3)
+    caller, helper_started = threading.get_ident(), threading.Event()
+    running, finished = set(), []
+
+    def work(lo, hi, scratch):
+        if threading.get_ident() == caller:
+            assert helper_started.wait(10)
+            raise RuntimeError("caller chunk")
+        running.add(lo)
+        helper_started.set()
+        time.sleep(0.05)
+        running.discard(lo)
+        finished.append(lo)
+
+    with pytest.raises(RuntimeError, match="caller chunk"):
+        net._chunked(6 * net._CHUNK_ROWS, work, lambda rows: None)
+    assert not running
+    assert len(finished) == 5  # every chunk but the one the caller took
 
 
 def test_backward_stale_cache_rejected():

@@ -1,4 +1,5 @@
 import hashlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy import sparse
 
 import oracles
-from bowtie import optim
+from bowtie import net, optim
 from bowtie.errors import DivergenceError
 from bowtie.net import Gradients, ModelConfig, backward, forward, init_model
 from bowtie.optim import (
@@ -279,7 +280,7 @@ def test_chunked_step_matches_the_oracle_bit_for_bit(kind, chunk, width, monkeyp
     fused, reference = init_model(cfg), init_model(cfg)
     spec = OptimizerSpec(kind=kind, learning_rate=0.01)
     fused_state, reference_state = init_state(fused), init_state(reference)
-    monkeypatch.setattr(optim, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(net, "_CHUNK_ROWS", chunk)
     for step in range(20):
         batch = sparse.random(32, width, density=0.03, random_state=rng, format="csr")
         labels = rng.integers(0, 2, 32).tolist()
@@ -307,6 +308,57 @@ def synthetic_steps(kind, step, steps=20):
         scale = float(f"{10.0 ** rng.uniform(-4.0, 2.0):.3g}")
         step(spec, param, rng.normal(0.0, 1.0, shape) * scale, m, v, t)
     return spec, param, m, v
+
+
+@pytest.mark.parametrize("kind", OPTIMIZERS)
+def test_step_bits_equal_at_one_two_and_three_threads(kind, monkeypatch):
+    """Five whole chunks and a ragged one, shared by up to three threads."""
+    rng = np.random.default_rng(14)
+    shape = (5 * net._CHUNK_ROWS + 1001, 16)
+    start = rng.normal(0.0, 0.1, shape)
+    grads = [rng.normal(0.0, 1.0, shape) for _ in range(3)]
+    spec = OptimizerSpec(kind=kind, learning_rate=0.01)
+    got = {}
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(net, "_THREADS", threads)
+        param, m, v = start.copy(), np.zeros(shape), np.zeros(shape)
+        for t, grad in enumerate(grads, 1):
+            assert _step_tensor(spec, param, grad, m, v, t)
+        got[threads] = (param.tobytes(), m.tobytes(), v.tobytes())
+    assert got[1] == got[2] == got[3]
+
+
+def test_non_finite_chunk_of_a_helper_raises_the_same_error(monkeypatch):
+    """An inf in the first layer's last chunk, which a helper is made to
+    take, names the same tensor and layer as on one thread."""
+    width = 5 * net._CHUNK_ROWS + 7
+    model = init_model(ModelConfig(input_width=width, init_seed=15))
+    model.weights[0][-1, 3] = np.inf
+    grads = random_grads(np.random.default_rng(15), model)
+    messages, last_chunk_threads = [], []
+
+    def helper_takes_the_last_chunk(height, work, scratch):
+        caller, last_done = threading.get_ident(), threading.Event()
+
+        def spied(lo, hi, buffers):
+            if threading.get_ident() == caller and height > net._CHUNK_ROWS:
+                assert last_done.wait(10)
+            work(lo, hi, buffers)
+            if hi == height > net._CHUNK_ROWS:
+                last_chunk_threads.append(threading.get_ident() != caller)
+                last_done.set()
+
+        net._chunked(height, spied, scratch)
+
+    for threads in (1, 2):
+        monkeypatch.setattr(net, "_THREADS", threads)
+        if threads == 2:
+            monkeypatch.setattr(optim, "_chunked", helper_takes_the_last_chunk)
+        with pytest.raises(DivergenceError) as err:
+            apply_update(OptimizerSpec(kind="nadam"), init_state(model), model.copy(), grads)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "non-finite weight after nadam step 1 at layer 0"
+    assert last_chunk_threads == [True]
 
 
 # sgd reads no moments, so their scaling must not move its digest
