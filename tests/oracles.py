@@ -14,9 +14,11 @@ corpus writer, which formats one pair at a time.
 The optimizer step updates a whole tensor with one numpy expression per
 formula; the package's chunked step must match it bit for bit.  So must the
 package's backward pass, which adds the L2 term in place in row chunks, match
-``backward`` with its whole-array sum, and the package's ``evaluate``, which
-takes the sparse first-layer product once per dataset, match ``evaluate``,
-which runs the package's forward pass on each sliced batch.  The textbook
+``backward`` with its whole-array sum (its products take the package's einsum
+spellings and output order, so that only the L2 term is under test), and the
+package's ``evaluate``, which takes the sparse first-layer product once per
+dataset, match ``evaluate``, which runs the package's forward pass on each
+sliced batch.  The textbook
 optimizer step on unscaled moments is kept too, to bound how far the scaled
 step rounds from it.
 ``clamped_sigmoid`` is scipy's ``expit``, which the package no longer
@@ -156,14 +158,15 @@ def backward(model, cache, labels):
     d_weights, d_biases = [None] * n_layers, [None] * n_layers
     delta = ((cache.prob - y) / len(y))[:, None]
     for l in range(n_layers - 1, -1, -1):
-        upstream = cache.post[l - 1] if l > 0 else cache.inputs
-        d_weights[l] = (
-            np.asarray(upstream.T @ delta) + 2.0 * model.config.l2_weight * model.weights[l]
-        )
+        if l:
+            product = np.einsum("bi,bj->ij", cache.post[l - 1], delta, optimize=False)
+        else:
+            product = np.asarray(cache.inputs.T @ delta)
+        d_weights[l] = product + 2.0 * model.config.l2_weight * model.weights[l]
         d_biases[l] = delta.sum(axis=0)
         if l == 0:
             break
-        back = delta @ model.weights[l].T
+        back = np.einsum("bj,ij->bi", delta, model.weights[l], order="F", optimize=False)
         if cache.dropout_mask is not None and l - 1 == n_layers - 2:
             back = back * cache.dropout_mask
         if model.config.activation == "relu":

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -11,13 +12,15 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy
 from scipy import sparse
 
 import bowtie
-from bowtie import cli, encode, net, optim
+from bowtie import cli
 from bowtie import corpus as corpus_module
 from bowtie.cli import main
 from bowtie.corpus import Corpus, Vocabulary, load_slmrd_vocab, shuffle
+from bowtie.encode import MULTI_HOT, encode_corpus
 from bowtie.errors import DataError
 from bowtie.net import ModelConfig, init_model
 from bowtie.train import CHECKPOINT_MAGIC, load_checkpoint, save_checkpoint
@@ -80,11 +83,20 @@ def run_scenario(n, data, out, extra=()):
     )
 
 
-def fresh_python(script, *argv):
+# a script that runs the command line on its arguments, for fresh_python
+MAIN = "import sys\nfrom bowtie.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+
+def fresh_python(script, *argv, **variables):
     """Run ``script`` in a new interpreter that imports this package and sees
-    no BOWTIE_* variable."""
+    no BOWTIE_* variable, with ``variables`` set, or unset where None."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("BOWTIE_")}
     env["PYTHONPATH"] = str(Path(bowtie.__file__).resolve().parents[1])
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run(
         [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True
     )
@@ -125,27 +137,6 @@ def test_missing_required_flag_reports_usage(tmp_path, capsys):
     code = main(["prepare", "slmrd", "--input", str(tmp_path)])
     assert code == 1
     assert "error=usage" in capsys.readouterr().err
-
-
-def test_cli_choice_tuples_match_their_modules():
-    assert cli.OPTIMIZER_CHOICES == optim.OPTIMIZERS
-    assert cli.ENCODING_CHOICES == encode.ENCODING_KINDS
-    assert cli.ACTIVATION_CHOICES == net.ACTIVATIONS
-
-
-def test_parsing_every_command_leaves_numpy_unloaded():
-    """--threads pins BLAS through the environment, which only works while
-    numpy is still unloaded when the command's handler starts."""
-    script = (
-        "import sys\n"
-        "from bowtie.cli import build_parser\n"
-        "for argv in (['prepare', 'slmrd'], ['scenario', '3'], ['train'], ['eval'],\n"
-        "             ['transfer'], ['stats'], ['replay']):\n"
-        "    build_parser().parse_args(argv)\n"
-        "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
-    )
-    result = fresh_python(script)
-    assert result.returncode == 0, result.stderr
 
 
 def test_train_and_eval_leave_scipy_special_unloaded(tmp_path, prepared):
@@ -405,8 +396,10 @@ def test_scenario_one_runs_the_kid_split(tmp_path, prepared, capsys):
 
 
 def test_scenario_one_inputs_hold_two_copies_of_the_kid_corpus(tmp_path, monkeypatch):
-    """Once the kid corpus is shuffled, the shuffled copy and its halves are
-    all that is held; the loaded corpus kept alive beside them is a third copy."""
+    """The kid corpus is encoded as it loads, then shuffled and halved, so the
+    halves equal the loaded corpus's shuffled halves, encoded.  Only the
+    shuffled copy and its halves are held; a loaded corpus kept alive beside
+    them would be a third copy."""
     rows, per, width = 6000, 50, 200
     rng = np.random.default_rng(12)
     indices = (np.arange(per) * 4 + rng.integers(0, 4, (rows, 1))).ravel()
@@ -434,10 +427,12 @@ def test_scenario_one_inputs_hold_two_copies_of_the_kid_corpus(tmp_path, monkeyp
         tracemalloc.stop()
     assert peak <= 2.5 * one_copy, peak / one_copy
     mixed = shuffle(template, 5)
-    for got, want in ((train_c, mixed.take(slice(None, rows // 2))),
-                      (val_c, mixed.take(slice(rows // 2, None)))):
-        assert (got.matrix != want.matrix).nnz == 0
-        npt.assert_array_equal(got.labels, want.labels)
+    for got, half in ((train_c, slice(None, rows // 2)), (val_c, slice(rows // 2, None))):
+        want = encode_corpus(mixed.take(half), MULTI_HOT, width=width)
+        for a, b in ((got.matrix.data, want.matrix.data), (got.matrix.indices, want.matrix.indices),
+                     (got.matrix.indptr, want.matrix.indptr), (got.labels, want.labels)):
+            assert a.dtype == b.dtype
+            npt.assert_array_equal(a, b)
     assert kid is None
 
 
@@ -540,9 +535,10 @@ def test_train_early_stop_via_target(tmp_path, prepared, capsys):
     assert "epochs_run=1" in capsys.readouterr().out
 
 
-def test_train_encodes_each_multi_hot_split_before_loading_the_next(tmp_path, monkeypatch, capsys):
-    """The first split's int64 counts are freed by its encoding before the
-    second split loads, so the command never holds two loaded splits."""
+def peak_over_one_split(monkeypatch, argv):
+    """(exit code, traced peak memory of ``main(argv)`` over the bytes of one
+    loaded split): every corpus file the command reads loads as a copy of one
+    6 000-review int64 corpus, over a 200-token vocabulary."""
     rows, per, width = 6000, 50, 200
     rng = np.random.default_rng(13)
     indices = (np.arange(per) * 4 + rng.integers(0, 4, (rows, 1))).ravel()
@@ -559,17 +555,40 @@ def test_train_encodes_each_multi_hot_split_before_loading_the_next(tmp_path, mo
     one_split = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes + template.labels.nbytes
     tracemalloc.start()
     try:
-        code = main([
-            "train", "--train-corpus", str(tmp_path / "train.corpus"),
-            "--val-corpus", str(tmp_path / "test.corpus"), "--vocab", str(tmp_path / "vocab.txt"),
-            "--encoding", "multi-hot", "--epochs", "0", "--out", str(tmp_path / "run"),
-        ])
+        code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, peak / one_split
+
+
+def test_train_encodes_each_multi_hot_split_before_loading_the_next(tmp_path, monkeypatch, capsys):
+    """The first split's int64 counts are freed by its encoding before the
+    second split loads, so the command never holds two loaded splits."""
+    code, peak = peak_over_one_split(monkeypatch, [
+        "train", "--train-corpus", str(tmp_path / "train.corpus"),
+        "--val-corpus", str(tmp_path / "test.corpus"), "--vocab", str(tmp_path / "vocab.txt"),
+        "--encoding", "multi-hot", "--epochs", "0", "--out", str(tmp_path / "run"),
+    ])
     assert code == 0
     assert "epochs_run=0" in capsys.readouterr().out
-    assert peak < 2 * one_split, peak / one_split
+    assert peak < 2, peak
+
+
+def test_scenario_one_encodes_the_kid_corpus_before_shuffling_it(tmp_path, monkeypatch, capsys):
+    """Scenario 1's kid corpus is encoded as it loads, so its int64 counts are
+    gone before the shuffle and the halves copy it."""
+    kid = tmp_path / "data" / "kid"
+    kid.mkdir(parents=True)
+    for name in ("vocab.txt", "full.corpus"):
+        (kid / name).touch()  # each read is replaced; the command checks they exist
+    code, peak = peak_over_one_split(monkeypatch, [
+        "scenario", "1", "--data-dir", str(tmp_path / "data"), "--epochs", "0",
+        "--out", str(tmp_path / "run"),
+    ])
+    assert code == 4  # no epoch, so no accuracy to pass on
+    assert "scenario=1 verdict=FAIL" in capsys.readouterr().out
+    assert peak < 1.5, peak
 
 
 def test_train_requires_corpus_and_vocab(capsys):
@@ -1036,6 +1055,47 @@ def test_replay_detects_a_different_parameter_sha(tmp_path, prepared, s3_run, ca
     ]
 
 
+def test_run_manifest_records_the_versions_it_ran_on(s3_run):
+    body = json.loads((s3_run / "manifest.json").read_text(encoding="utf-8"))
+    assert body["versions"] == {
+        "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__
+    }
+
+
+@pytest.mark.parametrize(
+    "sha, versions, code, differs",
+    [
+        ("0" * 64, {"numpy": "1.0.0", "python": "3.0.0"}, 4, ["numpy", "python"]),
+        (None, {"numpy": "1.0.0"}, 0, []),
+        ("0" * 64, None, 4, []),
+    ],
+    ids=["sha-differs", "sha-equal", "no-versions"],
+)
+def test_replay_names_differing_versions_only_when_the_run_differs(
+    tmp_path, prepared, s3_run, capsys, sha, versions, code, differs
+):
+    """A version that differs is named after the sha's line, and only when the
+    sha or the metrics differ; it never decides the match itself."""
+    def edit(body):
+        if sha:
+            body["artifacts"]["checkpoint_param_sha256"] = sha
+        if versions is None:
+            del body["versions"]  # as written before the key existed
+        else:
+            body["versions"].update(versions)
+
+    edit_manifest(s3_run / "manifest.json", edit)
+    argv = ["replay", "--manifest", str(s3_run / "manifest.json"), "--out", str(tmp_path / "r9")]
+    assert main(argv) == code
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("differs=")]
+    replayed = {"python": platform.python_version(), "numpy": np.__version__}
+    assert lines[1 if sha else 0:] == [
+        f"differs={name}_version recorded={versions[name]} replayed={replayed[name]}"
+        for name in differs
+    ]
+    assert len(lines) == bool(sha) + len(differs)
+
+
 def test_replay_without_parameter_sha_compares_metrics(tmp_path, prepared, s3_run, capsys):
     edit_manifest(s3_run / "manifest.json",
                   lambda body: body["artifacts"].pop("checkpoint_param_sha256"))
@@ -1125,11 +1185,12 @@ def test_replay_without_original_metrics_compares_parameter_sha(
         lambda body: body["config"].pop("threads"),
         lambda body: body["config"].update(threads=None),
         lambda body: body["config"].update(data_dir=None),
+        lambda body: body.update(versions=["2.4.6"]),
     ],
     ids=["missing-key", "list-config", "list-artifacts", "scenario-out-of-range",
          "hidden-not-a-list", "optimizer-not-a-choice", "epochs-not-an-int",
          "init-seed-not-derived", "unknown-key", "threads-missing", "threads-null",
-         "data-dir-null"],
+         "data-dir-null", "list-versions"],
 )
 def test_replay_rejects_malformed_config(tmp_path, prepared, s3_run, capsys, edit):
     manifest = s3_run / "manifest.json"
@@ -1168,24 +1229,47 @@ def test_replay_ignores_environment_for_recorded_values(
     assert capsys.readouterr().out.splitlines()[-1] == "replay_match=1"
 
 
-def test_replay_pins_threads_before_numpy_loads(s3_run):
-    """Replay applies the recorded --threads while numpy is still unloaded,
-    so the BLAS pools it pins take effect."""
-    script = (
-        "import sys\n"
-        "from bowtie import cli\n"
-        "seen = []\n"
-        "pin = cli._apply_threads\n"
-        "def spy(count):\n"
-        "    seen.append((count, 'numpy' in sys.modules))\n"
-        "    pin(count)\n"
-        "cli._apply_threads = spy\n"
-        "assert cli.main(sys.argv[1:]) == 0\n"
-        "assert seen[-1] == (1, False), seen\n"
-    )
-    argv = ["replay", "--manifest", str(s3_run / "manifest.json"),
-            "--out", str(s3_run / "replay-spy")]
-    result = fresh_python(script, *argv)
+def numpy_dispatch_targets():
+    """The dispatched CPU targets of numpy that this machine has, by the names
+    NPY_DISABLE_CPU_FEATURES takes; they differ between numpy 1.x and 2.x."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+
+
+def train_argv(slmrd, out):
+    """A polarity-weighted run of the default model, whose later layers'
+    products take their bits from whatever computes them."""
+    return ["train", "--train-corpus", str(slmrd / "train.corpus"),
+            "--val-corpus", str(slmrd / "test.corpus"), "--vocab", str(slmrd / "vocab.txt"),
+            "--polarity", str(slmrd / "polarity.txt"), "--encoding", "polarity-weighted",
+            "--batch-size", "100", "--epochs", "2", "--seed", "1", "--out", str(out)]
+
+
+def test_parameters_equal_under_every_blas_kernel_and_numpy_dispatch(tmp_path, prepared):
+    """No product depends on which dgemm kernel OpenBLAS picks for the CPU, or
+    on which SIMD targets numpy dispatches to."""
+    settings = {kind: {"OPENBLAS_CORETYPE": kind, "NPY_DISABLE_CPU_FEATURES": None}
+                for kind in (None, "Haswell", "Sandybridge", "Prescott")}
+    settings["no-dispatch"] = {"OPENBLAS_CORETYPE": None,
+                               "NPY_DISABLE_CPU_FEATURES": " ".join(numpy_dispatch_targets())}
+    shas = {}
+    for name, variables in settings.items():
+        out = tmp_path / f"run-{name}"
+        result = fresh_python(MAIN, *train_argv(prepared / "slmrd", out), **variables)
+        assert result.returncode == 0, (name, result.stderr)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        shas[name] = manifest["artifacts"]["checkpoint_param_sha256"]
+    assert len(set(shas.values())) == 1, shas
+
+
+def test_replay_under_another_blas_kernel_matches(tmp_path, prepared, capsys):
+    out = tmp_path / "run"
+    assert main(train_argv(prepared / "slmrd", out)) == 0
+    result = fresh_python(MAIN, "replay", "--manifest", str(out / "manifest.json"),
+                          OPENBLAS_CORETYPE="Prescott")
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "replay_match=1"
 

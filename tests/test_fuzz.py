@@ -144,10 +144,13 @@ def test_run_manifest_values_through_replay(tree, tmp_path):
     rng = np.random.default_rng(2)
     body = json.loads((tree / "run" / "manifest.json").read_text(encoding="utf-8"))
     cases = [(path, value) for path in paths(body) for value in VALUES]
+    # 80 swaps drawn outside the recorded versions, and every swap of those
+    build = [case for case in cases if case[0][0] == "versions"]
+    cases = [case for case in cases if case[0][0] != "versions"]
+    drawn = [cases[at] for at in rng.choice(len(cases), size=80, replace=False)]
     manifest = tmp_path / "manifest.json"
     (tmp_path / "metrics.csv").write_bytes((tree / "run" / "metrics.csv").read_bytes())
-    for at in rng.choice(len(cases), size=80, replace=False):
-        path, value = cases[at]
+    for path, value in drawn + build:
         manifest.write_text(json.dumps(swap(body, path, value)), encoding="utf-8")
         check(["replay", "--manifest", str(manifest), "--out", str(tmp_path / "replay")])
 
