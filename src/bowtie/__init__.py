@@ -1,7 +1,7 @@
 """BowTie: a small feedforward network for binary sentiment classification.
 
 Submodules: corpus (ingestion), encode (sparse encodings), net (forward,
-loss, backprop), optim (sgd/rmsprop/adam/nadam), train (loop, metrics,
+backprop), optim (sgd/rmsprop/adam/nadam), train (loop, metrics,
 checkpoints), transfer (cross-vocabulary evaluation), cli (command line).
 """
 

@@ -239,9 +239,12 @@ def _train_inputs(cfg: dict):
 
 
 def _run(command: str, cfg: dict, out: Path) -> int:
-    """Train on the command's inputs; write metrics.csv, model.ckpt,
-    manifest.json and, for scenario 4, the transfer report.txt into ``out``;
-    print their paths and the command's result line."""
+    """Train on the command's inputs; write metrics.csv, model.ckpt, for
+    scenario 4 the transfer report.txt, and last manifest.json into ``out``;
+    print their paths and the command's result line.
+
+    The manifest commits the run: the previous run's is removed before the
+    first artifact is written, so a run that fails after that leaves none."""
     resolve = _scenario_inputs if command == "scenario" else _train_inputs
     vocab, encoding, polarity, train_set, val_set, kid = resolve(cfg)
     model = net.init_model(net.ModelConfig(
@@ -277,6 +280,7 @@ def _run(command: str, cfg: dict, out: Path) -> int:
         "report": out / "report.txt" if kid else None,
         "manifest": out / "manifest.json",
     }
+    paths["manifest"].unlink(missing_ok=True)
     train.emit_metrics_csv(metrics, str(paths["metrics_csv"]))
     provenance = {
         key: cfg[key]
@@ -295,10 +299,6 @@ def _run(command: str, cfg: dict, out: Path) -> int:
     versions = {
         "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__
     }
-    body = {"command": command, "config": cfg, "artifacts": artifacts, "versions": versions}
-    with replacing(paths["manifest"], "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
-
     if kid:
         kid_vocab, kid_corpus = kid
         report = transfer.transfer_evaluate(
@@ -306,6 +306,9 @@ def _run(command: str, cfg: dict, out: Path) -> int:
             polarity=polarity, batch_size=cfg["batch_size"],
         )
         transfer.write_transfer_report(report, str(paths["report"]))
+    body = {"command": command, "config": cfg, "artifacts": artifacts, "versions": versions}
+    with replacing(paths["manifest"], "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
     for key, path in paths.items():
         if path:
             print(f"{key}={path}")
@@ -660,10 +663,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f'error=divergence detail="{exc}"', file=sys.stderr)
         return EXIT_DIVERGED
-    except DataError as exc:
-        print(f'error=data detail="{exc}"', file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f'error=data detail="{exc}"', file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

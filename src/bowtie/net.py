@@ -1,9 +1,9 @@
 """The BowTie network: a cascade of dense linear layers over sparse inputs.
 
-Forward pass, binary cross-entropy with an L2 penalty, and hand-derived
-backpropagation.  The first layer is a sparse-times-dense kernel so only the
-nonzero input columns are ever touched; everything past it is small and
-dense.  All arithmetic is 64-bit.
+Forward pass and hand-derived backpropagation of the mean binary
+cross-entropy plus an L2 penalty.  The first layer is a sparse-times-dense
+kernel so only the nonzero input columns are ever touched; everything past
+it is small and dense.  All arithmetic is 64-bit.
 
 No product goes through BLAS, whose kernel, and so whose summation order,
 depends on the CPU.  scipy's sparse products sum in stored order, and the
@@ -34,8 +34,10 @@ PROB_CLAMP = 1e-12
 
 ACTIVATIONS = ("none", "relu")
 
-# rows per chunk of an in-place pass over a tensor (optimizer step, L2 term):
-# 512 KiB per buffer for 16 float64 columns, which stays in cache between ufuncs
+# rows per block of every row-blocked pass: an in-place pass over a tensor
+# (optimizer step, L2 term) takes 512 KiB per buffer for 16 float64 columns,
+# which stays in cache between ufuncs; a product of a pattern (non-float64)
+# matrix, whose values scipy copies as float64, copies one block's at a time
 _CHUNK_ROWS = 4096
 
 # threads sharing a tensor's chunks, the caller's included: the CPUs this
@@ -43,10 +45,6 @@ _CHUNK_ROWS = 4096
 # under 40 % of an 89 527x16 first layer
 _THREADS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-
-# rows per product of a pattern (non-float64) matrix: scipy copies the values
-# it multiplies as float64, so each product copies one block's, not all of them
-_PATTERN_ROWS = 4096
 
 
 @dataclass
@@ -148,7 +146,7 @@ def first_layer(model: BowTieModel, x: sparse.csr_matrix) -> np.ndarray:
     their stored order, so a row of the product is bit-identical whether it
     is computed alone, in a batch, or over a whole dataset.  A float64
     matrix is multiplied in one call; any other dtype, such as multi-hot's
-    bool pattern, which scipy upcasts to exactly 1.0, ``_PATTERN_ROWS`` rows
+    bool pattern, which scipy upcasts to exactly 1.0, ``_CHUNK_ROWS`` rows
     at a time, through views of its arrays.
     """
     w = model.weights[0]
@@ -158,8 +156,8 @@ def first_layer(model: BowTieModel, x: sparse.csr_matrix) -> np.ndarray:
             return np.asarray(x @ w)
         rows = x.shape[0]
         out = np.empty((rows, w.shape[1]))
-        for lo in range(0, rows, _PATTERN_ROWS):
-            hi = min(lo + _PATTERN_ROWS, rows)
+        for lo in range(0, rows, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, rows)
             p0, p1 = x.indptr[lo], x.indptr[hi]
             # set, not passed: scipy's constructor copies a view of under half its base
             block = sparse.csr_matrix((hi - lo, x.shape[1]), dtype=x.dtype)
@@ -239,26 +237,6 @@ def forward(
     return cascade(model, first_layer(model, x), x, training, dropout_seed)
 
 
-def _check_labels(labels) -> np.ndarray:
-    y = np.asarray(labels, dtype=np.float64)
-    if y.ndim != 1 or not np.isin(y, (0.0, 1.0)).all():
-        raise ValueError("labels must be a flat sequence of 0s and 1s")
-    return y
-
-
-def loss(cache: ForwardCache, labels, model: BowTieModel) -> tuple[float, float]:
-    """(mean binary cross-entropy, bce + l2_weight * sum of squared weights)."""
-    y = _check_labels(labels)
-    if len(y) != len(cache.prob):
-        raise ValueError(f"{len(y)} labels for a batch of {len(cache.prob)}")
-    p = cache.prob  # forward already clamped it into [PROB_CLAMP, 1 - PROB_CLAMP]
-    bce = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
-    penalty = model.config.l2_weight * sum(
-        float((w * w).sum()) for w in model.weights
-    )
-    return bce, bce + penalty
-
-
 @functools.cache
 def _pool(helpers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(helpers, thread_name_prefix="bowtie-chunks")
@@ -311,14 +289,17 @@ def _add_l2(grad: np.ndarray, weight: np.ndarray, scale: float) -> np.ndarray:
 
 
 def backward(model: BowTieModel, cache: ForwardCache, labels) -> Gradients:
-    """Analytic gradient of the total loss (bce + L2) for every weight and bias."""
+    """Analytic gradient, for every weight and bias, of the total loss: the mean
+    bce plus ``l2_weight`` times the sum of squared weights (biases excluded)."""
     cfg = model.config
     n_layers = model.layer_count
     if len(cache.pre) != n_layers or any(
         cache.pre[l].shape[1] != model.weights[l].shape[1] for l in range(n_layers)
     ):
         raise ValueError("cache does not match this model (stale cache?)")
-    y = _check_labels(labels)
+    y = np.asarray(labels, dtype=np.float64)
+    if y.ndim != 1 or not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError("labels must be a flat sequence of 0s and 1s")
     batch = len(y)
     if batch != len(cache.prob):
         raise ValueError(f"{len(y)} labels for a batch of {len(cache.prob)}")

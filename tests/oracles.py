@@ -3,9 +3,9 @@
 Everything here is deliberately written with plain Python loops and dense
 arrays so it shares no code path with the package under test, except the
 finite-difference gradient, which probes the package's own forward pass and
-loss to check its backward pass, and ``predict``, which scores one example
-at a time through the package's forward pass as the reference for batched
-evaluation.  The three record-file loaders parse one line and one pair at a
+scores it with ``bce_mean + l2_penalty`` to check its backward pass, and
+``predict``, which scores one example at a time through the package's
+forward pass as the reference for batched evaluation.  The three record-file loaders parse one line and one pair at a
 time with ``int()`` and ``str.split()``; they differ from the package's
 loaders only on the inputs that the README's "Accepted line grammar" lists
 as now rejected or reported differently.  So do the vocabulary, polarity
@@ -34,7 +34,7 @@ from scipy.special import expit
 
 from bowtie.corpus import Corpus, Vocabulary
 from bowtie.errors import DataError
-from bowtie.net import forward, loss
+from bowtie.net import forward
 from bowtie.train import EvalResult
 from bowtie.transfer import VocabMap
 
@@ -141,7 +141,7 @@ def finite_difference_grad(
         target = probe.weights[layer] if kind == "W" else probe.biases[layer]
         target[index] = value
         cache = forward(probe, batch, training=training, dropout_seed=dropout_seed)
-        return loss(cache, labels, probe)[1]
+        return bce_mean(cache.prob, labels) + l2_penalty(probe)
 
     base = model.weights[layer] if kind == "W" else model.biases[layer]
     return central_difference(total_at, float(base[index]), h)

@@ -133,10 +133,26 @@ def test_help_says_only_optional_flags_read_the_environment(capsys):
     assert "Any optional flag may be supplied via the environment as BOWTIE_<FLAG>" in text
 
 
-def test_missing_required_flag_reports_usage(tmp_path, capsys):
-    code = main(["prepare", "slmrd", "--input", str(tmp_path)])
-    assert code == 1
-    assert "error=usage" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, detail", [
+    (["prepare", "slmrd", "--input", "in"], "prepare requires --out"),
+    (["prepare", "slmrd", "--out", "out"],
+     "prepare slmrd requires --input (the distribution directory)"),
+    (["prepare", "kid", "--word-index", "w.json", "--out", "out"],
+     "prepare kid requires --word-index and --sequences"),
+    (["train", "--vocab", "v.txt"], "train requires --train-corpus and --vocab"),
+    (["eval", "--checkpoint", "m.ckpt", "--corpus", "c"],
+     "eval requires --checkpoint, --corpus, and --vocab"),
+    (["transfer", "--checkpoint", "m.ckpt"],
+     "transfer requires --checkpoint, --source-corpus, --source-vocab, and --target-vocab"),
+    (["stats", "--corpus", "c"], "stats requires --corpus and --vocab"),
+    (["replay"], "replay requires --manifest"),
+], ids=["prepare", "prepare-slmrd", "prepare-kid", "train", "eval", "transfer", "stats",
+        "replay"])
+def test_missing_required_flag_reports_usage(tmp_path, monkeypatch, capsys, argv, detail):
+    monkeypatch.chdir(tmp_path)  # the paths need not exist: none is read or made
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f'error=usage detail="{detail}"\n'
+    assert not any(tmp_path.iterdir())
 
 
 def test_train_and_eval_leave_scipy_special_unloaded(tmp_path, prepared):
@@ -225,6 +241,69 @@ def test_prepare_kid_reports_counts(tmp_path, raw_trees, capsys):
     assert line.startswith("dataset=kid vocab=40 reviews=400")
     assert (out / "vocab.txt").exists()
     assert (out / "full.corpus").exists()
+
+
+# perfbench/gen.py's paper-shape raw tree, the sha256 of each file prepare must
+# write from it, and the transfer counts and oracle accuracy of its fixed
+# checkpoint; run in a process that runs nothing but prepare and transfer
+PAPER_SHAPE_INGEST = """
+import hashlib, sys
+from pathlib import Path
+import gen
+import numpy as np
+from bowtie.cli import main
+from bowtie.corpus import load_corpus_file, load_kid, load_slmrd_bow, load_slmrd_vocab
+tmp = Path(sys.argv[1])
+expect = gen.generate(tmp / "in", "raw", "paper", 1)
+raw = tmp / "in" / "raw"
+assert main(["prepare", "slmrd", "--input", str(raw / "slmrd"),
+             "--out", str(tmp / "slmrd")]) == 0
+assert main(["prepare", "kid", "--word-index", str(raw / "kid" / "word_index.json"),
+             "--sequences", str(raw / "kid" / "sequences.tsv"),
+             "--out", str(tmp / "kid")]) == 0
+wrong = [name for name, sha in sorted(expect["sha256"].items())
+         if hashlib.sha256((tmp / name).read_bytes()).hexdigest() != sha]
+if wrong:
+    sys.exit(f"prepare wrote other bytes than expect.json for {wrong}")
+# each corpus read back, about 40 blocks a file, equals its raw load
+vocab = load_slmrd_vocab(raw / "slmrd" / "imdb.vocab")
+loaded = {f"slmrd/{split}.corpus": load_slmrd_bow(raw / "slmrd" / split / "labeledBow.feat", vocab)
+          for split in ("train", "test")}
+loaded["kid/full.corpus"] = load_kid(raw / "kid" / "word_index.json",
+                                     raw / "kid" / "sequences.tsv")[1]
+for name, direct in loaded.items():
+    back = load_corpus_file(tmp / name, width=direct.width)
+    for what in ("indptr", "indices", "data", "labels"):
+        a, b = (c.labels if what == "labels" else getattr(c.matrix, what) for c in (back, direct))
+        if a.dtype != b.dtype or not np.array_equal(a, b):
+            sys.exit(f"{name} loads other {what} than its raw files")
+report = tmp / "report.txt"
+assert main(["transfer", "--checkpoint", str(raw / "model.ckpt"),
+             "--source-corpus", str(tmp / "kid" / "full.corpus"),
+             "--source-vocab", str(tmp / "kid" / "vocab.txt"),
+             "--target-vocab", str(tmp / "slmrd" / "vocab.txt"),
+             "--polarity", str(tmp / "slmrd" / "polarity.txt"),
+             "--report", str(report)]) == 0
+assert "scipy.special" not in sys.modules
+lines = report.read_text(encoding="utf-8").splitlines()
+last = len(lines) - 1 - lines[::-1].index("---")
+footer = dict(line.split("=", 1) for line in lines[last + 1:])
+want = {"mapped": expect["mapped"], "dropped": expect["dropped"],
+        "examples": expect["kid_reviews"]}
+got = {key: int(footer[key]) for key in want}
+if got != want:
+    sys.exit(f"transfer report says {got}, expect.json {want}")
+accuracy, oracle = float(footer["accuracy"]), expect["oracle_accuracy"]
+if abs(accuracy - oracle) > 1 / expect["kid_reviews"] + 1e-6:
+    sys.exit(f"transfer accuracy {accuracy}, oracle accuracy {oracle}")
+"""
+
+
+def test_prepare_writes_the_benchmarks_bytes_and_transfer_scores_them(tmp_path):
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    path = os.pathsep.join([str(Path(bowtie.__file__).resolve().parents[1]), str(perfbench)])
+    result = fresh_python(PAPER_SHAPE_INGEST, str(tmp_path), PYTHONPATH=path)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("offset", [str(10**20 - 1), str(2**63), str(-10**20)])
@@ -591,11 +670,6 @@ def test_scenario_one_encodes_the_kid_corpus_before_shuffling_it(tmp_path, monke
     assert peak < 1.5, peak
 
 
-def test_train_requires_corpus_and_vocab(capsys):
-    assert main(["train"]) == 1
-    assert "error=usage" in capsys.readouterr().err
-
-
 def test_train_divergence_exits_three(tmp_path, prepared, capsys):
     out = tmp_path / "runs" / "diverge"
     slmrd = prepared / "slmrd"
@@ -816,6 +890,16 @@ def test_stats_prints_both_interpretations(prepared, capsys):
     assert line.startswith("encoding=polarity-weighted examples=300")
 
 
+def test_stats_without_polarity_exits_two(prepared, capsys):
+    slmrd = prepared / "slmrd"
+    code = main(["stats", "--corpus", str(slmrd / "train.corpus"),
+                 "--vocab", str(slmrd / "vocab.txt")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == 'error=data detail="the polarity-weighted encoding needs --polarity"\n'
+    assert captured.out == ""
+
+
 # ------------------------------------------------------------------ transfer
 
 
@@ -889,10 +973,6 @@ def test_batch_size_below_one_exits_one(tmp_path, prepared, capsys, command, bat
     assert captured.err == 'error=usage detail="batch_size must be >= 1"\n'
     assert "accuracy=" not in captured.out
     assert not report.exists()
-
-
-def test_transfer_requires_all_paths(capsys):
-    assert main(["transfer"]) == 1
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "transfer", "stats"])
@@ -1274,8 +1354,37 @@ def test_replay_under_another_blas_kernel_matches(tmp_path, prepared, capsys):
     assert result.stdout.splitlines()[-1] == "replay_match=1"
 
 
-def test_replay_requires_manifest(capsys):
-    assert main(["replay"]) == 1
+def test_a_run_that_fails_after_its_first_write_leaves_no_manifest(tmp_path, prepared, capsys):
+    """The previous run's manifest goes before this run writes its metrics.csv,
+    so it never vouches for another run's files."""
+    out = tmp_path / "run"
+    assert main(train_argv(prepared / "slmrd", out)) == 0
+    (out / "model.ckpt").unlink()
+    (out / "model.ckpt").mkdir()  # the checkpoint's rename fails
+    assert main([*train_argv(prepared / "slmrd", out), "--epochs", "3"]) == 2
+    assert len((out / "metrics.csv").read_text(encoding="utf-8").splitlines()) == 4
+    assert not (out / "manifest.json").exists()
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(out / "manifest.json")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f'error=data detail="cannot read {out / "manifest.json"}: ')
+
+
+def test_a_failed_transfer_leaves_no_manifest_beside_the_old_report(
+    tmp_path, prepared, monkeypatch, capsys
+):
+    out = tmp_path / "runs" / "s4"
+    assert run_scenario(4, prepared, out) == 0
+    report = (out / "report.txt").read_bytes()
+
+    def fail(*args, **kwargs):
+        raise DataError("transfer failed")
+
+    monkeypatch.setattr(cli.transfer, "transfer_evaluate", fail)
+    assert run_scenario(4, prepared, out) == 2
+    assert 'error=data detail="transfer failed"' in capsys.readouterr().err
+    assert (out / "report.txt").read_bytes() == report
+    assert not (out / "manifest.json").exists()
 
 
 def test_replay_rejects_malformed_manifest(tmp_path, capsys):

@@ -266,6 +266,8 @@ def test_a_consumed_corpus_raises_on_reuse():
     for use in uses:
         with pytest.raises(ValueError, match="consumed"):
             use()
+    with pytest.raises(AttributeError, match="^to_csr$"):  # any other name is just missing
+        corpus.to_csr
 
 
 def test_an_overflow_in_a_later_chunk_names_its_token_and_leaves_the_corpus_consumed():
@@ -417,7 +419,7 @@ def test_a_pattern_computes_the_bits_its_float64_ones_would(tmp_path, monkeypatc
     """scipy reads a multi-hot pattern as exactly 1.0 in every product:
     training, evaluate, stats, transfer and ``bowtie stats`` give the same
     bits as float64 ones, over several first-layer blocks."""
-    monkeypatch.setattr(net, "_PATTERN_ROWS", 128)
+    monkeypatch.setattr(net, "_CHUNK_ROWS", 128)
     pattern = multi_hot_results(tmp_path, capsys)
     monkeypatch.setattr(encode, "encode_corpus", float64_ones)
     monkeypatch.setattr(transfer, "encode_corpus", float64_ones)

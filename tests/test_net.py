@@ -10,6 +10,7 @@ import pytest
 from scipy import sparse
 
 from bowtie import net
+from bowtie.corpus import Corpus
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.errors import DivergenceError
 from bowtie.net import (
@@ -19,8 +20,8 @@ from bowtie.net import (
     batch_matrix,
     forward,
     init_model,
-    loss,
 )
+from bowtie.train import evaluate
 from oracles import (
     backward as oracle_backward,
     bce_mean,
@@ -28,7 +29,6 @@ from oracles import (
     clamped_sigmoid,
     dense_forward,
     finite_difference_grad,
-    l2_penalty,
     predict,
 )
 from synth import planted_corpus, rating_table
@@ -336,25 +336,17 @@ def test_dropout_scaling_is_unbiased():
 
 
 # ---------------------------------------------------------------------- loss
+# the loss the program reports: train.evaluate's mean bce over a dataset
+
+
+def reported_bce(model, batch, labels):
+    return evaluate(model, Corpus(batch, np.asarray(labels, dtype=np.int64))).bce
 
 
 def test_loss_at_half_is_log_two():
     model = zero_model(3)
-    cache = forward(model, rows([0.0, 1.0, 0.0], [0.0, 1.0, 0.0]))
-    bce, total = loss(cache, [0, 1], model)
+    bce = reported_bce(model, rows([0.0, 1.0, 0.0], [0.0, 1.0, 0.0]), [0, 1])
     npt.assert_allclose(bce, math.log(2.0), rtol=0.0, atol=1e-15)
-    assert total == bce  # zero weights leave no penalty
-
-
-def test_loss_total_minus_bce_is_l2_penalty():
-    rng = np.random.default_rng(11)
-    for case in range(30):
-        width = int(rng.integers(1, 20))
-        model = make_model(width, hidden=(3, 1), l2=float(rng.uniform(0, 0.1)), seed=case)
-        batch, labels = random_batch(rng, width, int(rng.integers(1, 5)))
-        cache = forward(model, batch)
-        bce, total = loss(cache, labels, model)
-        npt.assert_allclose(total - bce, l2_penalty(model), rtol=1e-12, atol=1e-15)
 
 
 def test_loss_matches_bce_oracle():
@@ -363,25 +355,14 @@ def test_loss_matches_bce_oracle():
         width = int(rng.integers(1, 20))
         model = make_model(width, hidden=(4, 1), activation="relu", seed=case)
         batch, labels = random_batch(rng, width, int(rng.integers(1, 6)))
-        cache = forward(model, batch)
-        bce, _ = loss(cache, labels, model)
-        npt.assert_allclose(bce, bce_mean(cache.prob, labels), rtol=1e-12, atol=1e-15)
-
-
-def test_loss_rejects_bad_labels():
-    model = zero_model(2)
-    cache = forward(model, rows([1.0], width=2))
-    with pytest.raises(ValueError):
-        loss(cache, [2], model)
-    with pytest.raises(ValueError):
-        loss(cache, [0, 1], model)
+        want = bce_mean(forward(model, batch).prob, labels)
+        npt.assert_allclose(reported_bce(model, batch, labels), want, rtol=1e-12, atol=1e-15)
 
 
 def test_near_certain_wrong_prediction_has_large_finite_loss():
     model = zero_model(1)
     model.weights[0][:] = 1000.0
-    cache = forward(model, rows([1.0]))
-    bce, _ = loss(cache, [0], model)
+    bce = reported_bce(model, rows([1.0]), [0])
     assert np.isfinite(bce)
     npt.assert_allclose(bce, -math.log(1e-12), rtol=1e-6)
 
@@ -544,6 +525,14 @@ def test_backward_stale_cache_rejected():
     cache = forward(small, random_batch(rng, 4, 2)[0])
     with pytest.raises(ValueError, match="cache"):
         backward(big, cache, [0, 1])
+
+
+def test_backward_rejects_bad_labels():
+    model = zero_model(2)
+    cache = forward(model, rows([1.0], width=2))
+    for labels in ([2], [0.5], [[1]]):
+        with pytest.raises(ValueError, match="^labels must be a flat sequence of 0s and 1s$"):
+            backward(model, cache, labels)
 
 
 def test_backward_label_count_must_match_batch():

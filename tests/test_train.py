@@ -639,7 +639,7 @@ def test_evaluate_upcasts_a_pattern_one_block_at_a_time():
     one block's copy, one block's product and the whole product, not a
     float64 per stored entry, nor a slice's copy of a block's arrays."""
     rng = np.random.default_rng(7)
-    rows, per, width = 3 * net._PATTERN_ROWS + 100, 100, 5000
+    rows, per, width = 3 * net._CHUNK_ROWS + 100, 100, 5000
     step = width // per
     indices = (np.arange(per) * step + rng.integers(0, step, (rows, 1))).ravel()
     counts = sparse.csr_matrix(
@@ -651,7 +651,7 @@ def test_evaluate_upcasts_a_pattern_one_block_at_a_time():
     model = init_model(ModelConfig(input_width=width, init_seed=7))
     assert data.matrix.dtype == np.bool_
     columns = model.weights[0].shape[1]
-    block = 8 * net._PATTERN_ROWS * (per + columns)  # its float64 copy and its product
+    block = 8 * net._CHUNK_ROWS * (per + columns)  # its float64 copy and its product
     product = 8 * rows * columns
     peak, result = peak_bytes(lambda: evaluate(model, data, 512))
     # slicing each block would copy its int32 indices and its pattern: 5 bytes
