@@ -35,6 +35,8 @@ EXIT_DATA = 2
 EXIT_DIVERGED = 3
 EXIT_VERDICT = 4
 
+MAX_EPOCHS = 10_000  # the paper trains 20; the bound makes every run end
+
 # early-stop training targets per scenario
 SCENARIO_TARGET = {1: 0.88, 2: 0.8795, 3: 0.89, 4: 0.89}
 # verdict threshold = weakest reported accuracy minus a 0.5-point allowance
@@ -135,7 +137,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rms-decay", type=float, default=0.9)
     p.add_argument("--epsilon", type=float, default=1e-7)
     p.add_argument("--batch-size", type=int, default=512)
-    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--epochs", type=int, default=20, help=f"at most {MAX_EPOCHS}")
     p.add_argument("--target-acc", type=float,
                    help="stop at the first epoch whose validation accuracy reaches this")
     p.add_argument("--seed", type=int, default=0,
@@ -154,6 +156,8 @@ def _add_exec_flags(p: argparse.ArgumentParser) -> None:
 def _resolve_run_config(args) -> dict:
     """The recorded config: every flag but --out as parsed, ``hidden`` as a
     list of widths, and the three seeds derived from ``seed``."""
+    if args.epochs > MAX_EPOCHS:
+        raise ValueError(f"--epochs {args.epochs} is above the limit of {MAX_EPOCHS}")
     skip = ("command", "func", "number", "out")
     cfg = {key: value for key, value in vars(args).items() if key not in skip}
     cfg["hidden"] = list(_parse_hidden(args.hidden))

@@ -60,13 +60,15 @@ class Corpus:
     ``matrix`` has shape (reviews, width) and rows with sorted column
     indices, no duplicates and no stored zeros.  Loaders fill it with int64
     token counts, a column per vocabulary index; ``encode_corpus`` gives a
-    bool pattern (multi-hot) or float64 values (polarity-weighted) on the
+    bool pattern (multi-hot) or narrow unsigned counts with the polarity
+    table as ``ratings`` (polarity-weighted, value rating x count) on the
     same ``indices`` and ``indptr``.  Encoding and remapping consume it in
     place and delete it: the corpus keeps only its labels.
     """
 
     matrix: sparse.csr_matrix = field(repr=False)  # gone once consumed
     labels: np.ndarray  # int64, 0 or 1 per row
+    ratings: np.ndarray | None = field(default=None, repr=False)  # shared, not copied
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -91,7 +93,7 @@ class Corpus:
 
     def take(self, rows) -> "Corpus":
         """The reviews at ``rows`` (an index array or a slice), in that order."""
-        return Corpus(self.matrix[rows], self.labels[rows])
+        return Corpus(self.matrix[rows], self.labels[rows], self.ratings)
 
 
 # Loaders read a record file whole and scan it in blocks of whole lines of

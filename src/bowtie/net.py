@@ -34,10 +34,8 @@ PROB_CLAMP = 1e-12
 
 ACTIVATIONS = ("none", "relu")
 
-# rows per block of every row-blocked pass: an in-place pass over a tensor
-# (optimizer step, L2 term) takes 512 KiB per buffer for 16 float64 columns,
-# which stays in cache between ufuncs; a product of a pattern (non-float64)
-# matrix, whose values scipy copies as float64, copies one block's at a time
+# rows per chunk of an in-place pass over a tensor (optimizer step, L2 term):
+# 512 KiB per buffer for 16 float64 columns, which stays in cache between ufuncs
 _CHUNK_ROWS = 4096
 
 # threads sharing a tensor's chunks, the caller's included: the CPUs this
@@ -127,11 +125,13 @@ def init_model(config: ModelConfig) -> BowTieModel:
 
 
 def batch_matrix(batch, width: int) -> sparse.csr_matrix:
-    """Check a sparse batch of rows against the input width; returns it as CSR."""
+    """Check a batch of values, not int counts, against the input width; returns CSR."""
     if batch.shape[0] == 0:
         raise ValueError("empty batch")
     if batch.shape[1] != width:
         raise ValueError(f"batch width {batch.shape[1]} != input width {width}")
+    if batch.dtype.kind in "iu":
+        raise ValueError(f"batch of {batch.dtype} counts, not values; encode it first")
     return batch.tocsr()
 
 
@@ -144,27 +144,12 @@ def first_layer(model: BowTieModel, x: sparse.csr_matrix) -> np.ndarray:
 
     scipy sums each output row from zero over that row's stored entries in
     their stored order, so a row of the product is bit-identical whether it
-    is computed alone, in a batch, or over a whole dataset.  A float64
-    matrix is multiplied in one call; any other dtype, such as multi-hot's
-    bool pattern, which scipy upcasts to exactly 1.0, ``_CHUNK_ROWS`` rows
-    at a time, through views of its arrays.
+    is computed alone, in a batch, or over a whole dataset.  Callers pass
+    float64 values (``encode.float_rows``); scipy copies any other dtype whole.
     """
-    w = model.weights[0]
     # explosions surface as the explicit non-finite check, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        if x.dtype == np.float64:
-            return np.asarray(x @ w)
-        rows = x.shape[0]
-        out = np.empty((rows, w.shape[1]))
-        for lo in range(0, rows, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, rows)
-            p0, p1 = x.indptr[lo], x.indptr[hi]
-            # set, not passed: scipy's constructor copies a view of under half its base
-            block = sparse.csr_matrix((hi - lo, x.shape[1]), dtype=x.dtype)
-            block.data, block.indices = x.data[p0:p1], x.indices[p0:p1]
-            block.indptr = x.indptr[lo:hi + 1] - p0
-            out[lo:hi] = block @ w
-        return out
+        return np.asarray(x @ model.weights[0])
 
 
 def cascade(
@@ -246,16 +231,17 @@ if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's thr
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _chunked(height: int, work, scratch) -> None:
-    """``work(lo, hi, buffers)`` over rows ``[0, height)`` in ``_CHUNK_ROWS``-row
-    chunks, shared by the calling thread and up to ``_THREADS - 1`` helpers.
+def _chunked(height: int, work, scratch, rows: int = 0) -> None:
+    """``work(lo, hi, buffers)`` over rows ``[0, height)`` in chunks of ``rows``
+    rows (default ``_CHUNK_ROWS``), shared by the calling thread and up to
+    ``_THREADS - 1`` helpers.
 
     ``scratch(rows)`` makes one thread's buffers, every thread's on the caller.
     Each chunk goes to whichever thread is free, so ``work`` must touch its own
     rows only; a single chunk runs on the caller alone.  The caller waits for
     every helper, then raises its own exception or else a helper's.
     """
-    rows = _CHUNK_ROWS
+    rows = rows or _CHUNK_ROWS
     if height <= rows:
         return work(0, height, scratch(height))
     buffers = [scratch(rows) for _ in range(min(_THREADS, -(-height // rows)))]

@@ -20,12 +20,13 @@ from itertools import accumulate
 import numpy as np
 
 from .corpus import Corpus
-from .encode import ENCODING_KINDS
+from .encode import ENCODING_KINDS, float_buffer, float_rows
 from .errors import CheckpointError, DivergenceError, FingerprintError
 from .fileio import replacing
 from .net import (
     BowTieModel,
     ModelConfig,
+    _chunked,
     backward,
     batch_matrix,
     cascade,
@@ -37,6 +38,8 @@ from .rngseed import derive_rng, mix_seed
 
 CHECKPOINT_MAGIC = b"BOWTIECK"
 CHECKPOINT_VERSION = 1
+
+_EVAL_ROWS = 1024  # per evaluate chunk, in whole batches: about 1 MB of values a thread
 
 
 @dataclass
@@ -91,30 +94,37 @@ def evaluate(
 ) -> EvalResult:
     """Inference-mode mean bce and accuracy.
 
-    The sparse first-layer product is computed once over the whole dataset
-    (a multi-hot pattern a bounded block of rows at a time, see
-    ``first_layer``); the dense cascade and the bce sum then run per
-    ``batch_size`` rows, so the result is bit-identical to forwarding each
-    batch on its own, and equal for a pattern and its float64 1.0 values.
-    """
+    ``net._chunked`` shares out chunks of whole batches, about ``_EVAL_ROWS``
+    rows each: a chunk makes its float64 values (``encode.float_rows``) and
+    first-layer product, then runs the cascade and the bce sum per batch.
+    The batches' sums are added in batch order, so the result is
+    bit-identical to forwarding each batch on its own, at any thread count."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if not len(dataset):
         raise ValueError("cannot evaluate on an empty dataset")
-    x = batch_matrix(dataset.matrix, model.config.input_width)
-    product = first_layer(model, x)
-    y = dataset.labels
-    n = len(y)
-    delta = model.config.discriminator
+    y, n = dataset.labels, len(dataset)
+    chunk = max(1, _EVAL_ROWS // batch_size) * batch_size
+    starts, indptr = np.arange(0, n, chunk), dataset.matrix.indptr
+    entries = int((indptr[np.minimum(starts + chunk, n)] - indptr[starts]).max())
+    sums = np.empty(-(-n // batch_size))
+    correct = np.empty(len(sums), dtype=np.int64)
+
+    def work(lo, hi, buf):
+        x = batch_matrix(float_rows(dataset, lo, hi, buf), model.config.input_width)
+        product = first_layer(model, x)
+        for start in range(lo, hi, batch_size):
+            stop = min(start + batch_size, hi)
+            p = cascade(model, product[start - lo:stop - lo]).prob
+            yb = y[start:stop] == 1.0
+            sums[start // batch_size] = np.sum(yb * np.log(p) + (~yb) * np.log1p(-p))
+            correct[start // batch_size] = np.sum((p >= model.config.discriminator) == yb)
+
+    _chunked(n, work, float_buffer(dataset, entries), chunk)
     bce_sum = 0.0
-    correct = 0
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        p = cascade(model, product[start:stop]).prob
-        yb = y[start:stop] == 1.0
-        bce_sum -= float(np.sum(yb * np.log(p) + (~yb) * np.log1p(-p)))
-        correct += int(np.sum((p >= delta) == yb))
-    return EvalResult(bce=bce_sum / n, accuracy=correct / n, count=n)
+    for partial in sums.tolist():
+        bce_sum -= partial
+    return EvalResult(bce=bce_sum / n, accuracy=int(correct.sum()) / n, count=n)
 
 
 def train(
@@ -144,23 +154,24 @@ def train(
             f"dataset width {train_data.width} != "
             f"model input width {model.config.input_width}"
         )
-    x, y = train_data.matrix, train_data.labels
-    n = len(y)
+    n = len(train_data)
     state = init_state(model)
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
         perm = derive_rng(config.data_seed, epoch).permutation(n)
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            rows = perm[start : start + config.batch_size]
+            batch = train_data.take(perm[start : start + config.batch_size])
             seed = mix_seed(config.dropout_seed, epoch, batch_index)
             try:
-                cache = forward(model, x[rows], training=True, dropout_seed=seed)
-                apply_update(config.optimizer, state, model, backward(model, cache, y[rows]))
+                x = float_rows(batch, 0, len(batch), float_buffer(batch, batch.nnz)())
+                cache = forward(model, x, training=True, dropout_seed=seed)
+                grads = backward(model, cache, batch.labels)
+                del x, cache  # the batch's values go before the step, its gradient after
+                apply_update(config.optimizer, state, model, grads)
+                del grads
             except DivergenceError as exc:
-                raise DivergenceError(
-                    f"epoch {epoch} batch {batch_index}: {exc}"
-                ) from exc
+                raise DivergenceError(f"epoch {epoch} batch {batch_index}: {exc}") from exc
         split = "training"
         try:
             train_eval = evaluate(model, train_data, config.batch_size)

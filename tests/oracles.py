@@ -16,9 +16,9 @@ formula; the package's chunked step must match it bit for bit.  So must the
 package's backward pass, which adds the L2 term in place in row chunks, match
 ``backward`` with its whole-array sum (its products take the package's einsum
 spellings and output order, so that only the L2 term is under test), and the
-package's ``evaluate``, which takes the sparse first-layer product once per
-dataset, match ``evaluate``, which runs the package's forward pass on each
-sliced batch.  The textbook
+package's ``evaluate``, which shares chunks of whole batches between
+threads, match ``evaluate``, which runs the package's forward pass on each
+sliced batch of the float64 values (``synth.values_of``).  The textbook
 optimizer step on unscaled moments is kept too, to bound how far the scaled
 step rounds from it.
 ``clamped_sigmoid`` is scipy's ``expit``, which the package no longer
@@ -37,6 +37,7 @@ from bowtie.errors import DataError
 from bowtie.net import forward
 from bowtie.train import EvalResult
 from bowtie.transfer import VocabMap
+from synth import values_of
 
 PROB_FLOOR = 1e-12
 
@@ -177,7 +178,7 @@ def backward(model, cache, labels):
 
 def evaluate(model, dataset, batch_size=512):
     """Mean bce and accuracy from one forward pass per sliced CSR batch."""
-    x, y = dataset.matrix, dataset.labels
+    x, y = values_of(dataset), dataset.labels
     n = len(y)
     bce_sum = 0.0
     correct = 0

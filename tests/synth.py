@@ -30,7 +30,16 @@ def corpus_from_rows(rows, labels, width):
 def copy_of(corpus):
     """An independent copy of ``corpus``, for a test that reads it again after
     encoding or remapping has consumed the original."""
-    return Corpus(corpus.matrix.copy(), corpus.labels.copy())
+    return Corpus(corpus.matrix.copy(), corpus.labels.copy(), corpus.ratings)
+
+
+def values_of(corpus):
+    """``corpus.matrix`` with the values its entries stand for: a
+    polarity-weighted corpus's float64 rating x count, the stored data otherwise."""
+    m = corpus.matrix
+    if corpus.ratings is None:
+        return m
+    return sparse.csr_matrix((corpus.ratings[m.indices] * m.data, m.indices, m.indptr), shape=m.shape)
 
 
 def rows_of(matrix):

@@ -31,7 +31,7 @@ from bowtie.optim import OptimizerSpec, apply_update, init_state
 from bowtie.train import TrainConfig, load_checkpoint, save_checkpoint, train
 from bowtie.transfer import build_vocab_map, remap_corpus
 from oracles import dense_forward, dense_multi_hot, dense_polarity_weighted, predict
-from synth import copy_of, corpus_from_rows, planted_bag, planted_corpus, rating_table
+from synth import copy_of, corpus_from_rows, planted_bag, planted_corpus, rating_table, values_of
 from test_net import fd_all_coords, make_model, random_batch, sample_net_case, vector_rel_error
 from test_optim import single_step
 
@@ -279,9 +279,9 @@ def test_criterion_8_property_suite(tmp_path):
         pairs, label = planted_bag(rng, ratings, max_distinct=min(8, width))
         corpus = corpus_from_rows([pairs], [label], width)
         hot = encode_corpus(copy_of(corpus), MULTI_HOT, width=width).matrix.toarray()[0]
-        weighted = encode_corpus(
+        weighted = values_of(encode_corpus(
             corpus, POLARITY_WEIGHTED, polarity=ratings, width=width
-        ).matrix.toarray()[0]
+        )).toarray()[0]
         encoder_ok = (
             encoder_ok
             and np.array_equal(hot, dense_multi_hot(pairs, width))

@@ -210,6 +210,35 @@ def test_environment_choices_are_checked_for_the_chosen_command_only(
     assert "error=data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "environment"])
+@pytest.mark.parametrize("command", ["train", "scenario"])
+def test_epochs_above_the_limit_exit_one_before_reading(
+    tmp_path, monkeypatch, capsys, command, source
+):
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out")  # reading would exit 2
+    argv = {
+        "train": ["train", "--train-corpus", missing, "--vocab", missing, "--out", out],
+        "scenario": ["scenario", "3", "--data-dir", missing, "--out", out],
+    }[command]
+    if source == "flag":
+        argv += ["--epochs", str(2**70)]
+    else:
+        monkeypatch.setenv("BOWTIE_EPOCHS", str(2**70))
+    assert main(argv) == 1
+    detail = f"--epochs {2**70} is above the limit of {cli.MAX_EPOCHS}"
+    assert f'error=usage detail="{detail}"' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_epochs_at_the_limit_resolve():
+    args = cli.build_parser({}).parse_args(
+        ["train", "--train-corpus", "t", "--vocab", "v", "--epochs", str(cli.MAX_EPOCHS)])
+    assert cli.MAX_EPOCHS == 10_000 and cli._train_config(args)["epochs"] == 10_000
+    args.epochs += 1
+    with pytest.raises(ValueError, match="above the limit"):
+        cli._train_config(args)
+
+
 # ------------------------------------------------------------------- prepare
 
 
@@ -1266,11 +1295,12 @@ def test_replay_without_original_metrics_compares_parameter_sha(
         lambda body: body["config"].update(threads=None),
         lambda body: body["config"].update(data_dir=None),
         lambda body: body.update(versions=["2.4.6"]),
+        lambda body: body["config"].update(epochs=2**70),
     ],
     ids=["missing-key", "list-config", "list-artifacts", "scenario-out-of-range",
          "hidden-not-a-list", "optimizer-not-a-choice", "epochs-not-an-int",
          "init-seed-not-derived", "unknown-key", "threads-missing", "threads-null",
-         "data-dir-null", "list-versions"],
+         "data-dir-null", "list-versions", "epochs-above-the-limit"],
 )
 def test_replay_rejects_malformed_config(tmp_path, prepared, s3_run, capsys, edit):
     manifest = s3_run / "manifest.json"

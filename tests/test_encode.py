@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 from scipy import sparse
 
-from bowtie import encode, net, transfer
+from bowtie import encode, transfer
+from bowtie import train as train_module
 from bowtie.cli import main
 from bowtie.corpus import Corpus, Vocabulary, load_corpus_file, save_corpus_file
 from bowtie.encode import (
@@ -26,6 +27,7 @@ from synth import (
     rating_table,
     rows_of,
     token_list,
+    values_of,
 )
 
 
@@ -85,14 +87,14 @@ def test_multi_hot_matches_dense_oracle():
 def test_weighted_value_is_rating_times_count():
     table = np.array([0.0, 0.0, 0.0, -1.25])
     ds = encode_corpus(bags([(3, 4)], width=4), POLARITY_WEIGHTED, polarity=table, width=4)
-    assert rows_of(ds.matrix) == [[(3, -5.0)]]
+    assert rows_of(values_of(ds)) == [[(3, -5.0)]]
 
 
 def test_weighted_drops_exact_zero_ratings():
     table = np.array([0.0, 2.0])
     corpus = bags([(0, 3), (1, 1)], [(0, 1)], width=2)
     ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=table, width=2)
-    assert rows_of(ds.matrix) == [[(1, 2.0)], []]
+    assert rows_of(values_of(ds)) == [[(1, 2.0)], []]
     npt.assert_array_equal(ds.matrix.indptr, [0, 1, 1])
 
 
@@ -101,7 +103,7 @@ def test_weighted_equals_multi_hot_for_unit_ratings_and_counts():
     width = 30
     table = np.ones(width)
     corpus = random_corpus(rng, width, 50, max_count=1)
-    weighted = encode_corpus(copy_of(corpus), POLARITY_WEIGHTED, polarity=table, width=width).matrix
+    weighted = values_of(encode_corpus(copy_of(corpus), POLARITY_WEIGHTED, polarity=table, width=width))
     hot = encode_corpus(corpus, MULTI_HOT, width=width).matrix
     assert rows_of(weighted) == rows_of(hot)
 
@@ -127,9 +129,9 @@ def test_weighted_matches_dense_oracle():
         corpus = random_corpus(rng, width, 10)
         want = [dense_polarity_weighted(row, ratings, width) for row in rows_of(corpus.matrix)]
         ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=ratings, width=width)
-        npt.assert_array_equal(ds.matrix.toarray(), np.reshape(want, (10, width)))
+        npt.assert_array_equal(values_of(ds).toarray(), np.reshape(want, (10, width)))
         assert ds.matrix.has_canonical_format
-        assert not (ds.matrix.data == 0.0).any()
+        assert not (values_of(ds).data == 0.0).any()
 
 
 # ------------------------------------------------------------- whole corpora
@@ -180,7 +182,7 @@ def test_encoded_matrix_matches_dense_rows():
     corpus = planted_corpus(22, 15, ratings)
     rows = rows_of(corpus.matrix)
     ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=ratings, width=20)
-    dense = ds.matrix.toarray()
+    dense = values_of(ds).toarray()
     assert dense.shape == (15, 20)
     for row, pairs in zip(dense, rows):
         npt.assert_array_equal(row, dense_polarity_weighted(pairs, ratings, 20))
@@ -202,20 +204,22 @@ def wide_corpus(rng, rows=4000, per=100, width=1000):
 
 @pytest.mark.parametrize("kind", [MULTI_HOT, POLARITY_WEIGHTED])
 def test_encode_in_place_keeps_only_chunk_sized_temporaries(kind):
-    """Polarity-weighted values overwrite the counts, a multi-hot pattern
-    takes one byte per stored entry, and the index arrays are shared, so the
-    peak is a few chunks' work: far below one float64 per stored entry."""
+    """A multi-hot pattern and polarity-weighted counts each take one byte
+    per stored entry here, and the index arrays are shared, so the peak is
+    that byte and a few chunks' work: far below one float64 per stored entry."""
     rng = np.random.default_rng(8)
     corpus = wide_corpus(rng)
     ratings = rng.normal(0, 1, 1000)
     ratings[::7] = 0.0
     m = corpus.matrix
     assert m.nnz >= 6 * encode._CHUNK
+    weighted = ratings[m.indices] * m.data
+    keep = weighted != 0.0
     if kind == MULTI_HOT:
-        want = np.ones(m.nnz, dtype=bool)
+        keep[:] = True
+        want, stored = np.ones(m.nnz), np.ones(m.nnz, dtype=bool)
     else:
-        want = ratings[m.indices] * m.data
-    keep = want != 0.0
+        want, stored = weighted, m.data.astype(np.uint8)  # every count is at most 8
     want_indices, want_indptr = m.indices[keep], np.concatenate([[0], np.cumsum(keep)])[m.indptr]
     tracemalloc.start()
     try:
@@ -224,8 +228,9 @@ def test_encode_in_place_keeps_only_chunk_sized_temporaries(kind):
     finally:
         tracemalloc.stop()
     assert peak <= 32 * encode._CHUNK < 8 * m.nnz, peak
-    assert ds.matrix.data.dtype == want.dtype
-    assert ds.matrix.data.tobytes() == want[keep].tobytes()
+    assert ds.matrix.data.dtype == stored.dtype
+    assert ds.matrix.data.tobytes() == stored[keep].tobytes()
+    assert values_of(ds).data.astype(np.float64).tobytes() == want[keep].tobytes()
     npt.assert_array_equal(ds.matrix.indices, want_indices)
     npt.assert_array_equal(ds.matrix.indptr, want_indptr)
 
@@ -233,8 +238,9 @@ def test_encode_in_place_keeps_only_chunk_sized_temporaries(kind):
 @pytest.mark.parametrize("kind", [MULTI_HOT, POLARITY_WEIGHTED])
 def test_encoded_matrix_shares_the_loaded_corpus_buffers(tmp_path, kind):
     """scipy's constructor and its prune after eliminate_zeros copy nothing:
-    polarity-weighted values lie on the counts, and a multi-hot pattern is
-    one byte per stored entry beside the loaded index arrays."""
+    a multi-hot pattern and polarity-weighted counts are one byte per stored
+    entry beside the loaded index arrays, and the polarity table is shared,
+    so no array holds a float64 per stored entry."""
     rng = np.random.default_rng(9)
     save_corpus_file(wide_corpus(rng, rows=500), tmp_path / "wide.corpus")
     corpus = load_corpus_file(tmp_path / "wide.corpus", width=1000)
@@ -242,11 +248,34 @@ def test_encoded_matrix_shares_the_loaded_corpus_buffers(tmp_path, kind):
     ratings = rng.normal(0, 1, 1000)
     ratings[::7] = 0.0
     ds = encode_corpus(corpus, kind, polarity=ratings, width=1000)
-    if kind == MULTI_HOT:
-        assert ds.matrix.data.dtype == np.bool_ and ds.matrix.data.nbytes == ds.nnz
-    else:
-        assert np.shares_memory(ds.matrix.data, counts)
+    want = np.bool_ if kind == MULTI_HOT else np.uint8
+    assert ds.matrix.data.dtype == want and ds.matrix.data.nbytes == ds.nnz
+    assert not np.shares_memory(ds.matrix.data, counts)
+    assert ds.ratings is (ratings if kind == POLARITY_WEIGHTED else None)
     assert np.shares_memory(ds.matrix.indices, indices)
+
+
+def test_an_encoded_polarity_weighted_corpus_holds_five_bytes_an_entry(tmp_path):
+    """One byte per count (none here exceeds 8) and four per int32 index,
+    plus the slack that dropping zero-rated entries leaves in the loaded
+    index buffer; the ratings are the caller's table, not a copy."""
+    rng = np.random.default_rng(11)
+    save_corpus_file(wide_corpus(rng, rows=2000), tmp_path / "wide.corpus")
+    ratings = rng.normal(0, 1, 1000)
+    ratings[::7] = 0.0
+    loaded = 2000 * 100
+    tracemalloc.start()
+    try:
+        corpus = load_corpus_file(tmp_path / "wide.corpus", width=1000)
+        ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=ratings, width=1000)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ds.ratings is ratings and ds.nnz < loaded
+    rows_and_labels = ds.matrix.indptr.nbytes + ds.labels.nbytes
+    slack = 5 * (loaded - ds.nnz)
+    # the float64 values of the earlier layout, over the int64 counts, took 12
+    assert held <= 5 * ds.nnz + slack + rows_and_labels + (1 << 16), (held, ds.nnz)
 
 
 def test_a_consumed_corpus_raises_on_reuse():
@@ -338,7 +367,7 @@ def test_stats_match_brute_force():
         corpus = random_corpus(rng, width, int(rng.integers(1, 20)))
         ds = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=ratings, width=width)
         stats = polarity_stats(ds)
-        rows = [np.array([v for _, v in row]) for row in rows_of(ds.matrix)]
+        rows = [np.array([v for _, v in row]) for row in rows_of(values_of(ds))]
         if ds.nnz:
             assert stats.element_min == min(row.min() for row in rows if row.size)
             assert stats.element_max == max(row.max() for row in rows if row.size)
@@ -416,10 +445,10 @@ def multi_hot_results(tmp_path, capsys):
 
 
 def test_a_pattern_computes_the_bits_its_float64_ones_would(tmp_path, monkeypatch, capsys):
-    """scipy reads a multi-hot pattern as exactly 1.0 in every product:
+    """A multi-hot pattern's values are exactly 1.0 in every product:
     training, evaluate, stats, transfer and ``bowtie stats`` give the same
-    bits as float64 ones, over several first-layer blocks."""
-    monkeypatch.setattr(net, "_CHUNK_ROWS", 128)
+    bits as float64 ones, over several evaluate chunks."""
+    monkeypatch.setattr(train_module, "_EVAL_ROWS", 128)
     pattern = multi_hot_results(tmp_path, capsys)
     monkeypatch.setattr(encode, "encode_corpus", float64_ones)
     monkeypatch.setattr(transfer, "encode_corpus", float64_ones)

@@ -148,11 +148,16 @@ def test_run_manifest_values_through_replay(tree, tmp_path):
     build = [case for case in cases if case[0][0] == "versions"]
     cases = [case for case in cases if case[0][0] != "versions"]
     drawn = [cases[at] for at in rng.choice(len(cases), size=80, replace=False)]
+    # fixed, so that no draw decides whether a run that never ends is among them
+    endless = (("config", "epochs"), 2**70)
     manifest = tmp_path / "manifest.json"
     (tmp_path / "metrics.csv").write_bytes((tree / "run" / "metrics.csv").read_bytes())
-    for path, value in drawn + build:
+    for path, value in [endless, *drawn, *build]:
         manifest.write_text(json.dumps(swap(body, path, value)), encoding="utf-8")
-        check(["replay", "--manifest", str(manifest), "--out", str(tmp_path / "replay")])
+        argv = ["replay", "--manifest", str(manifest), "--out", str(tmp_path / "replay")]
+        check(argv)
+        if (path, value) == endless:  # a malformed manifest, refused before the run
+            assert outcome(argv)[0] == 2
 
 
 SLMRD = {"corpus": "test.corpus", "vocab": "vocab.txt", "polarity": "polarity.txt"}

@@ -31,7 +31,7 @@ from oracles import (
     finite_difference_grad,
     predict,
 )
-from synth import planted_corpus, rating_table
+from synth import planted_corpus, rating_table, values_of
 
 
 def make_model(input_width, hidden=(4, 1), activation="none", dropout=0.0, l2=0.0, seed=0):
@@ -163,6 +163,19 @@ def test_batch_matrix_passthrough_checks_width():
     assert batch_matrix(mat, 3).shape == (3, 3)
     with pytest.raises(ValueError, match="width"):
         batch_matrix(mat, 4)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.uint32])
+def test_batch_matrix_refuses_integer_counts(dtype):
+    """Counts are not values: a polarity-weighted count must be multiplied
+    by its rating first, so no product takes one as it stands."""
+    counts = sparse.csr_matrix(np.array([[0, 2, 1], [3, 0, 0]], dtype=dtype))
+    with pytest.raises(ValueError, match=f"^batch of {np.dtype(dtype)} counts, not values; encode it first$"):
+        batch_matrix(counts, 3)
+    model = make_model(3, hidden=(2, 1), seed=1)
+    with pytest.raises(ValueError, match=np.dtype(dtype).name):
+        forward(model, counts)
+    assert batch_matrix(counts.astype(bool), 3).dtype == np.bool_
 
 
 def test_batch_matrix_rejects_empty_and_mixed_width():
@@ -411,7 +424,7 @@ def test_backward_bit_equal_to_whole_array_oracle(monkeypatch, encoding, activat
     model = make_model(width, hidden=(16, 8, 1), activation=activation,
                        dropout=0.2, l2=0.019, seed=23)
     monkeypatch.setattr(net, "_CHUNK_ROWS", chunk_rows)
-    cache = forward(model, data.matrix, training=True, dropout_seed=24)
+    cache = forward(model, values_of(data), training=True, dropout_seed=24)
     grads = backward(model, cache, data.labels)
     want_w, want_b = oracle_backward(model, cache, data.labels)
     for got, want in zip(grads.weights + grads.biases, want_w + want_b):

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import struct
+import threading
 import tracemalloc
 import warnings
 
@@ -15,6 +16,7 @@ from bowtie.corpus import Corpus, Vocabulary
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.errors import CheckpointError, DivergenceError, FingerprintError
 from bowtie import net
+from bowtie import train as train_module
 from bowtie.net import ModelConfig, init_model
 from bowtie.optim import OptimizerSpec
 from bowtie.train import (
@@ -30,7 +32,9 @@ from bowtie.train import (
 )
 import oracles
 from oracles import predict
-from synth import corpus_from_rows, edit_checkpoint_manifest, planted_corpus, rating_table
+from synth import (
+    corpus_from_rows, edit_checkpoint_manifest, planted_corpus, rating_table, rows_of, values_of,
+)
 
 
 WIDTH = 30
@@ -38,7 +42,7 @@ WIDTH = 30
 
 def subset(dataset, rows):
     """The dataset rows at ``rows``, in that order."""
-    return Corpus(dataset.matrix[rows], dataset.labels[rows])
+    return Corpus(dataset.matrix[rows], dataset.labels[rows], dataset.ratings)
 
 
 def encoded_split(seed, n_train=120, n_val=60, width=WIDTH):
@@ -279,7 +283,7 @@ def test_evaluate_matches_per_example_predictions():
     hits = sum(
         1
         for i, label in enumerate(val_set.labels)
-        if predict(model, val_set.matrix[i : i + 1])[1] == label
+        if predict(model, values_of(val_set)[i : i + 1])[1] == label
     )
     npt.assert_allclose(result.accuracy, hits / len(val_set), atol=1e-12)
     assert result.count == len(val_set)
@@ -325,7 +329,7 @@ def oracle_case(encoding, activation, hidden, seed, n=1100, width=200):
 @pytest.mark.parametrize("hidden", [(1,), (5, 3, 1), (16, 8, 1)])
 def test_evaluate_bit_equal_to_per_batch_oracle(encoding, activation, hidden):
     model, data = oracle_case(encoding, activation, hidden, seed=len(hidden) * 7)
-    probs = net.forward(model, data.matrix).prob
+    probs = net.forward(model, values_of(data)).prob
     assert probs.min() == net.PROB_CLAMP or probs.max() == 1.0 - net.PROB_CLAMP
     for batch_size in (1, 7, 512, len(data), len(data) + 300):
         got = evaluate(model, data, batch_size)
@@ -350,6 +354,107 @@ def test_evaluate_non_finite_weight_raises_as_the_oracle_does(layer, row, value)
         outcomes.append((str(err.value), [(w.category, str(w.message)) for w in seen]))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0] == "non-finite activation in forward pass"
+
+
+def helper_takes_the_last_chunk(taken):
+    """A ``net._chunked`` under which, when there are several chunks, the
+    caller waits until a helper thread has run the last one; ``taken``
+    records, per such call, whether a helper ran it."""
+
+    def chunked(height, work, scratch, rows=0):
+        caller, last_done = threading.get_ident(), threading.Event()
+        several = height > (rows or net._CHUNK_ROWS)
+
+        def spied(lo, hi, buffers):
+            if several and threading.get_ident() == caller:
+                assert last_done.wait(10)
+            try:
+                work(lo, hi, buffers)
+            finally:
+                if several and hi == height:
+                    taken.append(threading.get_ident() != caller)
+                    last_done.set()
+
+        net._chunked(height, spied, scratch, rows)
+
+    return chunked
+
+
+@pytest.fixture(scope="module", params=[MULTI_HOT, POLARITY_WEIGHTED])
+def chunked_case(request):
+    """A 6 000-review encoded dataset, a model whose probabilities reach the
+    clamp, and the per-batch oracle's result at each batch size."""
+    model, data = oracle_case(request.param, "relu", (16, 8, 1), seed=31, n=6000)
+    sizes = (1, 7, 512, 1000, 1025, 5000)
+    return model, data, {size: oracles.evaluate(model, data, size) for size in sizes}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_evaluate_chunks_equal_the_oracle_at_any_thread_count(chunked_case, monkeypatch, threads):
+    """Chunks of whole batches, shared by up to ``threads`` threads, give the
+    per-batch oracle's bce and accuracy bit for bit at every batch size."""
+    model, data, want = chunked_case
+    monkeypatch.setattr(net, "_THREADS", threads)
+    for size, expected in want.items():
+        got = evaluate(model, data, size)
+        assert (got.bce.hex(), got.accuracy, got.count) == (
+            expected.bce.hex(), expected.accuracy, expected.count), size
+
+
+def test_evaluate_equals_the_oracle_when_a_helper_takes_the_last_chunk(chunked_case, monkeypatch):
+    model, data, want = chunked_case
+    taken = []
+    monkeypatch.setattr(net, "_THREADS", 2)
+    monkeypatch.setattr(train_module, "_chunked", helper_takes_the_last_chunk(taken))
+    for size, expected in want.items():
+        assert evaluate(model, data, size) == expected, size
+    assert taken == [True] * len(want)
+
+
+def test_divergence_in_a_helpers_evaluate_chunk_names_epoch_and_split(monkeypatch):
+    """The overflowing validation row is the last of 3 000, in a chunk a
+    helper thread runs; the error reads as it does on one thread."""
+    width = WIDTH + 100
+    ratings = np.concatenate([rating_table(12, WIDTH), np.full(100, 1.7e308)])
+    train_set = encode_corpus(planted_corpus(13, 120, ratings[:WIDTH]), POLARITY_WEIGHTED,
+                              polarity=ratings, width=width)
+    rows = rows_of(planted_corpus(14, 2999, ratings[:WIDTH]).matrix)
+    rows.append([(i, 1) for i in range(WIDTH, width)])
+    val_set = encode_corpus(corpus_from_rows(rows, [1] * len(rows), width), POLARITY_WEIGHTED,
+                            polarity=ratings, width=width)
+    taken = []
+    monkeypatch.setattr(net, "_THREADS", 2)
+    monkeypatch.setattr(train_module, "_chunked", helper_takes_the_last_chunk(taken))
+    message = "^epoch 1 validation split: non-finite activation in forward pass$"
+    with pytest.raises(DivergenceError, match=message):
+        train(fresh_model(width, seed=12), train_set, val_set, quick_config(), log=False)
+    assert taken[-1] is True
+
+
+@pytest.mark.parametrize("count, dtype", [(300, np.uint16), (70_000, np.uint32)])
+def test_wide_counts_train_and_evaluate_as_their_float64_values(count, dtype):
+    """Counts are stored at the narrowest dtype that holds the largest, and
+    training and evaluate give the bits of a corpus of the float64 values."""
+    ratings = rating_table(40, WIDTH)
+    corpus = planted_corpus(41, 200, ratings)
+    corpus.matrix.data[7] = count
+    data = encode_corpus(corpus, POLARITY_WEIGHTED, polarity=ratings * 1e-4, width=WIDTH)
+    assert data.matrix.dtype == dtype and count in data.matrix.data
+    values = Corpus(values_of(data), data.labels)
+    assert values.matrix.dtype == np.float64
+    config = quick_config(max_epochs=2)
+    got, _ = train(fresh_model(seed=40), data, data, config, log=False)
+    want, _ = train(fresh_model(seed=40), values, values, config, log=False)
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert a.tobytes() == b.tobytes()
+    for size in (7, 512):
+        assert evaluate(got, data, size) == oracles.evaluate(got, data, size)
+
+
+def test_evaluate_refuses_an_unencoded_corpus():
+    corpus = planted_corpus(42, 50, rating_table(42, WIDTH))
+    with pytest.raises(ValueError, match="int64"):
+        evaluate(fresh_model(seed=42), corpus)
 
 
 def test_evaluate_rejects_empty_dataset():
@@ -634,9 +739,10 @@ def test_a_training_step_holds_one_gradient():
 
 
 def test_evaluate_upcasts_a_pattern_one_block_at_a_time():
-    """scipy copies a pattern's values as float64 inside each product, so
-    evaluate multiplies views of one block of rows at a time: its peak is
-    one block's copy, one block's product and the whole product, not a
+    """evaluate takes a pattern's float64 values a chunk of rows at a time,
+    as a slice of one ones buffer shared by its threads, over views of the
+    index arrays: its peak stays within one block's float64 copy and
+    product and the whole product, the bound of the earlier layout, not a
     float64 per stored entry, nor a slice's copy of a block's arrays."""
     rng = np.random.default_rng(7)
     rows, per, width = 3 * net._CHUNK_ROWS + 100, 100, 5000

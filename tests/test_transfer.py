@@ -21,7 +21,7 @@ from bowtie.transfer import (
     transfer_evaluate,
     write_transfer_report,
 )
-from synth import corpus_from_rows, planted_corpus, rating_table, rows_of, token_list
+from synth import corpus_from_rows, planted_corpus, rating_table, rows_of, token_list, values_of
 
 
 def bag(pairs, label=1, width=3):
@@ -250,7 +250,7 @@ def test_reencode_applies_target_polarity_to_merged_counts():
     polarity = np.array([9.0, 0.5])
     ds = reencode(bag([(0, 2)], width=1), vmap, polarity)
     assert ds.width == 2
-    assert rows_of(ds.matrix) == [[(1, 1.0)]]  # 0.5 rating x count 2
+    assert rows_of(values_of(ds)) == [[(1, 1.0)]]  # 0.5 rating x count 2
 
 
 def test_reencode_rejects_misaligned_polarity():
