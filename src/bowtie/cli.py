@@ -190,8 +190,8 @@ def _corpus(path, vocab):
 
 
 def _encoded(path, vocab, encoding: str, polarity):
-    """``_corpus`` encoded as soon as it loads, so a multi-hot file's int64
-    counts are freed before the next file is read."""
+    """``_corpus`` encoded as soon as it loads, so a multi-hot file's counts
+    are freed before the next file is read."""
     return encode.encode_corpus(
         _corpus(path, vocab), encoding, polarity=polarity, width=vocab.size
     )

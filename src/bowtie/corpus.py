@@ -58,9 +58,10 @@ class Corpus:
     """Reviews as the rows of one CSR matrix plus one label per row.
 
     ``matrix`` has shape (reviews, width) and rows with sorted column
-    indices, no duplicates and no stored zeros.  Loaders fill it with int64
-    token counts, a column per vocabulary index; ``encode_corpus`` gives a
-    bool pattern (multi-hot) or narrow unsigned counts with the polarity
+    indices, no duplicates and no stored zeros.  Loaders fill it with token
+    counts, a column per vocabulary index, at the narrowest of uint8,
+    uint16, uint32 and int64 that holds the largest; ``encode_corpus`` gives
+    a bool pattern (multi-hot) or narrow unsigned counts with the polarity
     table as ``ratings`` (polarity-weighted, value rating x count) on the
     same ``indices`` and ``indptr``.  Encoding and remapping consume it in
     place and delete it: the corpus keeps only its labels.
@@ -120,6 +121,16 @@ def _index_dtype(*bounds: int) -> type:
     return np.int32 if max(bounds) <= np.iinfo(np.int32).max else np.int64
 
 
+# The dtypes loaded counts take, narrowest first.  Never uint64: the writer
+# and ``_writable`` need a dtype int64 can hold, and counts stop at 10**18 - 1.
+_COUNT_DTYPES = (np.uint8, np.uint16, np.uint32, np.int64)
+
+
+def _count_dtype(largest: int) -> type:
+    """The narrowest of ``_COUNT_DTYPES`` that holds counts up to ``largest``."""
+    return next(d for d in _COUNT_DTYPES if largest <= np.iinfo(d).max)
+
+
 def _load_records(path, work, explain, width: int, marks: bytes):
     """Read record file ``path`` whole, scan it in blocks of whole lines and
     return its records' heads and their ``width``-column CSR matrix.
@@ -129,7 +140,10 @@ def _load_records(path, work, explain, width: int, marks: bytes):
     indices, counts and sizes.  The arrays are sized once by the file's
     newlines and ``marks`` bytes (one precedes each value a valid block
     stores) and filled in file order; the first bad line raises the
-    DataError ``explain`` names before its block is placed.
+    DataError ``explain`` names before its block is placed.  The counts
+    start at uint8 and are copied to a wider ``_count_dtype`` only when a
+    block holds a count the current one cannot, so each width is allocated
+    at most once and the result is at the narrowest that holds them all.
     """
     data = read_bytes(path)
     if data and not data.endswith(b"\n"):
@@ -140,7 +154,7 @@ def _load_records(path, work, explain, width: int, marks: bytes):
         return sum(np.count_nonzero(raw[lo:hi] == byte) for lo, hi in spans)
 
     n_lines, n_marks = total(ord("\n")), sum(map(total, marks))
-    heads, counts = np.empty(n_lines, np.int64), np.empty(n_marks, np.int64)
+    heads, counts = np.empty(n_lines, np.int64), np.empty(n_marks, np.uint8)
     indptr = np.zeros(n_lines + 1, _index_dtype(width, n_lines, n_marks))
     indices = np.empty(n_marks, indptr.dtype)
     line = cell = 0
@@ -149,6 +163,8 @@ def _load_records(path, work, explain, width: int, marks: bytes):
         if first_bad < n:
             raise _record_error(path, data[lo:hi], line, first_bad, explain)
         heads[line : line + n] = head
+        if (top := cnt.max(initial=0)) > np.iinfo(counts.dtype).max:
+            counts = counts.astype(_count_dtype(top))
         indptr[line + 1 : line + n + 1] = cell + np.cumsum(size)
         indices[cell : cell + idx.size], counts[cell : cell + idx.size] = idx, cnt
         line, cell = line + n, cell + idx.size
@@ -414,19 +430,34 @@ def load_slmrd_vocab(path: str | Path) -> Vocabulary:
         ) from None
 
 
+# load_polarity splits its text into lines this many characters at a time
+_RATING_CHARS = 1 << 14
+
+
 def load_polarity(path: str | Path, vocab: Vocabulary) -> np.ndarray:
     """The float64 ratings of a one-rating-per-line file, aligned with ``vocab``.
 
     A rating is any text ``float()`` accepts, whitespace around it included,
-    and must be finite.
+    and must be finite.  The array is sized once by the line count and
+    filled a block of whole lines at a time, so only one block's lines are
+    ever held as strings.
     """
-    lines = _lines(path)
-    try:
-        ratings = np.fromiter(map(float, lines), np.float64, count=len(lines))
-    except ValueError:
-        ratings = None
-    if ratings is None or not np.isfinite(ratings).all():
-        raise _rating_error(path, lines)
+    text = read_text(path)
+    ratings = np.empty(text.count("\n") + (not text.endswith("\n")) if text else 0)
+    line = lo = 0
+    while line < ratings.size:
+        hi = text.find("\n", lo + _RATING_CHARS)
+        if hi < 0:
+            hi = len(text) - text.endswith("\n")
+        lines = text[lo:hi].split("\n")
+        block = ratings[line : line + len(lines)]
+        try:
+            block[:] = np.fromiter(map(float, lines), np.float64, count=len(lines))
+        except ValueError:
+            raise _rating_error(path, lines, line) from None
+        if not np.isfinite(block).all():
+            raise _rating_error(path, lines, line)
+        line, lo = line + len(lines), hi + 1
     if ratings.size != vocab.size:
         raise DataError(
             f"{path}: {ratings.size} ratings for a vocabulary of {vocab.size} tokens"
@@ -434,9 +465,10 @@ def load_polarity(path: str | Path, vocab: Vocabulary) -> np.ndarray:
     return ratings
 
 
-def _rating_error(path: str | Path, lines: list[str]) -> DataError:
-    """The DataError for the first of ``lines`` that is not a finite rating."""
-    for lineno, line in enumerate(lines, 1):
+def _rating_error(path: str | Path, lines: list[str], before: int) -> DataError:
+    """The DataError for the first of ``lines``, which follow ``before``
+    lines of the file, that is not a finite rating."""
+    for lineno, line in enumerate(lines, before + 1):
         text = line.strip()
         try:
             value = float(text)

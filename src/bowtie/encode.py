@@ -57,9 +57,12 @@ def encode_corpus(
     finite here, a chunk at a time, and the table rides on the result.
 
     The result shares the corpus's ``indices`` and ``indptr``.  Multi-hot
-    allocates its pattern once, polarity-weighted its narrow counts once,
-    and both let the int64 counts go.  So once the arguments check out the
-    corpus is consumed, even by a non-finite product; copy it first to keep it.
+    allocates its pattern once and lets the counts go; polarity-weighted
+    keeps the loaded counts' buffer when its dtype is already the narrowest
+    unsigned one that holds them, as a loader's is unless zeroed entries held
+    the largest, and copies them to that dtype otherwise.  So once the
+    arguments check out the corpus is consumed, even by a non-finite product;
+    copy it first to keep it.
     """
     if kind == POLARITY_WEIGHTED:
         if polarity is None:
@@ -89,7 +92,7 @@ def encode_corpus(
                 bad = int(indices[lo:lo + _CHUNK][~finite][0])
                 raise DataError(f"non-finite cumulative polarity at token index {bad}")
             counts.data[lo:lo + _CHUNK][chunk == 0.0] = 0  # zero rating: eliminate_zeros drops it
-        values = counts.data.astype(np.min_scalar_type(counts.data.max(initial=0)))
+        values = counts.data.astype(np.min_scalar_type(counts.data.max(initial=0)), copy=False)
     matrix = sparse.csr_matrix((values, indices, counts.indptr), shape=(len(corpus), width))
     matrix.eliminate_zeros()
     return Corpus(matrix, corpus.labels, polarity)

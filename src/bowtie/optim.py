@@ -2,8 +2,10 @@
 
 One update rule applied uniformly to every weight matrix and bias vector;
 the moment accumulators live in MomentState, scaled so that a step adds the
-raw gradient.  The bias corrections, learning rate, ``1 - decay`` factors
-and epsilon fold into two scalars per step, so a chunk takes one divide.
+raw gradient, and only those the kind updates are allocated: none for sgd,
+the second moments for rmsprop, both for adam and nadam.  The bias
+corrections, learning rate, ``1 - decay`` factors and epsilon fold into two
+scalars per step, so a chunk takes one divide.
 
 Each tensor is updated in place by ``net._chunked``: its ``_CHUNK_ROWS``-row
 chunks are shared by the calling thread and helpers on the process's other
@@ -59,7 +61,8 @@ class MomentState:
     The moments are stored scaled: ``first`` is m / (1 - beta1) and
     ``second`` is v / (1 - beta2), or v / (1 - rms_decay) for rmsprop.  The
     textbook m and v are ``first * (1 - beta1)`` and ``second * (1 - beta2)``
-    (``1 - rms_decay``).  sgd leaves both untouched.
+    (``1 - rms_decay``).  A list the kind does not update is empty: sgd
+    holds neither, rmsprop only ``second``.
     """
 
     first: list[np.ndarray] = field(default_factory=list)
@@ -67,24 +70,27 @@ class MomentState:
     step: int = 0
 
 
-def init_state(model: BowTieModel) -> MomentState:
+# the MomentState lists each kind updates
+_MOMENTS = {"sgd": (), "rmsprop": ("second",), "adam": ("first", "second"),
+            "nadam": ("first", "second")}
+
+
+def init_state(model: BowTieModel, kind: str) -> MomentState:
+    """Zero moments for the tensors of ``model``, only those ``kind`` updates."""
     shapes = [w.shape for w in model.weights] + [b.shape for b in model.biases]
-    return MomentState(
-        first=[np.zeros(s) for s in shapes],
-        second=[np.zeros(s) for s in shapes],
-        step=0,
-    )
+    return MomentState(**{name: [np.zeros(s) for s in shapes] for name in _MOMENTS[kind]})
 
 
 def _step_tensor(
     spec: OptimizerSpec,
     param: np.ndarray,
     grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
+    m: np.ndarray | None,
+    v: np.ndarray | None,
     t: int,
 ) -> bool:
-    """Update one tensor in place; m and v mutate for the stateful kinds.
+    """Update one tensor in place; m and v mutate for the kinds that keep
+    them (v for rmsprop, both for adam and nadam) and are not read otherwise.
 
     Returns whether every updated value of the tensor is finite.
     """
@@ -99,18 +105,19 @@ def _step_tensor(
     bad = []  # starts of the chunks left non-finite
 
     def work(lo, hi, scratch):
-        p, g, mc, w = param[lo:hi], grad[lo:hi], m[lo:hi], v[lo:hi]
-        n = hi - lo
+        p, g, n = param[lo:hi], grad[lo:hi], hi - lo
         a, b, ok = scratch[0][:n], scratch[1][:n], scratch[2][:n]
         if kind == "sgd":
             np.multiply(g, lr, out=a)                  # lr * grad
         else:
+            w = v[lo:hi]
             w *= decay
             np.multiply(g, g, out=b)
             w += b                                     # second = decay*second + g*g
             np.sqrt(w, out=b)
             b += e
             if kind != "rmsprop":
+                mc = m[lo:hi]
                 mc *= b1
                 mc += g                                # first = b1*first + g
             if kind == "nadam":  # folds the incoming gradient into the momentum
@@ -140,26 +147,26 @@ def apply_update(
 ) -> None:
     """One optimizer step over every parameter of the model, in place."""
     n = model.layer_count
-    if len(state.first) != 2 * n or len(state.second) != 2 * n:
+    moments = [getattr(state, name) for name in _MOMENTS[spec.kind]]
+    if any(len(kept) != 2 * n for kept in moments):
         raise ValueError("state does not match this model's layer count")
     if len(grads.weights) != n or len(grads.biases) != n:
         raise ValueError("gradients do not match this model's layer count")
     params = [*model.weights, *model.biases]
     for i, (tensor, g) in enumerate(zip(params, [*grads.weights, *grads.biases])):
-        if state.first[i].shape != tensor.shape or state.second[i].shape != tensor.shape:
+        if any(kept[i].shape != tensor.shape for kept in moments):
             raise ValueError(f"state shape mismatch at tensor {i}")
         if g.shape != tensor.shape:
             raise ValueError(f"gradient shape mismatch at tensor {i}")
     state.step += 1
     t = state.step
+    first, second = state.first or [None] * (2 * n), state.second or [None] * (2 * n)
     for l in range(n):
         weight_finite = _step_tensor(
-            spec, model.weights[l], grads.weights[l],
-            state.first[l], state.second[l], t,
+            spec, model.weights[l], grads.weights[l], first[l], second[l], t,
         )
         bias_finite = _step_tensor(
-            spec, model.biases[l], grads.biases[l],
-            state.first[n + l], state.second[n + l], t,
+            spec, model.biases[l], grads.biases[l], first[n + l], second[n + l], t,
         )
         if not (weight_finite and bias_finite):
             tensor = "bias" if weight_finite else "weight"

@@ -155,7 +155,7 @@ def train(
             f"model input width {model.config.input_width}"
         )
     n = len(train_data)
-    state = init_state(model)
+    state = init_state(model, config.optimizer.kind)
     metrics: list[EpochMetrics] = []
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()

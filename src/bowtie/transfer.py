@@ -53,8 +53,9 @@ def remap_corpus(corpus: Corpus, vmap: VocabMap) -> Corpus:
     """Rewrite every review into the target index space.
 
     Unmapped tokens vanish; if several source indices land on the same target
-    index their counts add.  A review can come out empty.  The result reuses
-    the corpus's arrays, so the corpus is consumed; copy it first to keep it.
+    index their counts add, as int64 so a merged count cannot wrap a narrow
+    loaded dtype.  A review can come out empty.  The result reuses the
+    corpus's arrays, so the corpus is consumed; copy it first to keep it.
     """
     counts = corpus.matrix
     del corpus.matrix
@@ -67,6 +68,9 @@ def remap_corpus(corpus: Corpus, vmap: VocabMap) -> Corpus:
         unmapped = part < 0
         data[lo:lo + _CHUNK][unmapped] = 0  # eliminate_zeros drops the entry
         part[unmapped] = 0
+    targets = vmap.mapping[vmap.mapping >= 0]
+    if np.unique(targets).size < targets.size:  # two sources share a target
+        data = data.astype(np.int64, copy=False)
     out = sparse.csr_matrix((data, indices, counts.indptr), shape=(len(corpus), vmap.target_size))
     out.eliminate_zeros()
     out.sum_duplicates()  # sorts each row in place, adding colliding targets

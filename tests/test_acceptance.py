@@ -294,7 +294,7 @@ def test_criterion_8_property_suite(tmp_path):
     for kind in ("sgd", "rmsprop", "adam", "nadam"):
         model = make_model(3, hidden=(2, 1), seed=11)
         before = [w.tobytes() for w in model.weights] + [b.tobytes() for b in model.biases]
-        state = init_state(model)
+        state = init_state(model, kind)
         zero = Gradients(
             weights=[np.zeros_like(w) for w in model.weights],
             biases=[np.zeros_like(b) for b in model.biases],

@@ -240,17 +240,20 @@ def test_encoded_matrix_shares_the_loaded_corpus_buffers(tmp_path, kind):
     """scipy's constructor and its prune after eliminate_zeros copy nothing:
     a multi-hot pattern and polarity-weighted counts are one byte per stored
     entry beside the loaded index arrays, and the polarity table is shared,
-    so no array holds a float64 per stored entry."""
+    so no array holds a float64 per stored entry.  The loaded counts are
+    already uint8, so polarity-weighted keeps their buffer; multi-hot
+    allocates its pattern apart from it."""
     rng = np.random.default_rng(9)
     save_corpus_file(wide_corpus(rng, rows=500), tmp_path / "wide.corpus")
     corpus = load_corpus_file(tmp_path / "wide.corpus", width=1000)
     counts, indices = corpus.matrix.data, corpus.matrix.indices
+    assert counts.dtype == np.uint8
     ratings = rng.normal(0, 1, 1000)
     ratings[::7] = 0.0
     ds = encode_corpus(corpus, kind, polarity=ratings, width=1000)
     want = np.bool_ if kind == MULTI_HOT else np.uint8
     assert ds.matrix.data.dtype == want and ds.matrix.data.nbytes == ds.nnz
-    assert not np.shares_memory(ds.matrix.data, counts)
+    assert np.shares_memory(ds.matrix.data, counts) == (kind == POLARITY_WEIGHTED)
     assert ds.ratings is (ratings if kind == POLARITY_WEIGHTED else None)
     assert np.shares_memory(ds.matrix.indices, indices)
 

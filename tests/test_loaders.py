@@ -17,7 +17,7 @@ import pytest
 
 import oracles
 from bowtie import corpus
-from bowtie.corpus import Vocabulary, load_corpus_file, load_kid, load_slmrd_bow
+from bowtie.corpus import Vocabulary, load_corpus_file, load_kid, load_slmrd_bow, save_corpus_file
 from bowtie.errors import DataError
 from synth import token_list
 
@@ -113,11 +113,22 @@ def loaders(fmt, tmp_path, text):
             lambda: oracles.load_corpus_file(path, width=WIDTH))
 
 
+def narrowest_count_dtype(counts):
+    """The loaders' count dtype: the first of uint8, uint16, uint32 and int64
+    that holds the largest count."""
+    largest = int(counts.max(initial=0))
+    return next(d for d in (np.uint8, np.uint16, np.uint32, np.int64) if largest <= np.iinfo(d).max)
+
+
 def assert_same_corpus(got, want):
+    """``got``'s counts hold ``want``'s values (int64 in a reference corpus)
+    at the narrowest dtype."""
     assert got.matrix.shape == want.matrix.shape
-    for name in ("indptr", "indices", "data"):
+    for name in ("indptr", "indices"):
         a, b = getattr(got.matrix, name), getattr(want.matrix, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.matrix.data.dtype == narrowest_count_dtype(want.matrix.data)
+    assert np.array_equal(got.matrix.data, want.matrix.data)
     assert got.labels.dtype == want.labels.dtype
     assert np.array_equal(got.labels, want.labels)
 
@@ -380,6 +391,47 @@ def test_numbers_of_eighteen_digits_load(tmp_path):
     assert wide.matrix.indices.dtype == wide.matrix.indptr.dtype == np.int64
     assert wide.matrix.indices.tolist() == [3, 10**18 - 1]
     assert wide.matrix.data.tolist() == [1, 10**18 - 1]
+
+
+# A count past each width before it, the dtype that holds it, and the
+# formats that can store it: a kid count is a token's repeats in one line.
+WIDENING = [(256, np.uint16, "canonical kid slmrd"), (65_536, np.uint32, "canonical kid slmrd"),
+            (2**32, np.int64, "canonical slmrd"), (10**18 - 1, np.int64, "canonical slmrd")]
+
+
+def wide_record(fmt, count):
+    """A record storing ``count`` at token index 5."""
+    if fmt == "kid":
+        return "1\t" + " ".join([str(5 + OFFSET)] * count)
+    return f"1\t5:{count}" if fmt == "canonical" else f"8 5:{count}"
+
+
+@pytest.mark.parametrize("fmt, count, dtype", [
+    (fmt, count, dtype) for count, dtype, formats in WIDENING for fmt in formats.split()
+])
+def test_counts_widen_once_a_later_block_needs_it(tmp_path, monkeypatch, fmt, count, dtype):
+    """Blocks of counts up to 29 fill uint8; a later block's wider count
+    copies what is placed to its dtype.  The values are the reference's, and
+    the canonical file written from them is the one written from the
+    reference's int64 counts, which loads and writes back to the same bytes."""
+    monkeypatch.setattr(corpus, "_BLOCK_BYTES", 64)
+    rng = np.random.default_rng(count % 1000)
+    lines = [tight(fmt, line) for line in LINES[fmt](rng, 40)]
+    lines.insert(30, wide_record(fmt, count))
+    package, reference = loaders(fmt, tmp_path, "\n".join(lines) + "\n")
+    got, want = package(), reference()
+    assert got.matrix.data.dtype == dtype
+    assert_same_corpus(got, want)
+    assert got.matrix.data.max() == count
+    saved = {}
+    for name, loaded in (("got", got), ("want", want)):
+        save_corpus_file(loaded, tmp_path / f"{name}.corpus")
+        saved[name] = (tmp_path / f"{name}.corpus").read_bytes()
+    assert saved["got"] == saved["want"]
+    again = load_corpus_file(tmp_path / "got.corpus", width=WIDTH)
+    assert again.matrix.data.dtype == dtype
+    save_corpus_file(again, tmp_path / "again.corpus")
+    assert (tmp_path / "again.corpus").read_bytes() == saved["want"]
 
 
 # Lines the reference accepts, which the package rejects by design; the

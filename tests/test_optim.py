@@ -51,7 +51,7 @@ def single_step(kind, param, grad, lr=0.001, **kw):
     grads = Gradients(
         weights=[np.array([[float(grad)]])], biases=[np.zeros(1)]
     )
-    apply_update(spec, init_state(model), model, grads)
+    apply_update(spec, init_state(model, kind), model, grads)
     return float(model.weights[0][0, 0])
 
 
@@ -99,7 +99,7 @@ def test_zero_gradient_leaves_parameters_bitwise_unchanged(kind):
     before_w = [w.copy() for w in model.weights]
     before_b = [b.copy() for b in model.biases]
     spec = OptimizerSpec(kind=kind)
-    state = init_state(model)
+    state = init_state(model, kind)
     for _ in range(5):
         apply_update(spec, state, model, zero_grads(model))
     for got, want in zip(model.weights + model.biases, before_w + before_b):
@@ -125,7 +125,7 @@ def test_second_moments_stay_nonnegative(kind):
     rng = np.random.default_rng(2)
     model = tiny_model(seed=2)
     spec = OptimizerSpec(kind=kind)
-    state = init_state(model)
+    state = init_state(model, kind)
     for _ in range(25):
         apply_update(spec, state, model, random_grads(rng, model, scale=3.0))
     for v in state.second:
@@ -139,7 +139,7 @@ def test_update_is_deterministic(kind):
         rng = np.random.default_rng(3)
         model = tiny_model(seed=3)
         spec = OptimizerSpec(kind=kind)
-        state = init_state(model)
+        state = init_state(model, kind)
         for _ in range(10):
             apply_update(spec, state, model, random_grads(rng, model))
         results.append([t.copy() for t in model.weights + model.biases])
@@ -149,7 +149,7 @@ def test_update_is_deterministic(kind):
 
 def test_step_counter_increments_once_per_update():
     model = tiny_model(seed=4)
-    state = init_state(model)
+    state = init_state(model, "adam")
     spec = OptimizerSpec(kind="adam")
     apply_update(spec, state, model, zero_grads(model))
     apply_update(spec, state, model, zero_grads(model))
@@ -159,17 +159,50 @@ def test_step_counter_increments_once_per_update():
 def test_state_shape_mismatch_rejected():
     model = tiny_model(seed=5)
     other = tiny_model(seed=5, hidden=(2, 1))
-    state = init_state(other)
+    spec = OptimizerSpec(kind="adam")
     with pytest.raises(ValueError):
-        apply_update(OptimizerSpec(), state, model, zero_grads(model))
-    shallow = init_state(tiny_model(seed=5, hidden=(1,)))
+        apply_update(spec, init_state(other, "adam"), model, zero_grads(model))
+    shallow = init_state(tiny_model(seed=5, hidden=(1,)), "adam")
     with pytest.raises(ValueError, match="^state does not match this model's layer count$"):
-        apply_update(OptimizerSpec(), shallow, model, zero_grads(model))
+        apply_update(spec, shallow, model, zero_grads(model))
+
+
+@pytest.mark.parametrize("kind, kept", [
+    ("sgd", ()), ("rmsprop", ("second",)), ("adam", ("first", "second")),
+    ("nadam", ("first", "second")),
+])
+def test_state_holds_only_the_moments_its_kind_updates(kind, kept):
+    """sgd allocates no moment, rmsprop only the second; each kept list is a
+    zero array per tensor, weights then biases."""
+    model = tiny_model(seed=5)
+    state = init_state(model, kind)
+    tensors = model.weights + model.biases
+    for name in ("first", "second"):
+        moments = getattr(state, name)
+        if name not in kept:
+            assert moments == []
+            continue
+        assert [m.shape for m in moments] == [t.shape for t in tensors]
+        assert all(m.dtype == np.float64 and not m.any() for m in moments)
+    assert state.step == 0
+
+
+@pytest.mark.parametrize("held, kind", [("sgd", "rmsprop"), ("sgd", "adam"), ("rmsprop", "nadam")])
+def test_state_without_a_moment_its_kind_updates_is_rejected(held, kind):
+    """A state made for a kind that keeps fewer moments raises before anything moves."""
+    model = tiny_model(seed=5)
+    before = [t.copy() for t in model.weights + model.biases]
+    state = init_state(model, held)
+    with pytest.raises(ValueError, match="^state does not match this model's layer count$"):
+        apply_update(OptimizerSpec(kind=kind), state, model, zero_grads(model))
+    for got, was in zip(model.weights + model.biases, before):
+        npt.assert_array_equal(got, was)
+    assert state.step == 0
 
 
 def test_gradient_shape_mismatch_rejected():
     model = tiny_model(seed=6)
-    state = init_state(model)
+    state = init_state(model, "sgd")
     bad = zero_grads(model)
     bad.weights[0] = np.zeros((1, 1))
     with pytest.raises(ValueError, match="shape"):
@@ -202,7 +235,7 @@ def test_bad_gradients_rejected_before_anything_moves(spoil):
     list and a wrong layer-1 weight leave parameters, moments and the step
     counter untouched."""
     model = tiny_model(seed=6, hidden=(4, 1))
-    state = init_state(model)
+    state = init_state(model, "adam")
     spec = OptimizerSpec(kind="adam")
     apply_update(spec, state, model, random_grads(np.random.default_rng(6), model))
     before = [t.copy() for t in (*model.weights, *model.biases, *state.first, *state.second)]
@@ -218,7 +251,7 @@ def test_bad_gradients_rejected_before_anything_moves(spoil):
 
 def test_non_finite_parameters_raise_divergence():
     model = tiny_model(seed=7)
-    state = init_state(model)
+    state = init_state(model, "sgd")
     bad = zero_grads(model)
     bad.weights[0][:] = np.inf
     with pytest.raises(DivergenceError):
@@ -234,7 +267,7 @@ def test_divergence_names_the_non_finite_tensor(tensor, layer):
     (grads.weights if tensor == "weight" else grads.biases)[layer][:] = np.inf
     with pytest.raises(DivergenceError, match=f"non-finite {tensor} .* at layer {layer}$"):
         apply_update(
-            OptimizerSpec(kind="sgd", learning_rate=1.0), init_state(model), model, grads
+            OptimizerSpec(kind="sgd", learning_rate=1.0), init_state(model, "sgd"), model, grads
         )
     n = model.layer_count
     for l in range(n):
@@ -255,7 +288,7 @@ def test_apply_update_moves_toward_lower_loss():
         return oracles.bce_mean(forward(model, batch).prob, labels) + oracles.l2_penalty(model)
 
     spec = OptimizerSpec(kind="sgd", learning_rate=0.5)
-    state = init_state(model)
+    state = init_state(model, "sgd")
     start = total_loss()
     for _ in range(50):
         cache = forward(model, batch)
@@ -283,7 +316,7 @@ def test_chunked_step_matches_the_oracle_bit_for_bit(kind, chunk, width, monkeyp
     cfg = ModelConfig(input_width=width, dropout_rate=0.0, l2_weight=0.019, init_seed=11)
     fused, reference = init_model(cfg), init_model(cfg)
     spec = OptimizerSpec(kind=kind, learning_rate=0.01)
-    fused_state, reference_state = init_state(fused), init_state(reference)
+    fused_state, reference_state = init_state(fused, kind), init_state(reference, kind)
     monkeypatch.setattr(net, "_CHUNK_ROWS", chunk)
     for step in range(20):
         batch = sparse.random(32, width, density=0.03, random_state=rng, format="csr")
@@ -303,11 +336,13 @@ def synthetic_steps(kind, step, steps=20):
     """(spec, param, first, second) after ``steps`` chained calls of ``step``
     on a seeded 4 103x16 tensor (ragged against the 4 096-row chunk), each
     gradient scaled by 10^U(-4, 2) rounded to three digits, so no libm ``pow``
-    rounding can reach the data."""
+    rounding can reach the data.  A moment the kind does not keep is None."""
     rng = np.random.default_rng(13)
     shape = (4103, 16)
     spec = OptimizerSpec(kind=kind, learning_rate=0.01)
-    param, m, v = rng.normal(0.0, 0.1, shape), np.zeros(shape), np.zeros(shape)
+    param = rng.normal(0.0, 0.1, shape)
+    m = np.zeros(shape) if kind in ("adam", "nadam") else None
+    v = np.zeros(shape) if kind != "sgd" else None
     for t in range(1, steps + 1):
         scale = float(f"{10.0 ** rng.uniform(-4.0, 2.0):.3g}")
         step(spec, param, rng.normal(0.0, 1.0, shape) * scale, m, v, t)
@@ -359,16 +394,17 @@ def test_non_finite_chunk_of_a_helper_raises_the_same_error(monkeypatch):
         if threads == 2:
             monkeypatch.setattr(optim, "_chunked", helper_takes_the_last_chunk)
         with pytest.raises(DivergenceError) as err:
-            apply_update(OptimizerSpec(kind="nadam"), init_state(model), model.copy(), grads)
+            apply_update(OptimizerSpec(kind="nadam"), init_state(model, "nadam"), model.copy(), grads)
         messages.append(str(err.value))
     assert messages[0] == messages[1] == "non-finite weight after nadam step 1 at layer 0"
     assert last_chunk_threads == [True]
 
 
-# sgd reads no moments, so their scaling must not move its digest
+# sha256 of the params, then the moments the kind keeps: none for sgd, the
+# second for rmsprop, both for adam and nadam
 STEP_DIGESTS = {
-    "sgd": "9a97131b8a2170a90a24d9b5bf4907c4f1ce7eb9cd735a3192d5516b6f2e8034",
-    "rmsprop": "4e22f0bfe007ab133c93ca1847589b2dd22fcceb6a2019bec34c0cc9d5569fed",
+    "sgd": "1c3f633cb851ab04096a764d1952bf130103c7dcea828f0d226e848486b0aee6",
+    "rmsprop": "a05472c402c187b8dbe6bd88805fc83d0788fd4450f10d0427fc5b264a55ab29",
     "adam": "dd0d2e86476ccc45fb3f915eab7c49ac0aef1d1925158ee4316b8ec60010ac7c",
     "nadam": "4a9b614fbb4b558ed922f8c176cb1dc38fadc9182e118e95da70a57f82fe60ab",
 }
@@ -379,7 +415,8 @@ def test_step_bits_are_pinned(kind):
     """Only IEEE add, multiply, divide and sqrt touch the arrays (no BLAS), so
     every platform and numpy version must give these bytes."""
     _, param, m, v = synthetic_steps(kind, _step_tensor)
-    digest = hashlib.sha256(param.tobytes() + m.tobytes() + v.tobytes()).hexdigest()
+    kept = [a.tobytes() for a in (param, m, v) if a is not None]
+    digest = hashlib.sha256(b"".join(kept)).hexdigest()
     assert digest == STEP_DIGESTS[kind]
 
 
@@ -403,7 +440,7 @@ def test_step_allocates_less_than_half_the_first_layer(kind):
     rng = np.random.default_rng(12)
     model = init_model(ModelConfig(input_width=89_527, init_seed=12))
     grads = random_grads(rng, model)
-    state = init_state(model)
+    state = init_state(model, kind)
     tracemalloc.start()
     try:
         apply_update(OptimizerSpec(kind=kind), state, model, grads)

@@ -8,7 +8,7 @@ from scipy import sparse
 
 import oracles
 from bowtie import encode
-from bowtie.corpus import Corpus, Vocabulary
+from bowtie.corpus import Corpus, Vocabulary, load_corpus_file
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.errors import DataError, FingerprintError
 from bowtie.net import ModelConfig, init_model
@@ -145,6 +145,18 @@ def test_remap_merges_colliding_counts():
     out = remap_corpus(bag([(0, 2), (1, 3), (2, 4)]), vmap)
     assert rows_of(out.matrix) == [[(0, 5), (1, 4)]]
     assert out.matrix.has_canonical_format
+
+
+def test_merged_narrow_counts_add_without_wrapping(tmp_path):
+    """Loaded counts 200 and 100 are uint8; merged onto one target they are 300."""
+    path = tmp_path / "narrow.corpus"
+    path.write_text("1\t0:200 1:100 2:7\n")
+    loaded = load_corpus_file(path, width=3)
+    assert loaded.matrix.data.dtype == np.uint8
+    vmap = VocabMap(mapping=np.array([1, 1, 0]), dropped=[], source_size=3, target_size=2)
+    out = remap_corpus(loaded, vmap)
+    assert rows_of(out.matrix) == [[(0, 7), (1, 300)]]
+    assert out.matrix.data.dtype == np.int64
 
 
 def test_remap_can_empty_a_bag():
