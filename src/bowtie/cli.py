@@ -97,18 +97,10 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _apply_threads(count: int) -> None:
-    """Set the BLAS and OpenMP thread-count variables; 0 leaves the environment
-    alone.  No product goes through BLAS, so no result depends on them."""
-    if count and count > 0:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-            "VECLIB_MAXIMUM_THREADS",
-        ):
-            os.environ[var] = str(count)
+def _thread_count(text: str) -> int:
+    if not text.strip().isdecimal():  # a sign, or no integer at all
+        raise argparse.ArgumentTypeError(f"must be an integer of 0 or more, got {text!r}")
+    return int(text)
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
@@ -146,11 +138,10 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_exec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1,
-                   help="value of OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and the like, "
-                   "for child processes; no product goes through BLAS, so it changes "
-                   "no bit (the optimizer step uses the process's CPUs either way); "
-                   "0 leaves them unset")
+    p.add_argument("--threads", type=_thread_count, default=0,
+                   help="cap on the threads the optimizer step, the L2 term and "
+                   "evaluate share, the caller included; 0 (default) means every "
+                   "usable CPU, up to 4; no bit depends on it")
 
 
 def _resolve_run_config(args) -> dict:
@@ -661,7 +652,8 @@ def main(argv=None) -> int:
         exc.parser.print_usage(sys.stderr)
         print(f'error=usage detail="{exc}"', file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    _apply_threads(getattr(args, "threads", 0))
+    default = net._THREADS  # replay has no --threads, so it runs at the default
+    net._THREADS = min(getattr(args, "threads", 0) or default, default)
     try:
         return args.func(args)
     except DivergenceError as exc:
@@ -673,6 +665,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f'error=usage detail="{exc}"', file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        net._THREADS = default
 
 
 if __name__ == "__main__":

@@ -38,9 +38,10 @@ ACTIVATIONS = ("none", "relu")
 # 512 KiB per buffer for 16 float64 columns, which stays in cache between ufuncs
 _CHUNK_ROWS = 4096
 
-# threads sharing a tensor's chunks, the caller's included: the CPUs this
-# process may use, at most 4 so that their scratch (about 1 MB each) stays
-# under 40 % of an 89 527x16 first layer
+# threads sharing a tensor's chunks, the caller's included.  The default is
+# the CPUs this process may use, at most 4 so that their scratch (about 1 MB
+# each) stays under 40 % of an 89 527x16 first layer; ``bowtie --threads``
+# lowers it for one command
 _THREADS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -223,7 +224,8 @@ def forward(
 
 
 @functools.cache
-def _pool(helpers: int) -> ThreadPoolExecutor:
+def _pool(helpers: int = max(1, _THREADS - 1)) -> ThreadPoolExecutor:
+    """The process's one helper pool, sized for the count at import, the default."""
     return ThreadPoolExecutor(helpers, thread_name_prefix="bowtie-chunks")
 
 
@@ -253,7 +255,7 @@ def _chunked(height: int, work, scratch, rows: int = 0) -> None:
             for lo in starts:
                 work(lo, min(lo + rows, height), bufs)
 
-    futures = [_pool(_THREADS - 1).submit(drain, bufs) for bufs in buffers[1:]]
+    futures = [_pool().submit(drain, bufs) for bufs in buffers[1:]]
     try:
         drain(buffers[0])
     finally:

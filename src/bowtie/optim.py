@@ -8,15 +8,15 @@ corrections, learning rate, ``1 - decay`` factors and epsilon fold into two
 scalars per step, so a chunk takes one divide.
 
 Each tensor is updated in place by ``net._chunked``: its ``_CHUNK_ROWS``-row
-chunks are shared by the calling thread and helpers on the process's other
-CPUs.  A chunk is one pass of ufuncs that write with ``out=`` into two
-chunk-sized scratch buffers and a bool one, all allocated by the caller: about
-1 MB per thread for a 16-column tensor however tall it is, and each chunk
-stays in cache while it is read and written.  The operations and their order
-are those of the whole-tensor expressions in ``tests/oracles.py`` and each
-element is computed alone, so the results are bit-identical to them at any
-chunk size, thread count and chunk order.  They round differently from the
-textbook formulas kept there too.
+chunks are shared by the calling thread and ``net._THREADS - 1`` helpers, by
+default one per other usable CPU.  A chunk is one pass of ufuncs that write
+with ``out=`` into two chunk-sized scratch buffers and a bool one, all
+allocated by the caller: about 1 MB per thread for a 16-column tensor however
+tall it is, and each chunk stays in cache while it is read and written.  The
+operations and their order are those of the whole-tensor expressions in
+``tests/oracles.py`` and each element is computed alone, so the results are
+bit-identical to them at any chunk size, thread count and chunk order.  They
+round differently from the textbook formulas kept there too.
 """
 
 from __future__ import annotations

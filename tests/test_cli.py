@@ -6,6 +6,7 @@ import platform
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -16,8 +17,10 @@ import scipy
 from scipy import sparse
 
 import bowtie
-from bowtie import cli
+from bowtie import cli, net
 from bowtie import corpus as corpus_module
+from bowtie import optim as optim_module
+from bowtie import train as train_module
 from bowtie.cli import main
 from bowtie.corpus import Corpus, Vocabulary, load_slmrd_vocab, shuffle
 from bowtie.encode import MULTI_HOT, encode_corpus
@@ -1293,6 +1296,7 @@ def test_replay_without_original_metrics_compares_parameter_sha(
         lambda body: body["config"].update(momentum=0.9),
         lambda body: body["config"].pop("threads"),
         lambda body: body["config"].update(threads=None),
+        lambda body: body["config"].update(threads=-1),
         lambda body: body["config"].update(data_dir=None),
         lambda body: body.update(versions=["2.4.6"]),
         lambda body: body["config"].update(epochs=2**70),
@@ -1300,7 +1304,7 @@ def test_replay_without_original_metrics_compares_parameter_sha(
     ids=["missing-key", "list-config", "list-artifacts", "scenario-out-of-range",
          "hidden-not-a-list", "optimizer-not-a-choice", "epochs-not-an-int",
          "init-seed-not-derived", "unknown-key", "threads-missing", "threads-null",
-         "data-dir-null", "list-versions", "epochs-above-the-limit"],
+         "threads-negative", "data-dir-null", "list-versions", "epochs-above-the-limit"],
 )
 def test_replay_rejects_malformed_config(tmp_path, prepared, s3_run, capsys, edit):
     manifest = s3_run / "manifest.json"
@@ -1487,8 +1491,8 @@ def environment_value(action) -> str:
     """A valid value for ``action`` that differs from its default."""
     if action.choices:
         return next(str(c) for c in action.choices if c != action.default)
-    if action.type in (int, float):
-        return "7" if action.type is int else "0.375"
+    if action.type in (int, cli._thread_count, float):
+        return "0.375" if action.type is float else "7"
     return "4,1" if action.dest == "hidden" else f"from-env-{action.dest}"
 
 
@@ -1525,23 +1529,81 @@ def test_parser_built_without_environment_ignores_bowtie_variables(monkeypatch):
     assert (args.l2, args.optimizer) == (0.5, "sgd")
 
 
-def test_threads_flag_pins_blas_environment(tmp_path, prepared, monkeypatch, capsys):
-    monkeypatch.setenv("OMP_NUM_THREADS", "sentinel")
-    out = tmp_path / "runs" / "threads"
-    slmrd = prepared / "slmrd"
-    main(
-        [
-            "train",
-            "--train-corpus", str(slmrd / "train.corpus"),
-            "--vocab", str(slmrd / "vocab.txt"),
-            "--encoding", "multi-hot",
-            "--out", str(out),
-            "--hidden", "4,1",
-            "--epochs", "1",
-            "--dropout", "0",
-            "--batch-size", "50",
-            "--threads", "2",
-        ]
-    )
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+@pytest.fixture()
+def chunk_calls(monkeypatch):
+    """Every ``net._chunked`` call of the package, as (the thread count it ran
+    at, the names of the ``bowtie-chunks`` helpers that ran one of its chunks).
+    The 40-token first layer comes in ten chunks, evaluate in one per batch of 50."""
+    calls, chunked = [], net._chunked
+
+    def spy(height, work, scratch, rows=0):
+        helpers = set()
+        calls.append((net._THREADS, helpers))
+
+        def spied(lo, hi, buffers):
+            name = threading.current_thread().name
+            if name.startswith("bowtie-chunks"):
+                helpers.add(name)
+            work(lo, hi, buffers)
+
+        chunked(height, spied, scratch, rows)
+
+    for module in (net, optim_module, train_module):
+        monkeypatch.setattr(module, "_chunked", spy)
+    monkeypatch.setattr(net, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(train_module, "_EVAL_ROWS", 50)
+    return calls
+
+
+def test_threads_flag_caps_the_chunk_threads(tmp_path, prepared, chunk_calls, capsys):
+    """--threads counts the caller: at 1 no helper runs a chunk, at 2 at most
+    one does per call; without it, and once main returns, the count is the default."""
+    default, slmrd = net._THREADS, prepared / "slmrd"
+    for threads in ("1", "2", None):
+        chunk_calls.clear()
+        argv = ["train", "--train-corpus", str(slmrd / "train.corpus"),
+                "--val-corpus", str(slmrd / "test.corpus"), "--vocab", str(slmrd / "vocab.txt"),
+                "--encoding", "multi-hot", "--out", str(tmp_path / f"run-{threads}"),
+                "--hidden", "4,1", "--epochs", "1", "--dropout", "0", "--batch-size", "50"]
+        assert main(argv + (["--threads", threads] if threads else [])) == 0
+        count = min(int(threads or default), default)
+        assert chunk_calls and {at for at, _ in chunk_calls} == {count}
+        assert max(len(helpers) for _, helpers in chunk_calls) <= count - 1
+        assert net._THREADS == default
+
+
+def test_one_thread_and_the_default_train_the_same_bits(
+    tmp_path, prepared, chunk_calls, monkeypatch, capsys
+):
+    """A run at --threads 1 and one whose chunks a helper may share write the
+    same parameters and metrics, and the first's manifest replays to a match."""
+    monkeypatch.setattr(net, "_THREADS", max(2, net._THREADS))  # a helper even on one CPU
+    runs = {}
+    for threads in ("1", None):
+        out = tmp_path / f"run-{threads}"
+        argv = train_argv(prepared / "slmrd", out) + (["--threads", threads] if threads else [])
+        chunk_calls.clear()
+        assert main(argv) == 0
+        assert {at for at, _ in chunk_calls} == {1 if threads else net._THREADS}
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        runs[threads] = (manifest["artifacts"]["checkpoint_param_sha256"],
+                         cli._metrics_rows(out / "metrics.csv"))
+    assert runs["1"] == runs[None]
+    capsys.readouterr()
+    assert main(["replay", "--manifest", str(tmp_path / "run-1" / "manifest.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "replay_match=1"
+
+
+@pytest.mark.parametrize("source", ["flag", "environment"])
+def test_negative_thread_count_exits_one_before_reading(tmp_path, monkeypatch, capsys, source):
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out")  # reading would exit 2
+    argv = ["train", "--train-corpus", missing, "--vocab", missing, "--out", out]
+    if source == "flag":
+        argv += ["--threads", "-1"]
+    else:
+        monkeypatch.setenv("BOWTIE_THREADS", "-1")
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    assert "argument --threads: must be an integer of 0 or more, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
