@@ -71,9 +71,9 @@ class _Parser(argparse.ArgumentParser):
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        if action.option_strings and action.default is not argparse.SUPPRESS:
-            name = ENV_PREFIX + action.dest.upper()
-            action.default = self.environ.get(name, action.default)
+        name = ENV_PREFIX + action.dest.upper()
+        if action.option_strings and action.default is not argparse.SUPPRESS and name in self.environ:
+            action.default = (name, self.environ[name])  # not a str, so argparse leaves it
         return action
 
     def add_subparsers(self, **kwargs):
@@ -84,16 +84,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
     def parse_known_args(self, args=None, namespace=None):
-        """argparse checks ``choices`` on explicit values only; a value that
-        came from the environment is checked here, before any file is read.
-        Each subcommand's parser checks its own flags only."""
+        """A value that came from the environment goes through its flag's
+        ``type`` and ``choices`` here, before any file is read, and an error
+        names the variable.  Each subcommand's parser checks its own flags."""
         namespace, extras = super().parse_known_args(args, namespace)
         for action in self._actions:
-            value = getattr(namespace, action.dest, None)
-            if action.choices and value is not None and value not in action.choices:
-                name = ENV_PREFIX + action.dest.upper()
-                choices = ", ".join(map(str, action.choices))
-                self.error(f"{name}={value!r} is not one of {choices}")
+            if isinstance(var := getattr(namespace, action.dest, None), tuple):
+                name, text = var
+                try:
+                    value = action.type(text) if action.type else text
+                except argparse.ArgumentTypeError as exc:
+                    self.error(f"{name}={text!r} {exc}")
+                except (TypeError, ValueError):
+                    self.error(f"{name}={text!r} is not a valid {action.type.__name__}")
+                if action.choices and value not in action.choices:
+                    choices = ", ".join(map(str, action.choices))
+                    self.error(f"{name}={text!r} is not one of {choices}")
+                setattr(namespace, action.dest, value)
         return namespace, extras
 
 

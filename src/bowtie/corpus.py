@@ -430,34 +430,19 @@ def load_slmrd_vocab(path: str | Path) -> Vocabulary:
         ) from None
 
 
-# load_polarity splits its text into lines this many characters at a time
-_RATING_CHARS = 1 << 14
-
-
 def load_polarity(path: str | Path, vocab: Vocabulary) -> np.ndarray:
     """The float64 ratings of a one-rating-per-line file, aligned with ``vocab``.
 
     A rating is any text ``float()`` accepts, whitespace around it included,
-    and must be finite.  The array is sized once by the line count and
-    filled a block of whole lines at a time, so only one block's lines are
-    ever held as strings.
+    and must be finite.
     """
-    text = read_text(path)
-    ratings = np.empty(text.count("\n") + (not text.endswith("\n")) if text else 0)
-    line = lo = 0
-    while line < ratings.size:
-        hi = text.find("\n", lo + _RATING_CHARS)
-        if hi < 0:
-            hi = len(text) - text.endswith("\n")
-        lines = text[lo:hi].split("\n")
-        block = ratings[line : line + len(lines)]
-        try:
-            block[:] = np.fromiter(map(float, lines), np.float64, count=len(lines))
-        except ValueError:
-            raise _rating_error(path, lines, line) from None
-        if not np.isfinite(block).all():
-            raise _rating_error(path, lines, line)
-        line, lo = line + len(lines), hi + 1
+    lines = _lines(path)
+    try:
+        ratings = np.fromiter(map(float, lines), np.float64, count=len(lines))
+    except ValueError:
+        raise _rating_error(path, lines) from None
+    if not np.isfinite(ratings).all():
+        raise _rating_error(path, lines)
     if ratings.size != vocab.size:
         raise DataError(
             f"{path}: {ratings.size} ratings for a vocabulary of {vocab.size} tokens"
@@ -465,10 +450,9 @@ def load_polarity(path: str | Path, vocab: Vocabulary) -> np.ndarray:
     return ratings
 
 
-def _rating_error(path: str | Path, lines: list[str], before: int) -> DataError:
-    """The DataError for the first of ``lines``, which follow ``before``
-    lines of the file, that is not a finite rating."""
-    for lineno, line in enumerate(lines, before + 1):
+def _rating_error(path: str | Path, lines: list[str]) -> DataError:
+    """The DataError for the first of ``lines`` that is not a finite rating."""
+    for lineno, line in enumerate(lines, 1):
         text = line.strip()
         try:
             value = float(text)

@@ -4,9 +4,7 @@ Maps one vocabulary onto another by exact token string (no case folding, no
 apostrophe canonicalization), rewrites a corpus's count matrix into the
 target index space, and evaluates a checkpoint trained on the target
 vocabulary against the re-encoded corpus.  Tokens without a counterpart are
-dropped per token, so a review can come out empty but is still scored;
-colliding targets merge their counts (impossible under exact matching,
-stated for safety).
+dropped per token, so a review can come out empty but is still scored.
 """
 
 from __future__ import annotations
@@ -52,10 +50,12 @@ def build_vocab_map(source: Vocabulary, target: Vocabulary) -> VocabMap:
 def remap_corpus(corpus: Corpus, vmap: VocabMap) -> Corpus:
     """Rewrite every review into the target index space.
 
-    Unmapped tokens vanish; if several source indices land on the same target
-    index their counts add, as int64 so a merged count cannot wrap a narrow
-    loaded dtype.  A review can come out empty.  The result reuses the
-    corpus's arrays, so the corpus is consumed; copy it first to keep it.
+    ``vmap`` must send no two source indices to one target, as every map
+    ``build_vocab_map`` makes does (a ``Vocabulary`` holds no duplicate
+    token), so each count keeps its loaded dtype and each row is only
+    re-sorted.  Unmapped tokens vanish, and a review can come out empty.
+    The result reuses the corpus's arrays, so the corpus is consumed; copy
+    it first to keep it.
     """
     counts = corpus.matrix
     del corpus.matrix
@@ -68,12 +68,9 @@ def remap_corpus(corpus: Corpus, vmap: VocabMap) -> Corpus:
         unmapped = part < 0
         data[lo:lo + _CHUNK][unmapped] = 0  # eliminate_zeros drops the entry
         part[unmapped] = 0
-    targets = vmap.mapping[vmap.mapping >= 0]
-    if np.unique(targets).size < targets.size:  # two sources share a target
-        data = data.astype(np.int64, copy=False)
     out = sparse.csr_matrix((data, indices, counts.indptr), shape=(len(corpus), vmap.target_size))
     out.eliminate_zeros()
-    out.sum_duplicates()  # sorts each row in place, adding colliding targets
+    out.sort_indices()
     return Corpus(out, corpus.labels)
 
 

@@ -177,19 +177,29 @@ def test_train_and_eval_leave_scipy_special_unloaded(tmp_path, prepared):
     assert result.returncode == 0, result.stderr
 
 
+# a refused value of each variable, and the usage detail after its name
+REFUSED = {
+    "BOWTIE_ENCODING": ("bogus", "is not one of multi-hot, polarity-weighted"),
+    "BOWTIE_OPTIMIZER": ("bogus", "is not one of sgd, rmsprop, adam, nadam"),
+    "BOWTIE_ACTIVATION": ("bogus", "is not one of none, relu"),
+    "BOWTIE_LR": ("fast", "is not a valid float"),
+    "BOWTIE_EPOCHS": ("many", "is not a valid int"),
+    "BOWTIE_THREADS": ("-1", "must be an integer of 0 or more, got '-1'"),
+}
+
+
 @pytest.mark.parametrize(
     "command, variable",
-    [
-        ("stats", "BOWTIE_ENCODING"),
-        ("train", "BOWTIE_ENCODING"),
-        ("train", "BOWTIE_OPTIMIZER"),
-        ("train", "BOWTIE_ACTIVATION"),
-    ],
+    [("stats", "BOWTIE_ENCODING")] + [("train", variable) for variable in REFUSED],
 )
 def test_environment_value_outside_choices_exits_one_before_reading(
     tmp_path, monkeypatch, capsys, command, variable
 ):
-    monkeypatch.setenv(variable, "bogus")
+    """A variable's value that its flag's type or choices refuse is a usage
+    error naming the variable, not the flag; the same flag given explicitly
+    wins over it."""
+    value, detail = REFUSED[variable]
+    monkeypatch.setenv(variable, value)
     missing = str(tmp_path / "missing")  # reading any file would exit 2
     argv = {
         "stats": ["stats", "--corpus", missing, "--vocab", missing, "--polarity", missing],
@@ -199,8 +209,12 @@ def test_environment_value_outside_choices_exits_one_before_reading(
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 1
-    assert f'error=usage detail="{variable}=\'bogus\' is not one of' in capsys.readouterr().err
+    assert f'error=usage detail="{variable}={value!r} {detail}' in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    flag = "--" + variable.removeprefix("BOWTIE_").lower()
+    explicit = {"--encoding": "multi-hot", "--optimizer": "sgd", "--activation": "relu"}
+    assert main(argv + [flag, explicit.get(flag, "1")]) == 2  # reads, and finds no file
+    assert "error=data" in capsys.readouterr().err
 
 
 def test_environment_choices_are_checked_for_the_chosen_command_only(
@@ -1605,5 +1619,6 @@ def test_negative_thread_count_exits_one_before_reading(tmp_path, monkeypatch, c
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 1
-    assert "argument --threads: must be an integer of 0 or more, got '-1'" in capsys.readouterr().err
+    named = "argument --threads:" if source == "flag" else "BOWTIE_THREADS='-1'"
+    assert f"{named} must be an integer of 0 or more, got '-1'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -2,8 +2,8 @@
 
 ``oracles`` holds the loaders that walk one line or one JSON entry at a
 time.  The package reads each file whole, once, then splits a vocabulary
-in one call, parses ratings with ``np.fromiter`` over ``float`` a block of
-lines at a time, and sorts word-index ranks as one array; on every input both must give
+in one call, parses ratings with one ``np.fromiter`` over ``float``, and
+sorts word-index ranks as one array; on every input both must give
 bit-equal results or byte-equal messages.  The two differences are by
 design: a JSON ``true`` is not a rank, and bytes that are not UTF-8 are a
 data error naming the file and the offset of the first bad byte.  The
@@ -15,14 +15,12 @@ bytes already read, never by reading the input again.
 import json
 import os
 import threading
-import tracemalloc
 from contextlib import contextmanager, suppress
 
 import numpy as np
 import pytest
 
 import oracles
-from bowtie import corpus
 from bowtie.corpus import Vocabulary, load_kid, load_polarity, load_slmrd_vocab
 from bowtie.errors import DataError
 from bowtie.transfer import build_vocab_map
@@ -133,56 +131,6 @@ def test_polarity_file_matches_the_reference(tmp_path):
             for array in (got, via_pipe):
                 assert array.dtype == want.dtype == np.float64
                 assert array.view(np.int64).tolist() == want.view(np.int64).tolist()
-
-
-@pytest.mark.parametrize("chars", [1, 7, 64])
-def test_polarity_blocks_end_anywhere_and_keep_line_numbers(tmp_path, monkeypatch, chars):
-    """Blocks of a few characters end inside ratings, on line ends and past
-    the last one; every value and message, line number included, is the
-    reference's."""
-    monkeypatch.setattr(corpus, "_RATING_CHARS", chars)
-    path = tmp_path / "imdbEr.txt"
-    for seed in range(60):
-        rng = np.random.default_rng([seed, 3])
-        n = int(rng.integers(0, 40))
-        lines = [random_rating(rng) for _ in range(n)]
-        if rng.random() < 0.5:
-            lines = [line if np.isfinite(_float_or_nan(line)) else "1.5" for line in lines]
-        path.write_bytes(text_of(rng, lines).encode("utf-8"))
-        vocab = Vocabulary([f"t{i}" for i in range(max(n, 1))])
-        got = outcome(lambda: load_polarity(path, vocab))
-        want = outcome(lambda: oracles.load_polarity(path, vocab))
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-
-
-def test_polarity_memory_is_the_text_the_array_and_a_block(tmp_path, monkeypatch):
-    """An 89 527-line file of 0.49 MB peaks at its text, the 0.72 MB array
-    and one block's lines held as str objects (about 11 bytes a character,
-    the last block's freed once the next's are split): 6.6 MB when every
-    line was a str at once."""
-    rng = np.random.default_rng(3)
-    path = tmp_path / "imdbEr.txt"
-    path.write_text("".join(f"{v:.2f}\n" for v in rng.normal(0, 1, 89_527)))
-    vocab = Vocabulary([f"t{i}" for i in range(89_527)])
-    size = path.stat().st_size
-
-    def peak():
-        tracemalloc.start()
-        try:
-            ratings = load_polarity(path, vocab)
-            return tracemalloc.get_traced_memory()[1], ratings.nbytes
-        finally:
-            tracemalloc.stop()
-
-    got, array = peak()
-    bound = size + array + 32 * corpus._RATING_CHARS
-    assert got <= bound, got - size - array
-    # the bound is tight enough that splitting the text as one block breaks it
-    monkeypatch.setattr(corpus, "_RATING_CHARS", size + 1)
-    assert peak()[0] > bound
 
 
 def _float_or_nan(text):

@@ -8,7 +8,7 @@ from scipy import sparse
 
 import oracles
 from bowtie import encode
-from bowtie.corpus import Corpus, Vocabulary, load_corpus_file
+from bowtie.corpus import Corpus, Vocabulary
 from bowtie.encode import MULTI_HOT, POLARITY_WEIGHTED, encode_corpus
 from bowtie.errors import DataError, FingerprintError
 from bowtie.net import ModelConfig, init_model
@@ -117,6 +117,8 @@ def test_vocab_map_matches_the_reference():
         got, want = build_vocab_map(source, target), oracles.build_vocab_map(source, target)
         assert got.mapping.dtype == want.mapping.dtype
         assert got.mapping.tolist() == want.mapping.tolist()
+        targets = got.mapping[got.mapping >= 0]  # remap_corpus relies on no collision
+        assert np.unique(targets).size == targets.size
         assert (got.dropped, got.source_size, got.target_size) == (
             want.dropped, want.source_size, want.target_size)
 
@@ -132,31 +134,6 @@ def test_remap_rewrites_indices():
     assert rows_of(out.matrix) == [[(0, 1), (1, 2)]]  # c -> 0, a -> 1
     assert out.matrix.shape == (1, 2)
     assert out.labels.tolist() == [1]
-
-
-def test_remap_merges_colliding_counts():
-    # exact-string matching cannot collide, so force it through the raw map
-    vmap = VocabMap(
-        mapping=np.array([0, 0, 1], dtype=np.int64),
-        dropped=[],
-        source_size=3,
-        target_size=2,
-    )
-    out = remap_corpus(bag([(0, 2), (1, 3), (2, 4)]), vmap)
-    assert rows_of(out.matrix) == [[(0, 5), (1, 4)]]
-    assert out.matrix.has_canonical_format
-
-
-def test_merged_narrow_counts_add_without_wrapping(tmp_path):
-    """Loaded counts 200 and 100 are uint8; merged onto one target they are 300."""
-    path = tmp_path / "narrow.corpus"
-    path.write_text("1\t0:200 1:100 2:7\n")
-    loaded = load_corpus_file(path, width=3)
-    assert loaded.matrix.data.dtype == np.uint8
-    vmap = VocabMap(mapping=np.array([1, 1, 0]), dropped=[], source_size=3, target_size=2)
-    out = remap_corpus(loaded, vmap)
-    assert rows_of(out.matrix) == [[(0, 7), (1, 300)]]
-    assert out.matrix.data.dtype == np.int64
 
 
 def test_remap_can_empty_a_bag():
@@ -198,7 +175,7 @@ def test_remap_corpus_keeps_order_and_labels():
 
 def test_remap_keeps_no_int64_array_per_stored_entry():
     """The targets are written over the source indices a chunk at a time and
-    scipy drops, sorts and merges in place, so the peak is a few chunks'
+    scipy drops and sorts in place, so the peak is a few chunks'
     work: below one int32 per stored entry, where the copying remap held an
     int32 target and a bool mask per entry beside its result."""
     rng = np.random.default_rng(6)
@@ -255,7 +232,7 @@ def reencode(corpus, vmap, polarity):
     )
 
 
-def test_reencode_applies_target_polarity_to_merged_counts():
+def test_reencode_applies_target_polarity_to_remapped_counts():
     source = Vocabulary(["a"])
     target = Vocabulary(["pad", "a"])
     vmap = build_vocab_map(source, target)
