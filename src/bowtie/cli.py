@@ -427,7 +427,8 @@ def cmd_stats(args) -> int:
 def _write_vocab(vocab, path: Path) -> None:
     """The canonical vocabulary file: one token per line."""
     with replacing(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(vocab.tokens) + "\n")
+        fh.write(vocab.text)
+        fh.write("\n")
 
 
 def cmd_prepare(args) -> int:

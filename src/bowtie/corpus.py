@@ -5,8 +5,10 @@ per-line polarity ratings, ``rating idx:count ...`` bag-of-words lines) and
 the Keras-style integer-sequence distribution into one CSR matrix of token
 counts over a dense vocabulary (a row per review) plus a label array; a
 canonical ``label<TAB>idx:count ...`` format makes everything downstream
-source-agnostic.  Every input is read whole in one read (``fileio``) and a
-failure is explained from the bytes read, so a pipe loads like a file.
+source-agnostic.  A vocabulary keeps its tokens as the one string of its
+canonical file, not a str object per token.  Every input is read whole in
+one read (``fileio``) and a failure is explained from the bytes read, so a
+pipe loads like a file.
 Record files are scanned in file order, in blocks of whole lines, by one
 array-op scanner on the calling thread that fills arrays sized once from
 the file's newline and mark counts, the indices at scipy's final dtype
@@ -33,24 +35,31 @@ from .rngseed import derive_rng
 
 
 class Vocabulary:
-    """Ordered token-to-index map; indices are dense and start at 0."""
+    """Ordered token-to-index map; indices are dense and start at 0.
+
+    The tokens are kept as one string, ``text``, joined by newlines (the
+    canonical ``vocab.txt`` less its final newline), not a str object each,
+    so no token may hold a line break.
+    """
 
     def __init__(self, tokens: list[str]):
-        self.tokens = list(tokens)
-        if len(set(self.tokens)) < len(self.tokens):
-            first, again = _first_repeat(self.tokens)
-            raise DataError(
-                f"duplicate token {self.tokens[again]!r} at indices {first} and {again}"
-            )
+        tokens = list(tokens)
+        self.text, self.size = "\n".join(tokens), len(tokens)
+        if "\r" in self.text or self.text.count("\n") != max(self.size - 1, 0):
+            bad = next(i for i, tok in enumerate(tokens) if "\n" in tok or "\r" in tok)
+            raise DataError(f"token {tokens[bad]!r} at index {bad} contains a line break")
+        if len(set(tokens)) < len(tokens):
+            first, again = _first_repeat(tokens)
+            raise DataError(f"duplicate token {tokens[again]!r} at indices {first} and {again}")
 
     @property
-    def size(self) -> int:
-        return len(self.tokens)
+    def tokens(self) -> list[str]:
+        """A new list of the tokens, split from ``text``."""
+        return self.text.split("\n") if self.size else []
 
     def fingerprint(self) -> str:
-        """SHA-256 over the newline-joined token list."""
-        joined = "\n".join(self.tokens).encode("utf-8")
-        return hashlib.sha256(joined).hexdigest()
+        """SHA-256 over ``text``: the canonical file less its final newline."""
+        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
 
 
 @dataclass(eq=False)  # matrices have no single truth value; compare rows instead
@@ -489,7 +498,11 @@ def load_kid(
     are reserved control codes that are dropped.  The matrix holds views into
     arrays sized by the file's value count (scipy copies them if half empty).
     """
-    vocab = Vocabulary(_word_index_tokens(word_index_path))
+    tokens = _word_index_tokens(word_index_path)
+    try:
+        vocab = Vocabulary(tokens)
+    except DataError as exc:  # a token that holds a line break
+        raise DataError(f"{word_index_path}: {exc}") from None
 
     labels, matrix = _load_records(
         sequences_path,
@@ -523,8 +536,7 @@ def _word_index_tokens(path: str | Path) -> list[str]:
     if not isinstance(word_index, dict) or not word_index:
         raise DataError(f"{path}: expected a non-empty token->rank object")
     tokens = list(word_index)
-    joined = "".join(tokens)
-    if set(map(type, word_index.values())) == {int} and "\n" not in joined and "\r" not in joined:
+    if set(map(type, word_index.values())) == {int}:
         try:
             ranks = np.fromiter(word_index.values(), np.int64, len(tokens))
         except OverflowError:  # a rank beyond int64: the walk below sorts it
@@ -546,9 +558,6 @@ def _walk_word_index(path: str | Path, word_index: dict) -> list[str]:
             raise DataError(f"{path}: rank for {tok!r} must be a positive integer")
         if rank in ranks_seen:
             raise DataError(f"{path}: tokens {ranks_seen[rank]!r} and {tok!r} share rank {rank}")
-        if "\n" in tok or "\r" in tok:
-            # the canonical vocabulary is one token per line
-            raise DataError(f"{path}: token {tok!r} contains a line break")
         ranks_seen[rank] = tok
     return [tok for tok, _ in sorted(word_index.items(), key=lambda kv: kv[1])]
 

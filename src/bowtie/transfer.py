@@ -36,12 +36,14 @@ class VocabMap:
 
 
 def build_vocab_map(source: Vocabulary, target: Vocabulary) -> VocabMap:
-    # built per call, never cached on the vocabulary, so it does not outlive the map
+    # built per call, never cached on the vocabulary, so it does not outlive the map;
+    # each vocabulary is split into its tokens once
     index_of = dict(zip(target.tokens, range(target.size)))
-    mapping = np.fromiter(map(index_of.get, source.tokens, repeat(-1)), np.int64, source.size)
+    tokens = source.tokens
+    mapping = np.fromiter(map(index_of.get, tokens, repeat(-1)), np.int64, source.size)
     return VocabMap(
         mapping=mapping,
-        dropped=sorted(compress(source.tokens, (mapping < 0).tolist())),
+        dropped=sorted(compress(tokens, (mapping < 0).tolist())),
         source_size=source.size,
         target_size=target.size,
     )

@@ -328,7 +328,7 @@ def load_slmrd_bow(path, vocab):
 
 def word_index_tokens(word_index_path):
     """Reference word-index reader: the tokens of a JSON token->rank object
-    in rank order, each entry checked in turn."""
+    in rank order, each entry's rank checked in turn, then each token."""
     with _open_text(word_index_path) as fh:
         try:
             word_index = json.load(fh)
@@ -344,10 +344,14 @@ def word_index_tokens(word_index_path):
             raise DataError(
                 f"{word_index_path}: tokens {ranks_seen[rank]!r} and {tok!r} share rank {rank}"
             )
-        if "\n" in tok or "\r" in tok:
-            raise DataError(f"{word_index_path}: token {tok!r} contains a line break")
         ranks_seen[rank] = tok
-    return [tok for tok, _ in sorted(word_index.items(), key=lambda kv: kv[1])]
+    tokens = [tok for tok, _ in sorted(word_index.items(), key=lambda kv: kv[1])]
+    for i, tok in enumerate(tokens):
+        if "\n" in tok or "\r" in tok:
+            raise DataError(
+                f"{word_index_path}: token {tok!r} at index {i} contains a line break"
+            )
+    return tokens
 
 
 def load_kid(word_index_path, sequences_path, index_offset=3):

@@ -289,6 +289,27 @@ def test_prepare_kid_reports_counts(tmp_path, raw_trees, capsys):
     assert (out / "full.corpus").exists()
 
 
+def test_prepare_writes_each_vocabulary_one_token_a_line(tmp_path):
+    """An empty token and non-ASCII ones come out as written, behind \\n line
+    ends, and the file's bytes less the last newline are the fingerprint."""
+    tokens = ["", "caf\xe9", "\u0663", " x\t", "\u3000", "Don't"]
+    ratings = rating_table(0, len(tokens))
+    reviews = planted_corpus(1, 8, ratings)
+    slmrd = write_slmrd_tree(tmp_path / "slmrd", tokens, ratings, reviews, reviews)
+    (slmrd / "imdb.vocab").write_bytes("\r\n".join(tokens).encode("utf-8") + b"\r\n")
+    kid = write_kid_tree(tmp_path / "kid", tokens, reviews)
+    assert main(["prepare", "slmrd", "--input", str(slmrd), "--out", str(tmp_path / "s")]) == 0
+    assert main(["prepare", "kid", "--word-index", str(kid / "word_index.json"),
+                 "--sequences", str(kid / "sequences.tsv"), "--out", str(tmp_path / "k")]) == 0
+    want = ("\n".join(tokens) + "\n").encode("utf-8")
+    for out in ("s", "k"):
+        written = (tmp_path / out / "vocab.txt").read_bytes()
+        assert written == want
+        vocab = load_slmrd_vocab(tmp_path / out / "vocab.txt")
+        assert vocab.tokens == tokens
+        assert vocab.fingerprint() == hashlib.sha256(written[:-1]).hexdigest()
+
+
 # perfbench/gen.py's paper-shape raw tree, the sha256 of each file prepare must
 # write from it, and the transfer counts and oracle accuracy of its fixed
 # checkpoint; run in a process that runs nothing but prepare and transfer

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -61,6 +64,39 @@ def test_vocab_fingerprint_tracks_content_and_order():
     assert a.fingerprint() != b.fingerprint()
     assert a.fingerprint() == Vocabulary(["x", "y"]).fingerprint()
     assert len(a.fingerprint()) == 64
+
+
+@pytest.mark.parametrize("tokens", [[], [""], ["", "a"], ["caf\xe9", "\u0663", " x\t"]])
+def test_vocab_gives_back_its_tokens(tokens):
+    """One string holds the tokens, so no tokens and one empty token differ only by size."""
+    vocab = Vocabulary(tokens)
+    assert (vocab.size, vocab.tokens) == (len(tokens), tokens)
+    assert vocab.fingerprint() == hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("tokens, bad", [
+    (["a\nb", "c"], 0), (["a", "b\nc"], 1), (["a", "b", "\r"], 2), (["a\r\n"], 0),
+])
+def test_vocab_rejects_a_token_with_a_line_break(tokens, bad):
+    """Otherwise ["a\\nb", "c"] and ["a", "b\\nc"] would share size and fingerprint."""
+    with pytest.raises(DataError, match=f"at index {bad} contains a line break"):
+        Vocabulary(tokens)
+
+
+def test_loaded_vocab_keeps_one_string_the_size_of_its_file(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(("\n".join(token_list(89_527)) + "\n").encode("utf-8"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        vocab = load_slmrd_vocab(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert vocab.size == 89_527
+    # a str object per token would hold about 5 MB more
+    assert held <= path.stat().st_size + 65_536, held
+    assert vocab.fingerprint() == hashlib.sha256(path.read_bytes()[:-1]).hexdigest()
 
 
 # ------------------------------------------------------------------ polarity
