@@ -6,9 +6,11 @@ the Keras-style integer-sequence distribution into one CSR matrix of token
 counts over a dense vocabulary (a row per review) plus a label array; a
 canonical ``label<TAB>idx:count ...`` format makes everything downstream
 source-agnostic.  A vocabulary keeps its tokens as the one string of its
-canonical file, not a str object per token.  Every input is read whole in
-one read (``fileio``) and a failure is explained from the bytes read, so a
-pipe loads like a file.
+canonical file, not a str object per token, and equal tokens are found by
+sorting the UTF-8 bytes of that string (``_sort_tokens``), for the
+vocabulary's repeat check and for ``transfer``'s map alike.  Every input
+is read whole in one read (``fileio``) and a failure is explained from the
+bytes read, so a pipe loads like a file.
 Record files are scanned in file order, in blocks of whole lines, by one
 array-op scanner on the calling thread that fills arrays sized once from
 the file's newline and mark counts, the indices at scipy's final dtype
@@ -39,7 +41,9 @@ class Vocabulary:
 
     The tokens are kept as one string, ``text``, joined by newlines (the
     canonical ``vocab.txt`` less its final newline), not a str object each,
-    so no token may hold a line break.
+    so no token may hold a line break.  Every token must encode as UTF-8,
+    so two tokens are equal exactly when their UTF-8 bytes are, which is
+    how repeats are found (``_sort_tokens``).
     """
 
     def __init__(self, tokens: list[str]):
@@ -48,9 +52,24 @@ class Vocabulary:
         if "\r" in self.text or self.text.count("\n") != max(self.size - 1, 0):
             bad = next(i for i, tok in enumerate(tokens) if "\n" in tok or "\r" in tok)
             raise DataError(f"token {tokens[bad]!r} at index {bad} contains a line break")
-        if len(set(tokens)) < len(tokens):
-            first, again = _first_repeat(tokens)
-            raise DataError(f"duplicate token {tokens[again]!r} at indices {first} and {again}")
+        try:
+            spans = _token_bytes(self.text, self.size)
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            bad = self.text.count("\n", 0, exc.start)
+            raise DataError(
+                f"token {tokens[bad]!r} at index {bad} is not encodable as UTF-8"
+            ) from None
+        repeat = _first_repeat(*spans)
+        if repeat:
+            first, again, token = repeat
+            raise DataError(f"duplicate token {token!r} at indices {first} and {again}")
+
+    @classmethod
+    def _of_text(cls, text: str, size: int) -> "Vocabulary":
+        """The vocabulary of ``size`` tokens whose ``text`` is already checked."""
+        vocab = cls.__new__(cls)
+        vocab.text, vocab.size = text, size
+        return vocab
 
     @property
     def tokens(self) -> list[str]:
@@ -60,6 +79,104 @@ class Vocabulary:
     def fingerprint(self) -> str:
         """SHA-256 over ``text``: the canonical file less its final newline."""
         return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
+
+
+def _token_bytes(text: str, size: int) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """The UTF-8 bytes of ``text``, ``size`` newline-joined tokens, then 8
+    newlines (so every token is followed by one, and a word can be read
+    from any byte), and the start and byte length of each token."""
+    data = (text + "\n" * 8).encode("utf-8")
+    end = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))[:size]
+    start = np.zeros(size, np.int64)
+    start[1:] = end[:-1] + 1
+    end -= start
+    return data, start, end
+
+
+# _windows' mask of a word's first c bytes, by c (0 to 7)
+_FIRST = np.array([(1 << 64) - (1 << 8 * (8 - c)) for c in range(8)], np.uint64)
+
+# _sort_tokens reads at most about this many windows in a pass after its first
+_PASS_WINDOWS = 1 << 16
+
+
+def _windows(words: np.ndarray, start: np.ndarray, length: np.ndarray, at: int, count: int):
+    """``count`` windows of 7 bytes of each token from its byte ``at`` on, as
+    a (tokens, count) uint64 array whose rows sort as the bytes do.
+
+    A window is its bytes big-endian, those past the token's end as 0, then
+    a low byte of how many are the token's, so a prefix sorts first and a
+    window that holds fewer than 7 is the token's last.
+    """
+    at = at + 7 * np.arange(count)
+    held = np.clip(length[:, None] - at, 0, 7)
+    where = start[:, None] + at
+    np.minimum(where, words.size - 1, out=where)  # a window past the end holds none
+    key = words[where].astype(np.uint64)  # take() would copy all of ``words`` first
+    key &= _FIRST.take(held)
+    key |= held.view(np.uint64)
+    return key
+
+
+def _sort_tokens(data: bytes, start: np.ndarray, length: np.ndarray):
+    """(order, heads) of the tokens ``data[start:start + length]``: their
+    indices sorted by their bytes, and ``heads[p]``, true where sorted
+    position ``p`` starts a class of equal tokens, with one more true entry
+    at the end, so that position ``p`` is a class of one when ``heads[p]``
+    and ``heads[p + 1]`` both hold.
+
+    ``data`` is read as 8-byte big-endian words (``_windows``), so it needs 7
+    bytes past its last token.  One sort orders all the tokens by their
+    first window; each later pass sorts each class still of two or more
+    tokens with 7 bytes in their last window by their next windows, as
+    many as ``_PASS_WINDOWS`` allows.  So the passes are few however long a
+    shared prefix runs, none is per token length, and no result rests on a
+    hash.
+    """
+    words = np.ndarray((len(data) - 7,), ">u8", data, 0, (1,))
+    key = _windows(words, start, length, 0, 1)[:, 0]
+    order = key.argsort()
+    key = key.take(order)
+    heads = np.ones(start.size + 1, bool)
+    np.not_equal(key[1:], key[:-1], out=heads[1:-1])
+    act, at = np.arange(start.size), 7  # the sorted positions still read
+    while True:
+        act = act[~(heads[act] & heads[act + 1]) & (key & np.uint64(0xFF) == 7)]
+        if not act.size:
+            return order, heads
+        tok = order.take(act)
+        first, size = start.take(tok), length.take(tok)
+        count = max(1, min(_PASS_WINDOWS // act.size, (int(size.max()) - at) // 7 + 1))
+        keys = _windows(words, first, size, at, count)
+        rows = np.empty((count + 1, act.size), np.uint64)  # lexsort's last row sorts first
+        rows[:count] = keys.T[::-1]
+        rows[count] = np.maximum.accumulate(np.where(heads[act], act, 0))  # each one's class
+        sort = np.lexsort(rows)
+        order[act] = tok.take(sort)
+        keys = keys.take(sort, axis=0)
+        heads[act[1:]] |= (keys[1:] != keys[:-1]).any(axis=1)
+        key, at = keys[:, -1], at + 7 * count
+
+
+def _first_repeat(data: bytes, start: np.ndarray, length: np.ndarray):
+    """(first, again, token) for the earliest token ``again`` equal to an
+    earlier one, ``first``; None when no two are equal."""
+    order, heads = _sort_tokens(data, start, length)
+    if heads.all():
+        return None
+    head = np.flatnonzero(heads[:-1])
+    smallest = np.empty(start.size, np.int64)  # of each token's class
+    smallest[order] = np.repeat(np.minimum.reduceat(order, head), np.diff(head, append=start.size))
+    again = int(np.flatnonzero(smallest != np.arange(start.size))[0])
+    return int(smallest[again]), again, _token_strs(data, start, length, [again])[0]
+
+
+def _token_strs(data: bytes, start: np.ndarray, length: np.ndarray, which) -> list[str]:
+    """The tokens at indices ``which``, in that order, decoded in one call."""
+    start = start.take(which)
+    ends = (start + length.take(which) + 1).tolist()  # each with the newline after it
+    text = b"".join([data[lo:hi] for lo, hi in zip(start.tolist(), ends)]).decode("utf-8")
+    return text.split("\n")[:-1]
 
 
 @dataclass(eq=False)  # matrices have no single truth value; compare rows instead
@@ -410,33 +527,25 @@ def _lines(path: str | Path) -> list[str]:
     return text.removesuffix("\n").split("\n") if text else []
 
 
-def _first_repeat(tokens: list[str]) -> tuple[int, int]:
-    """The positions of the first token seen again, and of its repeat."""
-    seen: dict[str, int] = {}
-    for i, tok in enumerate(tokens):
-        first = seen.setdefault(tok, i)
-        if first != i:
-            return first, i
-    raise ValueError("no token repeats")
-
-
 def load_slmrd_vocab(path: str | Path) -> Vocabulary:
     """Load a one-token-per-line vocabulary file (line number = index, 0-based).
 
     This is both the Stanford ``imdb.vocab`` layout and the canonical
     vocabulary format written by ``prepare``.  Lines end in ``\\n``,
-    ``\\r\\n`` or a lone ``\\r``; a token is the rest of its line.
+    ``\\r\\n`` or a lone ``\\r``; a token is the rest of its line.  The text
+    read becomes the vocabulary's ``text`` as it is: no token is split out
+    of it unless it repeats.
     """
-    tokens = _lines(path)
-    if not tokens:
+    text = read_text(path)
+    if not text:
         raise DataError(f"{path}: empty vocabulary file")
-    try:
-        return Vocabulary(tokens)
-    except DataError:
-        first, again = _first_repeat(tokens)
-        raise DataError(
-            f"{path}: duplicate token {tokens[again]!r} at lines {first + 1} and {again + 1}"
-        ) from None
+    text = text.removesuffix("\n")
+    size = text.count("\n") + 1
+    repeat = _first_repeat(*_token_bytes(text, size))
+    if repeat:
+        first, again, token = repeat
+        raise DataError(f"{path}: duplicate token {token!r} at lines {first + 1} and {again + 1}")
+    return Vocabulary._of_text(text, size)
 
 
 def load_polarity(path: str | Path, vocab: Vocabulary) -> np.ndarray:
@@ -501,7 +610,7 @@ def load_kid(
     tokens = _word_index_tokens(word_index_path)
     try:
         vocab = Vocabulary(tokens)
-    except DataError as exc:  # a token that holds a line break
+    except DataError as exc:  # a token with a line break, a lone surrogate, or a repeat
         raise DataError(f"{word_index_path}: {exc}") from None
 
     labels, matrix = _load_records(

@@ -5,17 +5,19 @@ apostrophe canonicalization), rewrites a corpus's count matrix into the
 target index space, and evaluates a checkpoint trained on the target
 vocabulary against the re-encoded corpus.  Tokens without a counterpart are
 dropped per token, so a review can come out empty but is still scored.
+Tokens are matched on their UTF-8 bytes, which every ``Vocabulary`` has, by
+one sort of both vocabularies (``corpus._sort_tokens``); only the dropped
+tokens are made str objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, repeat
 
 import numpy as np
 from scipy import sparse
 
-from .corpus import Corpus, Vocabulary, _index_dtype
+from .corpus import Corpus, Vocabulary, _index_dtype, _sort_tokens, _token_bytes, _token_strs
 from .encode import _CHUNK, PolarityStats, encode_corpus, polarity_stats
 from .fileio import replacing
 from .train import Checkpoint, EvalResult, check_fingerprint, evaluate
@@ -36,14 +38,19 @@ class VocabMap:
 
 
 def build_vocab_map(source: Vocabulary, target: Vocabulary) -> VocabMap:
-    # built per call, never cached on the vocabulary, so it does not outlive the map;
-    # each vocabulary is split into its tokens once
-    index_of = dict(zip(target.tokens, range(target.size)))
-    tokens = source.tokens
-    mapping = np.fromiter(map(index_of.get, tokens, repeat(-1)), np.int64, source.size)
+    # one sort of the target's tokens, then the source's, by their bytes;
+    # neither repeats a token, so a class is one token or a pair of one each
+    text = "\n".join(v.text for v in (target, source) if v.size)
+    data, start, length = _token_bytes(text, target.size + source.size)
+    order, heads = _sort_tokens(data, start, length)
+    pair = np.flatnonzero(~heads[1:-1])  # sorted positions p, p + 1
+    pair = order.take(pair), order.take(pair + 1)
+    mapping = np.full(source.size, -1, np.int64)
+    mapping[np.maximum(*pair) - target.size] = np.minimum(*pair)
+    alone = order[heads[:-1] & heads[1:]]  # in byte order
     return VocabMap(
         mapping=mapping,
-        dropped=sorted(compress(tokens, (mapping < 0).tolist())),
+        dropped=_token_strs(data, start, length, alone[alone >= target.size]),  # the only str made
         source_size=source.size,
         target_size=target.size,
     )

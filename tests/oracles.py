@@ -328,7 +328,8 @@ def load_slmrd_bow(path, vocab):
 
 def word_index_tokens(word_index_path):
     """Reference word-index reader: the tokens of a JSON token->rank object
-    in rank order, each entry's rank checked in turn, then each token."""
+    in rank order, each entry's rank checked in turn, then each token for a
+    line break, then each token for a lone surrogate (JSON can spell one)."""
     with _open_text(word_index_path) as fh:
         try:
             word_index = json.load(fh)
@@ -351,6 +352,13 @@ def word_index_tokens(word_index_path):
             raise DataError(
                 f"{word_index_path}: token {tok!r} at index {i} contains a line break"
             )
+    for i, tok in enumerate(tokens):
+        try:
+            tok.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DataError(
+                f"{word_index_path}: token {tok!r} at index {i} is not encodable as UTF-8"
+            ) from None
     return tokens
 
 

@@ -51,6 +51,31 @@ def rows_of(matrix):
     ]
 
 
+# Tokens that the package tells apart by their UTF-8 bytes, 7 at a time:
+# longer than 8 and 16 bytes and sharing their first 8 or 16, the empty token
+# against NUL and "a" against "a\0", 2-, 3- and 4-byte characters, and "\xff",
+# whose UTF-8 bytes are c3 bf.  ``odd_token`` pastes two together;
+# ``odd_vocabularies`` are the two shapes that make the most passes.
+ODD_TOKENS = [
+    "", "\x00", "a", "a\x00", "\xff", "caf\xe9", "\u3000", "\U0001f600", "\U0010ffff",
+    "12345678", "123456789", "1234567890123456", "12345678901234567", "\x00" * 9,
+]
+
+
+def odd_token(rng):
+    return "".join(ODD_TOKENS[int(i)] for i in rng.integers(len(ODD_TOKENS), size=2))
+
+
+def odd_vocabularies():
+    """Token lists that tie for many bytes: every length from 1 to 3 000
+    bytes of one letter, and 1 000 tokens of 10 000 bytes that share their
+    first 9 992."""
+    return {
+        "every-length": ["x" * n for n in range(1, 3001)],
+        "long-prefix": ["y" * 9992 + f"{i:08d}" for i in range(1000)],
+    }
+
+
 def token_list(n, prefix="tok"):
     pad = len(str(max(n - 1, 1)))
     return [f"{prefix}{i:0{pad}d}" for i in range(n)]

@@ -422,6 +422,22 @@ def test_prepare_kid_rejects_token_with_line_break(tmp_path, capsys, token):
     assert not (tmp_path / "data" / "vocab.txt").exists()
 
 
+def test_prepare_kid_rejects_a_token_utf8_cannot_encode(tmp_path, capsys):
+    """JSON can spell a lone surrogate, which no vocab.txt can hold: a data
+    error naming the file and the token's index, and no --out directory."""
+    wi, seq = tmp_path / "word_index.json", tmp_path / "sequences.tsv"
+    wi.write_text('{"good": 1, "\\ud800x": 2}', encoding="utf-8")
+    seq.write_text("1\t1 2\n0\t1\n", encoding="utf-8")
+    out = tmp_path / "data"
+    code = main(["prepare", "kid", "--word-index", str(wi), "--sequences", str(seq),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error=data detail=\"{wi}: token '\\ud800x' at index 1 is not encodable as UTF-8\""
+    ]
+    assert not out.exists()
+
+
 def test_prepare_missing_distribution_exits_two(tmp_path, capsys):
     code = main(
         ["prepare", "slmrd", "--input", str(tmp_path / "nowhere"), "--out", str(tmp_path / "o")]

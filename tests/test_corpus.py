@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import string
 import tracemalloc
 
 import numpy as np
@@ -81,6 +83,38 @@ def test_vocab_rejects_a_token_with_a_line_break(tokens, bad):
     """Otherwise ["a\\nb", "c"] and ["a", "b\\nc"] would share size and fingerprint."""
     with pytest.raises(DataError, match=f"at index {bad} contains a line break"):
         Vocabulary(tokens)
+
+
+def test_vocab_rejects_a_token_utf8_cannot_encode():
+    """A lone surrogate has no UTF-8 bytes, and tokens are told apart by theirs."""
+    with pytest.raises(DataError) as err:
+        Vocabulary(["ok", "x\udfff", "\ud800"])
+    assert str(err.value) == "token 'x\\udfff' at index 1 is not encodable as UTF-8"
+
+
+def shortlex_words(n):
+    """The paper-shape vocabulary's tokens: the first ``n`` words over a-z in
+    shortlex order, every 20th with "'s" after it."""
+    words = (
+        "".join(letters)
+        for size in itertools.count(1)
+        for letters in itertools.product(string.ascii_lowercase, repeat=size)
+    )
+    return [w + "'s" if i % 20 == 7 else w for i, w in zip(range(n), words)]
+
+
+def test_loading_a_vocab_peaks_under_twenty_times_its_file(tmp_path):
+    """Repeats are found on the file's bytes, a few machine words a token."""
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(("\n".join(shortlex_words(89_527)) + "\n").encode("utf-8"))
+    tracemalloc.start()
+    try:
+        load_slmrd_vocab(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a str object per token, and a set over them, peak at about 30 times
+    assert peak < 20 * path.stat().st_size, peak / path.stat().st_size
 
 
 def test_loaded_vocab_keeps_one_string_the_size_of_its_file(tmp_path):

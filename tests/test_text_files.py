@@ -24,6 +24,7 @@ import oracles
 from bowtie.corpus import Vocabulary, load_kid, load_polarity, load_slmrd_vocab
 from bowtie.errors import DataError
 from bowtie.transfer import build_vocab_map
+from synth import odd_token, odd_vocabularies
 
 LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r"]
 
@@ -65,9 +66,11 @@ def piped(data):
 
 def random_tokens(rng, n):
     pool = ["a", "b", "the", "don't", "Don't", "caf\xe9", "٣", " x", "x ", "\t", "", "1_0", "　"]
-    tokens = [pool[int(rng.integers(len(pool)))] + str(int(rng.integers(50))) for _ in range(n)]
-    for _ in range(int(rng.integers(0, 3))):  # blank lines and repeats
-        tokens.insert(int(rng.integers(n + 1)), str(rng.choice(["", "a1", "the7", tokens[0] if n else ""])))
+    tokens = [odd_token(rng) if rng.random() < 0.3 else
+              pool[int(rng.integers(len(pool)))] + str(int(rng.integers(50))) for _ in range(n)]
+    for _ in range(int(rng.integers(0, 3))):  # blank lines and repeats, long ones too
+        again = tokens[int(rng.integers(n))] if n else ""
+        tokens.insert(int(rng.integers(n + 1)), str(rng.choice(["", "a1", "the7", again])))
     return tokens
 
 
@@ -94,6 +97,19 @@ def test_vocabulary_file_matches_the_reference(tmp_path):
             assert got == want
         else:
             assert got.tokens == want.tokens
+
+
+@pytest.mark.parametrize("shape", sorted(odd_vocabularies()))
+def test_odd_vocabulary_files_match_the_reference(tmp_path, shape):
+    """Long ties, with the last token unique, a repeat of a long token, and
+    a repeat of the first one."""
+    tokens = odd_vocabularies()[shape]
+    path = tmp_path / "vocab.txt"
+    for lines in (tokens, tokens + [tokens[-2]], tokens[:-1] + [tokens[0], tokens[-1]]):
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        got = outcome(lambda: load_slmrd_vocab(path))
+        want = outcome(lambda: oracles.load_slmrd_vocab(path))
+        assert got == want if isinstance(want, str) else got.text == want.text
 
 
 RATINGS = [
@@ -154,8 +170,8 @@ def random_word_index(rng):
             ranks[i] = RANKS[int(rng.integers(len(RANKS)))]
         elif roll < 0.7:
             ranks[i] = ranks[int(rng.integers(n))]  # a shared rank
-        else:
-            tokens[i] = tokens[i] + rng.choice(["\n", "\r", "x\r\n"])
+        else:  # a line break, or a lone surrogate, which JSON can spell and UTF-8 cannot
+            tokens[i] = tokens[i] + rng.choice(["\n", "\r", "x\r\n", "\ud800", "\udfffx"])
     return dict(zip(tokens, ranks))
 
 

@@ -21,7 +21,10 @@ from bowtie.transfer import (
     transfer_evaluate,
     write_transfer_report,
 )
-from synth import corpus_from_rows, planted_corpus, rating_table, rows_of, token_list, values_of
+from synth import (
+    corpus_from_rows, odd_token, odd_vocabularies, planted_corpus, rating_table, rows_of, token_list,
+    values_of,
+)
 
 
 def bag(pairs, label=1, width=3):
@@ -75,6 +78,14 @@ def test_dropped_list_is_sorted():
     assert vmap.dropped == ["alpha", "mike", "zulu"]
 
 
+def test_dropped_tokens_sort_by_code_point():
+    """As str comparison sorts them: a prefix first, then by code point,
+    so U+FFFF before U+1F600 (UTF-16 would put it after)."""
+    want = ["", "a", "a\x00", "a\x00\x00", "z", "\xe9", "\uffff", "\U0001f600"]
+    vmap = build_vocab_map(Vocabulary(want[::-1]), Vocabulary(["other"]))
+    assert vmap.dropped == want
+
+
 def test_mapped_plus_dropped_partitions_source():
     rng = np.random.default_rng(1)
     for case in range(30):
@@ -92,9 +103,9 @@ def test_mapped_plus_dropped_partitions_source():
 
 
 def test_vocab_map_keeps_no_index_over_the_target():
-    """The target's token -> index dict lives only while the map is built:
-    afterwards the call holds its mapping, its dropped tokens (the source's
-    tokens are split for the map, so they are the map's own) and a little more."""
+    """No index over the target outlives the map: afterwards the call holds
+    its mapping, its dropped tokens (the only tokens it makes str objects
+    of) and a little more."""
     pool = token_list(30_000)
     source, target = Vocabulary(pool[:20_000]), Vocabulary(pool[10_000:])
     tracemalloc.start()
@@ -110,19 +121,34 @@ def test_vocab_map_keeps_no_index_over_the_target():
     assert held <= vmap.mapping.nbytes + dropped + 16_384, held
 
 
+def assert_map_matches_the_reference(source, target):
+    got, want = build_vocab_map(source, target), oracles.build_vocab_map(source, target)
+    assert got.mapping.dtype == want.mapping.dtype
+    assert got.mapping.tolist() == want.mapping.tolist()
+    targets = got.mapping[got.mapping >= 0]  # remap_corpus relies on no collision
+    assert np.unique(targets).size == targets.size
+    assert (got.dropped, got.source_size, got.target_size) == (
+        want.dropped, want.source_size, want.target_size)
+
+
 def test_vocab_map_matches_the_reference():
+    """Plain tokens, and tokens that differ late, by a NUL or by a character
+    of 2 to 4 bytes (``synth.ODD_TOKENS``), whose dropped ones sort by code point."""
     rng = np.random.default_rng(2)
-    for case in range(30):
+    for case in range(60):
         pool = token_list(60, prefix=f"w{case}_") + ["", "Movie", "movie", "movie "]
-        source = Vocabulary(list(rng.choice(pool, size=int(rng.integers(0, 40)), replace=False)))
-        target = Vocabulary(list(rng.choice(pool, size=int(rng.integers(0, 40)), replace=False)))
-        got, want = build_vocab_map(source, target), oracles.build_vocab_map(source, target)
-        assert got.mapping.dtype == want.mapping.dtype
-        assert got.mapping.tolist() == want.mapping.tolist()
-        targets = got.mapping[got.mapping >= 0]  # remap_corpus relies on no collision
-        assert np.unique(targets).size == targets.size
-        assert (got.dropped, got.source_size, got.target_size) == (
-            want.dropped, want.source_size, want.target_size)
+        pool = list(dict.fromkeys(pool + [odd_token(rng) for _ in range(60)]))
+        pick = np.array(pool, dtype=object)
+        source = Vocabulary(list(rng.choice(pick, size=int(rng.integers(0, 80)), replace=False)))
+        target = Vocabulary(list(rng.choice(pick, size=int(rng.integers(0, 80)), replace=False)))
+        assert_map_matches_the_reference(source, target)
+
+
+@pytest.mark.parametrize("shape", sorted(odd_vocabularies()))
+def test_odd_vocab_maps_match_the_reference(shape):
+    tokens = odd_vocabularies()[shape]
+    assert_map_matches_the_reference(Vocabulary(tokens[::2]), Vocabulary(tokens[::3]))
+    assert_map_matches_the_reference(Vocabulary(tokens), Vocabulary(tokens[::-1]))
 
 
 # ------------------------------------------------------------------ remapping
